@@ -6,7 +6,7 @@ inverse rules that let chaining follow edges backwards.
 """
 
 from corg import (KnowledgeGraph, to_tptp, translate_existential,
-                  translate_factual, translate_inverse)
+                  translate_factual, translate_inverse, triple_symbols)
 
 graph = KnowledgeGraph.from_tuples([
     ("sun", "Causes", "light"),
@@ -17,8 +17,9 @@ graph = KnowledgeGraph.from_tuples([
 
 print(f"{len(graph)} edges loaded")
 print("outgoing from 'shadow':")
-for t in graph.neighbors_out("shadow"):
-    print(f"  ({t.subject}, {t.relation}, {t.object})")
+for t in graph.triples:
+    if t.subject == "shadow":
+        print(f"  ({t.subject}, {t.relation}, {t.object})")
 
 # Scheme 1: a triple is just a ground fact about two constants.
 print("\nfactual scheme:")
@@ -36,3 +37,11 @@ for i, t in enumerate(graph.triples):
 print("\ninverse rules:")
 for i, t in enumerate(graph.triples):
     print(" ", to_tptp(translate_inverse(t), f"t{i + 1}_inv"))
+
+# Selection needs only each axiom's symbols, and every scheme uses the same
+# three names, so the pipeline reads them off the triple and translates
+# nothing it does not select.
+print("\nsymbols, read off the triples:")
+for i, t in enumerate(graph.triples):
+    print(f"  t{i + 1}: {sorted(triple_symbols(t))}"
+          f"  t{i + 1}_inv: {sorted(triple_symbols(t, inverse=True))}")

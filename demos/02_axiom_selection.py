@@ -7,9 +7,9 @@ the pre-translation triple filter.
 
 import numpy as np
 
-from corg import (EmbeddingTable, KnowledgeGraph, SineConfig, Triple,
-                  build_index, similarity_sine_select, sine_select,
-                  translate_existential, triple_prefilter)
+from corg import (EmbeddingTable, KnowledgeGraph, Prefilter, SineConfig,
+                  Triple, build_index, similarity_sine_select, sine_select,
+                  triple_symbols)
 
 graph = KnowledgeGraph.from_tuples([
     ("sun", "Causes", "light"),
@@ -17,8 +17,8 @@ graph = KnowledgeGraph.from_tuples([
     ("shadow", "AtLocation", "ground"),
     ("grass", "AtLocation", "ground"),
 ])
-axioms = {f"t{i + 1}": translate_existential(t)
-          for i, t in enumerate(graph.triples)}
+# Selection reads only symbol sets, so the triples are indexed directly.
+axioms = {f"t{i + 1}": triple_symbols(t) for i, t in enumerate(graph.triples)}
 index = build_index(axioms)
 
 print("symbol occurrence counts:")
@@ -39,11 +39,10 @@ table = EmbeddingTable(2, {
     "sunshine": np.array([0.9, np.sqrt(1 - 0.81)]),   # cosine 0.9 to sun
     "rain": np.array([0.0, 1.0]),
 })
-from corg.fol import Atom, Constant
 weather = {
-    "a1": Atom("sun", (Constant("warm"),)),
-    "a2": Atom("sunshine", (Constant("bright"),)),
-    "a3": Atom("rain", (Constant("wet"),)),
+    "a1": {"sun", "warm"},
+    "a2": {"sunshine", "bright"},
+    "a3": {"rain", "wet"},
 }
 widx = build_index(weather)
 plain = sine_select(widx, {"sun"}, SineConfig(tolerance=1, max_depth=1))
@@ -64,6 +63,6 @@ vocab = EmbeddingTable(2, {
 })
 triples = [Triple("sun", "is_a", "star"), Triple("sun", "causes", "light")]
 problem_words = ["shadow", "grass", "sun", "rising", "cut"]
-kept = triple_prefilter(triples, problem_words, 0.4, vocab)
+kept = [triples[i] for i in Prefilter(triples, vocab).apply_indices(problem_words, 0.4)]
 print(f"\nprefilter at theta=0.4 keeps: "
       f"{[(t.subject, t.relation, t.object) for t in kept]}")

@@ -15,22 +15,20 @@ from .fol import (AnnotatedFormula, And, Atom, Clause, Constant, Exists,
                   Variable, clausify, format_atom, format_formula, is_closed,
                   parse_fol, parse_tptp, relation_predicate, symbols,
                   to_tptp, translate_existential, translate_factual,
-                  translate_inverse)
+                  translate_inverse, triple_symbols)
 from .kg import (KnowledgeGraph, RelationFilter, Skip, Triple,
                  default_relation_whitelist, load_graph,
                  load_relation_whitelist, normalize_concept,
                  normalize_relation, parse_assertion_line, parse_plain_line)
 from .model import (BuilderConfig, DerivationStep, ExtractionConfig,
-                    GroundAtom, PartialModel, atom_depth, explain,
-                    extract_symbols, model_lines, saturate, term_depth,
-                    trace_json)
+                    PartialModel, atom_depth, explain, extract_symbols,
+                    model_lines, saturate, term_depth, trace_json)
 from .pipeline import (CopaProblem, Pipeline, PipelineConfig, ProblemResult,
-                       RunReport, TextResult, content_words, evaluate,
-                       export_tptp, parse_copa_xml, run_problem,
-                       text_to_facts)
+                       RunReport, TextResult, content_words, export_tptp,
+                       parse_copa_xml, text_to_facts)
 from .scorer import (Choice, ScorerConfig, ScoreVector, choose,
                      embed_sequence, likelihoods, score_pair)
 from .selection import (AxiomIndex, Prefilter, SineConfig, build_index,
-                        similarity_sine_select, sine_select, triple_prefilter)
+                        similarity_sine_select, sine_select)
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -21,8 +21,7 @@ from .errors import CorgError
 from .kg import (RelationFilter, default_relation_whitelist, load_graph,
                  load_relation_whitelist)
 from .model import explain
-from .pipeline import (Pipeline, PipelineConfig, export_tptp, parse_copa_xml,
-                       problem_axioms)
+from .pipeline import Pipeline, PipelineConfig, export_tptp, parse_copa_xml
 from .selection import SineConfig
 
 
@@ -44,7 +43,7 @@ def build_parser() -> argparse.ArgumentParser:
                      default="existential", help="triple translation scheme")
     run.add_argument("--sine-tolerance", type=float, default=1.5, metavar="R")
     run.add_argument("--sine-depth", type=int, default=3, metavar="N",
-                     help="selection depth; 0 iterates to the fixpoint")
+                     help="selection depth (>= 0); 0 iterates to the fixpoint")
     run.add_argument("--sim-threshold", type=float, default=None, metavar="R",
                      help="enable similarity-widened goal seeding at this cosine")
     run.add_argument("--prefilter-theta", type=float, default=0.4, metavar="R",
@@ -58,13 +57,9 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _run(args) -> int:
-    whitelist = (load_relation_whitelist(args.relations) if args.relations
-                 else default_relation_whitelist())
-    graph = load_graph(args.kg, RelationFilter(allowed=whitelist))
-    table = load_table(args.embeddings)
-    problems = parse_copa_xml(args.copa)
-    config = PipelineConfig(
+def _config(args) -> PipelineConfig:
+    """Pipeline configuration from the options; ValueError on a bad value."""
+    return PipelineConfig(
         scheme=args.scheme,
         include_inverse=args.inverse,
         fact_mode="fol_file" if args.fol_dir else "bag_of_words",
@@ -72,10 +67,18 @@ def _run(args) -> int:
         prefilter_theta=args.prefilter_theta,
         sine=SineConfig(
             tolerance=args.sine_tolerance,
-            max_depth=args.sine_depth if args.sine_depth > 0 else None,
+            max_depth=None if args.sine_depth == 0 else args.sine_depth,
             similarity_threshold=args.sim_threshold,
         ),
     )
+
+
+def _run(args, config: PipelineConfig) -> int:
+    whitelist = (load_relation_whitelist(args.relations) if args.relations
+                 else default_relation_whitelist())
+    graph = load_graph(args.kg, RelationFilter(allowed=whitelist))
+    table = load_table(args.embeddings)
+    problems = parse_copa_xml(args.copa)
     pipeline = Pipeline(graph, table, config)
     report = pipeline.evaluate(problems)
 
@@ -87,8 +90,7 @@ def _run(args) -> int:
 
     if args.export_tptp:
         for result in report.results:
-            axioms = problem_axioms(pipeline, result.problem)
-            export_tptp(result, args.export_tptp, axioms=axioms)
+            export_tptp(result, args.export_tptp)
 
     if args.explain is not None:
         result = next((r for r in report.results if r.problem.id == args.explain), None)
@@ -108,9 +110,14 @@ def _run(args) -> int:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
     try:
-        return _run(args)
+        config = _config(args)
+    except ValueError as e:
+        parser.error(str(e))  # exits with code 2
+    try:
+        return _run(args, config)
     except (CorgError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1

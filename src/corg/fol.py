@@ -212,6 +212,18 @@ def _check_translatable(t: Triple):
             f"negated triple ({t.subject}, not_{t.relation}, {t.object}) has no translation")
 
 
+def triple_symbols(t: Triple, inverse: bool = False) -> frozenset[str]:
+    """``symbols()`` of the triple's translation, read off the triple itself.
+
+    Every scheme uses the same three names: subject, predicate and object
+    (the inverse reading uses the ``inv_`` predicate instead).
+    """
+    if inverse:
+        return frozenset((t.object, INVERSE_PREFIX + relation_predicate(t.relation),
+                          t.subject))
+    return frozenset((t.subject, relation_predicate(t.relation), t.object))
+
+
 def translate_factual(t: Triple) -> Formula:
     """Triple as a ground fact: relation(subject, object)."""
     _check_translatable(t)

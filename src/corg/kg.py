@@ -86,41 +86,24 @@ class LoadStats:
 
 
 class KnowledgeGraph:
-    """Append-only triple list with subject/object indexes.
+    """Append-only triple list; a triple's id is its position in ``triples``.
 
-    Loading is single-writer; once loaded the graph is treated as immutable
-    and can be shared across concurrent readers.
+    The pipeline reads triples by id and never walks the graph, so there
+    are no adjacency indexes.  Loading is single-writer; once loaded the
+    graph is treated as immutable and can be shared across concurrent
+    readers.
     """
 
     def __init__(self):
         self.triples: list[Triple] = []
-        self.out_index: dict[str, list[int]] = {}
-        self.in_index: dict[str, list[int]] = {}
         self.stats = LoadStats()
 
     def add(self, triple: Triple) -> int:
-        tid = len(self.triples)
         self.triples.append(triple)
-        self.out_index.setdefault(triple.subject, []).append(tid)
-        self.in_index.setdefault(triple.object, []).append(tid)
-        return tid
+        return len(self.triples) - 1
 
     def __len__(self) -> int:
         return len(self.triples)
-
-    def neighbors_out(self, concept: str) -> list[Triple]:
-        """All stored triples with the given subject, in insertion order."""
-        return [self.triples[i] for i in self.out_index.get(concept, [])]
-
-    def neighbors_in(self, concept: str) -> list[Triple]:
-        """All stored triples with the given object, in insertion order."""
-        return [self.triples[i] for i in self.in_index.get(concept, [])]
-
-    def out_degree(self, concept: str) -> int:
-        return len(self.out_index.get(concept, []))
-
-    def in_degree(self, concept: str) -> int:
-        return len(self.in_index.get(concept, []))
 
     @classmethod
     def from_tuples(cls, rows: Iterable[tuple]) -> "KnowledgeGraph":
@@ -234,7 +217,7 @@ def _open_text(path) -> Iterator[str]:
 
 
 def load_graph(path, relation_filter: RelationFilter | None = None) -> KnowledgeGraph:
-    """Load a dump or fixture file into an indexed KnowledgeGraph.
+    """Load a dump or fixture file into a KnowledgeGraph.
 
     Malformed lines are counted, never fatal.  Raises NoTriplesLoaded when
     nothing survives the filter (wrong filter or wrong file), and OSError

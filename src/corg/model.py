@@ -18,8 +18,6 @@ from .errors import AtomNotInModel, NonHornClause, NonRangeRestrictedClause
 from .fol import (Atom, Clause, Constant, Function, Term, Variable,
                   format_atom, substitute_atom)
 
-GroundAtom = Atom  # an Atom whose args contain no variables
-
 
 @dataclass
 class BuilderConfig:
@@ -41,7 +39,7 @@ class DerivationStep:
     body order, and always precede the step itself.
     """
 
-    derived: GroundAtom
+    derived: Atom
     clause_origin: str | None
     premises: tuple[int, ...]
 
@@ -54,17 +52,11 @@ class PartialModel:
     complete: bool = True
 
     @property
-    def atoms(self) -> list[GroundAtom]:
+    def atoms(self) -> list[Atom]:
         return [step.derived for step in self.trace]
-
-    def __contains__(self, atom: GroundAtom) -> bool:
-        return any(step.derived == atom for step in self.trace)
 
     def __len__(self) -> int:
         return len(self.trace)
-
-    def atom_set(self) -> frozenset[GroundAtom]:
-        return frozenset(step.derived for step in self.trace)
 
 
 def term_depth(t: Term) -> int:
@@ -127,10 +119,10 @@ def _validate(clauses: list[Clause]):
 class _Database:
     def __init__(self):
         self.trace: list[DerivationStep] = []
-        self.seen: set[GroundAtom] = set()
+        self.seen: set[Atom] = set()
         self.by_pred: dict[str, list[int]] = {}
 
-    def admit(self, atom: GroundAtom, origin: str | None, premises: tuple[int, ...]) -> bool:
+    def admit(self, atom: Atom, origin: str | None, premises: tuple[int, ...]) -> bool:
         if atom in self.seen:
             return False
         idx = len(self.trace)
@@ -166,7 +158,7 @@ def _body_matches(db: _Database, body: tuple[Atom, ...], delta_start: int,
                     stack.append((pos + 1, extended, premises + (idx,)))
 
 
-def saturate(facts: list[GroundAtom], clauses: list[Clause],
+def saturate(facts: list[Atom], clauses: list[Clause],
              cfg: BuilderConfig | None = None) -> PartialModel:
     """Forward-chain facts through Horn clauses up to the configured bounds.
 
@@ -184,7 +176,7 @@ def saturate(facts: list[GroundAtom], clauses: list[Clause],
     db = _Database()
     model = PartialModel(db.trace)
 
-    def admit_checked(atom: GroundAtom, origin: str | None, premises: tuple[int, ...]):
+    def admit_checked(atom: Atom, origin: str | None, premises: tuple[int, ...]):
         if atom in db.seen:
             return
         if atom_depth(atom) > cfg.max_term_depth:
@@ -206,7 +198,7 @@ def saturate(facts: list[GroundAtom], clauses: list[Clause],
             model.complete = False
             break
         rounds += 1
-        candidates: list[tuple[int, tuple[int, ...], GroundAtom]] = []
+        candidates: list[tuple[int, tuple[int, ...], Atom]] = []
         for c_pos, clause in enumerate(clauses):
             if not clause.positives:
                 continue
@@ -229,7 +221,8 @@ def saturate(facts: list[GroundAtom], clauses: list[Clause],
 
 # ------------------------------------------------------------- extraction
 
-_SKOLEM = re.compile(r"sk(_|\d)")
+# the clausifier's Skolem names: sk_<axiom id>_<k>
+_SKOLEM = re.compile(r"sk_\w+_\d+")
 _ROLE_PREDICATE = re.compile(r"r[0-9]+[A-Z]\w*")
 
 
@@ -246,7 +239,7 @@ class ExtractionConfig:
 
 
 def _is_skolem(name: str) -> bool:
-    return bool(_SKOLEM.match(name))
+    return bool(_SKOLEM.fullmatch(name))
 
 
 def _is_relation_predicate(atom: Atom) -> bool:
@@ -292,7 +285,7 @@ def extract_symbols(model: PartialModel,
 # ------------------------------------------------------------ explanation
 
 
-def explain(model: PartialModel, target: GroundAtom) -> str:
+def explain(model: PartialModel, target: Atom) -> str:
     """Human-readable derivation tree for an atom of the model.
 
     Renders the target and, recursively indented, the premises it was

@@ -1,11 +1,15 @@
 """End-to-end COPA runs: parse problems, build facts, chain, extract, score.
 
-Per problem, each text (premise, then every alternative) goes through
+Per problem, the triple prefilter keeps the triples whose object is near
+the problem's words, and each kept triple is indexed for selection by its
+symbol set (``fol.triple_symbols``) as axiom ``t<n>`` and, with inverses on,
+``t<n>_inv``.  Each text (premise, then every alternative) then goes through
 
-    facts -> triple prefilter -> translate -> select -> clausify
+    facts -> select -> translate + clausify (selected axioms only)
           -> saturate -> extract symbols
 
 and the per-alternative symbol sequences are scored against the premise's.
+A failure is raised as a StageError that names the problem and the stage.
 Resources (graph, embeddings) are loaded once and shared; problems are
 processed independently, and the serialized report is byte-deterministic
 for identical inputs and configuration (timings stay in memory unless
@@ -15,9 +19,12 @@ explicitly asked for).
 from __future__ import annotations
 
 import json
+import math
 import re
+import sys
 import time
 import xml.etree.ElementTree as ET
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
@@ -174,6 +181,8 @@ class PipelineConfig:
     def __post_init__(self):
         if self.scheme not in ("existential", "factual"):
             raise ValueError(f"unknown scheme {self.scheme!r}")
+        if not math.isfinite(self.prefilter_theta):
+            raise ValueError(f"prefilter_theta must be finite, got {self.prefilter_theta}")
 
 
 # ----------------------------------------------------------------- results
@@ -185,8 +194,9 @@ class TextResult:
 
     role: str
     facts: list[Atom]
-    n_translated: int
-    selected: list[str]
+    n_translated: int  # axioms indexed for selection
+    selected: list[str]  # axiom ids, in index order
+    formulas: list[Formula]  # the selected axioms' translations, in the same order
     model: PartialModel
     symbols: list[str]
     seconds: float
@@ -282,81 +292,82 @@ class Pipeline:
         self.table = table
         self.config = config or PipelineConfig()
         self.prefilter = Prefilter(graph.triples, table, self.config.oov)
-        self._axioms_cache: dict[int, list[tuple[str, Formula]]] = {}
-        self._clause_cache: dict[str, list[Clause]] = {}
+        # axiom id -> (formula, clauses); translation is problem-independent
+        self._translations: dict[str, tuple[Formula, list[Clause]]] = {}
 
-    # translation is per-triple and problem-independent, so cache by triple id
-    def _axioms_for(self, tid: int) -> list[tuple[str, Formula]]:
-        cached = self._axioms_cache.get(tid)
+    def _translate(self, aid: str, tid: int,
+                   inverse: bool) -> tuple[Formula, list[Clause]]:
+        cached = self._translations.get(aid)
         if cached is None:
-            cfg = self.config
             triple = self.graph.triples[tid]
-            cached = []
-            if not triple.negated:
-                base = f"t{tid + 1}"
-                if cfg.scheme == "factual":
-                    cached.append((base, fol.translate_factual(triple)))
-                else:
-                    cached.append((base, fol.translate_existential(triple)))
-                if cfg.include_inverse:
-                    cached.append((base + "_inv", fol.translate_inverse(triple)))
-            self._axioms_cache[tid] = cached
-        return cached
-
-    def _clauses_for(self, axiom_id: str, formula: Formula) -> list[Clause]:
-        cached = self._clause_cache.get(axiom_id)
-        if cached is None:
-            cached = fol.clausify(formula, axiom_id)
-            self._clause_cache[axiom_id] = cached
+            if inverse:
+                formula = fol.translate_inverse(triple)
+            elif self.config.scheme == "factual":
+                formula = fol.translate_factual(triple)
+            else:
+                formula = fol.translate_existential(triple)
+            cached = formula, fol.clausify(formula, aid)
+            self._translations[aid] = cached
         return cached
 
     def _run_text(self, problem: CopaProblem, role: str, text: str,
-                  axioms: dict[str, Formula], index) -> TextResult:
+                  axioms: dict[str, tuple[int, bool]], index) -> TextResult:
         cfg = self.config
         start = time.perf_counter()
-        facts = text_to_facts(text, cfg.fact_mode, cfg.fol_dir, problem.id, role)
+        with _stage(problem.id, "facts"):
+            facts = text_to_facts(text, cfg.fact_mode, cfg.fol_dir, problem.id, role)
         goals: set[str] = set()
         for f in facts:
             goals |= fol.symbols(f)
-        if not goals:
-            selected: set[str] = set()
-        elif cfg.sine.similarity_threshold is not None:
-            selected = similarity_sine_select(index, goals, cfg.sine,
-                                              self.table, cfg.oov)
-        else:
-            selected = sine_select(index, goals, cfg.sine)
-        clauses: list[Clause] = []
+        with _stage(problem.id, "select"):
+            if not goals:
+                selected: set[str] = set()
+            elif cfg.sine.similarity_threshold is not None:
+                selected = similarity_sine_select(index, goals, cfg.sine,
+                                                  self.table, cfg.oov)
+            else:
+                selected = sine_select(index, goals, cfg.sine)
         selected_order = [aid for aid in axioms if aid in selected]
-        for aid in selected_order:
-            clauses.extend(self._clauses_for(aid, axioms[aid]))
-        model = saturate(facts, clauses, cfg.builder)
+        formulas: list[Formula] = []
+        clauses: list[Clause] = []
+        with _stage(problem.id, "translate"):
+            for aid in selected_order:
+                formula, axiom_clauses = self._translate(aid, *axioms[aid])
+                formulas.append(formula)
+                clauses.extend(axiom_clauses)
+        with _stage(problem.id, "saturate"):
+            model = saturate(facts, clauses, cfg.builder)
         syms = extract_symbols(model, cfg.extraction)
-        return TextResult(role, facts, len(axioms), selected_order, model,
-                          syms, time.perf_counter() - start)
+        return TextResult(role, facts, len(axioms), selected_order, formulas,
+                          model, syms, time.perf_counter() - start)
 
     def run_problem(self, problem: CopaProblem) -> ProblemResult:
         """Full pipeline for one problem; see the module docstring."""
         cfg = self.config
         start = time.perf_counter()
         words = content_words(" ".join([problem.premise] + problem.alternatives))
-        try:
+        with _stage(problem.id, "prefilter"):
             kept = self.prefilter.apply_indices(words, cfg.prefilter_theta) \
                 if words else []
-            axioms: dict[str, Formula] = {}
-            for tid in kept:
-                for aid, formula in self._axioms_for(tid):
-                    axioms[aid] = formula
-            index = build_index(axioms)
-            texts = [self._run_text(problem, "premise", problem.premise, axioms, index)]
-            for k, alt in enumerate(problem.alternatives, start=1):
-                texts.append(self._run_text(problem, f"a{k}", alt, axioms, index))
+        # axiom id -> (triple id, inverse), in axiom-id order; ids are interned
+        # so that the results of every problem share one string per axiom
+        axioms: dict[str, tuple[int, bool]] = {}
+        for tid in kept:
+            if not self.graph.triples[tid].negated:
+                axioms[sys.intern(f"t{tid + 1}")] = (tid, False)
+                if cfg.include_inverse:
+                    axioms[sys.intern(f"t{tid + 1}_inv")] = (tid, True)
+        index = build_index({aid: fol.triple_symbols(self.graph.triples[tid], inverse)
+                             for aid, (tid, inverse) in axioms.items()})
+        texts = [self._run_text(problem, "premise", problem.premise, axioms, index)]
+        for k, alt in enumerate(problem.alternatives, start=1):
+            texts.append(self._run_text(problem, f"a{k}", alt, axioms, index))
+        with _stage(problem.id, "score"):
             premise_syms = texts[0].symbols
             scores = [score_pair(premise_syms, t.symbols, self.table, cfg.oov)
                       for t in texts[1:]]
             y = likelihoods(scores, cfg.scorer)
             choice = choose(y)
-        except CorgError as e:
-            raise StageError(problem.id, type(e).__name__, e) from e
         return ProblemResult(problem, texts, scores, y, choice,
                              time.perf_counter() - start)
 
@@ -367,29 +378,25 @@ class Pipeline:
         return RunReport(results)
 
 
-def run_problem(problem: CopaProblem, graph: KnowledgeGraph,
-                table: EmbeddingTable,
-                config: PipelineConfig | None = None) -> ProblemResult:
-    return Pipeline(graph, table, config).run_problem(problem)
-
-
-def evaluate(problems: Sequence[CopaProblem], graph: KnowledgeGraph,
-             table: EmbeddingTable,
-             config: PipelineConfig | None = None) -> RunReport:
-    return Pipeline(graph, table, config).evaluate(problems)
+@contextmanager
+def _stage(problem_id: int, stage: str):
+    """Re-raise a CorgError from the block as a StageError naming the stage."""
+    try:
+        yield
+    except CorgError as e:
+        raise StageError(problem_id, stage, e) from e
 
 
 # ------------------------------------------------------------ TPTP export
 
 
 def export_tptp(result: ProblemResult, out_dir,
-                stages: Sequence[str] = ("facts", "axioms", "model"),
-                axioms: dict[str, Formula] | None = None) -> list[Path]:
+                stages: Sequence[str] = ("facts", "axioms", "model")) -> list[Path]:
     """Write per-text TPTP files for the requested pipeline stages.
 
-    ``facts`` and ``model`` come from the stored text results; ``axioms``
-    re-derives the selected axioms (pass the translation map to avoid
-    recomputation).  Returns the written paths.
+    Everything comes from the stored text results: the facts, the formulas
+    of the selected axioms, and the model with its derivation trace.
+    Returns the written paths.
     """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -403,9 +410,10 @@ def export_tptp(result: ProblemResult, out_dir,
                      for i, atom in enumerate(t.facts)]
             path.write_text("\n".join(lines) + ("\n" if lines else ""), "utf-8")
             written.append(path)
-        if "axioms" in stages and axioms is not None:
+        if "axioms" in stages:
             path = out_dir / f"{prefix}_axioms.p"
-            lines = [fol.to_tptp(axioms[aid], aid, "axiom") for aid in t.selected]
+            lines = [fol.to_tptp(f, aid, "axiom")
+                     for aid, f in zip(t.selected, t.formulas)]
             path.write_text("\n".join(lines) + ("\n" if lines else ""), "utf-8")
             written.append(path)
         if "model" in stages:
@@ -418,15 +426,3 @@ def export_tptp(result: ProblemResult, out_dir,
             trace_path.write_text(trace_json(t.model), "utf-8")
             written.append(trace_path)
     return written
-
-
-def problem_axioms(pipeline: Pipeline, problem: CopaProblem) -> dict[str, Formula]:
-    """The translated axiom map run_problem builds for this problem."""
-    cfg = pipeline.config
-    words = content_words(" ".join([problem.premise] + problem.alternatives))
-    kept = pipeline.prefilter.apply_indices(words, cfg.prefilter_theta) if words else []
-    axioms: dict[str, Formula] = {}
-    for tid in kept:
-        for aid, formula in pipeline._axioms_for(tid):
-            axioms[aid] = formula
-    return axioms

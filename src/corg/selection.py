@@ -9,10 +9,15 @@ Three shrinking devices, usable together or alone:
   embedding is close to a goal symbol;
 * a pre-translation triple filter keeping only triples whose object is
   similar to the problem's words.
+
+Selection reads nothing but each axiom's symbol set, so the pipeline
+indexes triples by ``fol.triple_symbols`` and translates only what a text
+selects.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
 
@@ -20,7 +25,7 @@ import numpy as np
 
 from .embeddings import EmbeddingTable, OovPolicy
 from .errors import EmptyGoal
-from .fol import Formula, symbols
+from .fol import symbols  # noqa: F401  benchmarks/tracing.py wraps this name
 from .kg import Triple
 
 
@@ -41,10 +46,14 @@ class SineConfig:
     similarity_threshold: float | None = None
 
     def __post_init__(self):
-        if self.tolerance < 1:
-            raise ValueError("tolerance must be >= 1")
+        if not self.tolerance >= 1:  # also rejects NaN
+            raise ValueError(f"tolerance must be >= 1, got {self.tolerance}")
         if self.max_depth is not None and self.max_depth < 1:
-            raise ValueError("max_depth must be positive or None")
+            raise ValueError(f"max_depth must be positive or None, got {self.max_depth}")
+        if self.similarity_threshold is not None \
+                and not math.isfinite(self.similarity_threshold):
+            raise ValueError("similarity_threshold must be finite, "
+                             f"got {self.similarity_threshold}")
 
 
 @dataclass
@@ -60,11 +69,11 @@ class AxiomIndex:
         return len(self.axiom_symbols)
 
 
-def build_index(axioms: Mapping[str, Formula]) -> AxiomIndex:
-    """Index a set of named closed axioms; each axiom counts once per symbol."""
+def build_index(axioms: Mapping[str, Iterable[str]]) -> AxiomIndex:
+    """Index axioms given as id -> symbol set; each axiom counts once per symbol."""
     idx = AxiomIndex()
-    for aid, f in axioms.items():
-        syms = symbols(f)
+    for aid, syms in axioms.items():
+        syms = frozenset(syms)
         idx.axiom_symbols[aid] = syms
         for s in syms:
             idx.occ[s] = idx.occ.get(s, 0) + 1
@@ -149,54 +158,28 @@ def _unit_rows(mat: np.ndarray) -> np.ndarray:
 class Prefilter:
     """Reusable triple filter: keep triples whose object is near problem words.
 
-    Building the object-vector matrix is the expensive part, so one
-    Prefilter is meant to be built per loaded graph and applied once per
-    problem.  ``include_subject=True`` widens the test to either endpoint.
+    Each triple has one row, its object's, in a matrix of unit object
+    vectors.  Building that matrix is the expensive part, so one Prefilter
+    is meant to be built per loaded graph and applied once per problem.
     """
 
     def __init__(self, triples: Sequence[Triple], table: EmbeddingTable,
-                 policy: OovPolicy | None = None, include_subject: bool = False):
-        self.triples = list(triples)
+                 policy: OovPolicy | None = None):
         self.table = table
         self.policy = policy or OovPolicy()
-        self.include_subject = include_subject
-        tokens: list[str] = []
-        seen: dict[str, int] = {}
-        per_triple: list[tuple[int, ...]] = []
-        for t in self.triples:
-            ends = (t.object, t.subject) if include_subject else (t.object,)
-            row = []
-            for tok in ends:
-                if tok not in seen:
-                    seen[tok] = len(tokens)
-                    tokens.append(tok)
-                row.append(seen[tok])
-            per_triple.append(tuple(row))
-        self._token_rows = per_triple
-        if tokens:
-            mat = np.stack([table.vector(tok, self.policy) for tok in tokens])
-            self._token_mat = _unit_rows(mat)
+        rows: dict[str, int] = {}
+        self._object_rows = np.array(
+            [rows.setdefault(t.object, len(rows)) for t in triples], dtype=np.intp)
+        if rows:
+            mat = np.stack([table.vector(tok, self.policy) for tok in rows])
+            self._object_mat = _unit_rows(mat)
         else:
-            self._token_mat = np.zeros((0, table.dimension))
+            self._object_mat = np.zeros((0, table.dimension))
 
     def apply_indices(self, problem_words: Sequence[str], theta: float) -> list[int]:
         """Indices (into the triple list) of triples that pass at threshold theta."""
         if not problem_words:
             raise EmptyGoal("prefilter needs at least one problem word")
         words = np.stack([self.table.vector(w, self.policy) for w in problem_words])
-        sims = self._token_mat @ _unit_rows(words).T
-        best = sims.max(axis=1) if sims.size else np.zeros(len(self._token_mat))
-        return [i for i, row in enumerate(self._token_rows)
-                if any(best[j] >= theta for j in row)]
-
-    def apply(self, problem_words: Sequence[str], theta: float) -> list[Triple]:
-        return [self.triples[i] for i in self.apply_indices(problem_words, theta)]
-
-
-def triple_prefilter(triples: Sequence[Triple], problem_words: Sequence[str],
-                     theta: float, table: EmbeddingTable,
-                     policy: OovPolicy | None = None,
-                     include_subject: bool = False) -> list[Triple]:
-    """Keep triples whose object (optionally: either endpoint) has cosine
-    similarity >= theta to some problem word, preserving input order."""
-    return Prefilter(triples, table, policy, include_subject).apply(problem_words, theta)
+        best = (self._object_mat @ _unit_rows(words).T).max(axis=1)
+        return np.flatnonzero(best[self._object_rows] >= theta).tolist()

@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from corg import Triple
 from corg.errors import NegatedUnsupported, ParseError, UnsupportedFragment
@@ -8,7 +10,7 @@ from corg.fol import (And, Atom, Clause, Constant, Exists, Forall, Function,
                       Implies, Not, Or, Variable, clausify, format_formula,
                       is_closed, parse_fol, parse_tptp, symbols, to_tptp,
                       translate_existential, translate_factual,
-                      translate_inverse)
+                      translate_inverse, triple_symbols)
 
 X, Y = Variable("X"), Variable("Y")
 
@@ -74,6 +76,29 @@ class TestTranslateInverse:
         f = translate_inverse(Triple("a", "r", "a"))
         assert to_tptp(f, "t") == \
             "fof(t, axiom, ! [X] : (a(X) => ? [Y] : (inv_r(X,Y) & a(Y))))."
+
+
+_CONCEPTS = st.sampled_from(["sun", "light", "causes", "atlocation", "a"]) \
+    | st.from_regex(r"[a-z][a-z0-9_]{0,8}", fullmatch=True)
+_RELATIONS = st.sampled_from(["at_location", "causes", "is_a"]) \
+    | st.from_regex(r"[a-z][a-z_]{0,8}", fullmatch=True)
+
+
+class TestTripleSymbols:
+    @settings(max_examples=300, derandomize=True, database=None)
+    @given(_CONCEPTS, _RELATIONS, _CONCEPTS)
+    @example("a", "r", "a")
+    @example("shadow", "at_location", "light")
+    @example("sun", "causes", "causes")
+    def test_equals_symbols_of_every_translation(self, s, r, o):
+        t = Triple(s, r, o)
+        assert symbols(translate_existential(t)) == triple_symbols(t)
+        assert symbols(translate_factual(t)) == triple_symbols(t)
+        assert symbols(translate_inverse(t)) == triple_symbols(t, inverse=True)
+
+    def test_inverse_predicate(self):
+        assert triple_symbols(Triple("shadow", "at_location", "light"), inverse=True) \
+            == {"light", "inv_atlocation", "shadow"}
 
 
 class TestClausify:

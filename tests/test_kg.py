@@ -125,10 +125,10 @@ class TestLoadGraph:
 
     def test_fixture_graph_indexes(self, fig_graph_path):
         g = load_graph(fig_graph_path)
-        assert len(g.out_index["shadow"]) == 2
-        assert len(g.in_index["ground"]) == 2
         subjects = [t.subject for t in g.triples]
         assert subjects == ["sun", "shadow", "shadow", "grass"]
+        objects = [t.object for t in g.triples]
+        assert objects == ["light", "light", "ground", "ground"]
 
     def test_comments_and_blanks(self, tmp_path):
         path = tmp_path / "fix.tsv"
@@ -167,28 +167,38 @@ class TestLoadGraph:
             RelationFilter(allowed=frozenset())
 
 
+def edges(graph, subject=None, obj=None):
+    return [(t.subject, t.relation, t.object) for t in graph.triples
+            if subject in (None, t.subject) and obj in (None, t.object)]
+
+
 class TestNeighborQueries:
     def test_neighbors_out(self, fig_graph):
-        out = fig_graph.neighbors_out("shadow")
-        assert [(t.subject, t.relation, t.object) for t in out] == [
+        assert edges(fig_graph, subject="shadow") == [
             ("shadow", "at_location", "light"),
             ("shadow", "at_location", "ground"),
         ]
 
     def test_unknown_concept_empty(self, fig_graph):
-        assert fig_graph.neighbors_in("unknown_concept") == []
-        assert fig_graph.neighbors_out("unknown_concept") == []
+        assert edges(fig_graph, obj="unknown_concept") == []
+        assert edges(fig_graph, subject="unknown_concept") == []
 
     def test_neighbors_in_ground(self, fig_graph):
-        assert len(fig_graph.neighbors_in("ground")) == 2
-        assert fig_graph.in_degree("ground") == 2
-        assert fig_graph.out_degree("sun") == 1
+        assert edges(fig_graph, obj="ground") == [
+            ("shadow", "at_location", "ground"),
+            ("grass", "at_location", "ground"),
+        ]
+        assert len(edges(fig_graph, subject="sun")) == 1
 
 
 class TestInvariants:
     def test_degree_sums_match_triple_count(self, fig_graph):
-        assert sum(len(v) for v in fig_graph.out_index.values()) == len(fig_graph)
-        assert sum(len(v) for v in fig_graph.in_index.values()) == len(fig_graph)
+        # a triple's id is its position: add() hands out 0, 1, 2, ...
+        g = KnowledgeGraph()
+        ids = [g.add(t) for t in fig_graph.triples]
+        assert ids == list(range(len(fig_graph)))
+        assert g.triples == fig_graph.triples
+        assert len(g) == fig_graph.stats.kept == 4
 
     def test_filter_monotonicity(self, tmp_path):
         rng = random.Random(11)
@@ -215,8 +225,7 @@ class TestInvariants:
         g1 = load_graph(fig_graph_path)
         g2 = load_graph(fig_graph_path)
         assert g1.triples == g2.triples
-        assert g1.out_index == g2.out_index
-        assert g1.in_index == g2.in_index
+        assert g1.stats == g2.stats
 
 
 def test_default_whitelist_contents():

@@ -207,7 +207,7 @@ class TestOracleEquivalence:
 
 class TestExtractSymbols:
     def test_relation_filtering_modes(self):
-        sk = Constant("sk0")
+        sk = Constant("sk_q_0")
         model = saturate([unary("sun", sk),
                           Atom("is_instance", (sk, Constant("astronomicalBody")))], [])
         assert extract_symbols(model) == ["sun", "astronomicalBody"]
@@ -228,6 +228,15 @@ class TestExtractSymbols:
         assert syms.index("light") < syms.index("shadow")
         assert not any(s.startswith("sk_") for s in syms)
         assert "inv_atlocation" not in syms
+
+    def test_only_clausifier_skolems_dropped(self):
+        # sk_<axiom id>_<k> is the clausifier's shape; concepts that merely
+        # start with "sk" are words and stay
+        sk = Function("sk_t1_inv_0", (Constant("sk_q_0"),))
+        model = saturate([Atom("sk8", (Constant("c0"),)),
+                          Atom("skate", (Constant("sk1board"),)),
+                          Atom("sky", (sk,))], [])
+        assert extract_symbols(model) == ["sk8", "c0", "skate", "sk1board", "sky"]
 
     def test_role_predicates_dropped(self):
         model = saturate([Atom("r1Actor", (Constant("sk_q_1"), Constant("sk_q_0")))], [])

@@ -6,10 +6,10 @@ import pytest
 from corg import KnowledgeGraph
 from corg.cli import main
 from corg.errors import (MissingField, MissingFormula, StageError, XmlError)
-from corg.fol import Atom, Constant, parse_tptp
+from corg.fol import (Atom, Constant, parse_tptp, translate_existential,
+                      translate_inverse)
 from corg.pipeline import (CopaProblem, Pipeline, PipelineConfig,
-                           content_words, evaluate, export_tptp,
-                           parse_copa_xml, problem_axioms, run_problem,
+                           content_words, export_tptp, parse_copa_xml,
                            text_to_facts)
 from oracles import copa1_expected
 
@@ -104,7 +104,7 @@ class TestTextToFacts:
 
 class TestRunProblem:
     def test_worked_problem_chooses_first(self, fig_graph, fig_table, copa1):
-        result = run_problem(copa1, fig_graph, fig_table)
+        result = Pipeline(fig_graph, fig_table).run_problem(copa1)
         scores, y = copa1_expected()
         assert result.choice.index == 1
         assert not result.choice.tie
@@ -114,7 +114,7 @@ class TestRunProblem:
 
     def test_empty_graph_still_scores(self, fig_table, copa1):
         empty = KnowledgeGraph()
-        result = run_problem(copa1, empty, fig_table)
+        result = Pipeline(empty, fig_table).run_problem(copa1)
         assert len(result.y) == 2
         for t in result.texts:
             assert t.model.atoms == t.facts
@@ -122,13 +122,13 @@ class TestRunProblem:
 
     def test_identical_alternatives_tie(self, fig_graph, fig_table, copa1):
         p = replace(copa1, alternatives=["The sun was rising."] * 2, gold=None)
-        result = run_problem(p, fig_graph, fig_table)
+        result = Pipeline(fig_graph, fig_table).run_problem(p)
         assert list(result.y) == [0.5, 0.5]
         assert result.choice == (1, True)
 
     def test_factual_scheme_models_are_graph_facts(self, fig_graph, fig_table, copa1):
         cfg = PipelineConfig(scheme="factual", prefilter_theta=-1.0)
-        result = run_problem(copa1, fig_graph, fig_table, cfg)
+        result = Pipeline(fig_graph, fig_table, cfg).run_problem(copa1)
         a1 = result.texts[1]  # goal symbol sun selects the causes fact
         assert Atom("causes", (Constant("sun"), Constant("light"))) in a1.model.atoms
         premise = result.texts[0]
@@ -138,15 +138,51 @@ class TestRunProblem:
     def test_stage_errors_carry_problem_id(self, fig_graph, fig_table, copa1):
         cfg = PipelineConfig(fact_mode="fol_file", fol_dir="/nonexistent")
         with pytest.raises(StageError) as err:
-            run_problem(copa1, fig_graph, fig_table, cfg)
+            Pipeline(fig_graph, fig_table, cfg).run_problem(copa1)
         assert err.value.problem_id == 1
 
+    def test_missing_formula_names_facts_stage(self, fig_graph, fig_table,
+                                               copa1, tmp_path):
+        cfg = PipelineConfig(fact_mode="fol_file", fol_dir=tmp_path)
+        with pytest.raises(StageError) as err:
+            Pipeline(fig_graph, fig_table, cfg).run_problem(copa1)
+        assert err.value.stage == "facts"
+        assert isinstance(err.value.cause, MissingFormula)
+
+    def test_only_selected_axioms_translated(self, fig_graph, fig_table, copa1):
+        pipe = Pipeline(fig_graph, fig_table,
+                        PipelineConfig(include_inverse=True, prefilter_theta=-1.0))
+        result = pipe.run_problem(copa1)
+        indexed = {t.n_translated for t in result.texts}
+        assert indexed == {8}  # four triples, each with its inverse
+        selected = {aid for t in result.texts for aid in t.selected}
+        assert selected and set(pipe._translations) == selected
+
+    def test_selected_formulas_are_the_translations(self, fig_graph, fig_table, copa1):
+        cfg = PipelineConfig(include_inverse=True, prefilter_theta=-1.0)
+        result = Pipeline(fig_graph, fig_table, cfg).run_problem(copa1)
+        for text in result.texts:
+            for aid, formula in zip(text.selected, text.formulas, strict=True):
+                triple = fig_graph.triples[int(aid[1:].removesuffix("_inv")) - 1]
+                translate = translate_inverse if aid.endswith("_inv") \
+                    else translate_existential
+                assert formula == translate(triple)
+
+    def test_prefilter_applies_to_objects(self, fig_table, copa1):
+        # 'xyzzy' has no vector, so its cosine to every problem word is 0
+        graph = KnowledgeGraph.from_tuples([("sun", "Causes", "light"),
+                                            ("sun", "Causes", "xyzzy")])
+        result = Pipeline(graph, fig_table,
+                          PipelineConfig(prefilter_theta=0.5)).run_problem(copa1)
+        assert result.texts[1].n_translated == 1
+        assert result.texts[1].selected == ["t1"]
+
     def test_gold_2_marks_incorrect(self, fig_graph, fig_table, copa1):
-        result = run_problem(replace(copa1, gold=2), fig_graph, fig_table)
+        result = Pipeline(fig_graph, fig_table).run_problem(replace(copa1, gold=2))
         assert result.correct is False
 
     def test_unlabeled_has_no_correctness(self, fig_graph, fig_table, copa1):
-        result = run_problem(replace(copa1, gold=None), fig_graph, fig_table)
+        result = Pipeline(fig_graph, fig_table).run_problem(replace(copa1, gold=None))
         assert result.correct is None
 
 
@@ -161,30 +197,31 @@ class TestEvaluate:
         ]
 
     def test_accuracy(self, fig_graph, fig_table, copa1):
-        report = evaluate(self.four_problems(copa1), fig_graph, fig_table)
+        report = Pipeline(fig_graph, fig_table).evaluate(self.four_problems(copa1))
         assert report.n_labeled == 4
         assert report.n_correct == 3
         assert report.accuracy == 0.75
 
     def test_unlabeled_accuracy_absent(self, fig_graph, fig_table, copa1):
-        report = evaluate([replace(copa1, gold=None)], fig_graph, fig_table)
+        report = Pipeline(fig_graph, fig_table).evaluate([replace(copa1, gold=None)])
         assert report.accuracy is None
         assert "accuracy" not in report.aggregate_json()
 
     def test_report_determinism(self, fig_graph, fig_table, copa1):
         problems = self.four_problems(copa1)
-        r1 = evaluate(problems, fig_graph, fig_table).to_jsonl()
-        r2 = evaluate(problems, fig_graph, fig_table).to_jsonl()
+        r1 = Pipeline(fig_graph, fig_table).evaluate(problems).to_jsonl()
+        r2 = Pipeline(fig_graph, fig_table).evaluate(problems).to_jsonl()
         assert r1 == r2
 
     def test_problem_order_independence(self, fig_graph, fig_table, copa1):
         problems = self.four_problems(copa1)
-        forward = evaluate(problems, fig_graph, fig_table).to_jsonl()
-        backward = evaluate(list(reversed(problems)), fig_graph, fig_table).to_jsonl()
+        forward = Pipeline(fig_graph, fig_table).evaluate(problems).to_jsonl()
+        backward = Pipeline(fig_graph, fig_table).evaluate(
+            list(reversed(problems))).to_jsonl()
         assert forward == backward
 
     def test_jsonl_shape(self, fig_graph, fig_table, copa1):
-        report = evaluate([copa1], fig_graph, fig_table)
+        report = Pipeline(fig_graph, fig_table).evaluate([copa1])
         lines = report.to_jsonl().strip().splitlines()
         assert len(lines) == 2
         row = json.loads(lines[0])
@@ -199,7 +236,7 @@ class TestEvaluate:
                              "accuracy": 1.0}
 
     def test_timings_on_request(self, fig_graph, fig_table, copa1):
-        report = evaluate([copa1], fig_graph, fig_table)
+        report = Pipeline(fig_graph, fig_table).evaluate([copa1])
         row = json.loads(report.to_jsonl(include_timings=True).splitlines()[0])
         assert row["seconds"] > 0
 
@@ -207,7 +244,7 @@ class TestEvaluate:
 class TestExplanationPath:
     def test_chosen_alternative_has_explanation(self, fig_graph, fig_table, copa1):
         from corg.model import explain
-        result = run_problem(copa1, fig_graph, fig_table)
+        result = Pipeline(fig_graph, fig_table).run_problem(copa1)
         chosen = result.texts[result.choice.index]
         derived = [s for s in chosen.model.trace if s.clause_origin is not None]
         assert derived
@@ -217,17 +254,17 @@ class TestExplanationPath:
 
 class TestExportTptp:
     def test_files_reparse(self, fig_graph, fig_table, copa1, tmp_path):
-        pipe = Pipeline(fig_graph, fig_table)
-        result = pipe.run_problem(copa1)
-        axioms = problem_axioms(pipe, copa1)
-        written = export_tptp(result, tmp_path, axioms=axioms)
+        result = Pipeline(fig_graph, fig_table).run_problem(copa1)
+        written = export_tptp(result, tmp_path)
         assert written
         a1_axioms = tmp_path / "p1_a1_axioms.p"
         assert a1_axioms.exists()
         annotated = parse_tptp(a1_axioms.read_text("utf-8"))
-        assert [a.name for a in annotated] == result.texts[1].selected
-        assert {a.formula for a in annotated} == \
-            {axioms[aid] for aid in result.texts[1].selected}
+        selected = result.texts[1].selected
+        assert selected and [a.name for a in annotated] == selected
+        assert [a.formula for a in annotated] == result.texts[1].formulas == \
+            [translate_existential(fig_graph.triples[int(aid[1:]) - 1])
+             for aid in selected]
         facts = parse_tptp((tmp_path / "p1_premise_facts.p").read_text("utf-8"))
         assert [a.formula for a in facts] == result.texts[0].facts
         model = parse_tptp((tmp_path / "p1_a1_model.p").read_text("utf-8"))
@@ -294,6 +331,24 @@ class TestCli:
         with pytest.raises(SystemExit) as exc:
             main(["run", "--copa"])
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize("option, value, message", [
+        ("--sine-tolerance", "0.5", "tolerance must be >= 1"),
+        ("--sine-tolerance", "nan", "tolerance must be >= 1"),
+        ("--sine-depth", "-1", "max_depth must be positive"),
+        ("--prefilter-theta", "nan", "prefilter_theta must be finite"),
+        ("--prefilter-theta", "inf", "prefilter_theta must be finite"),
+        ("--sim-threshold", "nan", "similarity_threshold must be finite"),
+    ])
+    def test_bad_option_value_exits_2(self, capsys, option, value, message):
+        # checked before any input is read, so the paths need not exist
+        with pytest.raises(SystemExit) as exc:
+            main(["run", "--copa", "c.xml", "--kg", "kg.tsv",
+                  "--embeddings", "v.txt", option, value])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert err.strip().splitlines()[-1].startswith(f"corg: error: {message}")
 
     def test_inverse_and_flags_accepted(self, copa_xml_path, fig_graph_path,
                                         fig_table_path, capsys):

@@ -4,35 +4,31 @@ import numpy as np
 import pytest
 
 from corg import Triple
-from corg.embeddings import EmbeddingTable
+from corg.embeddings import EmbeddingTable, OovPolicy, cosine
 from corg.errors import EmptyGoal
-from corg.fol import Atom, Constant, translate_existential
+from corg.fol import And, Atom, Constant, symbols, triple_symbols
 from corg.selection import (Prefilter, SineConfig, build_index,
-                            similarity_sine_select, sine_select,
-                            triple_prefilter)
+                            similarity_sine_select, sine_select)
 from oracles import reachable_closure
 
 
 def fig_axioms(fig_graph):
-    return {f"t{i + 1}": translate_existential(t)
+    return {f"t{i + 1}": triple_symbols(t)
             for i, t in enumerate(fig_graph.triples)}
 
 
 class TestBuildIndex:
     def test_counts(self):
-        axioms = {
-            "a1": Atom("p", (Constant("a"),)),
-            "a2": Atom("p", (Constant("b"),)),
-        }
+        axioms = {"a1": {"p", "a"}, "a2": {"p", "b"}}
         idx = build_index(axioms)
         assert idx.occ == {"p": 2, "a": 1, "b": 1}
         assert idx.by_symbol["p"] == ["a1", "a2"]
 
     def test_set_semantics_within_axiom(self):
-        from corg.fol import And
-        axioms = {"a1": And((Atom("p", (Constant("a"),)),
-                             Atom("p", (Constant("b"),))))}
+        axioms = {"a1": symbols(And((Atom("p", (Constant("a"),)),
+                                     Atom("p", (Constant("b"),)))))}
         assert build_index(axioms).occ["p"] == 1
+        assert build_index({"a1": ["p", "a", "p"]}).occ["p"] == 1
 
     def test_fig_counts(self, fig_graph):
         idx = build_index(fig_axioms(fig_graph))
@@ -69,15 +65,12 @@ class TestSineSelect:
 
     def test_generality_threshold_triggers_rare_symbols(self):
         # occ(q)=1 <= threshold, so q triggers a2 even though p is less general there
-        axioms = {
-            "a1": Atom("p", ()),
-            "a2": Atom("q", (Constant("c1"), Constant("c2"), Constant("c3"))),
-        }
+        axioms = {"a1": {"p"}, "a2": {"q", "c1", "c2", "c3"}}
         idx = build_index(axioms)
         strict = sine_select(idx, {"q"}, SineConfig(tolerance=1, max_depth=1))
         assert strict == {"a2"}
         # raise occ(q) above min occ of a2 by adding another q axiom
-        axioms["a3"] = Atom("q", ())
+        axioms["a3"] = {"q"}
         idx = build_index(axioms)
         base = sine_select(idx, {"q"}, SineConfig(tolerance=1, max_depth=1))
         assert base == {"a3"}
@@ -92,7 +85,7 @@ def random_axiom_set(rng):
     for n in range(rng.randrange(5, 15)):
         k = rng.randrange(1, 4)
         parts = rng.sample(pool, k)
-        axioms[f"a{n}"] = Atom(parts[0], tuple(Constant(p) for p in parts[1:]))
+        axioms[f"a{n}"] = frozenset(parts)
     return axioms
 
 
@@ -126,9 +119,8 @@ class TestSineProperties:
             idx = build_index(axioms)
             goals = {rng.choice([f"s{k}" for k in range(10)])}
             got = sine_select(idx, goals, SineConfig(tolerance=1e9, max_depth=None))
-            from corg.fol import symbols
             expected = reachable_closure(
-                {aid: set(symbols(f)) for aid, f in axioms.items()}, goals)
+                {aid: set(syms) for aid, syms in axioms.items()}, goals)
             assert got == expected
 
 
@@ -141,11 +133,8 @@ class TestSimilaritySine:
         })
 
     def axioms(self):
-        return {
-            "a1": Atom("sun", (Constant("warm"),)),
-            "a2": Atom("sunshine", (Constant("bright"),)),
-            "a3": Atom("rain", (Constant("wet"),)),
-        }
+        return {"a1": {"sun", "warm"}, "a2": {"sunshine", "bright"},
+                "a3": {"rain", "wet"}}
 
     def test_threshold_one_equals_plain_sine(self, fig_graph):
         axioms = fig_axioms(fig_graph)
@@ -193,14 +182,18 @@ class TestTriplePrefilter:
     def triples(self):
         return [Triple("sun", "is_a", "star"), Triple("sun", "causes", "light")]
 
+    def kept(self, triples, words, theta, table=None):
+        prefilter = Prefilter(triples, table or self.table())
+        return [triples[i] for i in prefilter.apply_indices(words, theta)]
+
     def test_star_rejected_light_kept(self):
         words = ["shadow", "grass", "sun", "rising", "cut"]
-        kept = triple_prefilter(self.triples(), words, 0.4, self.table())
+        kept = self.kept(self.triples(), words, 0.4)
         assert [(t.subject, t.relation, t.object) for t in kept] == \
             [("sun", "causes", "light")]
 
     def test_vacuous_threshold_keeps_all(self):
-        kept = triple_prefilter(self.triples(), ["shadow"], -1.0, self.table())
+        kept = self.kept(self.triples(), ["shadow"], -1.0)
         assert kept == self.triples()
 
     def test_theta_monotonicity(self):
@@ -212,28 +205,41 @@ class TestTriplePrefilter:
         triples = [Triple("s", "r", o) for o in objects]
         for _ in range(10):
             t1, t2 = sorted(rng.uniform(-1, 1, size=2))
-            kept1 = triple_prefilter(triples, words, t1, table)
-            kept2 = triple_prefilter(triples, words, t2, table)
+            kept1 = self.kept(triples, words, t1, table)
+            kept2 = self.kept(triples, words, t2, table)
             assert set((t.subject, t.object) for t in kept2) <= \
                 set((t.subject, t.object) for t in kept1)
 
     def test_order_preserved(self):
-        kept = triple_prefilter(self.triples(), ["sun"], -1.0, self.table())
+        kept = self.kept(self.triples(), ["sun"], -1.0)
         assert kept == self.triples()
 
     def test_oov_object_uses_policy(self):
         # unknown object embeds as zero => cosine 0 => kept only when theta <= 0
         triples = [Triple("sun", "is_a", "mystery_thing")]
-        assert triple_prefilter(triples, ["sun"], 0.1, self.table()) == []
-        assert triple_prefilter(triples, ["sun"], 0.0, self.table()) == triples
-
-    def test_include_subject_widens(self):
-        table = self.table()
-        triples = [Triple("shadow", "is_a", "star")]
-        assert triple_prefilter(triples, ["sun"], 0.5, table) == []
-        kept = triple_prefilter(triples, ["sun"], 0.5, table, include_subject=True)
-        assert kept == triples
+        assert self.kept(triples, ["sun"], 0.1) == []
+        assert self.kept(triples, ["sun"], 0.0) == triples
 
     def test_empty_words_rejected(self):
         with pytest.raises(EmptyGoal):
-            Prefilter(self.triples(), self.table()).apply([], 0.5)
+            Prefilter(self.triples(), self.table()).apply_indices([], 0.5)
+
+    def test_matches_per_triple_loop(self):
+        # reference: each triple's own object cosine against every word
+        rng = np.random.default_rng(5)
+        words = [f"w{i}" for i in range(3)]
+        objects = [f"o{i}" for i in range(6)] + ["missing"]
+        table = EmbeddingTable(3, {w: rng.normal(size=3)
+                                   for w in words + objects[:-1]})
+        triples = [Triple("s", "r", objects[k]) for k in rng.integers(7, size=40)]
+        for theta in (-1.0, -0.2, 0.0, 0.3, 0.9):
+            expected = [
+                i for i, t in enumerate(triples)
+                if max(cosine(table.vector(t.object, OovPolicy()),
+                              table.vector(w, OovPolicy())) for w in words)
+                >= theta]
+            got = Prefilter(triples, table).apply_indices(words, theta)
+            assert got == expected
+
+    def test_empty_graph_keeps_nothing(self):
+        assert Prefilter([], self.table()).apply_indices(["sun"], -1.0) == []
