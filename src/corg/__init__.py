@@ -23,9 +23,9 @@ from .kg import (KnowledgeGraph, RelationFilter, Skip, Triple,
 from .model import (BuilderConfig, DerivationStep, ExtractionConfig,
                     PartialModel, atom_depth, explain, extract_symbols,
                     model_lines, saturate, term_depth, trace_json)
-from .pipeline import (CopaProblem, Pipeline, PipelineConfig, ProblemResult,
-                       RunReport, TextResult, content_words, export_tptp,
-                       parse_copa_xml, text_to_facts)
+from .pipeline import (CopaProblem, Pipeline, PipelineConfig, ProblemFailure,
+                       ProblemResult, RunReport, TextResult, content_words,
+                       export_tptp, parse_copa_xml, text_to_facts)
 from .scorer import (Choice, ScorerConfig, ScoreVector, choose,
                      embed_sequence, likelihoods, score_pair)
 from .selection import (AxiomIndex, Prefilter, SineConfig, build_index,

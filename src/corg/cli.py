@@ -6,7 +6,9 @@
              [--prefilter-theta R] [--fol-dir DIR] [--report out.jsonl]
              [--export-tptp DIR] [--explain PROBLEM-ID]
 
-Exit codes: 0 success, 1 stage error, 2 bad arguments.
+Exit codes: 0 success, 1 an input could not be read or a problem failed
+(the report is still written, with an error row per failed problem),
+2 bad arguments.
 """
 
 from __future__ import annotations
@@ -73,10 +75,15 @@ def _config(args) -> PipelineConfig:
     )
 
 
-def _run(args, config: PipelineConfig) -> int:
+def _relation_filter(args) -> RelationFilter:
+    """Relation filter from --relations; ValueError when it names no relation."""
     whitelist = (load_relation_whitelist(args.relations) if args.relations
                  else default_relation_whitelist())
-    graph = load_graph(args.kg, RelationFilter(allowed=whitelist))
+    return RelationFilter(allowed=whitelist)
+
+
+def _run(args, config: PipelineConfig, relation_filter: RelationFilter) -> int:
+    graph = load_graph(args.kg, relation_filter)
     table = load_table(args.embeddings)
     problems = parse_copa_xml(args.copa)
     pipeline = Pipeline(graph, table, config)
@@ -88,6 +95,9 @@ def _run(args, config: PipelineConfig) -> int:
     else:
         sys.stdout.write(jsonl)
 
+    for failure in report.failures:
+        print(f"error: {failure.error}", file=sys.stderr)
+
     if args.export_tptp:
         for result in report.results:
             export_tptp(result, args.export_tptp)
@@ -95,7 +105,7 @@ def _run(args, config: PipelineConfig) -> int:
     if args.explain is not None:
         result = next((r for r in report.results if r.problem.id == args.explain), None)
         if result is None:
-            print(f"error: no problem with id {args.explain}", file=sys.stderr)
+            print(f"error: no answered problem with id {args.explain}", file=sys.stderr)
             return 1
         chosen = result.texts[result.choice.index]  # texts[0] is the premise
         print(f"problem {result.problem.id}: chose alternative {result.choice.index} "
@@ -106,18 +116,19 @@ def _run(args, config: PipelineConfig) -> int:
         for step in derived:
             print(explain(chosen.model, step.derived))
             print()
-    return 0
+    return 1 if report.failures else 0
 
 
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        config = _config(args)
-    except ValueError as e:
-        parser.error(str(e))  # exits with code 2
-    try:
-        return _run(args, config)
+        try:
+            config = _config(args)
+            relation_filter = _relation_filter(args)
+        except ValueError as e:
+            parser.error(str(e))  # exits with code 2
+        return _run(args, config, relation_filter)
     except (CorgError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1

@@ -12,6 +12,7 @@ from __future__ import annotations
 import itertools
 import re
 from dataclasses import dataclass
+from functools import cached_property
 
 from .errors import NegatedUnsupported, ParseError, UnsupportedFragment
 from .kg import Triple
@@ -114,6 +115,12 @@ class Clause:
 
     def is_ground(self) -> bool:
         return not any(_term_variables(a.args) for a in self.negatives + self.positives)
+
+    @cached_property
+    def chainable(self) -> bool:
+        """Horn and range-restricted, as forward chaining needs; computed
+        once per clause object."""
+        return self.is_horn() and self.is_range_restricted()
 
 
 def _term_variables(args) -> set[str]:
@@ -505,11 +512,25 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
     return tokens
 
 
+# Deepest formula/term nesting the parser accepts.  It keeps the parser and
+# the recursive passes after it (clausify, emission) far from Python's
+# recursion limit.
+MAX_NESTING = 200
+
+
 class _Parser:
     def __init__(self, text: str):
         self.text = text
         self.tokens = _tokenize(text)
         self.i = 0
+        self.nesting = 0
+
+    def nest(self, levels: int, pos: int):
+        """Enter levels more of nesting; ParseError beyond MAX_NESTING.
+        Callers subtract them again once the nested part is parsed."""
+        self.nesting += levels
+        if self.nesting > MAX_NESTING:
+            raise ParseError(f"nested deeper than {MAX_NESTING} levels", pos)
 
     def peek(self):
         return self.tokens[self.i] if self.i < len(self.tokens) else (None, None, len(self.text))
@@ -561,7 +582,10 @@ class _Parser:
         kind, value, pos = self.peek()
         if kind == "op" and value == "~":
             self.i += 1
-            return Not(self.unitary(bound))
+            self.nest(1, pos)
+            operand = self.unitary(bound)
+            self.nesting -= 1
+            return Not(operand)
         if kind == "op" and value in ("!", "?"):
             self.i += 1
             self.expect_op("[")
@@ -571,20 +595,26 @@ class _Parser:
                 names.append(self.name_token())
             self.expect_op("]")
             self.expect_op(":")
+            self.nest(len(names), pos)  # one quantifier node per name
             body = self.unitary(bound | set(names))
+            self.nesting -= len(names)
             ctor = Forall if value == "!" else Exists
             for n in reversed(names):
                 body = ctor(n, body)
             return body
         if kind == "op" and value == "(":
             self.i += 1
+            self.nest(1, pos)
             f = self.formula(bound)
+            self.nesting -= 1
             self.expect_op(")")
             return f
         if kind == "name" and value in ("forall", "exists") and self.lookahead_is_name():
             self.i += 1
             var = self.name_token()
+            self.nest(1, pos)
             body = self.unitary(bound | {var})
+            self.nesting -= 1
             return Forall(var, body) if value == "forall" else Exists(var, body)
         if kind in ("name", "quoted"):
             return self.atom(bound)
@@ -620,10 +650,12 @@ class _Parser:
         self.i += 1
         if self.peek()[1] == "(":
             self.i += 1
+            self.nest(1, pos)
             args = [self.term(bound)]
             while self.peek()[1] == ",":
                 self.i += 1
                 args.append(self.term(bound))
+            self.nesting -= 1
             self.expect_op(")")
             return Function(value, tuple(args))
         if kind == "name" and (value in bound or value[0].isupper()):
@@ -659,6 +691,7 @@ def parse_fol(text: str) -> Formula:
 
     Unquoted uppercase-initial names are variables (TPTP convention); names
     declared by an enclosing quantifier are variables regardless of case.
+    Nesting deeper than ``MAX_NESTING`` is a ParseError.
     """
     p = _Parser(text)
     if _looks_annotated(p):
@@ -673,7 +706,8 @@ def parse_fol(text: str) -> Formula:
 
 
 def parse_tptp(text: str) -> list[AnnotatedFormula]:
-    """Parse a sequence of annotated fof/cnf lines."""
+    """Parse a sequence of annotated fof/cnf lines (nesting bounded as in
+    ``parse_fol``)."""
     p = _Parser(text)
     out = []
     while not p.at_end():

@@ -5,18 +5,32 @@ trace (input facts first, then derived atoms in round order, ordered
 within a round by clause position and premise indices).  Skolem functions
 make naive saturation non-terminating, so three bounds cut it off: a
 maximum term depth, an atom budget, and a round budget.  ``complete`` is
-True only when the fixpoint was reached with nothing suppressed.
+True only when the fixpoint was reached with nothing suppressed;
+``cut_by`` names the bounds that suppressed something.
+
+Inside one call, ground terms are interned to ints: a term is its name
+plus the ids of its arguments, so equal terms share one id, and an atom
+of the database is the key ``(predicate, argument ids)``.  Clauses with
+an identical body form a group.  Each round, a group's body is matched
+once, and only when one of its (predicate, arity) pairs gained atoms in
+the previous round; matching binds the body's variables to term ids, and
+every match fans out to the group's heads.  A head's depth is read off
+the depths of the ids it binds, so an over-depth head is dropped before
+any of its terms is built, and the ``Atom`` of a trace step is built
+only when the atom is admitted.
 """
 
 from __future__ import annotations
 
 import json
 import re
+from bisect import bisect_left
 from dataclasses import dataclass, field
+from operator import itemgetter
 
 from .errors import AtomNotInModel, NonHornClause, NonRangeRestrictedClause
 from .fol import (Atom, Clause, Constant, Function, Term, Variable,
-                  format_atom, substitute_atom)
+                  format_atom)
 
 
 @dataclass
@@ -44,12 +58,21 @@ class DerivationStep:
     premises: tuple[int, ...]
 
 
+BOUNDS = ("depth", "atoms", "rounds")
+
+
 @dataclass
 class PartialModel:
     """Derived ground atoms plus the trace that produced them."""
 
     trace: list[DerivationStep] = field(default_factory=list)
-    complete: bool = True
+    # the bounds that suppressed an atom or a round, in BOUNDS order
+    cut_by: tuple[str, ...] = ()
+
+    @property
+    def complete(self) -> bool:
+        """True when the fixpoint was reached with nothing suppressed."""
+        return not self.cut_by
 
     @property
     def atoms(self) -> list[Atom]:
@@ -81,91 +104,188 @@ def is_ground_atom(a: Atom) -> bool:
     return True
 
 
-def _match_term(pattern: Term, ground: Term, subst: dict[str, Term]) -> bool:
-    if isinstance(pattern, Variable):
-        bound = subst.get(pattern.name)
-        if bound is None:
-            subst[pattern.name] = ground
-            return True
-        return bound == ground
-    if isinstance(pattern, Constant):
-        return pattern == ground
-    if not isinstance(ground, Function) or pattern.name != ground.name \
-            or len(pattern.args) != len(ground.args):
-        return False
-    return all(_match_term(p, g, subst) for p, g in zip(pattern.args, ground.args))
-
-
-def match_atom(pattern: Atom, ground: Atom, subst: dict[str, Term]) -> dict[str, Term] | None:
-    """Extend subst so pattern matches ground; None when impossible."""
-    if pattern.predicate != ground.predicate or len(pattern.args) != len(ground.args):
-        return None
-    trial = dict(subst)
-    for p, g in zip(pattern.args, ground.args):
-        if not _match_term(p, g, trial):
-            return None
-    return trial
-
-
 def _validate(clauses: list[Clause]):
     for c in clauses:
+        if c.chainable:
+            continue
         if not c.is_horn():
             raise NonHornClause(f"clause from {c.origin!r} has {len(c.positives)} head literals")
-        if not c.is_range_restricted():
-            raise NonRangeRestrictedClause(
-                f"clause from {c.origin!r} has head variables outside the body")
+        raise NonRangeRestrictedClause(
+            f"clause from {c.origin!r} has head variables outside the body")
 
 
-class _Database:
+class _Terms:
+    """The ground terms of one saturation, interned: per id, the key
+    (name, argument ids or None for a constant), the depth and the Term."""
+
     def __init__(self):
-        self.trace: list[DerivationStep] = []
-        self.seen: set[Atom] = set()
-        self.by_pred: dict[str, list[int]] = {}
+        self.ids: dict[tuple[str, tuple[int, ...] | None], int] = {}
+        self.keys: list[tuple[str, tuple[int, ...] | None]] = []
+        self.depth: list[int] = []
+        self.objects: list[Term] = []
 
-    def admit(self, atom: Atom, origin: str | None, premises: tuple[int, ...]) -> bool:
-        if atom in self.seen:
-            return False
-        idx = len(self.trace)
-        self.trace.append(DerivationStep(atom, origin, premises))
-        self.seen.add(atom)
-        self.by_pred.setdefault(atom.predicate, []).append(idx)
-        return True
+    def _add(self, key: tuple[str, tuple[int, ...] | None], term: Term) -> int:
+        i = self.ids[key] = len(self.objects)
+        self.keys.append(key)
+        self.depth.append(1 + max(self.depth[a] for a in key[1]) if key[1] else 1)
+        self.objects.append(term)
+        return i
+
+    def intern(self, t: Constant | Function) -> int:
+        """Id of a ground term."""
+        key = (t.name, tuple(self.intern(a) for a in t.args)
+               if isinstance(t, Function) else None)
+        i = self.ids.get(key)
+        return self._add(key, t) if i is None else i
+
+    def apply(self, name: str, args: tuple[int, ...]) -> int:
+        """Id of the term name(args); its Function is built on first use."""
+        key = (name, args)
+        i = self.ids.get(key)
+        if i is None:
+            objects = self.objects
+            i = self._add(key, Function(name, tuple(objects[a] for a in args)))
+        return i
 
 
-def _body_matches(db: _Database, body: tuple[Atom, ...], delta_start: int,
-                  delta_end: int):
-    """Premise tuples for a clause body, each using >= 1 atom from the delta.
+# Body argument patterns: bind the next variable slot to the id, compare
+# with an already bound slot, compare with an interned ground term, or
+# descend into a function term that holds variables.
+_BIND, _VAR, _TERM, _FN = range(4)
+
+
+def _compile(t: Term, terms: _Terms, slots: dict[str, int]) -> tuple:
+    """Pattern of a body term; variables get slots in order of first
+    occurrence, which is the order matching binds them in."""
+    if t.__class__ is Variable:
+        slot = slots.get(t.name)
+        if slot is None:
+            slots[t.name] = len(slots)
+            return (_BIND,)
+        return (_VAR, slot)
+    if t.__class__ is Function:
+        subs = tuple([_compile(a, terms, slots) for a in t.args])
+        if any(p[0] != _TERM for p in subs):
+            return (_FN, t.name, subs)
+    return (_TERM, terms.intern(t))
+
+
+class _Group:
+    """The clauses that share one body.  The body is compiled the first
+    time a round can match it; heads stay AST atoms, read through the
+    body's variable slots."""
+
+    def __init__(self, atoms: tuple[Atom, ...]):
+        self.atoms = atoms
+        self.positions: list[int] = []  # of the clauses, in the input list
+        self.slots: dict[str, int] = {}
+        # ((predicate, arity), patterns, all patterns bind fresh slots) per
+        # body atom; None until compiled
+        self.body: tuple[tuple[tuple[str, int], tuple, bool], ...] | None = None
+
+    def compile(self, terms: _Terms):
+        body = []
+        for a in self.atoms:
+            pats = tuple([_compile(t, terms, self.slots) for t in a.args])
+            body.append(((a.predicate, len(pats)), pats,
+                         all(p[0] == _BIND for p in pats)))
+        self.body = tuple(body)
+
+
+def _depth(t: Term, slots: dict[str, int], binding: tuple[int, ...],
+           depth: list[int]) -> int:
+    """Depth of a head term under a binding, without building it."""
+    if t.__class__ is Variable:
+        return depth[binding[slots[t.name]]]
+    d = 0
+    if t.__class__ is Function:
+        for a in t.args:
+            x = _depth(a, slots, binding, depth)
+            if x > d:
+                d = x
+    return d + 1
+
+
+def _build(t: Term, slots: dict[str, int], binding: tuple[int, ...],
+           terms: _Terms) -> int:
+    """Id of a head term under a binding."""
+    if t.__class__ is Variable:
+        return binding[slots[t.name]]
+    if t.__class__ is Function and any(a.__class__ is not Constant for a in t.args):
+        return terms.apply(t.name, tuple([_build(a, slots, binding, terms)
+                                          for a in t.args]))
+    return terms.intern(t)
+
+
+def _match(pats: tuple, ids: tuple[int, ...], binding: list[int],
+           terms: _Terms) -> bool:
+    """Extend binding so the patterns match the term ids."""
+    for p, i in zip(pats, ids):
+        kind = p[0]
+        if kind == _BIND:
+            binding.append(i)
+        elif kind == _VAR:
+            if binding[p[1]] != i:
+                return False
+        elif kind == _TERM:
+            if i != p[1]:
+                return False
+        else:
+            name, args = terms.keys[i]
+            if args is None or name != p[1] or len(args) != len(p[2]) \
+                    or not _match(p[2], args, binding, terms):
+                return False
+    return True
+
+
+def _matches(body: tuple, by_key: dict[tuple[str, int], list[int]],
+             arg_ids: list[tuple[int, ...]], terms: _Terms, delta_start: int,
+             delta_end: int, fresh: set[tuple[str, int]]) -> list:
+    """(binding, premises) of every match of a body that uses >= 1 atom
+    from the delta.
 
     Position i ranges over the delta, positions before i over older atoms
-    only, positions after i over everything admitted before this round.
+    only, positions after i over everything admitted before this round,
+    so each premise tuple is found once.
     """
+    out = []
     for i in range(len(body)):
-        stack = [(0, {}, ())]
-        while stack:
-            pos, subst, premises = stack.pop()
-            if pos == len(body):
-                yield premises, subst
-                continue
+        if body[i][0] not in fresh:
+            continue
+        partial: list[tuple[tuple[int, ...], tuple[int, ...]]] = [((), ())]
+        for pos, (key, pats, binds_only) in enumerate(body):
             lo, hi = (delta_start, delta_end) if pos == i else \
                 (0, delta_start) if pos < i else (0, delta_end)
-            candidates = db.by_pred.get(body[pos].predicate, ())
-            # reversed: stack pops restore ascending trace order
-            for idx in reversed(candidates):
-                if not lo <= idx < hi:
-                    continue
-                extended = match_atom(body[pos], db.trace[idx].derived, subst)
-                if extended is not None:
-                    stack.append((pos + 1, extended, premises + (idx,)))
+            idxs = by_key.get(key, ())
+            start = bisect_left(idxs, lo)
+            window = idxs[start:bisect_left(idxs, hi, start)]
+            extended = []
+            for binding, premises in partial:
+                for idx in window:
+                    if binds_only:
+                        extended.append((binding + arg_ids[idx], premises + (idx,)))
+                        continue
+                    trial = list(binding)
+                    if _match(pats, arg_ids[idx], trial, terms):
+                        extended.append((tuple(trial), premises + (idx,)))
+            partial = extended
+            if not partial:
+                break
+        out.extend(partial)
+    return out
+
+
+_CANDIDATE_ORDER = itemgetter(0, 1)
 
 
 def saturate(facts: list[Atom], clauses: list[Clause],
              cfg: BuilderConfig | None = None) -> PartialModel:
     """Forward-chain facts through Horn clauses up to the configured bounds.
 
-    Clauses must be Horn and range-restricted (checked up front), facts
-    ground.  Headless clauses are accepted and ignored; clauses with an
-    empty body fire once in the first round.  Identical inputs and config
-    produce an identical trace.
+    Clauses must be Horn and range-restricted (checked up front, once per
+    clause object), facts ground.  Headless clauses are accepted and
+    ignored; clauses with an empty body fire once in the first round.
+    Identical inputs and config produce an identical trace.
     """
     cfg = cfg or BuilderConfig()
     _validate(clauses)
@@ -173,50 +293,89 @@ def saturate(facts: list[Atom], clauses: list[Clause],
         if not is_ground_atom(f):
             raise ValueError(f"input fact is not ground: {format_atom(f)}")
 
-    db = _Database()
-    model = PartialModel(db.trace)
+    terms = _Terms()
+    depth = terms.depth
+    trace: list[DerivationStep] = []
+    arg_ids: list[tuple[int, ...]] = []  # per trace index
+    seen: set[tuple[str, tuple[int, ...]]] = set()
+    # ascending trace indices per (predicate, arity)
+    by_key: dict[tuple[str, int], list[int]] = {}
+    cut: set[str] = set()
+    fresh: set[tuple[str, int]] = set()  # (predicate, arity) in the delta
 
-    def admit_checked(atom: Atom, origin: str | None, premises: tuple[int, ...]):
-        if atom in db.seen:
+    def admit(predicate: str, ids: tuple[int, ...], origin: str | None,
+              premises: tuple[int, ...]):
+        key = (predicate, ids)
+        if key in seen:
             return
-        if atom_depth(atom) > cfg.max_term_depth:
-            model.complete = False
+        if len(trace) >= cfg.max_atoms:
+            cut.add("atoms")
             return
-        if len(db.trace) >= cfg.max_atoms:
-            model.complete = False
-            return
-        db.admit(atom, origin, premises)
+        seen.add(key)
+        atom = Atom(predicate, tuple([terms.objects[i] for i in ids]))
+        by_key.setdefault((predicate, len(ids)), []).append(len(trace))
+        arg_ids.append(ids)
+        trace.append(DerivationStep(atom, origin, premises))
+        fresh.add((predicate, len(ids)))
 
     for f in facts:
-        admit_checked(f, None, ())
+        ids = tuple(terms.intern(t) for t in f.args)
+        if max((depth[i] for i in ids), default=0) > cfg.max_term_depth:
+            cut.add("depth")
+        else:
+            admit(f.predicate, ids, None, ())
 
-    delta_start, delta_end = 0, len(db.trace)
+    # one group per distinct body, and the groups each (predicate, arity)
+    # occurs in; bodiless clauses fire once, in the first round
+    groups: dict[tuple[Atom, ...], _Group] = {}
+    for position, clause in enumerate(clauses):
+        if clause.positives:
+            group = groups.get(clause.negatives)
+            if group is None:
+                group = groups[clause.negatives] = _Group(clause.negatives)
+            group.positions.append(position)
+    groups_of: dict[tuple[str, int], list[_Group]] = {}
+    for group in groups.values():
+        for key in {(a.predicate, len(a.args)) for a in group.atoms}:
+            groups_of.setdefault(key, []).append(group)
+
+    delta_start, delta_end = 0, len(trace)
     rounds = 0
-    first_round = True
-    while delta_start < delta_end or first_round:
+    while fresh or rounds == 0:
         if rounds >= cfg.max_rounds:
-            model.complete = False
+            cut.add("rounds")
             break
+        candidates: list[tuple[int, tuple[int, ...], _Group, tuple[int, ...]]] = []
+        # candidates are sorted below, so the order of the groups is free
+        active = {g for key in fresh for g in groups_of.get(key, ())}
+        if rounds == 0 and () in groups:
+            active.add(groups[()])
         rounds += 1
-        candidates: list[tuple[int, tuple[int, ...], Atom]] = []
-        for c_pos, clause in enumerate(clauses):
-            if not clause.positives:
-                continue
+        for group in active:
+            if group.body is None:
+                group.compile(terms)
+            matches = _matches(group.body, by_key, arg_ids, terms, delta_start,
+                               delta_end, fresh) if group.body else [((), ())]
+            slots = group.slots
+            for binding, premises in matches:
+                for position in group.positions:
+                    d = max([_depth(t, slots, binding, depth)
+                             for t in clauses[position].positives[0].args], default=0)
+                    if d > cfg.max_term_depth:
+                        cut.add("depth")
+                    else:
+                        candidates.append((position, premises, group, binding))
+        candidates.sort(key=_CANDIDATE_ORDER)
+        fresh = set()
+        delta_start = len(trace)
+        for position, premises, group, binding in candidates:
+            clause = clauses[position]
             head = clause.positives[0]
-            if not clause.negatives:
-                if first_round:
-                    candidates.append((c_pos, (), head))
-                continue
-            for premises, subst in _body_matches(db, clause.negatives,
-                                                 delta_start, delta_end):
-                candidates.append((c_pos, premises, substitute_atom(head, subst)))
-        candidates.sort(key=lambda c: (c[0], c[1]))
-        delta_start = len(db.trace)
-        for c_pos, premises, atom in candidates:
-            admit_checked(atom, clauses[c_pos].origin, premises)
-        delta_end = len(db.trace)
-        first_round = False
-    return model
+            admit(head.predicate,
+                  tuple([_build(t, group.slots, binding, terms) for t in head.args]),
+                  clause.origin, premises)
+        delta_end = len(trace)
+    return PartialModel(trace, tuple(b for b in BOUNDS if b in cut))
 
 
 # ------------------------------------------------------------- extraction
@@ -313,8 +472,10 @@ def model_lines(model: PartialModel) -> list[str]:
 
 
 def trace_json(model: PartialModel) -> str:
-    """Trace as JSON: step index, atom, clause id, premise indices."""
+    """Trace as JSON: completeness, the bounds that cut the model, and per
+    step the index, atom, clause id and premise indices."""
     rows = [{"step": i, "atom": format_atom(s.derived),
              "clause": s.clause_origin, "premises": list(s.premises)}
             for i, s in enumerate(model.trace)]
-    return json.dumps({"complete": model.complete, "steps": rows}, indent=2)
+    return json.dumps({"complete": model.complete, "cut_by": list(model.cut_by),
+                       "steps": rows}, indent=2)

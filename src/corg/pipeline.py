@@ -9,7 +9,8 @@ symbol set (``fol.triple_symbols``) as axiom ``t<n>`` and, with inverses on,
           -> saturate -> extract symbols
 
 and the per-alternative symbol sequences are scored against the premise's.
-A failure is raised as a StageError that names the problem and the stage.
+A failure is raised as a StageError that names the problem and the stage;
+``evaluate`` records it as an error row of the report and goes on.
 Resources (graph, embeddings) are loaded once and shared; problems are
 processed independently, and the serialized report is byte-deterministic
 for identical inputs and configuration (timings stay in memory unless
@@ -248,14 +249,30 @@ class ProblemResult:
 
 
 @dataclass
+class ProblemFailure:
+    """A problem whose run raised a StageError."""
+
+    problem: CopaProblem
+    error: StageError
+
+    def to_json(self, include_timings: bool = False) -> dict:
+        return {"problem_id": self.problem.id,
+                "error": {"stage": self.error.stage, "message": str(self.error.cause)}}
+
+
+@dataclass
 class RunReport:
-    """Per-problem results (problem-id order) plus aggregate accuracy."""
+    """Per-problem results and failures (problem-id order) plus aggregate
+    accuracy."""
 
     results: list[ProblemResult]
+    failures: list[ProblemFailure] = field(default_factory=list)
 
     @property
     def n_labeled(self) -> int:
-        return sum(1 for r in self.results if r.problem.gold is not None)
+        """Problems with a gold label, failed ones included."""
+        return sum(1 for r in [*self.results, *self.failures]
+                   if r.problem.gold is not None)
 
     @property
     def n_correct(self) -> int:
@@ -263,19 +280,22 @@ class RunReport:
 
     @property
     def accuracy(self) -> float | None:
-        """Fraction correct over labeled problems; None when nothing is labeled."""
+        """Fraction correct over labeled problems, a failed one counting as
+        wrong; None when nothing is labeled."""
         return self.n_correct / self.n_labeled if self.n_labeled else None
 
     def aggregate_json(self) -> dict:
-        row = {"problems": len(self.results), "labeled": self.n_labeled,
-               "correct": self.n_correct}
+        row = {"problems": len(self.results) + len(self.failures),
+               "labeled": self.n_labeled, "correct": self.n_correct}
         if self.accuracy is not None:
             row["accuracy"] = self.accuracy
+        if self.failures:
+            row["failed"] = len(self.failures)
         return row
 
     def to_jsonl(self, include_timings: bool = False) -> str:
-        lines = [json.dumps(r.to_json(include_timings), sort_keys=True)
-                 for r in self.results]
+        rows = sorted([*self.results, *self.failures], key=lambda r: r.problem.id)
+        lines = [json.dumps(r.to_json(include_timings), sort_keys=True) for r in rows]
         lines.append(json.dumps(self.aggregate_json(), sort_keys=True))
         return "\n".join(lines) + "\n"
 
@@ -372,10 +392,21 @@ class Pipeline:
                              time.perf_counter() - start)
 
     def evaluate(self, problems: Sequence[CopaProblem]) -> RunReport:
-        """Run every problem independently; results come back in id order."""
-        results = [self.run_problem(p) for p in problems]
+        """Run every problem independently; results come back in id order.
+
+        A problem that raises a StageError becomes a failure of the report
+        and the run goes on with the next one.
+        """
+        results: list[ProblemResult] = []
+        failures: list[ProblemFailure] = []
+        for p in problems:
+            try:
+                results.append(self.run_problem(p))
+            except StageError as e:
+                failures.append(ProblemFailure(p, e))
         results.sort(key=lambda r: r.problem.id)
-        return RunReport(results)
+        failures.sort(key=lambda f: f.problem.id)
+        return RunReport(results, failures)
 
 
 @contextmanager

@@ -2,12 +2,14 @@
 
 Nothing here may call into the code paths under test: the model oracle is a
 naive least-fixpoint evaluator over its own tuple representation, the
-selection oracle is a plain reachability walk, and the worked-problem oracle
-recomputes the expected scores with stdlib math from hand-derived symbol
-sequences.
+reference chainer is a direct semi-naive chainer over the AST objects, the
+selection oracle is a plain reachability walk, and the worked-problem
+oracle recomputes the expected scores with stdlib math from hand-derived
+symbol sequences.
 """
 
 import math
+from typing import NamedTuple
 
 from corg.fol import Atom, Constant, Function, Variable
 
@@ -100,6 +102,146 @@ def naive_least_model(facts, clauses) -> set:
 
 def model_atom_tuples(partial_model) -> set:
     return {atom_tuple(a) for a in partial_model.atoms}
+
+
+# ------------------------------------------------ reference forward chainer
+#
+# The semi-naive chainer that ``corg.model.saturate`` must agree with step
+# for step: it matches clause bodies atom by atom against the AST objects,
+# substitutes every head, and admits candidates in (clause position,
+# premises) order under the same three bounds.
+
+
+def _match_term(pattern, ground, subst) -> bool:
+    if isinstance(pattern, Variable):
+        bound = subst.get(pattern.name)
+        if bound is None:
+            subst[pattern.name] = ground
+            return True
+        return bound == ground
+    if isinstance(pattern, Constant):
+        return pattern == ground
+    if not isinstance(ground, Function) or pattern.name != ground.name \
+            or len(pattern.args) != len(ground.args):
+        return False
+    return all(_match_term(p, g, subst) for p, g in zip(pattern.args, ground.args))
+
+
+def match_atom(pattern: Atom, ground: Atom, subst: dict):
+    """Extend subst so pattern matches ground; None when impossible."""
+    if pattern.predicate != ground.predicate or len(pattern.args) != len(ground.args):
+        return None
+    trial = dict(subst)
+    for p, g in zip(pattern.args, ground.args):
+        if not _match_term(p, g, trial):
+            return None
+    return trial
+
+
+def _substitute(t, subst):
+    if isinstance(t, Variable):
+        return subst[t.name]
+    if isinstance(t, Function):
+        return Function(t.name, tuple(_substitute(a, subst) for a in t.args))
+    return t
+
+
+def _depth(t) -> int:
+    if isinstance(t, Function) and t.args:
+        return 1 + max(_depth(a) for a in t.args)
+    return 1
+
+
+class _Database:
+    def __init__(self):
+        self.trace: list = []  # (atom, clause origin, premises)
+        self.seen: set = set()
+        self.by_pred: dict = {}
+
+    def admit(self, atom, origin, premises):
+        self.by_pred.setdefault(atom.predicate, []).append(len(self.trace))
+        self.trace.append((atom, origin, premises))
+        self.seen.add(atom)
+
+
+def _body_matches(db, body, delta_start, delta_end):
+    """Premise tuples for a clause body, each using >= 1 atom from the delta.
+
+    Position i ranges over the delta, positions before i over older atoms
+    only, positions after i over everything admitted before this round.
+    """
+    for i in range(len(body)):
+        stack = [(0, {}, ())]
+        while stack:
+            pos, subst, premises = stack.pop()
+            if pos == len(body):
+                yield premises, subst
+                continue
+            lo, hi = (delta_start, delta_end) if pos == i else \
+                (0, delta_start) if pos < i else (0, delta_end)
+            for idx in reversed(db.by_pred.get(body[pos].predicate, ())):
+                if not lo <= idx < hi:
+                    continue
+                extended = match_atom(body[pos], db.trace[idx][0], subst)
+                if extended is not None:
+                    stack.append((pos + 1, extended, premises + (idx,)))
+
+
+class ReferenceModel(NamedTuple):
+    trace: list  # (atom, clause origin, premises) per admitted atom
+    complete: bool
+    cut_by: tuple  # of "depth", "atoms", "rounds", in that order
+
+
+def reference_saturate(facts, clauses, max_term_depth, max_atoms, max_rounds):
+    """Bounded semi-naive forward chaining over valid Horn clauses."""
+    db = _Database()
+    cut = set()
+
+    def admit_checked(atom, origin, premises):
+        if atom in db.seen:
+            return
+        if max((_depth(t) for t in atom.args), default=0) > max_term_depth:
+            cut.add("depth")
+            return
+        if len(db.trace) >= max_atoms:
+            cut.add("atoms")
+            return
+        db.admit(atom, origin, premises)
+
+    for f in facts:
+        admit_checked(f, None, ())
+
+    delta_start, delta_end = 0, len(db.trace)
+    rounds = 0
+    first_round = True
+    while delta_start < delta_end or first_round:
+        if rounds >= max_rounds:
+            cut.add("rounds")
+            break
+        rounds += 1
+        candidates = []
+        for c_pos, clause in enumerate(clauses):
+            if not clause.positives:
+                continue
+            head = clause.positives[0]
+            if not clause.negatives:
+                if first_round:
+                    candidates.append((c_pos, (), head))
+                continue
+            for premises, subst in _body_matches(db, clause.negatives,
+                                                 delta_start, delta_end):
+                atom = Atom(head.predicate,
+                            tuple(_substitute(t, subst) for t in head.args))
+                candidates.append((c_pos, premises, atom))
+        candidates.sort(key=lambda c: (c[0], c[1]))
+        delta_start = len(db.trace)
+        for c_pos, premises, atom in candidates:
+            admit_checked(atom, clauses[c_pos].origin, premises)
+        delta_end = len(db.trace)
+        first_round = False
+    cut_by = tuple(b for b in ("depth", "atoms", "rounds") if b in cut)
+    return ReferenceModel(db.trace, not cut, cut_by)
 
 
 # ------------------------------------------------- selection closure oracle

@@ -6,11 +6,11 @@ from hypothesis import strategies as st
 
 from corg import Triple
 from corg.errors import NegatedUnsupported, ParseError, UnsupportedFragment
-from corg.fol import (And, Atom, Clause, Constant, Exists, Forall, Function,
-                      Implies, Not, Or, Variable, clausify, format_formula,
-                      is_closed, parse_fol, parse_tptp, symbols, to_tptp,
-                      translate_existential, translate_factual,
-                      translate_inverse, triple_symbols)
+from corg.fol import (MAX_NESTING, And, Atom, Clause, Constant, Exists, Forall,
+                      Function, Implies, Not, Or, Variable, clausify,
+                      format_formula, is_closed, parse_fol, parse_tptp,
+                      symbols, to_tptp, translate_existential,
+                      translate_factual, translate_inverse, triple_symbols)
 
 X, Y = Variable("X"), Variable("Y")
 
@@ -220,6 +220,26 @@ class TestParse:
     def test_comments_skipped(self):
         f = parse_fol("% a comment\np(a)")
         assert f == unary("p", Constant("a"))
+
+    @pytest.mark.parametrize("text", [
+        "~" * 5000 + "p(a)",
+        "(" * 5000 + "p(a)" + ")" * 5000,
+        "p(" + "f(" * 5000 + "a" + ")" * 5001,
+        "! [" + ", ".join(f"X{i}" for i in range(5000)) + "] : p(X1)",
+        "forall X " * 5000 + "p(X)",
+    ])
+    def test_deep_nesting_is_a_parse_error(self, text):
+        with pytest.raises(ParseError, match="nested deeper than"):
+            parse_fol(text)
+        with pytest.raises(ParseError, match="nested deeper than"):
+            parse_tptp(f"fof(a, axiom, {text}).")
+
+    def test_nesting_at_the_limit_parses_and_clausifies(self):
+        f = parse_fol("~" * MAX_NESTING + "p(a)")
+        assert parse_fol(to_tptp(f, "a")) == f
+        assert clausify(f, "q") == [Clause((), (unary("p", Constant("a")),), "q")]
+        g = parse_fol("p(" + "f(" * (MAX_NESTING - 1) + "a" + ")" * MAX_NESTING)
+        assert parse_fol(to_tptp(g, "g")) == g
 
 
 class TestEmit:

@@ -2,16 +2,20 @@ import json
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from corg.errors import (AtomNotInModel, NonHornClause,
                          NonRangeRestrictedClause)
 from corg.fol import (Atom, Clause, Constant, Function, Variable, clausify,
-                      translate_existential, translate_inverse)
+                      format_atom, substitute_atom, translate_existential,
+                      translate_inverse)
 from corg.kg import Triple
 from corg.model import (BuilderConfig, ExtractionConfig, atom_depth, explain,
                         extract_symbols, model_lines, saturate, term_depth,
                         trace_json)
-from oracles import model_atom_tuples, naive_least_model
+from oracles import (match_atom, model_atom_tuples, naive_least_model,
+                     reference_saturate)
 
 X, Y = Variable("X"), Variable("Y")
 LOOSE = BuilderConfig(max_term_depth=50, max_atoms=100_000, max_rounds=1000)
@@ -65,6 +69,7 @@ class TestSaturate:
         model = saturate(facts, fig_clauses(fig_graph, inverse=True),
                          BuilderConfig(max_term_depth=3))
         assert not model.complete
+        assert model.cut_by == ("depth",)
         assert all(atom_depth(a) <= 3 for a in model.atoms)
 
     def test_unit_clause_fires_once(self):
@@ -84,6 +89,25 @@ class TestSaturate:
         with pytest.raises(NonRangeRestrictedClause):
             saturate([], [bad])
 
+    def test_invalid_clause_raises_on_every_call(self):
+        non_horn = Clause((unary("p", X),), (unary("q", X), unary("r", X)), "b")
+        unrestricted = Clause((unary("p", X),), (Atom("q", (X, Y)),), "b")
+        for _ in range(2):
+            with pytest.raises(NonHornClause):
+                saturate([], [non_horn])
+            with pytest.raises(NonRangeRestrictedClause):
+                saturate([], [unrestricted])
+
+    def test_clause_checked_once_per_object(self, fig_graph, monkeypatch):
+        calls = []
+        check = Clause.is_range_restricted
+        monkeypatch.setattr(Clause, "is_range_restricted",
+                            lambda c: calls.append(c) or check(c))
+        clauses = fig_clauses(fig_graph, inverse=True)
+        for _ in range(3):
+            saturate([unary("sun", Constant("c"))], clauses)
+        assert len(calls) == len(clauses)
+
     def test_non_ground_fact_rejected(self):
         with pytest.raises(ValueError):
             saturate([unary("p", X)], [])
@@ -100,6 +124,7 @@ class TestSaturate:
                          BuilderConfig(max_term_depth=50, max_atoms=7))
         assert len(model) <= 7
         assert not model.complete
+        assert model.cut_by == ("atoms",)
 
     def test_round_budget(self):
         clauses = clausify(translate_existential(Triple("a", "r", "a")), "t1")
@@ -107,6 +132,7 @@ class TestSaturate:
                          BuilderConfig(max_term_depth=50, max_atoms=100_000,
                                        max_rounds=3))
         assert not model.complete
+        assert model.cut_by == ("rounds",)
 
     def test_duplicate_facts_admitted_once(self):
         f = unary("p", Constant("a"))
@@ -131,7 +157,6 @@ class TestSaturate:
             prev = atoms
 
     def test_soundness_replay(self, fig_graph):
-        from corg.model import match_atom
         facts = [unary("sun", Constant("c"))]
         clauses = {id(c): c for c in fig_clauses(fig_graph, inverse=True)}
         by_origin = {}
@@ -158,7 +183,6 @@ class TestSaturate:
                         break
                     subst = extended
                 if good:
-                    from corg.fol import substitute_atom
                     if substitute_atom(c.positives[0], subst) == step.derived:
                         ok = True
                         break
@@ -195,6 +219,66 @@ def random_datalog(rng: random.Random):
     return facts, clauses
 
 
+PREDICATES = (("p", 1), ("q", 1), ("r", 2))
+GROUND = (Constant("a"), Constant("b"))
+SKOLEMS = ("f", "g")
+
+
+def random_horn(pick):
+    """Horn program with Skolem terms and bounds small enough to cut it.
+
+    ``pick(options)`` returns one element of a sequence (a range for
+    integers).  Bodies have 0-2 atoms, some clauses reuse an earlier
+    clause's body, some are headless, and heads and bodies may hold a
+    unary Skolem term f(t) or g(t).
+    """
+    def term(pool):
+        base = pick(pool)
+        return Function(pick(SKOLEMS), (base,)) if pick((False, True)) else base
+
+    def atom(pool):
+        name, arity = pick(PREDICATES)
+        return Atom(name, tuple(term(pool) for _ in range(arity)))
+
+    facts = [atom(GROUND) for _ in range(pick(range(5)))]
+    clauses: list[Clause] = []
+    for k in range(pick(range(8))):
+        shape = pick(("new", "shared", "unit", "headless"))
+        if shape == "shared" and clauses:
+            body = pick(clauses).negatives
+        elif shape == "unit":
+            body = ()
+        else:
+            body = tuple(atom(GROUND + (X, Y)) for _ in range(pick(range(1, 3))))
+        # body terms are at most one level deep: t or f(t)
+        leaves = [t.args[0] if isinstance(t, Function) else t
+                  for a in body for t in a.args]
+        head_pool = GROUND + tuple(sorted({t for t in leaves if isinstance(t, Variable)},
+                                          key=lambda v: v.name))
+        heads = () if shape == "headless" else (atom(head_pool),)
+        clauses.append(Clause(body, heads, f"c{k}"))
+    bounds = (pick(range(1, 5)), pick(range(1, 31)), pick(range(1, 6)))
+    return facts, clauses, bounds
+
+
+def assert_matches_reference(facts, clauses, bounds):
+    depth, atoms, rounds = bounds
+    model = saturate(facts, clauses, BuilderConfig(depth, atoms, rounds))
+    ref = reference_saturate(facts, clauses, depth, atoms, rounds)
+    assert [(format_atom(s.derived), s.clause_origin, s.premises)
+            for s in model.trace] == \
+        [(format_atom(a), origin, premises) for a, origin, premises in ref.trace]
+    assert model.atoms == [a for a, _, _ in ref.trace]
+    assert model.complete == ref.complete
+    assert model.cut_by == ref.cut_by
+    return model
+
+
+@st.composite
+def horn_programs(draw):
+    return random_horn(lambda options: draw(st.sampled_from(options)))
+
+
 class TestOracleEquivalence:
     def test_matches_naive_least_fixpoint(self):
         rng = random.Random(2718)
@@ -203,6 +287,18 @@ class TestOracleEquivalence:
             model = saturate(facts, clauses, LOOSE)
             assert model.complete
             assert model_atom_tuples(model) == naive_least_model(facts, clauses)
+
+    @settings(max_examples=300, derandomize=True, database=None, deadline=None)
+    @given(horn_programs())
+    def test_trace_matches_reference_chainer(self, program):
+        assert_matches_reference(*program)
+
+    def test_reference_agreement_reaches_every_cut(self):
+        rng = random.Random(1912)
+        seen = set()
+        for _ in range(400):
+            seen.update(assert_matches_reference(*random_horn(rng.choice)).cut_by)
+        assert seen == {"depth", "atoms", "rounds"}
 
 
 class TestExtractSymbols:
@@ -274,6 +370,7 @@ class TestDumps:
         model = saturate([unary("sun", Constant("c"))], fig_clauses(fig_graph))
         data = json.loads(trace_json(model))
         assert data["complete"] is True
+        assert data["cut_by"] == []
         assert data["steps"][0] == \
             {"step": 0, "atom": "sun(c)", "clause": None, "premises": []}
         assert all(p < row["step"] for row in data["steps"] for p in row["premises"])

@@ -5,17 +5,27 @@ import pytest
 
 from corg import KnowledgeGraph
 from corg.cli import main
-from corg.errors import (MissingField, MissingFormula, StageError, XmlError)
+from corg.errors import (MissingField, MissingFormula, ParseError, StageError,
+                         XmlError)
 from corg.fol import (Atom, Constant, parse_tptp, translate_existential,
                       translate_inverse)
 from corg.pipeline import (CopaProblem, Pipeline, PipelineConfig,
                            content_words, export_tptp, parse_copa_xml,
                            text_to_facts)
+from conftest import COPA_XML
 from oracles import copa1_expected
 
 
 def c0(pred):
     return Atom(pred, (Constant("c0"),))
+
+
+def write_formulas(fol_dir, problem_id):
+    """Formula files for every text of a copa1-shaped problem."""
+    for role, formula in [("premise", "exists A (shadow(A) & grass(A))"),
+                          ("a1", "exists A (sun(A) & rising(A))"),
+                          ("a2", "exists A (grass(A) & cut(A))")]:
+        (fol_dir / f"{problem_id}_{role}.p").write_text(formula, "utf-8")
 
 
 class TestParseCopaXml:
@@ -149,6 +159,16 @@ class TestRunProblem:
         assert err.value.stage == "facts"
         assert isinstance(err.value.cause, MissingFormula)
 
+    def test_deeply_nested_formula_names_facts_stage(self, fig_graph, fig_table,
+                                                     copa1, tmp_path):
+        write_formulas(tmp_path, 1)
+        (tmp_path / "1_a2.p").write_text("~" * 5000 + "p(a)", "utf-8")
+        cfg = PipelineConfig(fact_mode="fol_file", fol_dir=tmp_path)
+        with pytest.raises(StageError) as err:
+            Pipeline(fig_graph, fig_table, cfg).run_problem(copa1)
+        assert err.value.stage == "facts"
+        assert isinstance(err.value.cause, ParseError)
+
     def test_only_selected_axioms_translated(self, fig_graph, fig_table, copa1):
         pipe = Pipeline(fig_graph, fig_table,
                         PipelineConfig(include_inverse=True, prefilter_theta=-1.0))
@@ -234,6 +254,24 @@ class TestEvaluate:
         aggregate = json.loads(lines[1])
         assert aggregate == {"problems": 1, "labeled": 1, "correct": 1,
                              "accuracy": 1.0}
+
+    def test_failed_problem_becomes_error_row(self, fig_graph, fig_table, copa1,
+                                              tmp_path):
+        write_formulas(tmp_path, 1)
+        write_formulas(tmp_path, 3)  # none for problem 2
+        cfg = PipelineConfig(fact_mode="fol_file", fol_dir=tmp_path)
+        problems = [replace(copa1, id=2), copa1, replace(copa1, id=3, gold=None)]
+        report = Pipeline(fig_graph, fig_table, cfg).evaluate(problems)
+        assert [r.problem.id for r in report.results] == [1, 3]
+        assert [f.problem.id for f in report.failures] == [2]
+        rows = [json.loads(line) for line in report.to_jsonl().splitlines()]
+        assert [r["problem_id"] for r in rows[:3]] == [1, 2, 3]
+        assert rows[0]["chosen"] == 1
+        assert rows[1] == {"problem_id": 2, "error": {
+            "stage": "facts", "message": "no formula file for problem 2, role premise"}}
+        # the failed problem is labeled and counts as wrong
+        assert rows[3] == {"problems": 3, "labeled": 2, "correct": 1,
+                           "accuracy": 0.5, "failed": 1}
 
     def test_timings_on_request(self, fig_graph, fig_table, copa1):
         report = Pipeline(fig_graph, fig_table).evaluate([copa1])
@@ -371,3 +409,45 @@ class TestCli:
         assert code == 0
         row = json.loads(out.splitlines()[0])
         assert row["texts"][0]["n_translated"] <= 1
+
+    def test_comment_only_relations_file_exits_2(self, tmp_path, capsys):
+        # checked before any input is read, so the other paths need not exist
+        relations = tmp_path / "rels.txt"
+        relations.write_text("# nothing enabled\n\n", "utf-8")
+        with pytest.raises(SystemExit) as exc:
+            main(["run", "--copa", "c.xml", "--kg", "kg.tsv",
+                  "--embeddings", "v.txt", "--relations", str(relations)])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert err.strip().splitlines()[-1] == \
+            "corg: error: relation whitelist enabled but empty"
+
+    def test_missing_relations_file_exits_1(self, capsys):
+        code, _, err = self.run_cli(
+            capsys, "run", "--copa", "c.xml", "--kg", "kg.tsv",
+            "--embeddings", "v.txt", "--relations", "/nonexistent.txt")
+        assert code == 1
+        assert err.startswith("error:")
+
+    def test_failed_problem_still_writes_report(self, fig_graph_path, fig_table_path,
+                                                tmp_path, capsys):
+        copa = tmp_path / "two.xml"
+        item = COPA_XML.split("<item")[1].split("</item>")[0]
+        copa.write_text(COPA_XML.replace(
+            "</copa-corpus>", "<item" + item.replace('id="1"', 'id="2"')
+            + "</item>\n</copa-corpus>"), "utf-8")
+        fol_dir = tmp_path / "fol"
+        fol_dir.mkdir()
+        write_formulas(fol_dir, 1)  # none for problem 2
+        report_path = tmp_path / "report.jsonl"
+        code, _, err = self.run_cli(
+            capsys, "run", "--copa", str(copa), "--kg", str(fig_graph_path),
+            "--embeddings", str(fig_table_path), "--fol-dir", str(fol_dir),
+            "--report", str(report_path))
+        assert code == 1
+        assert "problem 2, stage facts" in err
+        rows = [json.loads(line) for line in report_path.read_text("utf-8").splitlines()]
+        assert rows[0]["problem_id"] == 1 and rows[0]["chosen"] == 1
+        assert rows[1]["problem_id"] == 2 and rows[1]["error"]["stage"] == "facts"
+        assert rows[2]["failed"] == 1
