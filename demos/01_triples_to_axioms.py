@@ -5,8 +5,8 @@ translation schemes side by side: ground facts, existential rules, and the
 inverse rules that let chaining follow edges backwards.
 """
 
-from corg import (KnowledgeGraph, to_tptp, translate_existential,
-                  translate_factual, translate_inverse, triple_symbols)
+from corg import (KnowledgeGraph, symbols, to_tptp, translate_existential,
+                  translate_factual, translate_inverse)
 
 graph = KnowledgeGraph.from_tuples([
     ("sun", "Causes", "light"),
@@ -39,9 +39,10 @@ for i, t in enumerate(graph.triples):
     print(" ", to_tptp(translate_inverse(t), f"t{i + 1}_inv"))
 
 # Selection needs only each axiom's symbols, and every scheme uses the same
-# three names, so the pipeline reads them off the triple and translates
-# nothing it does not select.
-print("\nsymbols, read off the triples:")
+# three names (the inverse rule swaps in its inv_* predicate), so the
+# pipeline indexes them straight from the triples and translates nothing it
+# does not select.
+print("\nsymbols of each translation:")
 for i, t in enumerate(graph.triples):
-    print(f"  t{i + 1}: {sorted(triple_symbols(t))}"
-          f"  t{i + 1}_inv: {sorted(triple_symbols(t, inverse=True))}")
+    print(f"  t{i + 1}: {sorted(symbols(translate_existential(t)))}"
+          f"  t{i + 1}_inv: {sorted(symbols(translate_inverse(t)))}")

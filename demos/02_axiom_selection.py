@@ -8,8 +8,8 @@ the pre-translation triple filter.
 import numpy as np
 
 from corg import (EmbeddingTable, KnowledgeGraph, Prefilter, SineConfig,
-                  Triple, build_index, similarity_sine_select, sine_select,
-                  triple_symbols)
+                  SymbolTable, Triple, TripleColumns, build_index,
+                  similarity_sine_select, sine_select)
 
 graph = KnowledgeGraph.from_tuples([
     ("sun", "Causes", "light"),
@@ -17,19 +17,21 @@ graph = KnowledgeGraph.from_tuples([
     ("shadow", "AtLocation", "ground"),
     ("grass", "AtLocation", "ground"),
 ])
-# Selection reads only symbol sets, so the triples are indexed directly.
-axioms = {f"t{i + 1}": triple_symbols(t) for i, t in enumerate(graph.triples)}
-index = build_index(axioms)
+# Selection reads only symbols, so the triples are indexed directly: each
+# axiom is one row of symbol ids (subject, predicate, object).
+columns = TripleColumns(graph.triples, EmbeddingTable(2, {}))
+index = build_index(columns.axiom_rows(np.arange(len(graph))), columns.symbols)
+axiom_ids = [f"t{i + 1}" for i in range(len(graph))]
 
 print("symbol occurrence counts:")
-for sym, n in sorted(index.occ.items()):
-    print(f"  {sym}: {n}")
+for sym, i in sorted(columns.symbols.ids.items()):
+    print(f"  {sym}: {index.occ[i]}")
 
 # With tolerance 1 only the strictly least-general symbol of an axiom
 # triggers it; widening the tolerance or the depth pulls in more.
 for tolerance, depth in [(1.0, 1), (1.5, 3), (100.0, None)]:
     cfg = SineConfig(tolerance=tolerance, max_depth=depth)
-    picked = sorted(sine_select(index, {"sun"}, cfg))
+    picked = [axiom_ids[p] for p in sine_select(index, {"sun"}, cfg)]
     print(f"goals={{sun}} tolerance={tolerance} depth={depth}: {picked}")
 
 # Similarity seeding: 'sunshine' is no goal symbol, but its vector is close
@@ -40,17 +42,18 @@ table = EmbeddingTable(2, {
     "rain": np.array([0.0, 1.0]),
 })
 weather = {
-    "a1": {"sun", "warm"},
-    "a2": {"sunshine", "bright"},
-    "a3": {"rain", "wet"},
+    "a1": ("sun", "warm"),
+    "a2": ("sunshine", "bright"),
+    "a3": ("rain", "wet"),
 }
-widx = build_index(weather)
+names: dict[str, int] = {}
+rows = [[names.setdefault(s, len(names)) for s in syms] for syms in weather.values()]
+widx = build_index(np.array(rows, dtype=np.int32), SymbolTable(names, table))
 plain = sine_select(widx, {"sun"}, SineConfig(tolerance=1, max_depth=1))
 widened = similarity_sine_select(
-    widx, {"sun"}, SineConfig(tolerance=1, max_depth=1, similarity_threshold=0.8),
-    table)
-print(f"\nplain selection from 'sun':    {sorted(plain)}")
-print(f"similarity-widened (>= 0.8):   {sorted(widened)}")
+    widx, {"sun"}, SineConfig(tolerance=1, max_depth=1, similarity_threshold=0.8))
+print(f"\nplain selection from 'sun':    {[list(weather)[p] for p in plain]}")
+print(f"similarity-widened (>= 0.8):   {[list(weather)[p] for p in widened]}")
 
 # Triple prefilter: keep only edges whose object is near the problem words.
 # 'star' points away from everything in the problem, so (sun, is_a, star)
@@ -63,6 +66,7 @@ vocab = EmbeddingTable(2, {
 })
 triples = [Triple("sun", "is_a", "star"), Triple("sun", "causes", "light")]
 problem_words = ["shadow", "grass", "sun", "rising", "cut"]
-kept = [triples[i] for i in Prefilter(triples, vocab).apply_indices(problem_words, 0.4)]
+prefilter = Prefilter(TripleColumns(triples, vocab))
+kept = [triples[i] for i in prefilter.apply_indices(problem_words, 0.4)]
 print(f"\nprefilter at theta=0.4 keeps: "
       f"{[(t.subject, t.relation, t.object) for t in kept]}")

@@ -15,7 +15,7 @@ from .fol import (AnnotatedFormula, And, Atom, Clause, Constant, Exists,
                   Variable, clausify, format_atom, format_formula, is_closed,
                   parse_fol, parse_tptp, relation_predicate, symbols,
                   to_tptp, translate_existential, translate_factual,
-                  translate_inverse, triple_symbols)
+                  translate_inverse)
 from .kg import (KnowledgeGraph, RelationFilter, Skip, Triple,
                  default_relation_whitelist, load_graph,
                  load_relation_whitelist, normalize_concept,
@@ -28,7 +28,38 @@ from .pipeline import (CopaProblem, Pipeline, PipelineConfig, ProblemFailure,
                        export_tptp, parse_copa_xml, text_to_facts)
 from .scorer import (Choice, ScorerConfig, ScoreVector, choose,
                      embed_sequence, likelihoods, score_pair)
-from .selection import (AxiomIndex, Prefilter, SineConfig, build_index,
-                        similarity_sine_select, sine_select)
+from .selection import (AxiomIndex, Prefilter, SineConfig, SymbolTable,
+                        TripleColumns, build_index, similarity_sine_select,
+                        sine_select)
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = [
+    # embeddings
+    "EmbeddingTable", "OovPolicy", "cosine", "load_table", "split_identifier",
+    # errors
+    "CorgError",
+    # first-order logic
+    "AnnotatedFormula", "And", "Atom", "Clause", "Constant", "Exists", "Forall",
+    "Formula", "Function", "Iff", "Implies", "Not", "Or", "Term", "Variable",
+    "clausify", "format_atom", "format_formula", "is_closed", "parse_fol",
+    "parse_tptp", "relation_predicate", "symbols", "to_tptp",
+    "translate_existential", "translate_factual", "translate_inverse",
+    # knowledge graph
+    "KnowledgeGraph", "RelationFilter", "Skip", "Triple",
+    "default_relation_whitelist", "load_graph", "load_relation_whitelist",
+    "normalize_concept", "normalize_relation", "parse_assertion_line",
+    "parse_plain_line",
+    # partial models
+    "BuilderConfig", "DerivationStep", "ExtractionConfig", "PartialModel",
+    "atom_depth", "explain", "extract_symbols", "model_lines", "saturate",
+    "term_depth", "trace_json",
+    # pipeline
+    "CopaProblem", "Pipeline", "PipelineConfig", "ProblemFailure",
+    "ProblemResult", "RunReport", "TextResult", "content_words", "export_tptp",
+    "parse_copa_xml", "text_to_facts",
+    # scoring
+    "Choice", "ScorerConfig", "ScoreVector", "choose", "embed_sequence",
+    "likelihoods", "score_pair",
+    # selection
+    "AxiomIndex", "Prefilter", "SineConfig", "SymbolTable", "TripleColumns",
+    "build_index", "similarity_sine_select", "sine_select",
+]

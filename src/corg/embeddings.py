@@ -109,7 +109,7 @@ def load_table(path) -> EmbeddingTable:
                 continue
             word = fields[0].lower()
             try:
-                vec = np.array([float(v) for v in fields[1:]], dtype=np.float64)
+                vec = np.array(fields[1:], dtype=np.float64)
             except ValueError as e:
                 raise DimensionMismatch(f"line {line_no}: bad float ({e})") from e
             if dimension is None:

@@ -184,11 +184,21 @@ def parse_assertion_line(line: str, line_no: int = 0,
     if meta:
         try:
             data = json.loads(meta)
-        except json.JSONDecodeError as e:
+        except (ValueError, RecursionError) as e:
             raise MalformedLine(line_no, f"bad JSON metadata: {e}") from e
         if isinstance(data, dict) and "weight" in data:
-            weight = float(data["weight"])
+            weight = _json_weight(data["weight"], line_no)
     return Triple(start[1], relation, end[1], weight, line_no, negated)
+
+
+def _json_weight(value, line_no: int) -> float:
+    """A JSON ``"weight"`` as a float; anything but a number is malformed."""
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        try:
+            return float(value)
+        except OverflowError:
+            pass
+    raise MalformedLine(line_no, f"weight is not a number: {value!r:.40}")
 
 
 def parse_plain_line(line: str, line_no: int = 0) -> Triple:
@@ -210,22 +220,36 @@ def parse_plain_line(line: str, line_no: int = 0) -> Triple:
 
 
 def _open_text(path) -> Iterator[str]:
+    """Lines of a UTF-8 text file; undecodable bytes become lone surrogates."""
     path = Path(path)
     opener = gzip.open if path.suffix == ".gz" else open
-    with opener(path, "rt", encoding="utf-8") as fh:
+    with opener(path, "rt", encoding="utf-8", errors="surrogateescape") as fh:
         yield from fh
+
+
+def _is_utf8(line: str) -> bool:
+    """False for a line read from bytes that are not valid UTF-8."""
+    try:
+        line.encode("utf-8")
+        return True
+    except UnicodeEncodeError:
+        return False
 
 
 def load_graph(path, relation_filter: RelationFilter | None = None) -> KnowledgeGraph:
     """Load a dump or fixture file into a KnowledgeGraph.
 
-    Malformed lines are counted, never fatal.  Raises NoTriplesLoaded when
-    nothing survives the filter (wrong filter or wrong file), and OSError
-    for unreadable paths.  Load statistics end up on ``graph.stats``.
+    Malformed lines, invalid UTF-8 among them, are counted, never fatal.
+    Raises NoTriplesLoaded when nothing survives the filter (wrong filter
+    or wrong file), and OSError for unreadable paths.  Load statistics end
+    up on ``graph.stats``.
     """
     flt = relation_filter or RelationFilter()
     g = KnowledgeGraph()
     for line_no, line in enumerate(_open_text(path), start=1):
+        if not line.isascii() and not _is_utf8(line):
+            g.stats.skip("malformed")
+            continue
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
             continue

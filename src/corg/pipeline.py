@@ -1,9 +1,11 @@
 """End-to-end COPA runs: parse problems, build facts, chain, extract, score.
 
-Per problem, the triple prefilter keeps the triples whose object is near
-the problem's words, and each kept triple is indexed for selection by its
-symbol set (``fol.triple_symbols``) as axiom ``t<n>`` and, with inverses on,
-``t<n>_inv``.  Each text (premise, then every alternative) then goes through
+The graph is held as int32 symbol-id columns (``TripleColumns``), built
+once.  Per problem, the triple prefilter keeps the triples whose object is
+near the problem's words, and each kept triple is indexed for selection by
+its symbol ids as axiom ``t<n>`` and, with inverses on, ``t<n>_inv``; only
+the axioms a text selects get such a name.  Each text (premise, then every
+alternative) then goes through
 
     facts -> select -> translate + clausify (selected axioms only)
           -> saturate -> extract symbols
@@ -25,11 +27,14 @@ import re
 import sys
 import time
 import xml.etree.ElementTree as ET
+from collections import OrderedDict
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
 from typing import Sequence
+
+import numpy as np
 
 from . import fol
 from .embeddings import EmbeddingTable, OovPolicy
@@ -40,8 +45,8 @@ from .kg import KnowledgeGraph
 from .model import (BuilderConfig, ExtractionConfig, PartialModel,
                     extract_symbols, saturate, trace_json)
 from .scorer import Choice, ScorerConfig, ScoreVector, choose, likelihoods, score_pair
-from .selection import (Prefilter, SineConfig, build_index, sine_select,
-                        similarity_sine_select)
+from .selection import (AxiomIndex, Prefilter, SineConfig, TripleColumns,
+                        build_index, sine_select, similarity_sine_select)
 
 # ---------------------------------------------------------------- problems
 
@@ -303,6 +308,12 @@ class RunReport:
 # ---------------------------------------------------------------- pipeline
 
 
+# Translated axioms kept across problems, the oldest evicted first.  A
+# 100-problem scale-smoke pass translates 6,901 distinct axioms, so such a
+# run never evicts.
+TRANSLATION_CACHE_SIZE = 8192
+
+
 class Pipeline:
     """Loaded resources plus configuration, reusable across problems."""
 
@@ -311,9 +322,11 @@ class Pipeline:
         self.graph = graph
         self.table = table
         self.config = config or PipelineConfig()
-        self.prefilter = Prefilter(graph.triples, table, self.config.oov)
+        self.columns = TripleColumns(graph.triples, table, self.config.oov,
+                                     self.config.include_inverse)
+        self.prefilter = Prefilter(self.columns)
         # axiom id -> (formula, clauses); translation is problem-independent
-        self._translations: dict[str, tuple[Formula, list[Clause]]] = {}
+        self._translations: OrderedDict[str, tuple[Formula, list[Clause]]] = OrderedDict()
 
     def _translate(self, aid: str, tid: int,
                    inverse: bool) -> tuple[Formula, list[Clause]]:
@@ -327,11 +340,13 @@ class Pipeline:
             else:
                 formula = fol.translate_existential(triple)
             cached = formula, fol.clausify(formula, aid)
+            if len(self._translations) >= TRANSLATION_CACHE_SIZE:
+                self._translations.popitem(last=False)
             self._translations[aid] = cached
         return cached
 
     def _run_text(self, problem: CopaProblem, role: str, text: str,
-                  axioms: dict[str, tuple[int, bool]], index) -> TextResult:
+                  tids: np.ndarray, index: AxiomIndex) -> TextResult:
         cfg = self.config
         start = time.perf_counter()
         with _stage(problem.id, "facts"):
@@ -341,24 +356,31 @@ class Pipeline:
             goals |= fol.symbols(f)
         with _stage(problem.id, "select"):
             if not goals:
-                selected: set[str] = set()
+                positions: list[int] = []
             elif cfg.sine.similarity_threshold is not None:
-                selected = similarity_sine_select(index, goals, cfg.sine,
-                                                  self.table, cfg.oov)
+                positions = similarity_sine_select(index, goals, cfg.sine).tolist()
             else:
-                selected = sine_select(index, goals, cfg.sine)
-        selected_order = [aid for aid in axioms if aid in selected]
+                positions = sine_select(index, goals, cfg.sine).tolist()
+        # axiom position -> (triple id, inverse): each kept triple's forward
+        # axiom, then its inverse one when inverses are on
+        per_triple = 2 if cfg.include_inverse else 1
+        selected: list[str] = []
         formulas: list[Formula] = []
         clauses: list[Clause] = []
         with _stage(problem.id, "translate"):
-            for aid in selected_order:
-                formula, axiom_clauses = self._translate(aid, *axioms[aid])
+            for p in positions:
+                tid = int(tids[p // per_triple])
+                inverse = p % per_triple == 1
+                # interned, so that every problem's results share one string
+                aid = sys.intern(f"t{tid + 1}_inv" if inverse else f"t{tid + 1}")
+                formula, axiom_clauses = self._translate(aid, tid, inverse)
+                selected.append(aid)
                 formulas.append(formula)
                 clauses.extend(axiom_clauses)
         with _stage(problem.id, "saturate"):
             model = saturate(facts, clauses, cfg.builder)
         syms = extract_symbols(model, cfg.extraction)
-        return TextResult(role, facts, len(axioms), selected_order, formulas,
+        return TextResult(role, facts, len(index), selected, formulas,
                           model, syms, time.perf_counter() - start)
 
     def run_problem(self, problem: CopaProblem) -> ProblemResult:
@@ -368,20 +390,12 @@ class Pipeline:
         words = content_words(" ".join([problem.premise] + problem.alternatives))
         with _stage(problem.id, "prefilter"):
             kept = self.prefilter.apply_indices(words, cfg.prefilter_theta) \
-                if words else []
-        # axiom id -> (triple id, inverse), in axiom-id order; ids are interned
-        # so that the results of every problem share one string per axiom
-        axioms: dict[str, tuple[int, bool]] = {}
-        for tid in kept:
-            if not self.graph.triples[tid].negated:
-                axioms[sys.intern(f"t{tid + 1}")] = (tid, False)
-                if cfg.include_inverse:
-                    axioms[sys.intern(f"t{tid + 1}_inv")] = (tid, True)
-        index = build_index({aid: fol.triple_symbols(self.graph.triples[tid], inverse)
-                             for aid, (tid, inverse) in axioms.items()})
-        texts = [self._run_text(problem, "premise", problem.premise, axioms, index)]
+                if words else np.empty(0, dtype=np.intp)
+        tids = kept[~self.columns.negated[kept]]
+        index = build_index(self.columns.axiom_rows(tids), self.columns.symbols)
+        texts = [self._run_text(problem, "premise", problem.premise, tids, index)]
         for k, alt in enumerate(problem.alternatives, start=1):
-            texts.append(self._run_text(problem, f"a{k}", alt, axioms, index))
+            texts.append(self._run_text(problem, f"a{k}", alt, tids, index))
         with _stage(problem.id, "score"):
             premise_syms = texts[0].symbols
             scores = [score_pair(premise_syms, t.symbols, self.table, cfg.oov)

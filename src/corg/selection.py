@@ -1,4 +1,4 @@
-"""Problem-relevant axiom selection.
+"""Problem-relevant axiom selection over integer symbol ids.
 
 Three shrinking devices, usable together or alone:
 
@@ -10,22 +10,29 @@ Three shrinking devices, usable together or alone:
 * a pre-translation triple filter keeping only triples whose object is
   similar to the problem's words.
 
-Selection reads nothing but each axiom's symbol set, so the pipeline
-indexes triples by ``fol.triple_symbols`` and translates only what a text
-selects.
+Selection reads nothing but each axiom's symbols, and a triple's are known
+without translating it: subject, predicate and object, with the ``inv_``
+predicate in place of the predicate for the inverse reading.  So the graph
+is held once as ``TripleColumns``: int32 columns of ids over one
+``SymbolTable``, whose unit-vector matrix serves both the prefilter and
+similarity seeding.  Per problem an ``AxiomIndex`` is one int32 matrix of
+symbol ids, one row per axiom, with ``np.bincount`` occurrence counts;
+selection runs on boolean masks and returns axiom positions, so only the
+axioms a text selects are ever named or translated.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Sequence
+from dataclasses import dataclass
+from typing import Iterable, Sequence
 
 import numpy as np
 
 from .embeddings import EmbeddingTable, OovPolicy
-from .errors import EmptyGoal
+from .errors import EmptyGoal, WordNotFound
 from .fol import symbols  # noqa: F401  benchmarks/tracing.py wraps this name
+from .fol import INVERSE_PREFIX, relation_predicate
 from .kg import Triple
 
 
@@ -56,63 +63,166 @@ class SineConfig:
                              f"got {self.similarity_threshold}")
 
 
-@dataclass
-class AxiomIndex:
-    """Occurrence counts and symbol-to-axiom buckets over one axiom set."""
+class SymbolTable:
+    """Symbol names interned to int ids, with one unit vector per id.
 
-    occ: dict[str, int] = field(default_factory=dict)
-    by_symbol: dict[str, list[str]] = field(default_factory=dict)
-    axiom_symbols: dict[str, frozenset[str]] = field(default_factory=dict)
-    min_occ: dict[str, int] = field(default_factory=dict)
+    Concepts, predicates and ``inv_`` predicates share one namespace, so a
+    concept spelled like a predicate is one symbol, as in ``fol.symbols``.
+    ``unit`` holds each symbol's vector under the OOV policy, scaled to unit
+    norm (zero when the policy finds none); under an erroring policy a
+    symbol without a vector gets a zero row and raises once it is used.
+    """
+
+    def __init__(self, ids: dict[str, int], table: EmbeddingTable,
+                 policy: OovPolicy | None = None):
+        self.ids = ids
+        self.table = table
+        self.policy = policy or OovPolicy()
+        self.unit = np.zeros((len(ids), table.dimension))
+        self._missing: list[str] = []
+        for name, i in ids.items():
+            try:
+                self.unit[i] = table.vector(name, self.policy)
+            except WordNotFound:
+                self._missing.append(name)
+        _normalize_rows(self.unit)
 
     def __len__(self) -> int:
-        return len(self.axiom_symbols)
+        return len(self.ids)
+
+    def vector(self, name: str) -> np.ndarray:
+        """The table's vector for any name, under the OOV policy."""
+        return self.table.vector(name, self.policy)
+
+    def require_vectors(self, ids: np.ndarray):
+        """Raise WordNotFound if one of these symbols has no vector."""
+        for name in self._missing:
+            if np.any(ids == self.ids[name]):
+                self.vector(name)
+
+    def mask(self, names: Iterable[str]) -> np.ndarray:
+        """Boolean mask over symbol ids, set for the names in the table."""
+        out = np.zeros(len(self.ids), dtype=bool)
+        out[[self.ids[n] for n in names if n in self.ids]] = True
+        return out
 
 
-def build_index(axioms: Mapping[str, Iterable[str]]) -> AxiomIndex:
-    """Index axioms given as id -> symbol set; each axiom counts once per symbol."""
-    idx = AxiomIndex()
-    for aid, syms in axioms.items():
-        syms = frozenset(syms)
-        idx.axiom_symbols[aid] = syms
-        for s in syms:
-            idx.occ[s] = idx.occ.get(s, 0) + 1
-            idx.by_symbol.setdefault(s, []).append(aid)
-    for aid, syms in idx.axiom_symbols.items():
-        idx.min_occ[aid] = min((idx.occ[s] for s in syms), default=0)
-    return idx
+class TripleColumns:
+    """The graph's triples as int32 symbol-id columns over one SymbolTable.
+
+    Triple ``i`` has ids ``subject[i]``, ``predicate[i]`` and ``object[i]``,
+    plus ``inverse[i]`` for its ``inv_`` predicate when inverses are on
+    (``inverse`` is None otherwise), and ``negated[i]``.  Objects are
+    interned first, so the first ``n_objects`` rows of ``symbols.unit`` are
+    exactly the objects' vectors.
+    """
+
+    def __init__(self, triples: Sequence[Triple], table: EmbeddingTable,
+                 policy: OovPolicy | None = None, inverse: bool = False):
+        n = len(triples)
+        ids: dict[str, int] = {}
+        self.object = np.fromiter(
+            (ids.setdefault(t.object, len(ids)) for t in triples), np.int32, n)
+        self.n_objects = len(ids)
+        self.subject = np.fromiter(
+            (ids.setdefault(t.subject, len(ids)) for t in triples), np.int32, n)
+        relations: dict[str, int] = {}
+        relation = np.fromiter(
+            (relations.setdefault(t.relation, len(relations)) for t in triples),
+            np.intp, n)
+        names = [relation_predicate(r) for r in relations]
+        self.predicate = _intern(ids, names)[relation]
+        self.inverse = _intern(ids, [INVERSE_PREFIX + p for p in names])[relation] \
+            if inverse else None
+        self.negated = np.fromiter((t.negated for t in triples), bool, n)
+        self.symbols = SymbolTable(ids, table, policy)
+
+    def __len__(self) -> int:
+        return len(self.object)
+
+    def axiom_rows(self, tids: np.ndarray) -> np.ndarray:
+        """Symbol-id rows of the axioms of triples ``tids``, in axiom order.
+
+        Each triple gives its forward row (subject, predicate, object) and,
+        when inverses are on, then its inverse row (object, ``inv_``
+        predicate, subject).
+        """
+        forward = np.stack([self.subject[tids], self.predicate[tids],
+                            self.object[tids]], axis=1)
+        if self.inverse is None:
+            return forward
+        backward = np.stack([self.object[tids], self.inverse[tids],
+                             self.subject[tids]], axis=1)
+        return np.stack([forward, backward], axis=1).reshape(-1, 3)
 
 
-def _triggers(idx: AxiomIndex, sym: str, aid: str, cfg: SineConfig) -> bool:
-    occ = idx.occ[sym]
-    if 0 < cfg.generality_threshold and occ <= cfg.generality_threshold:
-        return True
-    return occ <= cfg.tolerance * idx.min_occ[aid]
+def _intern(ids: dict[str, int], names: list[str]) -> np.ndarray:
+    return np.array([ids.setdefault(n, len(ids)) for n in names], dtype=np.int32)
 
 
-def _closure(idx: AxiomIndex, seed: Iterable[str], cfg: SineConfig) -> set[str]:
-    reached = set(seed)
-    frontier = set(reached)
-    selected: set[str] = set()
+@dataclass(frozen=True)
+class AxiomIndex:
+    """Symbol-id rows of one axiom set with their occurrence counts.
+
+    ``rows[a]`` holds axiom ``a``'s symbol ids, -1 where a symbol repeats
+    within the row; ``occ[s]`` is the number of axioms symbol ``s`` occurs
+    in and ``min_occ[a]`` the least ``occ`` over axiom ``a``'s symbols.
+    """
+
+    rows: np.ndarray
+    occ: np.ndarray
+    min_occ: np.ndarray
+    symbols: SymbolTable
+
+    def __len__(self) -> int:
+        return len(self.rows)
+
+
+_NO_OCC = np.iinfo(np.int64).max  # min_occ of an axiom without symbols
+
+
+def build_index(rows: np.ndarray, symbol_table: SymbolTable) -> AxiomIndex:
+    """Index axioms given as an (n_axioms, width) matrix of symbol ids.
+
+    Entries of -1 stand for no symbol.  Each axiom counts once per symbol:
+    a symbol repeated within a row is masked to -1.
+    """
+    rows = np.array(rows, dtype=np.int32)
+    for j in range(1, rows.shape[1]):
+        rows[(rows[:, :j] == rows[:, j:j + 1]).any(axis=1), j] = -1
+    valid = rows >= 0
+    occ = np.bincount(rows[valid], minlength=len(symbol_table))
+    min_occ = np.where(valid, occ[rows], _NO_OCC).min(axis=1, initial=_NO_OCC)
+    return AxiomIndex(rows, occ, min_occ, symbol_table)
+
+
+def _closure(idx: AxiomIndex, seed: np.ndarray, cfg: SineConfig) -> np.ndarray:
+    rows = idx.rows
+    valid = rows >= 0
+    occ = idx.occ[rows]
+    triggers = occ <= float(cfg.tolerance) * idx.min_occ[:, None]
+    if cfg.generality_threshold > 0:
+        triggers |= occ <= cfg.generality_threshold
+    triggers &= valid
+    selected = np.zeros(len(rows), dtype=bool)
+    reached = seed
+    frontier = seed
     depth = 0
-    while frontier and (cfg.max_depth is None or depth < cfg.max_depth):
-        newly: set[str] = set()
-        for s in frontier:
-            for aid in idx.by_symbol.get(s, ()):
-                if aid in selected:
-                    continue
-                if _triggers(idx, s, aid, cfg):
-                    selected.add(aid)
-                    newly |= idx.axiom_symbols[aid]
-        frontier = newly - reached
-        reached |= newly
+    while frontier.any() and (cfg.max_depth is None or depth < cfg.max_depth):
+        newly = (frontier[rows] & triggers).any(axis=1) & ~selected
+        selected |= newly
+        grown = rows[newly]
+        frontier = np.zeros_like(reached)
+        frontier[grown[grown >= 0]] = True
+        frontier &= ~reached
+        reached = reached | frontier
         depth += 1
-    return selected
+    return np.flatnonzero(selected)
 
 
 def sine_select(idx: AxiomIndex, goal_symbols: Iterable[str],
-                cfg: SineConfig | None = None) -> set[str]:
-    """Axiom ids reachable from the goal symbols under tolerance triggering.
+                cfg: SineConfig | None = None) -> np.ndarray:
+    """Positions of the axioms reachable from the goal symbols, ascending.
 
     A symbol s triggers axiom A iff s occurs in A and
     occ(s) <= tolerance * min occ over A's symbols (or s is rarer than the
@@ -122,12 +232,11 @@ def sine_select(idx: AxiomIndex, goal_symbols: Iterable[str],
     goals = set(goal_symbols)
     if not goals:
         raise EmptyGoal("selection needs at least one goal symbol")
-    return _closure(idx, goals, cfg or SineConfig())
+    return _closure(idx, idx.symbols.mask(goals), cfg or SineConfig())
 
 
 def similarity_sine_select(idx: AxiomIndex, goal_symbols: Iterable[str],
-                           cfg: SineConfig, table: EmbeddingTable,
-                           policy: OovPolicy | None = None) -> set[str]:
+                           cfg: SineConfig) -> np.ndarray:
     """sine_select with the seed widened by embedding similarity.
 
     Every indexed symbol whose cosine to some goal symbol reaches
@@ -136,50 +245,48 @@ def similarity_sine_select(idx: AxiomIndex, goal_symbols: Iterable[str],
     goals = set(goal_symbols)
     if not goals:
         raise EmptyGoal("selection needs at least one goal symbol")
-    seed = set(goals)
-    if cfg.similarity_threshold is not None and idx.occ:
-        policy = policy or OovPolicy()
-        goal_mat = _unit_rows(np.stack([table.vector(g, policy) for g in sorted(goals)]))
-        candidates = list(idx.occ)
-        cand_mat = _unit_rows(np.stack([table.vector(s, policy) for s in candidates]))
-        best = (cand_mat @ goal_mat.T).max(axis=1)
-        for sym, sim in zip(candidates, best):
-            if sim >= cfg.similarity_threshold:
-                seed.add(sym)
+    syms = idx.symbols
+    seed = syms.mask(goals)
+    candidates = np.flatnonzero(idx.occ)
+    if cfg.similarity_threshold is not None and candidates.size:
+        goal_mat = _unit_rows(np.stack([syms.vector(g) for g in sorted(goals)]))
+        syms.require_vectors(candidates)
+        best = (syms.unit[candidates] @ goal_mat.T).max(axis=1)
+        seed[candidates[best >= cfg.similarity_threshold]] = True
     return _closure(idx, seed, cfg)
 
 
-def _unit_rows(mat: np.ndarray) -> np.ndarray:
+def _normalize_rows(mat: np.ndarray):
     norms = np.linalg.norm(mat, axis=1, keepdims=True)
     norms[norms == 0.0] = 1.0
-    return mat / norms
+    mat /= norms
+
+
+def _unit_rows(mat: np.ndarray) -> np.ndarray:
+    """A freshly stacked matrix with its rows scaled to unit norm in place
+    (zero rows stay zero)."""
+    mat = np.asarray(mat, dtype=np.float64)
+    _normalize_rows(mat)
+    return mat
 
 
 class Prefilter:
     """Reusable triple filter: keep triples whose object is near problem words.
 
-    Each triple has one row, its object's, in a matrix of unit object
-    vectors.  Building that matrix is the expensive part, so one Prefilter
-    is meant to be built per loaded graph and applied once per problem.
+    A triple's object vector is its object's row of the shared unit-vector
+    matrix; the objects are that matrix's first rows, so each problem costs
+    one product of those rows with the problem's word vectors.
     """
 
-    def __init__(self, triples: Sequence[Triple], table: EmbeddingTable,
-                 policy: OovPolicy | None = None):
-        self.table = table
-        self.policy = policy or OovPolicy()
-        rows: dict[str, int] = {}
-        self._object_rows = np.array(
-            [rows.setdefault(t.object, len(rows)) for t in triples], dtype=np.intp)
-        if rows:
-            mat = np.stack([table.vector(tok, self.policy) for tok in rows])
-            self._object_mat = _unit_rows(mat)
-        else:
-            self._object_mat = np.zeros((0, table.dimension))
+    def __init__(self, columns: TripleColumns):
+        self.columns = columns
+        columns.symbols.require_vectors(np.arange(columns.n_objects))
 
-    def apply_indices(self, problem_words: Sequence[str], theta: float) -> list[int]:
-        """Indices (into the triple list) of triples that pass at threshold theta."""
+    def apply_indices(self, problem_words: Sequence[str], theta: float) -> np.ndarray:
+        """Ids (ascending) of the triples that pass at threshold theta."""
         if not problem_words:
             raise EmptyGoal("prefilter needs at least one problem word")
-        words = np.stack([self.table.vector(w, self.policy) for w in problem_words])
-        best = (self._object_mat @ _unit_rows(words).T).max(axis=1)
-        return np.flatnonzero(best[self._object_rows] >= theta).tolist()
+        cols = self.columns
+        words = _unit_rows(np.stack([cols.symbols.vector(w) for w in problem_words]))
+        best = (cols.symbols.unit[:cols.n_objects] @ words.T).max(axis=1)
+        return np.flatnonzero(best[cols.object] >= theta)

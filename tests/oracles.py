@@ -11,6 +11,8 @@ symbol sequences.
 import math
 from typing import NamedTuple
 
+import numpy as np
+
 from corg.fol import Atom, Constant, Function, Variable
 
 # ----------------------------------------------------- naive datalog oracle
@@ -260,6 +262,61 @@ def reachable_closure(axiom_symbols: dict, goals) -> set:
                 reached |= syms
                 changed = True
     return selected
+
+
+def reference_sine_select(axioms: dict, goals, cfg, table=None, policy=None) -> list:
+    """SInE selection over string-keyed symbol sets; selected ids in axiom order.
+
+    ``axioms`` maps axiom id -> symbols; each axiom counts once per symbol.
+    A symbol s triggers axiom A iff s occurs in A and occ(s) is at most the
+    generality threshold (when positive) or tolerance times the least occ
+    over A's symbols.  With ``cfg.similarity_threshold`` set, every indexed
+    symbol whose cosine to some goal reaches it joins the seed, vectors
+    coming from ``table.vector(name, policy)``.  Triggering then runs from
+    the seed to ``cfg.max_depth`` rounds or the fixpoint.
+    """
+    axiom_symbols = {aid: frozenset(syms) for aid, syms in axioms.items()}
+    occ: dict = {}
+    by_symbol: dict = {}
+    for aid, syms in axiom_symbols.items():
+        for s in syms:
+            occ[s] = occ.get(s, 0) + 1
+            by_symbol.setdefault(s, []).append(aid)
+    min_occ = {aid: min((occ[s] for s in syms), default=0)
+               for aid, syms in axiom_symbols.items()}
+
+    reached = set(goals)
+    if cfg.similarity_threshold is not None and occ:
+        def unit(names):
+            mat = np.stack([table.vector(n, policy) for n in names])
+            norms = np.linalg.norm(mat, axis=1, keepdims=True)
+            norms[norms == 0.0] = 1.0
+            return mat / norms
+
+        candidates = list(occ)
+        best = (unit(candidates) @ unit(sorted(goals)).T).max(axis=1)
+        reached |= {s for s, sim in zip(candidates, best)
+                    if sim >= cfg.similarity_threshold}
+
+    def triggers(s, aid):
+        if 0 < cfg.generality_threshold and occ[s] <= cfg.generality_threshold:
+            return True
+        return occ[s] <= cfg.tolerance * min_occ[aid]
+
+    frontier = set(reached)
+    selected: set = set()
+    depth = 0
+    while frontier and (cfg.max_depth is None or depth < cfg.max_depth):
+        newly: set = set()
+        for s in frontier:
+            for aid in by_symbol.get(s, ()):
+                if aid not in selected and triggers(s, aid):
+                    selected.add(aid)
+                    newly |= axiom_symbols[aid]
+        frontier = newly - reached
+        reached |= newly
+        depth += 1
+    return [aid for aid in axioms if aid in selected]
 
 
 # ------------------------------------------------ worked-problem hand oracle

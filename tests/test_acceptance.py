@@ -20,11 +20,12 @@ from corg.kg import RelationFilter, Triple, load_graph
 from corg.model import BuilderConfig, explain, saturate
 from corg.pipeline import CopaProblem, Pipeline, PipelineConfig, parse_copa_xml
 from corg.scorer import choose, likelihoods
-from corg.selection import SineConfig, build_index, sine_select
+from corg.selection import SineConfig, sine_select
 from oracles import (copa1_expected, model_atom_tuples, naive_least_model,
                      reachable_closure)
 from test_fol import random_formula
 from test_model import fig_clauses, random_datalog
+from test_selection import index_of, picked
 
 # Frozen expected values for the worked problem, from the hand oracle.
 COPA1_SCORES = [0.7071067811865476, 0.31622776601683794]
@@ -102,15 +103,18 @@ def test_sine_properties():
     rng = random.Random(27182)
     for _ in range(100):
         axioms = _random_axioms(rng)
-        idx = build_index(axioms)
+        idx = index_of(axioms)
         goals = {rng.choice([f"s{k}" for k in range(10)])}
         t1, t2 = sorted((1 + 3 * rng.random(), 1 + 3 * rng.random()))
         d = rng.randrange(1, 4)
-        assert sine_select(idx, goals, SineConfig(tolerance=t1, max_depth=d)) <= \
-            sine_select(idx, goals, SineConfig(tolerance=t2, max_depth=d))
-        assert sine_select(idx, goals, SineConfig(max_depth=d)) <= \
-            sine_select(idx, goals, SineConfig(max_depth=d + 1))
-        limit = sine_select(idx, goals, SineConfig(tolerance=1e12, max_depth=None))
+
+        def select(cfg):
+            return set(picked(axioms, sine_select(idx, goals, cfg)))
+
+        assert select(SineConfig(tolerance=t1, max_depth=d)) <= \
+            select(SineConfig(tolerance=t2, max_depth=d))
+        assert select(SineConfig(max_depth=d)) <= select(SineConfig(max_depth=d + 1))
+        limit = select(SineConfig(tolerance=1e12, max_depth=None))
         closure = reachable_closure(
             {aid: set(syms) for aid, syms in axioms.items()}, goals)
         assert limit == closure

@@ -1,16 +1,19 @@
 import random
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from corg import Triple
+from corg.embeddings import EmbeddingTable
 from corg.errors import NegatedUnsupported, ParseError, UnsupportedFragment
 from corg.fol import (MAX_NESTING, And, Atom, Clause, Constant, Exists, Forall,
                       Function, Implies, Not, Or, Variable, clausify,
                       format_formula, is_closed, parse_fol, parse_tptp,
                       symbols, to_tptp, translate_existential,
-                      translate_factual, translate_inverse, triple_symbols)
+                      translate_factual, translate_inverse)
+from corg.selection import TripleColumns, build_index
 
 X, Y = Variable("X"), Variable("Y")
 
@@ -85,19 +88,35 @@ _RELATIONS = st.sampled_from(["at_location", "causes", "is_a"]) \
 
 
 class TestTripleSymbols:
+    """Each row of the selection index holds the symbols of its axiom's translation."""
+
+    @staticmethod
+    def index_rows(triples):
+        columns = TripleColumns(triples, EmbeddingTable(2, {}), inverse=True)
+        idx = build_index(columns.axiom_rows(np.arange(len(triples))), columns.symbols)
+        names = list(columns.symbols.ids)
+        out = []
+        for row in idx.rows.tolist():
+            ids = [i for i in row if i >= 0]
+            assert len(ids) == len(set(ids))  # a repeat is masked, not counted twice
+            out.append({names[i] for i in ids})
+        return out
+
     @settings(max_examples=300, derandomize=True, database=None)
-    @given(_CONCEPTS, _RELATIONS, _CONCEPTS)
-    @example("a", "r", "a")
-    @example("shadow", "at_location", "light")
-    @example("sun", "causes", "causes")
-    def test_equals_symbols_of_every_translation(self, s, r, o):
-        t = Triple(s, r, o)
-        assert symbols(translate_existential(t)) == triple_symbols(t)
-        assert symbols(translate_factual(t)) == triple_symbols(t)
-        assert symbols(translate_inverse(t)) == triple_symbols(t, inverse=True)
+    @given(st.lists(st.tuples(_CONCEPTS, _RELATIONS, _CONCEPTS), min_size=1, max_size=4))
+    @example([("a", "r", "a")])
+    @example([("shadow", "at_location", "light")])
+    @example([("sun", "causes", "causes"), ("inv_causes", "is_a", "atlocation")])
+    def test_equals_symbols_of_every_translation(self, rows):
+        triples = [Triple(s, r, o) for s, r, o in rows]
+        index_rows = self.index_rows(triples)
+        for k, t in enumerate(triples):
+            assert index_rows[2 * k] == symbols(translate_existential(t)) \
+                == symbols(translate_factual(t))
+            assert index_rows[2 * k + 1] == symbols(translate_inverse(t))
 
     def test_inverse_predicate(self):
-        assert triple_symbols(Triple("shadow", "at_location", "light"), inverse=True) \
+        assert self.index_rows([Triple("shadow", "at_location", "light")])[1] \
             == {"light", "inv_atlocation", "shadow"}
 
 

@@ -55,6 +55,18 @@ class TestParseAssertionLine:
         with pytest.raises(MalformedLine):
             parse_assertion_line(line, 4, EN)
 
+    @pytest.mark.parametrize("weight", ['"heavy"', '"2.0"', "null", "true", "[1]", "{}",
+                                        pytest.param("1" + "0" * 400, id="1e400")])
+    def test_weight_that_is_not_a_number(self, weight):
+        line = dump_line("/r/Causes", "/c/en/sun", "/c/en/light", f'{{"weight": {weight}}}')
+        with pytest.raises(MalformedLine, match="weight is not a number"):
+            parse_assertion_line(line, 5, EN)
+
+    def test_deeply_nested_metadata(self):
+        line = dump_line("/r/Causes", "/c/en/sun", "/c/en/light", "[" * 100_000)
+        with pytest.raises(MalformedLine):
+            parse_assertion_line(line, 6, EN)
+
     def test_multiword_concept(self):
         line = dump_line("/r/HasSubevent", "/c/en/snore", "/c/en/annoy_your_spouse")
         t = parse_assertion_line(line, 1, EN)
@@ -141,6 +153,26 @@ class TestLoadGraph:
         g = load_graph(path)
         assert len(g) == 1
         assert g.stats.skipped["malformed"] == 1
+
+    def test_non_numeric_weight_counted_malformed(self, tmp_path):
+        path = tmp_path / "dump.tsv"
+        path.write_text("\n".join([
+            dump_line("/r/Causes", "/c/en/sun", "/c/en/light", '{"weight": "heavy"}'),
+            dump_line("/r/Causes", "/c/en/sun", "/c/en/heat", '{"weight": 2.0}'),
+        ]) + "\n", "utf-8")
+        g = load_graph(path)
+        assert [(t.object, t.weight) for t in g.triples] == [("heat", 2.0)]
+        assert g.stats.skipped == {"malformed": 1}
+
+    def test_invalid_utf8_counted_malformed(self, tmp_path):
+        path = tmp_path / "dump.tsv"
+        path.write_bytes(b"sun\tCauses\tli\xffght\n"
+                         b"sun\tCauses\tlight\r\n"
+                         + dump_line("/r/Causes", "/c/en/sun", "/c/en/heat").encode()
+                         + b"\n\xc3\n")
+        g = load_graph(path)
+        assert [(t.object, t.source_line) for t in g.triples] == [("light", 2), ("heat", 3)]
+        assert g.stats.skipped == {"malformed": 2}
 
     def test_relation_whitelist(self, tmp_path):
         path = tmp_path / "fix.tsv"

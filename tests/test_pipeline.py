@@ -3,7 +3,8 @@ from dataclasses import replace
 
 import pytest
 
-from corg import KnowledgeGraph
+import corg
+from corg import KnowledgeGraph, pipeline
 from corg.cli import main
 from corg.errors import (MissingField, MissingFormula, ParseError, StageError,
                          XmlError)
@@ -227,6 +228,25 @@ class TestEvaluate:
         assert report.accuracy is None
         assert "accuracy" not in report.aggregate_json()
 
+    def test_translation_cache_bounded(self, fig_graph, fig_table, copa1, monkeypatch):
+        cfg = PipelineConfig(include_inverse=True, prefilter_theta=-1.0)
+        problems = self.four_problems(copa1) + [
+            replace(copa1, id=5, premise="The grass was cut.",
+                    alternatives=["The sun was rising.", "My body cast a shadow."])]
+        expected = Pipeline(fig_graph, fig_table, cfg).evaluate(problems).to_jsonl()
+        monkeypatch.setattr(pipeline, "TRANSLATION_CACHE_SIZE", 2)
+        pipe = Pipeline(fig_graph, fig_table, cfg)
+        translate, sizes = pipe._translate, []
+
+        def watched(*args):
+            out = translate(*args)
+            sizes.append(len(pipe._translations))
+            return out
+
+        monkeypatch.setattr(pipe, "_translate", watched)
+        assert pipe.evaluate(problems).to_jsonl() == expected
+        assert len(sizes) > 2 and max(sizes) == 2
+
     def test_report_determinism(self, fig_graph, fig_table, copa1):
         problems = self.four_problems(copa1)
         r1 = Pipeline(fig_graph, fig_table).evaluate(problems).to_jsonl()
@@ -336,6 +356,17 @@ class TestCli:
             "--kg", str(fig_graph_path), "--embeddings", str(fig_table_path))
         assert code == 0
         assert json.loads(out.splitlines()[0])["problem_id"] == 1
+
+    def test_bad_dump_lines_skipped(self, copa_xml_path, fig_graph_path,
+                                    fig_table_path, tmp_path, capsys):
+        kg = tmp_path / "dump.tsv"
+        kg.write_bytes(fig_graph_path.read_bytes() + b"sun\tCauses\t\xff\n"
+                       b"/a/x\t/r/Causes\t/c/en/sun\t/c/en/light\t{\"weight\": \"heavy\"}\n")
+        code, out, err = self.run_cli(
+            capsys, "run", "--copa", str(copa_xml_path),
+            "--kg", str(kg), "--embeddings", str(fig_table_path))
+        assert (code, err) == (0, "")
+        assert json.loads(out.splitlines()[0])["chosen"] == 1
 
     def test_explain_prints_derivations(self, copa_xml_path, fig_graph_path,
                                         fig_table_path, capsys):
@@ -451,3 +482,10 @@ class TestCli:
         assert rows[0]["problem_id"] == 1 and rows[0]["chosen"] == 1
         assert rows[1]["problem_id"] == 2 and rows[1]["error"]["stage"] == "facts"
         assert rows[2]["failed"] == 1
+
+
+def test_public_names_importable():
+    namespace: dict = {}
+    exec("from corg import *", namespace)
+    assert len(set(corg.__all__)) == len(corg.__all__)
+    assert all(namespace[name] is getattr(corg, name) for name in corg.__all__)

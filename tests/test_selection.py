@@ -2,81 +2,118 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from corg import Triple
 from corg.embeddings import EmbeddingTable, OovPolicy, cosine
-from corg.errors import EmptyGoal
-from corg.fol import And, Atom, Constant, symbols, triple_symbols
-from corg.selection import (Prefilter, SineConfig, build_index,
-                            similarity_sine_select, sine_select)
-from oracles import reachable_closure
+from corg.errors import EmptyGoal, WordNotFound
+from corg.fol import symbols, translate_existential, translate_inverse
+from corg.selection import (Prefilter, SineConfig, SymbolTable, TripleColumns,
+                            build_index, similarity_sine_select, sine_select)
+from oracles import reachable_closure, reference_sine_select
+
+NO_VECTORS = EmbeddingTable(2, {})
 
 
-def fig_axioms(fig_graph):
-    return {f"t{i + 1}": triple_symbols(t)
-            for i, t in enumerate(fig_graph.triples)}
+def index_of(axioms, table=NO_VECTORS):
+    """Index of string-keyed axioms (id -> symbols), one row each, padded with -1."""
+    ids: dict[str, int] = {}
+    id_rows = [[ids.setdefault(s, len(ids)) for s in syms] for syms in axioms.values()]
+    rows = np.full((len(id_rows), max(map(len, id_rows), default=0)), -1, np.int32)
+    for row, syms in zip(rows, id_rows):
+        row[:len(syms)] = syms
+    return build_index(rows, SymbolTable(ids, table))
+
+
+def picked(axioms, positions):
+    """Axiom ids at the selected positions."""
+    aids = list(axioms)
+    return [aids[p] for p in positions]
+
+
+def fig_index(fig_graph, table=NO_VECTORS):
+    columns = TripleColumns(fig_graph.triples, table)
+    return build_index(columns.axiom_rows(np.arange(len(columns))), columns.symbols)
+
+
+def fig_ids(positions):
+    return {f"t{p + 1}" for p in positions}
+
+
+def occ_of(idx, name):
+    return idx.occ[idx.symbols.ids[name]]
 
 
 class TestBuildIndex:
     def test_counts(self):
-        axioms = {"a1": {"p", "a"}, "a2": {"p", "b"}}
-        idx = build_index(axioms)
-        assert idx.occ == {"p": 2, "a": 1, "b": 1}
-        assert idx.by_symbol["p"] == ["a1", "a2"]
+        idx = index_of({"a1": ["p", "a"], "a2": ["p", "b"]})
+        assert {s: occ_of(idx, s) for s in ("p", "a", "b")} == {"p": 2, "a": 1, "b": 1}
+        assert idx.min_occ.tolist() == [1, 1]
+        assert len(idx) == 2
 
     def test_set_semantics_within_axiom(self):
-        axioms = {"a1": symbols(And((Atom("p", (Constant("a"),)),
-                                     Atom("p", (Constant("b"),)))))}
-        assert build_index(axioms).occ["p"] == 1
-        assert build_index({"a1": ["p", "a", "p"]}).occ["p"] == 1
+        idx = index_of({"a1": ["p", "a", "p"]})
+        assert occ_of(idx, "p") == 1
+        assert idx.rows.tolist() == [[0, 1, -1]]
+        # a triple whose subject and object coincide, or whose concept is
+        # spelled like its predicate, has fewer than three symbols
+        for triple, n in [(Triple("a", "r", "a"), 2), (Triple("causes", "causes", "x"), 2),
+                          (Triple("x", "causes", "x"), 2)]:
+            columns = TripleColumns([triple], NO_VECTORS)
+            idx = build_index(columns.axiom_rows(np.array([0])), columns.symbols)
+            assert (idx.rows >= 0).sum() == n
+            assert idx.occ.max() == 1
 
     def test_fig_counts(self, fig_graph):
-        idx = build_index(fig_axioms(fig_graph))
-        assert idx.occ["atlocation"] == 3
-        assert idx.occ["ground"] == 2
-        assert idx.occ["sun"] == 1
+        idx = fig_index(fig_graph)
+        assert occ_of(idx, "atlocation") == 3
+        assert occ_of(idx, "ground") == 2
+        assert occ_of(idx, "sun") == 1
+
+    def test_empty(self):
+        idx = build_index(np.empty((0, 3), np.int32), SymbolTable({"p": 0}, NO_VECTORS))
+        assert len(idx) == 0
+        assert sine_select(idx, {"p"}).tolist() == []
 
 
 class TestSineSelect:
     def test_tolerance_one_depth_one_selects_sun_axiom_only(self, fig_graph):
-        idx = build_index(fig_axioms(fig_graph))
-        got = sine_select(idx, {"sun"}, SineConfig(tolerance=1, max_depth=1))
-        assert got == {"t1"}
+        got = sine_select(fig_index(fig_graph), {"sun"}, SineConfig(tolerance=1, max_depth=1))
+        assert fig_ids(got) == {"t1"}
 
     def test_large_tolerance_reaches_closure(self, fig_graph):
-        idx = build_index(fig_axioms(fig_graph))
-        got = sine_select(idx, {"sun"}, SineConfig(tolerance=100, max_depth=None))
-        assert got == {"t1", "t2", "t3", "t4"}
+        got = sine_select(fig_index(fig_graph), {"sun"},
+                          SineConfig(tolerance=100, max_depth=None))
+        assert fig_ids(got) == {"t1", "t2", "t3", "t4"}
 
     def test_unknown_goal_selects_nothing(self, fig_graph):
-        idx = build_index(fig_axioms(fig_graph))
-        assert sine_select(idx, {"nonexistent_symbol"}, SineConfig()) == set()
+        assert len(sine_select(fig_index(fig_graph), {"nonexistent_symbol"},
+                               SineConfig())) == 0
 
     def test_empty_goal_rejected(self, fig_graph):
-        idx = build_index(fig_axioms(fig_graph))
         with pytest.raises(EmptyGoal):
-            sine_select(idx, set(), SineConfig())
+            sine_select(fig_index(fig_graph), set(), SineConfig())
 
     def test_selection_ids_exist(self, fig_graph):
-        axioms = fig_axioms(fig_graph)
-        idx = build_index(axioms)
+        idx = fig_index(fig_graph)
         got = sine_select(idx, {"shadow", "grass"}, SineConfig())
-        assert got <= set(axioms)
+        assert got.tolist() == sorted(set(got.tolist()))
+        assert all(0 <= p < len(idx) for p in got)
 
     def test_generality_threshold_triggers_rare_symbols(self):
         # occ(q)=1 <= threshold, so q triggers a2 even though p is less general there
         axioms = {"a1": {"p"}, "a2": {"q", "c1", "c2", "c3"}}
-        idx = build_index(axioms)
-        strict = sine_select(idx, {"q"}, SineConfig(tolerance=1, max_depth=1))
-        assert strict == {"a2"}
+        strict = sine_select(index_of(axioms), {"q"}, SineConfig(tolerance=1, max_depth=1))
+        assert picked(axioms, strict) == ["a2"]
         # raise occ(q) above min occ of a2 by adding another q axiom
         axioms["a3"] = {"q"}
-        idx = build_index(axioms)
+        idx = index_of(axioms)
         base = sine_select(idx, {"q"}, SineConfig(tolerance=1, max_depth=1))
-        assert base == {"a3"}
+        assert picked(axioms, base) == ["a3"]
         widened = sine_select(idx, {"q"}, SineConfig(
             tolerance=1, max_depth=1, generality_threshold=2))
-        assert widened == {"a2", "a3"}
+        assert picked(axioms, widened) == ["a2", "a3"]
 
 
 def random_axiom_set(rng):
@@ -94,34 +131,34 @@ class TestSineProperties:
         rng = random.Random(41)
         for _ in range(40):
             axioms = random_axiom_set(rng)
-            idx = build_index(axioms)
+            idx = index_of(axioms)
             goals = {rng.choice([f"s{k}" for k in range(10)])}
             t1, t2 = sorted([1 + 3 * rng.random(), 1 + 3 * rng.random()])
             small = sine_select(idx, goals, SineConfig(tolerance=t1, max_depth=3))
             large = sine_select(idx, goals, SineConfig(tolerance=t2, max_depth=3))
-            assert small <= large
+            assert set(small.tolist()) <= set(large.tolist())
 
     def test_depth_monotonicity(self):
         rng = random.Random(42)
         for _ in range(40):
             axioms = random_axiom_set(rng)
-            idx = build_index(axioms)
+            idx = index_of(axioms)
             goals = {rng.choice([f"s{k}" for k in range(10)])}
             d = rng.randrange(1, 4)
             shallow = sine_select(idx, goals, SineConfig(max_depth=d))
             deep = sine_select(idx, goals, SineConfig(max_depth=d + 1))
-            assert shallow <= deep
+            assert set(shallow.tolist()) <= set(deep.tolist())
 
     def test_limit_equals_reachable_closure(self):
         rng = random.Random(43)
         for _ in range(40):
             axioms = random_axiom_set(rng)
-            idx = build_index(axioms)
+            idx = index_of(axioms)
             goals = {rng.choice([f"s{k}" for k in range(10)])}
             got = sine_select(idx, goals, SineConfig(tolerance=1e9, max_depth=None))
             expected = reachable_closure(
                 {aid: set(syms) for aid, syms in axioms.items()}, goals)
-            assert got == expected
+            assert set(picked(axioms, got)) == expected
 
 
 class TestSimilaritySine:
@@ -137,37 +174,95 @@ class TestSimilaritySine:
                 "a3": {"rain", "wet"}}
 
     def test_threshold_one_equals_plain_sine(self, fig_graph):
-        axioms = fig_axioms(fig_graph)
-        idx = build_index(axioms)
         table = EmbeddingTable(2, {
             "sun": np.array([1.0, 0.0]),
             "light": np.array([0.0, 1.0]),
             "shadow": np.array([0.6, 0.8]),
         })
+        idx = fig_index(fig_graph, table)
         cfg = SineConfig(similarity_threshold=1.0)
-        assert similarity_sine_select(idx, {"sun"}, cfg, table) == \
-            sine_select(idx, {"sun"}, cfg)
+        assert similarity_sine_select(idx, {"sun"}, cfg).tolist() == \
+            sine_select(idx, {"sun"}, cfg).tolist()
 
     def test_similar_symbol_seeds_selection(self):
-        idx = build_index(self.axioms())
+        axioms = self.axioms()
+        idx = index_of(axioms, self.table())
         cfg = SineConfig(tolerance=1, max_depth=1, similarity_threshold=0.8)
-        got = similarity_sine_select(idx, {"sun"}, cfg, self.table())
-        assert got == {"a1", "a2"}
+        assert picked(axioms, similarity_sine_select(idx, {"sun"}, cfg)) == ["a1", "a2"]
         strict = similarity_sine_select(
-            idx, {"sun"}, SineConfig(tolerance=1, max_depth=1,
-                                     similarity_threshold=0.95), self.table())
-        assert strict == {"a1"}
+            idx, {"sun"}, SineConfig(tolerance=1, max_depth=1, similarity_threshold=0.95))
+        assert picked(axioms, strict) == ["a1"]
 
     def test_threshold_zero_seeds_everything(self):
-        idx = build_index(self.axioms())
+        axioms = self.axioms()
+        idx = index_of(axioms, self.table())
         cfg = SineConfig(tolerance=1e9, max_depth=None, similarity_threshold=0.0)
-        got = similarity_sine_select(idx, {"sun"}, cfg, self.table())
-        assert got == {"a1", "a2", "a3"}
+        assert picked(axioms, similarity_sine_select(idx, {"sun"}, cfg)) == \
+            ["a1", "a2", "a3"]
 
     def test_empty_goal_rejected(self):
-        idx = build_index(self.axioms())
+        idx = index_of(self.axioms(), self.table())
         with pytest.raises(EmptyGoal):
-            similarity_sine_select(idx, set(), SineConfig(), self.table())
+            similarity_sine_select(idx, set(), SineConfig())
+
+    def test_error_policy_raises_for_indexed_symbol_without_vector(self):
+        table = SymbolTable({"sun": 0, "warm": 1}, self.table(), OovPolicy(mode="error"))
+        idx = build_index(np.array([[0, 1]], np.int32), table)
+        assert sine_select(idx, {"sun"}).tolist() == [0]
+        with pytest.raises(WordNotFound):
+            similarity_sine_select(idx, {"sun"}, SineConfig(similarity_threshold=0.5))
+
+
+# A small graph whose concept names collide with predicates and inv_
+# predicates, with self-loops, negated and unkept triples.
+_NAMES = ["sun", "light", "shadow", "causes", "inv_causes", "atlocation",
+          "inv_atlocation", "is_a", "c0"]
+_WORDS = ["sun", "light", "shadow", "causes", "inv", "is", "a", "rising", "c0"]
+_TRIPLES = st.lists(st.tuples(st.sampled_from(_NAMES),
+                              st.sampled_from(["causes", "at_location", "is_a"]),
+                              st.sampled_from(_NAMES),
+                              st.booleans(),  # negated
+                              st.booleans()),  # kept by the prefilter
+                    max_size=10)
+_CONFIGS = st.builds(
+    SineConfig,
+    tolerance=st.sampled_from([1.0, 1.5, 2.0]) | st.floats(1.0, 4.0),
+    max_depth=st.none() | st.integers(1, 4),
+    generality_threshold=st.integers(0, 3),
+    similarity_threshold=st.none() | st.floats(-1.0, 1.0))
+
+
+class TestReferenceAgreement:
+    @settings(max_examples=400, derandomize=True, database=None)
+    @given(_TRIPLES, st.booleans(), st.sets(st.sampled_from(_NAMES + ["rising", "x"]),
+                                            min_size=1, max_size=4),
+           _CONFIGS, st.sets(st.sampled_from(_WORDS)), st.integers(0, 2**32 - 1))
+    @example([("sun", "causes", "sun", False, True), ("causes", "causes", "light", False, True),
+              ("light", "is_a", "inv_causes", False, True)], True, {"sun"},
+             SineConfig(tolerance=1.0, max_depth=None), set(), 0)
+    def test_integer_index_selects_like_reference(self, rows, inverse, goals, cfg,
+                                                  words, seed):
+        rng = np.random.default_rng(seed)
+        table = EmbeddingTable(3, {w: rng.normal(size=3) for w in sorted(words)})
+        triples = [Triple(s, r, o, negated=neg) for s, r, o, neg, _ in rows]
+        kept = np.array([k for k, row in enumerate(rows) if row[4]], dtype=np.intp)
+
+        columns = TripleColumns(triples, table, inverse=inverse)
+        tids = kept[~columns.negated[kept]]
+        idx = build_index(columns.axiom_rows(tids), columns.symbols)
+        if cfg.similarity_threshold is None:
+            positions = sine_select(idx, goals, cfg)
+        else:
+            positions = similarity_sine_select(idx, goals, cfg)
+
+        axioms = {}
+        for tid in tids.tolist():
+            axioms[f"t{tid + 1}"] = symbols(translate_existential(triples[tid]))
+            if inverse:
+                axioms[f"t{tid + 1}_inv"] = symbols(translate_inverse(triples[tid]))
+        assert len(idx) == len(axioms)
+        assert picked(axioms, positions) == \
+            reference_sine_select(axioms, goals, cfg, table, OovPolicy())
 
 
 class TestTriplePrefilter:
@@ -182,9 +277,11 @@ class TestTriplePrefilter:
     def triples(self):
         return [Triple("sun", "is_a", "star"), Triple("sun", "causes", "light")]
 
+    def prefilter(self, triples, table=None):
+        return Prefilter(TripleColumns(triples, table or self.table()))
+
     def kept(self, triples, words, theta, table=None):
-        prefilter = Prefilter(triples, table or self.table())
-        return [triples[i] for i in prefilter.apply_indices(words, theta)]
+        return [triples[i] for i in self.prefilter(triples, table).apply_indices(words, theta)]
 
     def test_star_rejected_light_kept(self):
         words = ["shadow", "grass", "sun", "rising", "cut"]
@@ -220,9 +317,15 @@ class TestTriplePrefilter:
         assert self.kept(triples, ["sun"], 0.1) == []
         assert self.kept(triples, ["sun"], 0.0) == triples
 
+    def test_error_policy_needs_object_vectors_only(self):
+        policy = OovPolicy(mode="error")
+        Prefilter(TripleColumns([Triple("mystery", "is_a", "sun")], self.table(), policy))
+        with pytest.raises(WordNotFound):
+            Prefilter(TripleColumns([Triple("sun", "is_a", "mystery")], self.table(), policy))
+
     def test_empty_words_rejected(self):
         with pytest.raises(EmptyGoal):
-            Prefilter(self.triples(), self.table()).apply_indices([], 0.5)
+            self.prefilter(self.triples()).apply_indices([], 0.5)
 
     def test_matches_per_triple_loop(self):
         # reference: each triple's own object cosine against every word
@@ -238,8 +341,15 @@ class TestTriplePrefilter:
                 if max(cosine(table.vector(t.object, OovPolicy()),
                               table.vector(w, OovPolicy())) for w in words)
                 >= theta]
-            got = Prefilter(triples, table).apply_indices(words, theta)
-            assert got == expected
+            got = self.prefilter(triples, table).apply_indices(words, theta)
+            assert got.tolist() == expected
 
     def test_empty_graph_keeps_nothing(self):
-        assert Prefilter([], self.table()).apply_indices(["sun"], -1.0) == []
+        assert self.prefilter([]).apply_indices(["sun"], -1.0).tolist() == []
+
+    def test_objects_are_the_first_symbols(self):
+        columns = TripleColumns([Triple("a", "r", "b"), Triple("b", "r", "c")],
+                                self.table(), inverse=True)
+        names = list(columns.symbols.ids)
+        assert names[:columns.n_objects] == ["b", "c"]
+        assert set(names) == {"a", "b", "c", "r", "inv_r"}
