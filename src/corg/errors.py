@@ -16,6 +16,10 @@ class MalformedLine(CorgError):
         self.reason = reason
 
 
+class CorruptArchive(CorgError):
+    """A ``.gz`` dump that is not gzip data or does not decompress."""
+
+
 class NoTriplesLoaded(CorgError):
     """Every line of a dump was skipped; the filter or the file is wrong."""
 
@@ -87,6 +91,16 @@ class MissingField(CorgError):
         super().__init__(f"item {item_id}: missing {field}")
         self.item_id = item_id
         self.field = field
+
+
+class InvalidField(CorgError):
+    """A COPA item attribute holds a value the format does not allow."""
+
+    def __init__(self, item_id: str, field: str, value: str, reason: str):
+        super().__init__(f"item {item_id}: {field} {value!r} {reason}")
+        self.item_id = item_id
+        self.field = field
+        self.value = value
 
 
 class MissingFormula(CorgError):

@@ -226,17 +226,20 @@ def translate_factual(t: Triple) -> Formula:
                 (Constant(t.subject), Constant(t.object)))
 
 
+# The variables of every rule translation, shared by all of them.
+_X, _Y = Variable("X"), Variable("Y")
+
+
 def translate_existential(t: Triple) -> Formula:
     """Triple as a rule: anything that is a subject relates to some object.
 
     (s, p, o) becomes  ! [X] : (s(X) => ? [Y] : (p(X,Y) & o(Y))).
     """
     _check_translatable(t)
-    x, y = Variable("X"), Variable("Y")
     return Forall("X", Implies(
-        Atom(t.subject, (x,)),
-        Exists("Y", And((Atom(relation_predicate(t.relation), (x, y)),
-                         Atom(t.object, (y,)))))))
+        Atom(t.subject, (_X,)),
+        Exists("Y", And((Atom(relation_predicate(t.relation), (_X, _Y)),
+                         Atom(t.object, (_Y,)))))))
 
 
 def translate_inverse(t: Triple) -> Formula:
@@ -246,11 +249,10 @@ def translate_inverse(t: Triple) -> Formula:
     so chains can follow edges against their stored direction.
     """
     _check_translatable(t)
-    x, y = Variable("X"), Variable("Y")
     pred = INVERSE_PREFIX + relation_predicate(t.relation)
     return Forall("X", Implies(
-        Atom(t.object, (x,)),
-        Exists("Y", And((Atom(pred, (x, y)), Atom(t.subject, (y,)))))))
+        Atom(t.object, (_X,)),
+        Exists("Y", And((Atom(pred, (_X, _Y)), Atom(t.subject, (_Y,)))))))
 
 
 # ----------------------------------------------------------- clausification
@@ -383,7 +385,52 @@ def clausify(f: Formula, axiom_id: str) -> list[Clause]:
     Deterministic: identical (axiom_id, formula) inputs give identical
     clause lists, byte for byte once emitted.  Raises UnsupportedFragment
     for free variables or shapes whose CNF would explode.
+
+    The rule shape of the existential and inverse triple translations,
+    ``! [X] : (a(X) => ? [Y] : (b(X,Y) & c(Y)))`` with X and Y distinct,
+    is built directly as ``a(X) -> b(X, sk(X))`` and ``a(X) -> c(sk(X))``,
+    sharing the formula's ``a(X)``: the pipeline clausifies every axiom a
+    text selects, and the generic passes rebuild each such formula four
+    times over to reach the same two clauses.  The direct clauses equal
+    the generic passes' clauses, and the generic passes handle every other
+    formula.
     """
+    clauses = _triple_clauses(f, axiom_id)
+    if clauses is None:
+        clauses = _clausify_generic(f, axiom_id)
+    return clauses
+
+
+def _triple_clauses(f: Formula, axiom_id: str) -> list[Clause] | None:
+    """The clauses of the triple-rule shape, or None for other shapes."""
+    # ! [X] : (a(X) => ? [Y] : (b(X,Y) & c(Y))) with X and Y distinct
+    if type(f) is not Forall or type(f.body) is not Implies:
+        return None
+    antecedent, exists = f.body.left, f.body.right
+    if type(antecedent) is not Atom or type(exists) is not Exists \
+            or type(exists.body) is not And or len(exists.body.operands) != 2 \
+            or exists.var == f.var:
+        return None
+    edge, target = exists.body.operands
+    if type(edge) is not Atom or type(target) is not Atom or len(antecedent.args) != 1 \
+            or len(edge.args) != 2 or len(target.args) != 1:
+        return None
+    (x,), (x_edge, y_edge), (y,) = antecedent.args, edge.args, target.args
+    if not (_is_variable(x, f.var) and _is_variable(x_edge, f.var)
+            and _is_variable(y_edge, exists.var) and _is_variable(y, exists.var)):
+        return None
+    sk = Function(f"sk_{axiom_id}_0", antecedent.args)
+    body = (antecedent,)
+    return [Clause(body, (Atom(edge.predicate, (x, sk)),), axiom_id),
+            Clause(body, (Atom(target.predicate, (sk,)),), axiom_id)]
+
+
+def _is_variable(t: Term, name: str) -> bool:
+    return type(t) is Variable and t.name == name
+
+
+def _clausify_generic(f: Formula, axiom_id: str) -> list[Clause]:
+    """Closedness check, arrow elimination, NNF, Skolemization and CNF."""
     if not is_closed(f):
         raise UnsupportedFragment(f"formula has free variables: {sorted(free_variables(f))}")
     matrix = _skolemize(_nnf(_eliminate_arrows(f)), {}, (), axiom_id,

@@ -20,12 +20,13 @@ from __future__ import annotations
 import gzip
 import json
 import re
+import zlib
 from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
 from typing import Iterable, Iterator
 
-from .errors import MalformedLine, NoTriplesLoaded
+from .errors import CorruptArchive, MalformedLine, NoTriplesLoaded
 
 _CAMEL_BOUNDARY = re.compile(r"(?<=[a-z0-9])(?=[A-Z])|(?<=[A-Z])(?=[A-Z][a-z])")
 
@@ -220,11 +221,18 @@ def parse_plain_line(line: str, line_no: int = 0) -> Triple:
 
 
 def _open_text(path) -> Iterator[str]:
-    """Lines of a UTF-8 text file; undecodable bytes become lone surrogates."""
+    """Lines of a UTF-8 text file; undecodable bytes become lone surrogates.
+
+    A ``.gz`` file that is not gzip data, is cut short or is corrupt raises
+    CorruptArchive.
+    """
     path = Path(path)
     opener = gzip.open if path.suffix == ".gz" else open
-    with opener(path, "rt", encoding="utf-8", errors="surrogateescape") as fh:
-        yield from fh
+    try:
+        with opener(path, "rt", encoding="utf-8", errors="surrogateescape") as fh:
+            yield from fh
+    except (gzip.BadGzipFile, EOFError, zlib.error) as e:
+        raise CorruptArchive(f"{path}: {e}") from e
 
 
 def _is_utf8(line: str) -> bool:
@@ -241,8 +249,9 @@ def load_graph(path, relation_filter: RelationFilter | None = None) -> Knowledge
 
     Malformed lines, invalid UTF-8 among them, are counted, never fatal.
     Raises NoTriplesLoaded when nothing survives the filter (wrong filter
-    or wrong file), and OSError for unreadable paths.  Load statistics end
-    up on ``graph.stats``.
+    or wrong file), CorruptArchive for a ``.gz`` file that does not
+    decompress, and OSError for unreadable paths.  Load statistics end up
+    on ``graph.stats``.
     """
     flt = relation_filter or RelationFilter()
     g = KnowledgeGraph()

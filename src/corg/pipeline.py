@@ -38,8 +38,8 @@ import numpy as np
 
 from . import fol
 from .embeddings import EmbeddingTable, OovPolicy
-from .errors import (CorgError, MissingField, MissingFormula, StageError,
-                     UnsupportedFragment, XmlError)
+from .errors import (CorgError, InvalidField, MissingField, MissingFormula,
+                     StageError, UnsupportedFragment, XmlError)
 from .fol import Atom, Clause, Constant, Formula
 from .kg import KnowledgeGraph
 from .model import (BuilderConfig, ExtractionConfig, PartialModel,
@@ -69,19 +69,32 @@ class CopaProblem:
 
 
 def parse_copa_xml(path) -> list[CopaProblem]:
-    """Read COPA XML items into problems; gold label is optional per item."""
+    """Read COPA XML items into problems; gold label is optional per item.
+
+    Raises XmlError for text that is not XML, MissingField for an absent
+    id, asks-for, premise or alternative, and InvalidField for an id or
+    gold label that is not an integer, a repeated id, an asks-for other
+    than cause or effect, and a gold label outside 1..n.
+    """
     try:
         root = ET.parse(path).getroot()
     except ET.ParseError as e:
         raise XmlError(f"{path}: {e}") from e
     problems = []
+    seen_ids: set[int] = set()
     for item in root.iter("item"):
         item_id = item.get("id")
         if item_id is None:
             raise MissingField("?", "id")
+        problem_id = _int_field(item_id, "id", item_id)
+        if problem_id in seen_ids:
+            raise InvalidField(item_id, "id", item_id, "repeats an earlier item's id")
+        seen_ids.add(problem_id)
         asks_for = item.get("asks-for")
         if asks_for is None:
             raise MissingField(item_id, "asks-for")
+        if asks_for not in ("cause", "effect"):
+            raise InvalidField(item_id, "asks-for", asks_for, "is not cause or effect")
         premise = item.findtext("p")
         if premise is None:
             raise MissingField(item_id, "p")
@@ -93,15 +106,28 @@ def parse_copa_xml(path) -> list[CopaProblem]:
             alternatives.append(text.strip())
         if len(alternatives) < 2:
             raise MissingField(item_id, "a1/a2")
-        gold = item.get("most-plausible-alternative")
+        gold_attr = item.get("most-plausible-alternative")
+        gold = None
+        if gold_attr is not None:
+            gold = _int_field(item_id, "most-plausible-alternative", gold_attr)
+            if not 1 <= gold <= len(alternatives):
+                raise InvalidField(item_id, "most-plausible-alternative", gold_attr,
+                                   f"is not between 1 and {len(alternatives)}")
         problems.append(CopaProblem(
-            id=int(item_id),
+            id=problem_id,
             premise=premise.strip(),
             question=asks_for,
             alternatives=alternatives,
-            gold=int(gold) if gold is not None else None,
+            gold=gold,
         ))
     return problems
+
+
+def _int_field(item_id: str, field: str, value: str) -> int:
+    try:
+        return int(value)
+    except ValueError:
+        raise InvalidField(item_id, field, value, "is not an integer") from None
 
 
 # ------------------------------------------------------------------- text

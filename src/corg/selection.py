@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -177,6 +178,18 @@ class AxiomIndex:
     def __len__(self) -> int:
         return len(self.rows)
 
+    @cached_property
+    def indexed(self) -> np.ndarray:
+        """Ids of the symbols that occur in some axiom, ascending."""
+        return np.flatnonzero(self.occ)
+
+    @cached_property
+    def indexed_unit(self) -> np.ndarray:
+        """The unit rows of ``indexed``, gathered on first use; raises
+        WordNotFound (on every use) if one of those symbols has no vector."""
+        self.symbols.require_vectors(self.indexed)
+        return self.symbols.unit[self.indexed]
+
 
 _NO_OCC = np.iinfo(np.int64).max  # min_occ of an axiom without symbols
 
@@ -241,17 +254,18 @@ def similarity_sine_select(idx: AxiomIndex, goal_symbols: Iterable[str],
 
     Every indexed symbol whose cosine to some goal symbol reaches
     ``cfg.similarity_threshold`` joins the seed before triggering starts.
+    The indexed symbols' unit rows are gathered once per index, by the
+    first call that needs them.
     """
     goals = set(goal_symbols)
     if not goals:
         raise EmptyGoal("selection needs at least one goal symbol")
     syms = idx.symbols
     seed = syms.mask(goals)
-    candidates = np.flatnonzero(idx.occ)
+    candidates = idx.indexed
     if cfg.similarity_threshold is not None and candidates.size:
         goal_mat = _unit_rows(np.stack([syms.vector(g) for g in sorted(goals)]))
-        syms.require_vectors(candidates)
-        best = (syms.unit[candidates] @ goal_mat.T).max(axis=1)
+        best = (idx.indexed_unit @ goal_mat.T).max(axis=1)
         seed[candidates[best >= cfg.similarity_threshold]] = True
     return _closure(idx, seed, cfg)
 

@@ -3,7 +3,7 @@
 Nothing here may call into the code paths under test: the model oracle is a
 naive least-fixpoint evaluator over its own tuple representation, the
 reference chainer is a direct semi-naive chainer over the AST objects, the
-selection oracle is a plain reachability walk, and the worked-problem
+selection and hop oracles are plain reachability walks, and the worked-problem
 oracle recomputes the expected scores with stdlib math from hand-derived
 symbol sequences.
 """
@@ -262,6 +262,17 @@ def reachable_closure(axiom_symbols: dict, goals) -> set:
                 reached |= syms
                 changed = True
     return selected
+
+
+def reachable_within(edges, start, hops: int) -> set:
+    """Nodes reachable from ``start`` along at most ``hops`` directed
+    (source, target) edges, the start nodes included."""
+    reached = set(start)
+    frontier = set(start)
+    for _ in range(hops):
+        frontier = {target for source, target in edges if source in frontier} - reached
+        reached |= frontier
+    return reached
 
 
 def reference_sine_select(axioms: dict, goals, cfg, table=None, policy=None) -> list:

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from corg import Triple
+from corg import Triple, fol
 from corg.embeddings import EmbeddingTable
 from corg.errors import NegatedUnsupported, ParseError, UnsupportedFragment
 from corg.fol import (MAX_NESTING, And, Atom, Clause, Constant, Exists, Forall,
@@ -175,6 +175,98 @@ class TestClausify:
         assert len(clauses) == 2
         assert not clauses[0].is_horn() or clauses[0].is_horn()  # both shapes legal
         assert {len(c.negatives) for c in clauses} == {1}
+
+
+_SHAPE_CONCEPTS = st.sampled_from(["sun", "light", "X", "Y", "x", "sk_t1_0", "inv_causes"]) \
+    | st.from_regex(r"[a-zA-Z][a-zA-Z0-9_]{0,8}", fullmatch=True)
+_AXIOM_IDS = st.sampled_from(["t1", "t12_inv", "q", "q3", ""]) \
+    | st.from_regex(r"t[1-9][0-9]{0,5}(_inv)?", fullmatch=True) | st.text(max_size=6)
+_TRANSLATORS = [translate_factual, translate_existential, translate_inverse]
+
+
+def _rule(var_x, var_y, antecedent_args, edge_args, target_args, extra=()):
+    """``! [var_x] : (a(..) => ? [var_y] : (b(..) & c(..) & extra))``."""
+    return Forall(var_x, Implies(
+        Atom("a", antecedent_args),
+        Exists(var_y, And((Atom("b", edge_args), Atom("c", target_args)) + extra))))
+
+
+A, B = Variable("A"), Variable("B")
+# Formulas one step away from the rule shape, each differing in one place.
+_NEAR_MISSES = {
+    "exists-var-is-forall-var": _rule("X", "X", (X,), (X, X), (X,)),
+    "exists-var-is-forall-var-free-y": _rule("X", "X", (X,), (X, Y), (Y,)),
+    "extra-conjunct": _rule("X", "Y", (X,), (X, Y), (Y,), (Atom("d", (Y,)),)),
+    "constant-in-antecedent": _rule("X", "Y", (Constant("X"),), (X, Y), (Y,)),
+    "constant-for-edge-x": _rule("X", "Y", (X,), (Constant("X"), Y), (Y,)),
+    "constant-for-edge-y": _rule("X", "Y", (X,), (X, Constant("Y")), (Y,)),
+    "constant-in-target": _rule("X", "Y", (X,), (X, Y), (Constant("Y"),)),
+    "term-for-edge-y": _rule("X", "Y", (X,), (X, Function("f", (Y,))), (Y,)),
+    "swapped-edge-args": _rule("X", "Y", (X,), (Y, X), (Y,)),
+    "target-over-x": _rule("X", "Y", (X,), (X, Y), (X,)),
+    "antecedent-over-y": _rule("X", "Y", (Y,), (X, Y), (Y,)),
+    "binary-antecedent": _rule("X", "Y", (X, X), (X, Y), (Y,)),
+    "ternary-edge": _rule("X", "Y", (X,), (X, Y, Y), (Y,)),
+    "nullary-target": _rule("X", "Y", (X,), (X, Y), ()),
+    "free-variable": _rule("X", "Y", (X,), (X, A), (Y,)),
+    "conjuncts-swapped": Forall("X", Implies(Atom("a", (X,)), Exists("Y", And((
+        Atom("c", (Y,)), Atom("b", (X, Y))))))),
+    "inner-forall": Forall("X", Implies(Atom("a", (X,)), Forall("Y", And((
+        Atom("b", (X, Y)), Atom("c", (Y,))))))),
+    "or-for-implies": Forall("X", Or((Atom("a", (X,)), Exists("Y", And((
+        Atom("b", (X, Y)), Atom("c", (Y,)))))))),
+    "outer-exists": Exists("X", Implies(Atom("a", (X,)), Exists("Y", And((
+        Atom("b", (X, Y)), Atom("c", (Y,))))))),
+    "negated-antecedent": Forall("X", Implies(Not(Atom("a", (X,))), Exists("Y", And((
+        Atom("b", (X, Y)), Atom("c", (Y,))))))),
+}
+
+
+def _outcome(clausifier, f, aid):
+    try:
+        return clausifier(f, aid)
+    except UnsupportedFragment as e:
+        return str(e)
+
+
+class TestDirectClausify:
+    """``clausify`` builds the rule shape directly; every formula gets exactly
+    the clauses of the generic passes."""
+
+    @settings(max_examples=300, derandomize=True, database=None)
+    @given(_SHAPE_CONCEPTS, _RELATIONS, _SHAPE_CONCEPTS, st.sampled_from(_TRANSLATORS),
+           _AXIOM_IDS, st.booleans())
+    @example("a", "r", "a", translate_existential, "t1", False)
+    @example("X", "at_location", "Y", translate_inverse, "t7_inv", False)
+    @example("Y", "causes", "X", translate_factual, "q", True)
+    def test_translations_equal_generic_passes(self, s, r, o, translate, aid, self_loop):
+        t = Triple(s, r, s if self_loop else o)
+        f = translate(t)
+        generic = fol._clausify_generic(f, aid)
+        assert clausify(f, aid) == generic
+        if translate is not translate_factual:
+            assert fol._triple_clauses(f, aid) == generic
+
+    def test_rule_clauses_share_the_antecedent(self):
+        f = translate_inverse(Triple("sun", "causes", "light"))
+        first, second = clausify(f, "t1_inv")
+        antecedent = f.body.left
+        assert first.negatives[0] is antecedent and second.negatives[0] is antecedent
+        assert first.positives[0].args[1].args is antecedent.args
+
+    def test_other_variable_names_match(self):
+        f = parse_fol("! [A] : (p(A) => ? [B] : (q(A,B) & r(B)))")
+        assert fol._triple_clauses(f, "q") == fol._clausify_generic(f, "q") == [
+            Clause((unary("p", A),), (Atom("q", (A, Function("sk_q_0", (A,)))),), "q"),
+            Clause((unary("p", A),), (unary("r", Function("sk_q_0", (A,))),), "q"),
+        ]
+
+    @pytest.mark.parametrize("name", _NEAR_MISSES)
+    @pytest.mark.parametrize("aid", ["t3", "q"])
+    def test_near_misses_take_the_generic_path(self, name, aid):
+        f = _NEAR_MISSES[name]
+        assert fol._triple_clauses(f, aid) is None
+        assert _outcome(clausify, f, aid) == _outcome(fol._clausify_generic, f, aid)
 
 
 class TestParse:

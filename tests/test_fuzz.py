@@ -5,7 +5,9 @@ format's own tokens, so that generated inputs also reach past the first
 syntax check.
 """
 
+import gzip
 import json
+import xml.etree.ElementTree as ET
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -13,7 +15,9 @@ from hypothesis import strategies as st
 from corg.embeddings import EmbeddingTable, load_table
 from corg.errors import CorgError
 from corg.fol import parse_fol, parse_tptp
-from corg.kg import Skip, Triple, parse_assertion_line, parse_plain_line
+from corg.kg import (Skip, Triple, load_graph, parse_assertion_line,
+                     parse_plain_line)
+from corg.pipeline import parse_copa_xml
 
 
 def texts(*fragments: str):
@@ -45,6 +49,43 @@ _FORMULA = texts("!", "?", "[", "]", ":", "(", ")", "~", "&", "|", "=>", "<=>",
                  "f", "a", "fof", "cnf", "axiom", "$true")
 _TABLE = texts("\n", " ", "\t", "\r", "0", "1", "2", "-", ".", "e", "e999", "nan",
                "inf", "sun", "Sun", "3 2", "2 1")
+
+# whole dumps: the two line formats, comments and raw bytes mixed line by line
+_DUMP_LINE = (_TOKENS | _PLAIN | _ASSERTION
+              | st.sampled_from(["", "# note", "\r", "sun\tCauses\tlight"])
+              ).map(str.encode) | st.binary(max_size=12)
+_DUMP = st.binary() | st.lists(_DUMP_LINE, max_size=12).map(b"\n".join)
+
+
+def _copa_document(items) -> str:
+    root = ET.Element("copa-corpus")
+    for attrs, children in items:
+        item = ET.SubElement(root, "item", attrs)
+        for tag, text in children:
+            ET.SubElement(item, tag).text = text
+    return ET.tostring(root, encoding="unicode")
+
+
+_NUMBER = st.sampled_from(["1", "2", "3", "0", "-1", " 2 ", "+1", "1.0", "", "x"]) \
+    | st.integers().map(str) | st.text(max_size=4)
+_ASKS_FOR = st.sampled_from(["cause", "effect", "Cause", ""]) | st.text(max_size=6)
+# mostly complete items, so that generated values reach past the presence checks
+_COPA_ATTRS = st.tuples(
+    st.fixed_dictionaries({"id": _NUMBER, "asks-for": _ASKS_FOR},
+                          optional={"most-plausible-alternative": _NUMBER})
+    | st.fixed_dictionaries({}, optional={"id": _NUMBER, "asks-for": _ASKS_FOR}),
+    st.dictionaries(st.from_regex(r"[a-z][a-z-]{0,8}", fullmatch=True),
+                    st.text(max_size=4), max_size=2),
+).map(lambda pair: {**pair[1], **pair[0]})
+_COPA_CHILDREN = st.tuples(
+    st.sampled_from([["p", "a1", "a2"], ["p", "a1", "a2", "a3"], ["a1", "a2"], ["p", "a2"]]),
+    st.lists(st.sampled_from(["p", "a1", "a3", "a5", "x"]), max_size=2),
+    st.lists(st.text(max_size=8), min_size=6, max_size=6),
+).map(lambda parts: list(zip(parts[0] + parts[1], parts[2])))
+_COPA = st.lists(st.tuples(_COPA_ATTRS, _COPA_CHILDREN), max_size=4).map(_copa_document) \
+    | texts("<copa-corpus>", "</copa-corpus>", "<item", ">", "</item>", ' id="1"',
+            ' id="2"', ' asks-for="cause"', ' most-plausible-alternative="2"',
+            "<p>", "</p>", "<a1>", "</a1>", "<a2>", "</a2>", "&", "<", " ")
 
 _SETTINGS = settings(max_examples=300, derandomize=True, database=None, deadline=None)
 
@@ -94,3 +135,38 @@ def test_load_table(tmp_path_factory, text):
         assert isinstance(load_table(path), EmbeddingTable)
     except CorgError:
         pass
+
+
+@_SETTINGS
+@given(_DUMP, st.sampled_from(["plain", "gzip", "cut gzip", "raw .gz"]))
+def test_load_graph(tmp_path_factory, data, form):
+    directory = tmp_path_factory.mktemp("dump")
+    if form == "plain":
+        path = directory / "dump.tsv"
+    else:
+        path = directory / "dump.tsv.gz"
+        if form != "raw .gz":
+            data = gzip.compress(data)
+        if form == "cut gzip":
+            data = data[:len(data) // 2]
+    path.write_bytes(data)
+    try:
+        graph = load_graph(path)
+    except CorgError:
+        return
+    assert len(graph) == graph.stats.kept > 0
+
+
+@_SETTINGS
+@given(_COPA)
+def test_parse_copa_xml(tmp_path_factory, document):
+    path = tmp_path_factory.mktemp("copa") / "problems.xml"
+    path.write_text(document, "utf-8")
+    try:
+        problems = parse_copa_xml(path)
+    except CorgError:
+        return
+    assert len({p.id for p in problems}) == len(problems)
+    for p in problems:
+        assert p.question in ("cause", "effect")
+        assert p.gold is None or 1 <= p.gold <= len(p.alternatives)

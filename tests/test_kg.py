@@ -6,7 +6,7 @@ import pytest
 from corg import (KnowledgeGraph, RelationFilter, Skip, Triple,
                   default_relation_whitelist, load_graph, normalize_relation,
                   parse_assertion_line, parse_plain_line)
-from corg.errors import MalformedLine, NoTriplesLoaded
+from corg.errors import CorruptArchive, MalformedLine, NoTriplesLoaded
 
 EN = frozenset({"en"})
 
@@ -193,6 +193,20 @@ class TestLoadGraph:
         with gzip.open(path, "wt", encoding="utf-8") as fh:
             fh.write("sun\tCauses\tlight\n")
         assert len(load_graph(path)) == 1
+
+    @pytest.mark.parametrize("damage", ["not gzip", "cut short", "corrupt"])
+    def test_damaged_gzip_is_corrupt_archive(self, tmp_path, damage):
+        data = bytearray(gzip.compress(b"sun\tCauses\tlight\n" * 100))
+        if damage == "not gzip":
+            data = bytearray(b"sun\tCauses\tlight\n")
+        elif damage == "cut short":
+            data = data[:len(data) // 2]
+        else:
+            data[12:16] = b"\xff\x00\xff\x00"
+        path = tmp_path / "dump.tsv.gz"
+        path.write_bytes(bytes(data))
+        with pytest.raises(CorruptArchive, match="dump.tsv.gz"):
+            load_graph(path)
 
     def test_empty_whitelist_rejected(self):
         with pytest.raises(ValueError):

@@ -1,20 +1,25 @@
 import json
 from dataclasses import replace
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import corg
-from corg import KnowledgeGraph, pipeline
+from corg import EmbeddingTable, KnowledgeGraph, Triple, pipeline
 from corg.cli import main
 from corg.errors import (MissingField, MissingFormula, ParseError, StageError,
                          XmlError)
 from corg.fol import (Atom, Constant, parse_tptp, translate_existential,
                       translate_inverse)
+from corg.model import BuilderConfig
 from corg.pipeline import (CopaProblem, Pipeline, PipelineConfig,
                            content_words, export_tptp, parse_copa_xml,
                            text_to_facts)
+from corg.selection import SineConfig
 from conftest import COPA_XML
-from oracles import copa1_expected
+from oracles import copa1_expected, reachable_within
 
 
 def c0(pred):
@@ -205,6 +210,51 @@ class TestRunProblem:
     def test_unlabeled_has_no_correctness(self, fig_graph, fig_table, copa1):
         result = Pipeline(fig_graph, fig_table).run_problem(replace(copa1, gold=None))
         assert result.correct is None
+
+
+# Concepts that are content words; "causes" is also a relation predicate.
+_CONCEPTS = ["sun", "light", "shadow", "grass", "ground", "rain", "wet", "causes"]
+_TEXT = st.lists(st.sampled_from(_CONCEPTS), max_size=3).map(" ".join)
+
+
+class TestReachabilityOracle:
+    """With budgets that never cut, a text's model is the graph walk it stands for.
+
+    In bag-of-words mode each content word w is the fact w(c0), and each
+    selected axiom of edge (s, o) (read o -> s for an inverse axiom) turns
+    s(t) into o(sk(t)), one term level deeper.  So at term depth d the
+    model's unary predicates are the concepts within d - 1 hops of the
+    text's words over the selected edges.
+    """
+
+    @settings(max_examples=150, derandomize=True, database=None, deadline=None)
+    @given(st.lists(st.tuples(st.sampled_from(_CONCEPTS),
+                              st.sampled_from(["causes", "at_location", "is_a"]),
+                              st.sampled_from(_CONCEPTS), st.booleans()), max_size=10),
+           st.booleans(), st.integers(1, 4), st.sampled_from([1.0, 1.5, 1e9]),
+           st.none() | st.integers(1, 3), st.lists(_TEXT, min_size=3, max_size=3))
+    def test_unary_predicates_are_hop_reachable(self, rows, inverse, depth, tolerance,
+                                                sine_depth, texts):
+        graph = KnowledgeGraph()
+        for s, r, o, negated in rows:
+            graph.add(Triple(s, r, o, negated=negated))
+        rng = np.random.default_rng(len(rows))
+        table = EmbeddingTable(4, {w: rng.normal(size=4) for w in _CONCEPTS})
+        config = PipelineConfig(
+            include_inverse=inverse, prefilter_theta=-1.0,
+            sine=SineConfig(tolerance=tolerance, max_depth=sine_depth),
+            builder=BuilderConfig(max_term_depth=depth, max_atoms=1_000_000))
+        problem = CopaProblem(1, texts[0], "cause", texts[1:])
+        for text in Pipeline(graph, table, config).run_problem(problem).texts:
+            assert not {"atoms", "rounds"} & set(text.model.cut_by)
+            edges = []
+            for aid in text.selected:
+                t = graph.triples[int(aid[1:].removesuffix("_inv")) - 1]
+                edges.append((t.object, t.subject) if aid.endswith("_inv")
+                             else (t.subject, t.object))
+            words = {fact.predicate for fact in text.facts}
+            assert {a.predicate for a in text.model.atoms if len(a.args) == 1} == \
+                reachable_within(edges, words, depth - 1)
 
 
 class TestEvaluate:
@@ -453,6 +503,27 @@ class TestCli:
         assert "Traceback" not in err
         assert err.strip().splitlines()[-1] == \
             "corg: error: relation whitelist enabled but empty"
+
+    @pytest.mark.parametrize("old, new, message", [
+        ('id="1"', 'id="one"', "item one: id 'one' is not an integer"),
+        ('asks-for="cause"', 'asks-for="why"',
+         "item 1: asks-for 'why' is not cause or effect"),
+        ('most-plausible-alternative="1"', 'most-plausible-alternative="first"',
+         "item 1: most-plausible-alternative 'first' is not an integer"),
+        ('most-plausible-alternative="1"', 'most-plausible-alternative="3"',
+         "item 1: most-plausible-alternative '3' is not between 1 and 2"),
+        ("</item>", "</item>\n<item id=\"1\" asks-for=\"effect\"><p>P.</p>"
+         "<a1>A.</a1><a2>B.</a2></item>",
+         "item 1: id '1' repeats an earlier item's id"),
+    ])
+    def test_bad_copa_item_exits_1(self, fig_graph_path, fig_table_path, tmp_path,
+                                   capsys, old, new, message):
+        copa = tmp_path / "bad.xml"
+        copa.write_text(COPA_XML.replace(old, new), "utf-8")
+        code, out, err = self.run_cli(
+            capsys, "run", "--copa", str(copa), "--kg", str(fig_graph_path),
+            "--embeddings", str(fig_table_path))
+        assert (code, out, err) == (1, "", f"error: {message}\n")
 
     def test_missing_relations_file_exits_1(self, capsys):
         code, _, err = self.run_cli(

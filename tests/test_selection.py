@@ -209,8 +209,29 @@ class TestSimilaritySine:
         table = SymbolTable({"sun": 0, "warm": 1}, self.table(), OovPolicy(mode="error"))
         idx = build_index(np.array([[0, 1]], np.int32), table)
         assert sine_select(idx, {"sun"}).tolist() == [0]
-        with pytest.raises(WordNotFound):
-            similarity_sine_select(idx, {"sun"}, SineConfig(similarity_threshold=0.5))
+        for _ in range(2):  # a failed gather is not cached
+            with pytest.raises(WordNotFound):
+                similarity_sine_select(idx, {"sun"}, SineConfig(similarity_threshold=0.5))
+
+    def test_rows_gathered_once_per_index(self, monkeypatch):
+        calls = []
+        require = SymbolTable.require_vectors
+
+        def counted(self, ids):
+            calls.append(ids)
+            return require(self, ids)
+
+        monkeypatch.setattr(SymbolTable, "require_vectors", counted)
+        axioms = self.axioms()
+        idx = index_of(axioms, self.table())
+        cfg = SineConfig(tolerance=1, max_depth=1, similarity_threshold=0.8)
+        for goals, expected in [({"sun"}, ["a1", "a2"]), ({"rain"}, ["a3"]),
+                                ({"sun"}, ["a1", "a2"])]:
+            assert picked(axioms, similarity_sine_select(idx, goals, cfg)) == expected
+        assert len(calls) == 1
+        assert similarity_sine_select(index_of(axioms, self.table()), {"rain"},
+                                      cfg).tolist() == [2]
+        assert len(calls) == 2  # a new index gathers its own rows
 
 
 # A small graph whose concept names collide with predicates and inv_
@@ -250,10 +271,7 @@ class TestReferenceAgreement:
         columns = TripleColumns(triples, table, inverse=inverse)
         tids = kept[~columns.negated[kept]]
         idx = build_index(columns.axiom_rows(tids), columns.symbols)
-        if cfg.similarity_threshold is None:
-            positions = sine_select(idx, goals, cfg)
-        else:
-            positions = similarity_sine_select(idx, goals, cfg)
+        select = sine_select if cfg.similarity_threshold is None else similarity_sine_select
 
         axioms = {}
         for tid in tids.tolist():
@@ -261,8 +279,10 @@ class TestReferenceAgreement:
             if inverse:
                 axioms[f"t{tid + 1}_inv"] = symbols(translate_inverse(triples[tid]))
         assert len(idx) == len(axioms)
-        assert picked(axioms, positions) == \
-            reference_sine_select(axioms, goals, cfg, table, OovPolicy())
+        # a second goal set on the same index reuses what the first call cached
+        for g in (goals, goals | {"rising"}):
+            assert picked(axioms, select(idx, g, cfg)) == \
+                reference_sine_select(axioms, g, cfg, table, OovPolicy())
 
 
 class TestTriplePrefilter:
