@@ -8,7 +8,7 @@ embeddings.  Everything is deterministic.
 
 __version__ = "0.1.0"
 
-from .embeddings import EmbeddingTable, OovPolicy, cosine, load_table, split_identifier
+from .embeddings import EmbeddingTable, cosine, load_table, split_identifier
 from .errors import CorgError
 from .fol import (AnnotatedFormula, And, Atom, Clause, Constant, Exists,
                   Forall, Formula, Function, Iff, Implies, Not, Or, Term,
@@ -20,21 +20,21 @@ from .kg import (KnowledgeGraph, RelationFilter, Skip, Triple,
                  default_relation_whitelist, load_graph,
                  load_relation_whitelist, normalize_concept,
                  normalize_relation, parse_assertion_line, parse_plain_line)
-from .model import (BuilderConfig, DerivationStep, ExtractionConfig,
-                    PartialModel, atom_depth, explain, extract_symbols,
-                    model_lines, saturate, term_depth, trace_json)
+from .model import (BuilderConfig, DerivationStep, PartialModel, atom_depth,
+                    explain, extract_symbols, model_lines, saturate,
+                    term_depth, trace_json)
 from .pipeline import (CopaProblem, Pipeline, PipelineConfig, ProblemFailure,
                        ProblemResult, RunReport, TextResult, content_words,
                        export_tptp, parse_copa_xml, text_to_facts)
-from .scorer import (Choice, ScorerConfig, ScoreVector, choose,
-                     embed_sequence, likelihoods, score_pair)
+from .scorer import (Choice, ScoreVector, choose, embed_sequence, likelihoods,
+                     score_pair)
 from .selection import (AxiomIndex, Prefilter, SineConfig, SymbolTable,
                         TripleColumns, build_index, similarity_sine_select,
                         sine_select)
 
 __all__ = [
     # embeddings
-    "EmbeddingTable", "OovPolicy", "cosine", "load_table", "split_identifier",
+    "EmbeddingTable", "cosine", "load_table", "split_identifier",
     # errors
     "CorgError",
     # first-order logic
@@ -49,16 +49,15 @@ __all__ = [
     "normalize_concept", "normalize_relation", "parse_assertion_line",
     "parse_plain_line",
     # partial models
-    "BuilderConfig", "DerivationStep", "ExtractionConfig", "PartialModel",
-    "atom_depth", "explain", "extract_symbols", "model_lines", "saturate",
-    "term_depth", "trace_json",
+    "BuilderConfig", "DerivationStep", "PartialModel", "atom_depth", "explain",
+    "extract_symbols", "model_lines", "saturate", "term_depth", "trace_json",
     # pipeline
     "CopaProblem", "Pipeline", "PipelineConfig", "ProblemFailure",
     "ProblemResult", "RunReport", "TextResult", "content_words", "export_tptp",
     "parse_copa_xml", "text_to_facts",
     # scoring
-    "Choice", "ScorerConfig", "ScoreVector", "choose", "embed_sequence",
-    "likelihoods", "score_pair",
+    "Choice", "ScoreVector", "choose", "embed_sequence", "likelihoods",
+    "score_pair",
     # selection
     "AxiomIndex", "Prefilter", "SineConfig", "SymbolTable", "TripleColumns",
     "build_index", "similarity_sine_select", "sine_select",

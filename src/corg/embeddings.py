@@ -1,4 +1,4 @@
-"""Word-vector table with cosine similarity and an out-of-vocabulary policy.
+"""Word-vector table with cosine similarity.
 
 File format: optional header line ``<count> <dim>``, then one
 ``word v1 ... v_dim`` entry per line (the layout used by common
@@ -8,38 +8,12 @@ Lookup keys are lowercase.
 
 from __future__ import annotations
 
-import gzip
-import re
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
-from .errors import DimensionMismatch, WordNotFound
-
-_CAMEL_BOUNDARY = re.compile(r"(?<=[a-z0-9])(?=[A-Z])|(?<=[A-Z])(?=[A-Z][a-z])")
-
-
-@dataclass
-class OovPolicy:
-    """What to do when a token has no stored vector.
-
-    ``split_average`` breaks the token at underscores and camelCase
-    boundaries (``annoy_your_spouse`` -> annoy/your/spouse,
-    ``astronomicalBody`` -> astronomical/body) and averages the vectors of
-    the parts that are in vocabulary; when no part is known it falls
-    through to ``fallback``.  Mode ``zero`` returns an all-zero vector
-    immediately, mode ``error`` raises WordNotFound.
-    """
-
-    mode: str = "split_average"
-    fallback: str = "zero"
-
-    def __post_init__(self):
-        if self.mode not in ("split_average", "zero", "error"):
-            raise ValueError(f"unknown OOV mode {self.mode!r}")
-        if self.fallback not in ("zero", "error"):
-            raise ValueError(f"unknown OOV fallback {self.fallback!r}")
+from .errors import DimensionMismatch, MalformedLine
+from .kg import _CAMEL_BOUNDARY, _is_utf8, _open_text
 
 
 def split_identifier(token: str) -> list[str]:
@@ -70,59 +44,68 @@ class EmbeddingTable:
         """Direct lookup, no OOV handling."""
         return self.entries.get(word.lower())
 
-    def vector(self, token: str, policy: OovPolicy | None = None) -> np.ndarray:
-        """Vector for a token under the given OOV policy.
+    def vector(self, token: str) -> np.ndarray:
+        """The token's stored vector, else the mean of the vectors of its
+        in-vocabulary ``split_identifier`` parts (``annoy_your_spouse`` ->
+        annoy/your/spouse, ``astronomicalBody`` -> astronomical/body), else
+        zeros, the flag for a miss.
 
-        Returns the stored array (treat it as read-only).  An all-zero
-        result is the flag for a miss under the ``zero`` fallback.
+        Returns the stored array on a hit (treat it as read-only).
         """
-        policy = policy or OovPolicy()
         hit = self.entries.get(token.lower())
         if hit is not None:
             return hit
-        if policy.mode == "split_average":
-            found = [self.entries[p] for p in split_identifier(token) if p in self.entries]
-            if found:
-                return np.mean(found, axis=0)
-            if policy.fallback == "zero":
-                return np.zeros(self.dimension)
-            raise WordNotFound(f"no vector for {token!r} or any of its parts")
-        if policy.mode == "zero":
-            return np.zeros(self.dimension)
-        raise WordNotFound(f"no vector for {token!r}")
+        found = [self.entries[p] for p in split_identifier(token) if p in self.entries]
+        return np.mean(found, axis=0) if found else np.zeros(self.dimension)
 
 
 def load_table(path) -> EmbeddingTable:
-    """Load a vector table; duplicate words are counted and the last wins."""
-    path = Path(path)
-    opener = gzip.open if path.suffix == ".gz" else open
+    """Load a vector table; duplicate words are counted and the last wins.
+
+    A bad line raises a CorgError that names it, and a ``.gz`` file that
+    does not decompress raises CorruptArchive."""
     entries: dict[str, np.ndarray] = {}
+    unchecked: list[tuple[int, np.ndarray]] = []  # (line, vector) not yet checked finite
     duplicates = 0
     dimension: int | None = None
-    with opener(path, "rt", encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            fields = line.split()
-            if not fields:
-                continue
-            if line_no == 1 and len(fields) == 2 and all(_is_int(f) for f in fields):
-                dimension = int(fields[1])
-                continue
-            word = fields[0].lower()
-            try:
-                vec = np.array(fields[1:], dtype=np.float64)
-            except ValueError as e:
-                raise DimensionMismatch(f"line {line_no}: bad float ({e})") from e
-            if dimension is None:
-                dimension = len(vec)
-            if len(vec) != dimension:
-                raise DimensionMismatch(
-                    f"line {line_no}: expected {dimension} components, got {len(vec)}")
-            if word in entries:
-                duplicates += 1
-            entries[word] = vec
+    for line_no, line in enumerate(_open_text(path), start=1):
+        if not line.isascii() and not _is_utf8(line):
+            raise MalformedLine(line_no, f"not valid UTF-8 ({path})")
+        fields = line.split()
+        if not fields:
+            continue
+        if line_no == 1 and len(fields) == 2 and all(_is_int(f) for f in fields):
+            dimension = int(fields[1])
+            continue
+        word = fields[0].lower()
+        try:
+            vec = np.array(fields[1:], dtype=np.float64)
+        except ValueError as e:
+            raise DimensionMismatch(f"line {line_no}: bad float ({e})") from e
+        if dimension is None:
+            dimension = len(vec)
+        if len(vec) != dimension:
+            raise DimensionMismatch(
+                f"line {line_no}: expected {dimension} components, got {len(vec)}")
+        if word in entries:
+            duplicates += 1
+        entries[word] = vec
+        unchecked.append((line_no, vec))
+        if len(unchecked) == 256:  # a check per line would cost half a parse
+            _require_finite(unchecked, path)
+    _require_finite(unchecked, path)
     if dimension is None:
         raise DimensionMismatch("empty embedding file")
     return EmbeddingTable(dimension, entries, duplicates)
+
+
+def _require_finite(rows: list[tuple[int, np.ndarray]], path):
+    """Raise MalformedLine naming the first of these (line, vector) rows
+    with a component that is not finite; otherwise empty ``rows``."""
+    if rows and not np.isfinite(np.stack([vec for _, vec in rows])).all():
+        line_no = next(n for n, vec in rows if not np.isfinite(vec).all())
+        raise MalformedLine(line_no, f"component that is not finite ({path})")
+    rows.clear()
 
 
 def _is_int(s: str) -> bool:

@@ -5,10 +5,11 @@ class CorgError(Exception):
     """Base class for all corg errors."""
 
 
-# --- knowledge graph loading ---
+# --- knowledge graph and vector table loading ---
 
 class MalformedLine(CorgError):
-    """A dump line that cannot be parsed (wrong field count, bad URI, bad JSON)."""
+    """A dump or table line that cannot be parsed (wrong field count, bad
+    URI, bad JSON, invalid UTF-8, a vector component that is not finite)."""
 
     def __init__(self, line_no: int, reason: str):
         super().__init__(f"line {line_no}: {reason}")
@@ -46,10 +47,6 @@ class UnsupportedFragment(CorgError):
 
 class DimensionMismatch(CorgError):
     """Vector length disagrees with the table dimension."""
-
-
-class WordNotFound(CorgError):
-    """Lookup failed and the out-of-vocabulary policy demands an error."""
 
 
 # --- axiom selection ---

@@ -6,6 +6,7 @@ Two input formats are accepted, detected per line:
   ``assertion-URI <TAB> relation-URI <TAB> start-URI <TAB> end-URI <TAB> json``
   with relation URIs like ``/r/Causes`` and concept URIs like ``/c/en/sun``;
   the edge weight is read from the ``"weight"`` key of the JSON metadata.
+  Only edges between two English concepts are kept.
 * plain fixture: ``subject <TAB> relation <TAB> object [<TAB> weight]``,
   ``#`` comments and blank lines allowed.
 
@@ -55,20 +56,16 @@ class RelationFilter:
     """Which triples survive loading.
 
     ``allowed=None`` disables relation filtering; otherwise it must be a
-    non-empty set of normalized relation ids.  Language codes apply only to
-    the assertions dump format (plain fixtures carry no language).
+    non-empty set of normalized relation ids.
     """
 
     allowed: frozenset[str] | None = None
-    drop_negated: bool = False
-    languages: frozenset[str] = frozenset({"en"})
 
     def __post_init__(self):
         if self.allowed is not None:
             self.allowed = frozenset(self.allowed)
             if not self.allowed:
                 raise ValueError("relation whitelist enabled but empty")
-        self.languages = frozenset(self.languages)
 
 
 @dataclass
@@ -156,12 +153,12 @@ def _parse_concept_uri(uri: str, line_no: int) -> tuple[str, str] | Skip:
     return parts[2], normalize_concept(parts[3])
 
 
-def parse_assertion_line(line: str, line_no: int = 0,
-                         languages: frozenset[str] = frozenset({"en"})) -> Triple | Skip:
+def parse_assertion_line(line: str, line_no: int = 0) -> Triple | Skip:
     """Parse one assertions-dump record into a Triple, or a Skip.
 
-    Skips cover non-concept endpoints, unaccepted languages, and the
-    external_url relation.  Structural garbage raises MalformedLine.
+    Skips cover non-concept endpoints, concepts in a language other than
+    English, and the external_url relation.  Structural garbage raises
+    MalformedLine.
     """
     fields = line.rstrip("\n").split("\t")
     if len(fields) != 5:
@@ -178,7 +175,7 @@ def parse_assertion_line(line: str, line_no: int = 0,
     end = _parse_concept_uri(end_uri, line_no)
     if isinstance(end, Skip):
         return end
-    if start[0] not in languages or end[0] not in languages:
+    if start[0] != "en" or end[0] != "en":
         return Skip("language")
     weight = 1.0
     meta = meta.strip()
@@ -264,7 +261,7 @@ def load_graph(path, relation_filter: RelationFilter | None = None) -> Knowledge
             continue
         try:
             if line.count("\t") == 4 and line.startswith("/a/"):
-                parsed = parse_assertion_line(line, line_no, flt.languages)
+                parsed = parse_assertion_line(line, line_no)
             else:
                 parsed = parse_plain_line(line, line_no)
         except MalformedLine:
@@ -275,9 +272,6 @@ def load_graph(path, relation_filter: RelationFilter | None = None) -> Knowledge
             continue
         if flt.allowed is not None and parsed.relation not in flt.allowed:
             g.stats.skip("relation")
-            continue
-        if flt.drop_negated and parsed.negated:
-            g.stats.skip("negated")
             continue
         g.add(parsed)
     g.stats.kept = len(g)

@@ -385,18 +385,6 @@ _SKOLEM = re.compile(r"sk_\w+_\d+")
 _ROLE_PREDICATE = re.compile(r"r[0-9]+[A-Z]\w*")
 
 
-@dataclass
-class ExtractionConfig:
-    """Symbol extraction knobs.
-
-    Skolem symbols never make it out; relation predicates (binary ones,
-    ``inv_*``, and semantic-parser role predicates such as ``r1Actor``)
-    are dropped unless ``drop_relation_predicates`` is off.
-    """
-
-    drop_relation_predicates: bool = True
-
-
 def _is_skolem(name: str) -> bool:
     return bool(_SKOLEM.fullmatch(name))
 
@@ -407,15 +395,14 @@ def _is_relation_predicate(atom: Atom) -> bool:
             or bool(_ROLE_PREDICATE.fullmatch(atom.predicate)))
 
 
-def extract_symbols(model: PartialModel,
-                    cfg: ExtractionConfig | None = None) -> list[str]:
+def extract_symbols(model: PartialModel) -> list[str]:
     """Word-like symbols of the model in first-derivation order.
 
     Term structure is discarded: the output is the unique predicate and
-    constant/function names, minus Skolems and (by default) relation
-    predicates, ordered by first appearance in the trace.
+    constant/function names, minus Skolems and relation predicates (binary
+    ones, ``inv_*``, and semantic-parser role predicates such as
+    ``r1Actor``), ordered by first appearance in the trace.
     """
-    cfg = cfg or ExtractionConfig()
     out: list[str] = []
     seen: set[str] = set()
 
@@ -434,7 +421,7 @@ def extract_symbols(model: PartialModel,
 
     for step in model.trace:
         atom = step.derived
-        if not (cfg.drop_relation_predicates and _is_relation_predicate(atom)):
+        if not _is_relation_predicate(atom):
             add(atom.predicate)
         for t in atom.args:
             add_term(t)

@@ -37,14 +37,13 @@ from typing import Sequence
 import numpy as np
 
 from . import fol
-from .embeddings import EmbeddingTable, OovPolicy
+from .embeddings import EmbeddingTable
 from .errors import (CorgError, InvalidField, MissingField, MissingFormula,
-                     StageError, UnsupportedFragment, XmlError)
+                     ParseError, StageError, UnsupportedFragment, XmlError)
 from .fol import Atom, Clause, Constant, Formula
 from .kg import KnowledgeGraph
-from .model import (BuilderConfig, ExtractionConfig, PartialModel,
-                    extract_symbols, saturate, trace_json)
-from .scorer import Choice, ScorerConfig, ScoreVector, choose, likelihoods, score_pair
+from .model import BuilderConfig, PartialModel, extract_symbols, saturate, trace_json
+from .scorer import Choice, ScoreVector, choose, likelihoods, score_pair
 from .selection import (AxiomIndex, Prefilter, SineConfig, TripleColumns,
                         build_index, sine_select, similarity_sine_select)
 
@@ -178,7 +177,10 @@ def text_to_facts(text: str, mode: str = "bag_of_words",
     path = Path(fol_dir) / f"{problem_id}_{role}.p"
     if not path.exists():
         raise MissingFormula(problem_id, role)
-    content = path.read_text(encoding="utf-8")
+    try:
+        content = path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as e:
+        raise ParseError(f"{path}: not valid UTF-8", e.start) from e
     if "fof(" in content or "cnf(" in content:
         formulas = [a.formula for a in fol.parse_tptp(content)]
     else:
@@ -206,9 +208,6 @@ class PipelineConfig:
     prefilter_theta: float = 0.4  # -1 keeps every triple
     sine: SineConfig = field(default_factory=SineConfig)
     builder: BuilderConfig = field(default_factory=BuilderConfig)
-    scorer: ScorerConfig = field(default_factory=ScorerConfig)
-    oov: OovPolicy = field(default_factory=OovPolicy)
-    extraction: ExtractionConfig = field(default_factory=ExtractionConfig)
 
     def __post_init__(self):
         if self.scheme not in ("existential", "factual"):
@@ -348,8 +347,7 @@ class Pipeline:
         self.graph = graph
         self.table = table
         self.config = config or PipelineConfig()
-        self.columns = TripleColumns(graph.triples, table, self.config.oov,
-                                     self.config.include_inverse)
+        self.columns = TripleColumns(graph.triples, table, self.config.include_inverse)
         self.prefilter = Prefilter(self.columns)
         # axiom id -> (formula, clauses); translation is problem-independent
         self._translations: OrderedDict[str, tuple[Formula, list[Clause]]] = OrderedDict()
@@ -405,7 +403,7 @@ class Pipeline:
                 clauses.extend(axiom_clauses)
         with _stage(problem.id, "saturate"):
             model = saturate(facts, clauses, cfg.builder)
-        syms = extract_symbols(model, cfg.extraction)
+        syms = extract_symbols(model)
         return TextResult(role, facts, len(index), selected, formulas,
                           model, syms, time.perf_counter() - start)
 
@@ -424,9 +422,8 @@ class Pipeline:
             texts.append(self._run_text(problem, f"a{k}", alt, tids, index))
         with _stage(problem.id, "score"):
             premise_syms = texts[0].symbols
-            scores = [score_pair(premise_syms, t.symbols, self.table, cfg.oov)
-                      for t in texts[1:]]
-            y = likelihoods(scores, cfg.scorer)
+            scores = [score_pair(premise_syms, t.symbols, self.table) for t in texts[1:]]
+            y = likelihoods(scores)
             choice = choose(y)
         return ProblemResult(problem, texts, scores, y, choice,
                              time.perf_counter() - start)
@@ -461,39 +458,31 @@ def _stage(problem_id: int, stage: str):
 # ------------------------------------------------------------ TPTP export
 
 
-def export_tptp(result: ProblemResult, out_dir,
-                stages: Sequence[str] = ("facts", "axioms", "model")) -> list[Path]:
-    """Write per-text TPTP files for the requested pipeline stages.
+def export_tptp(result: ProblemResult, out_dir) -> list[Path]:
+    """Write each text's facts, selected axioms and model as TPTP files, and
+    the model's derivation trace as JSON.
 
-    Everything comes from the stored text results: the facts, the formulas
-    of the selected axioms, and the model with its derivation trace.
-    Returns the written paths.
+    Everything comes from the stored text results.  Returns the written
+    paths.
     """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     written = []
-    pid = result.problem.id
     for t in result.texts:
-        prefix = f"p{pid}_{t.role}"
-        if "facts" in stages:
-            path = out_dir / f"{prefix}_facts.p"
-            lines = [fol.to_tptp(atom, f"f{i}", "hypothesis")
-                     for i, atom in enumerate(t.facts)]
-            path.write_text("\n".join(lines) + ("\n" if lines else ""), "utf-8")
+        prefix = f"p{result.problem.id}_{t.role}"
+        files = {
+            "facts.p": [fol.to_tptp(atom, f"f{i}", "hypothesis")
+                        for i, atom in enumerate(t.facts)],
+            "axioms.p": [fol.to_tptp(f, aid, "axiom")
+                         for aid, f in zip(t.selected, t.formulas)],
+            "model.p": [fol.to_tptp(atom, f"m{i}", "axiom")
+                        for i, atom in enumerate(t.model.atoms)],
+        }
+        for suffix, lines in files.items():
+            path = out_dir / f"{prefix}_{suffix}"
+            path.write_text("".join(line + "\n" for line in lines), "utf-8")
             written.append(path)
-        if "axioms" in stages:
-            path = out_dir / f"{prefix}_axioms.p"
-            lines = [fol.to_tptp(f, aid, "axiom")
-                     for aid, f in zip(t.selected, t.formulas)]
-            path.write_text("\n".join(lines) + ("\n" if lines else ""), "utf-8")
-            written.append(path)
-        if "model" in stages:
-            path = out_dir / f"{prefix}_model.p"
-            lines = [fol.to_tptp(atom, f"m{i}", "axiom")
-                     for i, atom in enumerate(t.model.atoms)]
-            path.write_text("\n".join(lines) + ("\n" if lines else ""), "utf-8")
-            written.append(path)
-            trace_path = out_dir / f"{prefix}_trace.json"
-            trace_path.write_text(trace_json(t.model), "utf-8")
-            written.append(trace_path)
+        path = out_dir / f"{prefix}_trace.json"
+        path.write_text(trace_json(t.model), "utf-8")
+        written.append(path)
     return written

@@ -2,7 +2,7 @@
 
 Each symbol sequence is embedded as the componentwise mean of its word
 vectors; a premise/answer pair is scored by cosine; per-problem scores go
-through a temperature softmax into likelihoods summing to 1; the highest
+through a softmax into likelihoods summing to 1; the highest
 likelihood wins (ties break to the lowest index and are flagged).
 """
 
@@ -13,17 +13,8 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .embeddings import EmbeddingTable, OovPolicy, cosine
+from .embeddings import EmbeddingTable, cosine
 from .errors import BadCardinality
-
-
-@dataclass
-class ScorerConfig:
-    temperature: float = 1.0
-
-    def __post_init__(self):
-        if self.temperature <= 0:
-            raise ValueError("temperature must be positive")
 
 
 @dataclass
@@ -53,32 +44,29 @@ class Choice(NamedTuple):
     tie: bool
 
 
-def embed_sequence(words: Sequence[str], table: EmbeddingTable,
-                   policy: OovPolicy | None = None) -> np.ndarray:
-    """Componentwise mean of the word vectors (OOV words per policy).
+def embed_sequence(words: Sequence[str], table: EmbeddingTable) -> np.ndarray:
+    """Componentwise mean of the word vectors (see ``EmbeddingTable.vector``).
 
     An empty or all-OOV sequence embeds as the zero vector, which is the
     flag downstream scoring treats as "no signal".
     """
     if not words:
         return np.zeros(table.dimension)
-    policy = policy or OovPolicy()
-    return np.mean([table.vector(w, policy) for w in words], axis=0)
+    return np.mean([table.vector(w) for w in words], axis=0)
 
 
 def score_pair(premise_words: Sequence[str], answer_words: Sequence[str],
-               table: EmbeddingTable, policy: OovPolicy | None = None) -> float:
+               table: EmbeddingTable) -> float:
     """Cosine between the two mean embeddings; 0 when either side is empty."""
-    return cosine(embed_sequence(premise_words, table, policy),
-                  embed_sequence(answer_words, table, policy))
+    return cosine(embed_sequence(premise_words, table),
+                  embed_sequence(answer_words, table))
 
 
-def likelihoods(scores: Sequence[float], cfg: ScorerConfig | None = None) -> ScoreVector:
-    """Temperature softmax over raw scores; order-preserving."""
+def likelihoods(scores: Sequence[float]) -> ScoreVector:
+    """Softmax over raw scores; order-preserving."""
     if len(scores) < 2:
         raise BadCardinality(f"need at least 2 alternatives, got {len(scores)}")
-    cfg = cfg or ScorerConfig()
-    s = np.asarray(scores, dtype=np.float64) / cfg.temperature
+    s = np.asarray(scores, dtype=np.float64)
     e = np.exp(s - s.max())
     return ScoreVector((e / e.sum()).tolist())
 

@@ -30,8 +30,8 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .embeddings import EmbeddingTable, OovPolicy
-from .errors import EmptyGoal, WordNotFound
+from .embeddings import EmbeddingTable
+from .errors import EmptyGoal
 from .fol import symbols  # noqa: F401  benchmarks/tracing.py wraps this name
 from .fol import INVERSE_PREFIX, relation_predicate
 from .kg import Triple
@@ -69,37 +69,20 @@ class SymbolTable:
 
     Concepts, predicates and ``inv_`` predicates share one namespace, so a
     concept spelled like a predicate is one symbol, as in ``fol.symbols``.
-    ``unit`` holds each symbol's vector under the OOV policy, scaled to unit
-    norm (zero when the policy finds none); under an erroring policy a
-    symbol without a vector gets a zero row and raises once it is used.
+    ``unit`` holds each symbol's ``table.vector``, scaled to unit norm (zero
+    when the table knows neither the symbol nor any of its parts).
     """
 
-    def __init__(self, ids: dict[str, int], table: EmbeddingTable,
-                 policy: OovPolicy | None = None):
+    def __init__(self, ids: dict[str, int], table: EmbeddingTable):
         self.ids = ids
         self.table = table
-        self.policy = policy or OovPolicy()
         self.unit = np.zeros((len(ids), table.dimension))
-        self._missing: list[str] = []
         for name, i in ids.items():
-            try:
-                self.unit[i] = table.vector(name, self.policy)
-            except WordNotFound:
-                self._missing.append(name)
+            self.unit[i] = table.vector(name)
         _normalize_rows(self.unit)
 
     def __len__(self) -> int:
         return len(self.ids)
-
-    def vector(self, name: str) -> np.ndarray:
-        """The table's vector for any name, under the OOV policy."""
-        return self.table.vector(name, self.policy)
-
-    def require_vectors(self, ids: np.ndarray):
-        """Raise WordNotFound if one of these symbols has no vector."""
-        for name in self._missing:
-            if np.any(ids == self.ids[name]):
-                self.vector(name)
 
     def mask(self, names: Iterable[str]) -> np.ndarray:
         """Boolean mask over symbol ids, set for the names in the table."""
@@ -119,7 +102,7 @@ class TripleColumns:
     """
 
     def __init__(self, triples: Sequence[Triple], table: EmbeddingTable,
-                 policy: OovPolicy | None = None, inverse: bool = False):
+                 inverse: bool = False):
         n = len(triples)
         ids: dict[str, int] = {}
         self.object = np.fromiter(
@@ -136,7 +119,7 @@ class TripleColumns:
         self.inverse = _intern(ids, [INVERSE_PREFIX + p for p in names])[relation] \
             if inverse else None
         self.negated = np.fromiter((t.negated for t in triples), bool, n)
-        self.symbols = SymbolTable(ids, table, policy)
+        self.symbols = SymbolTable(ids, table)
 
     def __len__(self) -> int:
         return len(self.object)
@@ -185,9 +168,7 @@ class AxiomIndex:
 
     @cached_property
     def indexed_unit(self) -> np.ndarray:
-        """The unit rows of ``indexed``, gathered on first use; raises
-        WordNotFound (on every use) if one of those symbols has no vector."""
-        self.symbols.require_vectors(self.indexed)
+        """The unit rows of ``indexed``, gathered on first use."""
         return self.symbols.unit[self.indexed]
 
 
@@ -264,7 +245,7 @@ def similarity_sine_select(idx: AxiomIndex, goal_symbols: Iterable[str],
     seed = syms.mask(goals)
     candidates = idx.indexed
     if cfg.similarity_threshold is not None and candidates.size:
-        goal_mat = _unit_rows(np.stack([syms.vector(g) for g in sorted(goals)]))
+        goal_mat = _unit_rows(np.stack([syms.table.vector(g) for g in sorted(goals)]))
         best = (idx.indexed_unit @ goal_mat.T).max(axis=1)
         seed[candidates[best >= cfg.similarity_threshold]] = True
     return _closure(idx, seed, cfg)
@@ -294,13 +275,12 @@ class Prefilter:
 
     def __init__(self, columns: TripleColumns):
         self.columns = columns
-        columns.symbols.require_vectors(np.arange(columns.n_objects))
 
     def apply_indices(self, problem_words: Sequence[str], theta: float) -> np.ndarray:
         """Ids (ascending) of the triples that pass at threshold theta."""
         if not problem_words:
             raise EmptyGoal("prefilter needs at least one problem word")
         cols = self.columns
-        words = _unit_rows(np.stack([cols.symbols.vector(w) for w in problem_words]))
+        words = _unit_rows(np.stack([cols.symbols.table.vector(w) for w in problem_words]))
         best = (cols.symbols.unit[:cols.n_objects] @ words.T).max(axis=1)
         return np.flatnonzero(best[cols.object] >= theta)

@@ -275,7 +275,7 @@ def reachable_within(edges, start, hops: int) -> set:
     return reached
 
 
-def reference_sine_select(axioms: dict, goals, cfg, table=None, policy=None) -> list:
+def reference_sine_select(axioms: dict, goals, cfg, table=None) -> list:
     """SInE selection over string-keyed symbol sets; selected ids in axiom order.
 
     ``axioms`` maps axiom id -> symbols; each axiom counts once per symbol.
@@ -283,7 +283,7 @@ def reference_sine_select(axioms: dict, goals, cfg, table=None, policy=None) -> 
     generality threshold (when positive) or tolerance times the least occ
     over A's symbols.  With ``cfg.similarity_threshold`` set, every indexed
     symbol whose cosine to some goal reaches it joins the seed, vectors
-    coming from ``table.vector(name, policy)``.  Triggering then runs from
+    coming from ``table.vector(name)``.  Triggering then runs from
     the seed to ``cfg.max_depth`` rounds or the fixpoint.
     """
     axiom_symbols = {aid: frozenset(syms) for aid, syms in axioms.items()}
@@ -299,7 +299,7 @@ def reference_sine_select(axioms: dict, goals, cfg, table=None, policy=None) -> 
     reached = set(goals)
     if cfg.similarity_threshold is not None and occ:
         def unit(names):
-            mat = np.stack([table.vector(n, policy) for n in names])
+            mat = np.stack([table.vector(n) for n in names])
             norms = np.linalg.norm(mat, axis=1, keepdims=True)
             norms[norms == 0.0] = 1.0
             return mat / norms

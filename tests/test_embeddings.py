@@ -4,9 +4,8 @@ import math
 import numpy as np
 import pytest
 
-from corg.embeddings import (EmbeddingTable, OovPolicy, cosine, load_table,
-                             split_identifier)
-from corg.errors import DimensionMismatch, WordNotFound
+from corg.embeddings import EmbeddingTable, cosine, load_table, split_identifier
+from corg.errors import CorruptArchive, DimensionMismatch, MalformedLine
 
 
 @pytest.fixture
@@ -64,6 +63,28 @@ class TestLoadTable:
         with pytest.raises(DimensionMismatch):
             load_table(path)
 
+    def test_invalid_utf8_names_file_and_line(self, tmp_path):
+        path = tmp_path / "vec.txt"
+        path.write_bytes(b"sun 1 0\nsu\xffn 0 1\n")
+        with pytest.raises(MalformedLine, match="line 2: not valid UTF-8") as err:
+            load_table(path)
+        assert str(path) in str(err.value)
+
+    @pytest.mark.parametrize("component", ["nan", "inf", "-inf", "1e999"])
+    def test_non_finite_component_rejected(self, tmp_path, component):
+        # a NaN row would score its words -1 against everything
+        path = tmp_path / "vec.txt"
+        path.write_text(f"moon 0 1\nsun {component} 0\n", "utf-8")
+        with pytest.raises(MalformedLine, match="line 2: component that is not finite"):
+            load_table(path)
+
+    def test_cut_gzip_is_corrupt_archive(self, tmp_path):
+        path = tmp_path / "vec.txt.gz"
+        data = gzip.compress("".join(f"w{i} {i} 1\n" for i in range(200)).encode())
+        path.write_bytes(data[:len(data) // 2])
+        with pytest.raises(CorruptArchive):
+            load_table(path)
+
 
 class TestSplitIdentifier:
     @pytest.mark.parametrize("token,parts", [
@@ -91,30 +112,13 @@ class TestVector:
         assert np.allclose(v, [0.0, 1.0])
 
     def test_all_oov_zero_mode(self, small_table):
-        v = small_table.vector("unknown_thing", OovPolicy("split_average", "zero"))
-        assert not v.any()
-
-    def test_all_oov_error_fallback(self, small_table):
-        with pytest.raises(WordNotFound):
-            small_table.vector("unknown_thing", OovPolicy("split_average", "error"))
-
-    def test_zero_mode_does_not_split(self, small_table):
-        assert not small_table.vector("astronomicalBody", OovPolicy("zero")).any()
-
-    def test_error_mode(self, small_table):
-        with pytest.raises(WordNotFound):
-            small_table.vector("astronomicalBody", OovPolicy("error"))
+        v = small_table.vector("unknown_thing")
+        assert v.shape == (2,) and not v.any()
 
     def test_deterministic(self, small_table):
         a = small_table.vector("astronomicalBody")
         b = small_table.vector("astronomicalBody")
         assert np.array_equal(a, b)
-
-    def test_bad_policy_values(self):
-        with pytest.raises(ValueError):
-            OovPolicy("guess")
-        with pytest.raises(ValueError):
-            OovPolicy("split_average", "guess")
 
 
 class TestCosine:

@@ -9,10 +9,11 @@ import gzip
 import json
 import xml.etree.ElementTree as ET
 
+import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from corg.embeddings import EmbeddingTable, load_table
+from corg.embeddings import load_table
 from corg.errors import CorgError
 from corg.fol import parse_fol, parse_tptp
 from corg.kg import (Skip, Triple, load_graph, parse_assertion_line,
@@ -49,6 +50,10 @@ _FORMULA = texts("!", "?", "[", "]", ":", "(", ")", "~", "&", "|", "=>", "<=>",
                  "f", "a", "fof", "cnf", "axiom", "$true")
 _TABLE = texts("\n", " ", "\t", "\r", "0", "1", "2", "-", ".", "e", "e999", "nan",
                "inf", "sun", "Sun", "3 2", "2 1")
+# whole tables: generated text, or its lines mixed with raw bytes
+_TABLE_FILE = _TABLE.map(str.encode) \
+    | st.lists(_TABLE.map(str.encode) | st.binary(max_size=12), max_size=12).map(b"\n".join)
+_FORMS = st.sampled_from(["plain", "gzip", "cut gzip", "raw .gz"])
 
 # whole dumps: the two line formats, comments and raw bytes mixed line by line
 _DUMP_LINE = (_TOKENS | _PLAIN | _ASSERTION
@@ -126,30 +131,35 @@ def test_parse_tptp(text):
         pass
 
 
-@_SETTINGS
-@given(_TABLE)
-def test_load_table(tmp_path_factory, text):
-    path = tmp_path_factory.mktemp("table") / "vectors.txt"
-    path.write_text(text, "utf-8")
-    try:
-        assert isinstance(load_table(path), EmbeddingTable)
-    except CorgError:
-        pass
-
-
-@_SETTINGS
-@given(_DUMP, st.sampled_from(["plain", "gzip", "cut gzip", "raw .gz"]))
-def test_load_graph(tmp_path_factory, data, form):
-    directory = tmp_path_factory.mktemp("dump")
-    if form == "plain":
-        path = directory / "dump.tsv"
-    else:
-        path = directory / "dump.tsv.gz"
+def _write(path, data: bytes, form: str):
+    """Write data as a plain file, or under a ``.gz`` name: gzip-compressed,
+    compressed and cut in half, or raw."""
+    if form != "plain":
+        path = path.with_name(path.name + ".gz")
         if form != "raw .gz":
             data = gzip.compress(data)
         if form == "cut gzip":
             data = data[:len(data) // 2]
     path.write_bytes(data)
+    return path
+
+
+@_SETTINGS
+@given(_TABLE_FILE, _FORMS)
+def test_load_table(tmp_path_factory, data, form):
+    path = _write(tmp_path_factory.mktemp("table") / "vectors.txt", data, form)
+    try:
+        table = load_table(path)
+    except CorgError:
+        return
+    assert all(v.shape == (table.dimension,) and np.isfinite(v).all()
+               for v in table.entries.values())
+
+
+@_SETTINGS
+@given(_DUMP, _FORMS)
+def test_load_graph(tmp_path_factory, data, form):
+    path = _write(tmp_path_factory.mktemp("dump") / "dump.tsv", data, form)
     try:
         graph = load_graph(path)
     except CorgError:

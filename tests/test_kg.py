@@ -8,8 +8,6 @@ from corg import (KnowledgeGraph, RelationFilter, Skip, Triple,
                   parse_assertion_line, parse_plain_line)
 from corg.errors import CorruptArchive, MalformedLine, NoTriplesLoaded
 
-EN = frozenset({"en"})
-
 
 def dump_line(rel, start, end, meta="{}"):
     return f"/a/[{rel},{start},{end}]\t{rel}\t{start}\t{end}\t{meta}"
@@ -18,58 +16,58 @@ def dump_line(rel, start, end, meta="{}"):
 class TestParseAssertionLine:
     def test_concept_edge_with_weight(self):
         line = dump_line("/r/Causes", "/c/en/sun", "/c/en/light", '{"weight": 2.0}')
-        t = parse_assertion_line(line, 7, EN)
+        t = parse_assertion_line(line, 7)
         assert t == Triple("sun", "causes", "light", 2.0, 7, False)
 
     def test_external_url_skipped(self):
         line = dump_line("/r/ExternalURL", "/c/en/sun", "http://example.org/sun")
-        assert parse_assertion_line(line, 1, EN) == Skip("external_url")
+        assert parse_assertion_line(line, 1) == Skip("external_url")
 
     def test_not_prefix_sets_negated_flag(self):
         line = dump_line("/r/NotDesires", "/c/en/person", "/c/en/pain")
-        t = parse_assertion_line(line, 1, EN)
+        t = parse_assertion_line(line, 1)
         assert (t.subject, t.relation, t.object, t.negated) == \
             ("person", "desires", "pain", True)
 
     def test_non_concept_endpoint_skipped(self):
         line = dump_line("/r/Causes", "/c/en/sun", "http://example.org")
-        assert parse_assertion_line(line, 1, EN) == Skip("non_concept")
+        assert parse_assertion_line(line, 1) == Skip("non_concept")
 
     def test_language_filter(self):
         line = dump_line("/r/Causes", "/c/de/sonne", "/c/de/licht")
-        assert parse_assertion_line(line, 1, EN) == Skip("language")
-        t = parse_assertion_line(line, 1, frozenset({"de"}))
-        assert t.subject == "sonne"
+        assert parse_assertion_line(line, 1) == Skip("language")
+        line = dump_line("/r/Synonym", "/c/en/sun", "/c/de/sonne")
+        assert parse_assertion_line(line, 1) == Skip("language")
 
     def test_sense_suffix_dropped(self):
         line = dump_line("/r/IsA", "/c/en/sun/n", "/c/en/star/n/astronomy")
-        t = parse_assertion_line(line, 1, EN)
+        t = parse_assertion_line(line, 1)
         assert (t.subject, t.object) == ("sun", "star")
 
     def test_wrong_field_count(self):
         with pytest.raises(MalformedLine):
-            parse_assertion_line("/a/x\t/r/Causes\t/c/en/sun", 3, EN)
+            parse_assertion_line("/a/x\t/r/Causes\t/c/en/sun", 3)
 
     def test_bad_metadata_json(self):
         line = dump_line("/r/Causes", "/c/en/sun", "/c/en/light", "{not json")
         with pytest.raises(MalformedLine):
-            parse_assertion_line(line, 4, EN)
+            parse_assertion_line(line, 4)
 
     @pytest.mark.parametrize("weight", ['"heavy"', '"2.0"', "null", "true", "[1]", "{}",
                                         pytest.param("1" + "0" * 400, id="1e400")])
     def test_weight_that_is_not_a_number(self, weight):
         line = dump_line("/r/Causes", "/c/en/sun", "/c/en/light", f'{{"weight": {weight}}}')
         with pytest.raises(MalformedLine, match="weight is not a number"):
-            parse_assertion_line(line, 5, EN)
+            parse_assertion_line(line, 5)
 
     def test_deeply_nested_metadata(self):
         line = dump_line("/r/Causes", "/c/en/sun", "/c/en/light", "[" * 100_000)
         with pytest.raises(MalformedLine):
-            parse_assertion_line(line, 6, EN)
+            parse_assertion_line(line, 6)
 
     def test_multiword_concept(self):
         line = dump_line("/r/HasSubevent", "/c/en/snore", "/c/en/annoy_your_spouse")
-        t = parse_assertion_line(line, 1, EN)
+        t = parse_assertion_line(line, 1)
         assert t == Triple("snore", "has_subevent", "annoy_your_spouse", 1.0, 1)
 
 
@@ -181,12 +179,13 @@ class TestLoadGraph:
         assert [t.relation for t in g.triples] == ["causes"]
         assert g.stats.skipped["relation"] == 1
 
-    def test_drop_negated(self, tmp_path):
+    def test_negated_triples_kept_with_flag(self, tmp_path):
+        # the loader keeps them; the pipeline leaves them out of selection
         path = tmp_path / "fix.tsv"
         path.write_text("person\tNotDesires\tpain\nsun\tCauses\tlight\n", "utf-8")
-        g = load_graph(path, RelationFilter(drop_negated=True))
-        assert len(g) == 1
-        assert g.stats.skipped["negated"] == 1
+        g = load_graph(path)
+        assert [t.negated for t in g.triples] == [True, False]
+        assert g.stats.skipped == {}
 
     def test_gzip_transparent(self, tmp_path):
         path = tmp_path / "fix.tsv.gz"

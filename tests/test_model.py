@@ -11,9 +11,8 @@ from corg.fol import (Atom, Clause, Constant, Function, Variable, clausify,
                       format_atom, substitute_atom, translate_existential,
                       translate_inverse)
 from corg.kg import Triple
-from corg.model import (BuilderConfig, ExtractionConfig, atom_depth, explain,
-                        extract_symbols, model_lines, saturate, term_depth,
-                        trace_json)
+from corg.model import (BuilderConfig, atom_depth, explain, extract_symbols,
+                        model_lines, saturate, term_depth, trace_json)
 from oracles import (match_atom, model_atom_tuples, naive_least_model,
                      reference_saturate)
 
@@ -307,9 +306,6 @@ class TestExtractSymbols:
         model = saturate([unary("sun", sk),
                           Atom("is_instance", (sk, Constant("astronomicalBody")))], [])
         assert extract_symbols(model) == ["sun", "astronomicalBody"]
-        keep_all = ExtractionConfig(drop_relation_predicates=False)
-        assert extract_symbols(model, keep_all) == \
-            ["sun", "is_instance", "astronomicalBody"]
 
     def test_empty_model(self):
         assert extract_symbols(saturate([], [])) == []

@@ -1,3 +1,4 @@
+import gzip
 import json
 from dataclasses import replace
 
@@ -343,6 +344,21 @@ class TestEvaluate:
         assert rows[3] == {"problems": 3, "labeled": 2, "correct": 1,
                            "accuracy": 0.5, "failed": 1}
 
+    def test_undecodable_formula_file_becomes_error_row(self, fig_graph, fig_table,
+                                                         copa1, tmp_path):
+        for pid in (1, 2, 3):
+            write_formulas(tmp_path, pid)
+        (tmp_path / "2_a1.p").write_bytes(b"exists A (sun(A) & \xffrising(A))")
+        cfg = PipelineConfig(fact_mode="fol_file", fol_dir=tmp_path)
+        problems = [copa1, replace(copa1, id=2), replace(copa1, id=3)]
+        report = Pipeline(fig_graph, fig_table, cfg).evaluate(problems)
+        assert [r.problem.id for r in report.results] == [1, 3]
+        assert [r.choice.index for r in report.results] == [1, 1]
+        [failure] = report.failures
+        assert (failure.problem.id, failure.error.stage) == (2, "facts")
+        assert isinstance(failure.error.cause, ParseError)
+        assert "2_a1.p: not valid UTF-8 (at position 19)" in str(failure.error)
+
     def test_timings_on_request(self, fig_graph, fig_table, copa1):
         report = Pipeline(fig_graph, fig_table).evaluate([copa1])
         row = json.loads(report.to_jsonl(include_timings=True).splitlines()[0])
@@ -445,6 +461,23 @@ class TestCli:
             "--kg", "/nonexistent.tsv", "--embeddings", str(fig_table_path))
         assert code == 1
         assert "error:" in err
+
+    @pytest.mark.parametrize("name, data", [
+        ("vectors.txt", b"sun 1 0\nsu\xffn 0 1\n"),
+        ("vectors.txt", b"moon 0 1\nsun nan 0\n"),
+        ("vectors.txt.gz", gzip.compress(b"".join(b"w%d %d 1\n" % (i, i)
+                                                  for i in range(300)))[:200]),
+    ], ids=["invalid-utf8", "nan", "cut-gzip"])
+    def test_bad_table_exits_1(self, copa_xml_path, fig_graph_path, tmp_path,
+                               capsys, name, data):
+        table = tmp_path / name
+        table.write_bytes(data)
+        code, out, err = self.run_cli(
+            capsys, "run", "--copa", str(copa_xml_path),
+            "--kg", str(fig_graph_path), "--embeddings", str(table))
+        assert (code, out) == (1, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert str(table) in err
 
     def test_bad_arguments_exit_2(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -6,8 +6,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from corg import Triple
-from corg.embeddings import EmbeddingTable, OovPolicy, cosine
-from corg.errors import EmptyGoal, WordNotFound
+from corg.embeddings import EmbeddingTable, cosine
+from corg.errors import EmptyGoal
 from corg.fol import symbols, translate_existential, translate_inverse
 from corg.selection import (Prefilter, SineConfig, SymbolTable, TripleColumns,
                             build_index, similarity_sine_select, sine_select)
@@ -205,33 +205,25 @@ class TestSimilaritySine:
         with pytest.raises(EmptyGoal):
             similarity_sine_select(idx, set(), SineConfig())
 
-    def test_error_policy_raises_for_indexed_symbol_without_vector(self):
-        table = SymbolTable({"sun": 0, "warm": 1}, self.table(), OovPolicy(mode="error"))
-        idx = build_index(np.array([[0, 1]], np.int32), table)
-        assert sine_select(idx, {"sun"}).tolist() == [0]
-        for _ in range(2):  # a failed gather is not cached
-            with pytest.raises(WordNotFound):
-                similarity_sine_select(idx, {"sun"}, SineConfig(similarity_threshold=0.5))
+    def test_rows_gathered_once_per_index(self):
+        gathers = []
 
-    def test_rows_gathered_once_per_index(self, monkeypatch):
-        calls = []
-        require = SymbolTable.require_vectors
+        class CountedRows(np.ndarray):
+            def __getitem__(self, key):
+                gathers.append(key)
+                return np.asarray(self)[key]
 
-        def counted(self, ids):
-            calls.append(ids)
-            return require(self, ids)
-
-        monkeypatch.setattr(SymbolTable, "require_vectors", counted)
         axioms = self.axioms()
         idx = index_of(axioms, self.table())
+        idx.symbols.unit = idx.symbols.unit.view(CountedRows)
         cfg = SineConfig(tolerance=1, max_depth=1, similarity_threshold=0.8)
         for goals, expected in [({"sun"}, ["a1", "a2"]), ({"rain"}, ["a3"]),
                                 ({"sun"}, ["a1", "a2"])]:
             assert picked(axioms, similarity_sine_select(idx, goals, cfg)) == expected
-        assert len(calls) == 1
-        assert similarity_sine_select(index_of(axioms, self.table()), {"rain"},
+        assert len(gathers) == 1
+        assert similarity_sine_select(build_index(idx.rows, idx.symbols), {"rain"},
                                       cfg).tolist() == [2]
-        assert len(calls) == 2  # a new index gathers its own rows
+        assert len(gathers) == 2  # a new index gathers its own rows
 
 
 # A small graph whose concept names collide with predicates and inv_
@@ -282,7 +274,7 @@ class TestReferenceAgreement:
         # a second goal set on the same index reuses what the first call cached
         for g in (goals, goals | {"rising"}):
             assert picked(axioms, select(idx, g, cfg)) == \
-                reference_sine_select(axioms, g, cfg, table, OovPolicy())
+                reference_sine_select(axioms, g, cfg, table)
 
 
 class TestTriplePrefilter:
@@ -337,12 +329,6 @@ class TestTriplePrefilter:
         assert self.kept(triples, ["sun"], 0.1) == []
         assert self.kept(triples, ["sun"], 0.0) == triples
 
-    def test_error_policy_needs_object_vectors_only(self):
-        policy = OovPolicy(mode="error")
-        Prefilter(TripleColumns([Triple("mystery", "is_a", "sun")], self.table(), policy))
-        with pytest.raises(WordNotFound):
-            Prefilter(TripleColumns([Triple("sun", "is_a", "mystery")], self.table(), policy))
-
     def test_empty_words_rejected(self):
         with pytest.raises(EmptyGoal):
             self.prefilter(self.triples()).apply_indices([], 0.5)
@@ -358,8 +344,7 @@ class TestTriplePrefilter:
         for theta in (-1.0, -0.2, 0.0, 0.3, 0.9):
             expected = [
                 i for i, t in enumerate(triples)
-                if max(cosine(table.vector(t.object, OovPolicy()),
-                              table.vector(w, OovPolicy())) for w in words)
+                if max(cosine(table.vector(t.object), table.vector(w)) for w in words)
                 >= theta]
             got = self.prefilter(triples, table).apply_indices(words, theta)
             assert got.tolist() == expected
