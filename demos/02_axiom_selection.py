@@ -17,9 +17,10 @@ graph = KnowledgeGraph.from_tuples([
     ("shadow", "AtLocation", "ground"),
     ("grass", "AtLocation", "ground"),
 ])
-# Selection reads only symbols, so the triples are indexed directly: each
-# axiom is one row of symbol ids (subject, predicate, object).
-columns = TripleColumns(graph.triples, EmbeddingTable(2, {}))
+# Selection reads only symbols, so the graph's id columns are indexed
+# directly: each axiom is one row of symbol ids (subject, predicate, object),
+# and a concept's symbol id is its id in the graph.
+columns = TripleColumns(graph, EmbeddingTable(2, {}))
 index = build_index(columns.axiom_rows(np.arange(len(graph))), columns.symbols)
 axiom_ids = [f"t{i + 1}" for i in range(len(graph))]
 
@@ -66,7 +67,7 @@ vocab = EmbeddingTable(2, {
 })
 triples = [Triple("sun", "is_a", "star"), Triple("sun", "causes", "light")]
 problem_words = ["shadow", "grass", "sun", "rising", "cut"]
-prefilter = Prefilter(TripleColumns(triples, vocab))
+prefilter = Prefilter(TripleColumns(KnowledgeGraph(triples), vocab))
 kept = [triples[i] for i in prefilter.apply_indices(problem_words, 0.4)]
 print(f"\nprefilter at theta=0.4 keeps: "
       f"{[(t.subject, t.relation, t.object) for t in kept]}")

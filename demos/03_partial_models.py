@@ -21,8 +21,9 @@ graph = KnowledgeGraph.from_tuples([
 
 facts = [Atom("sun", (Constant("c"),))]
 
+# Iterating the graph builds each Triple from its row of id columns.
 forward_only = []
-for i, t in enumerate(graph.triples):
+for i, t in enumerate(graph):
     forward_only += clausify(translate_existential(t), f"t{i + 1}")
 
 model = saturate(facts, forward_only, BuilderConfig(max_term_depth=3))
@@ -36,7 +37,7 @@ print(f"  complete fixpoint: {model.complete}")
 print(f"  'shadow' derivable: {any(a.predicate == 'shadow' for a in model.atoms)}")
 
 both_directions = list(forward_only)
-for i, t in enumerate(graph.triples):
+for i, t in enumerate(graph):
     both_directions += clausify(translate_inverse(t), f"t{i + 1}_inv")
 
 model = saturate(facts, both_directions, BuilderConfig(max_term_depth=3))

@@ -62,8 +62,8 @@ class EmbeddingTable:
 def load_table(path) -> EmbeddingTable:
     """Load a vector table; duplicate words are counted and the last wins.
 
-    A bad line raises a CorgError that names it, and a ``.gz`` file that
-    does not decompress raises CorruptArchive."""
+    A bad line raises a CorgError naming it and the file, as does a file with
+    no vector line; a ``.gz`` that does not decompress raises CorruptArchive."""
     entries: dict[str, np.ndarray] = {}
     unchecked: list[tuple[int, np.ndarray]] = []  # (line, vector) not yet checked finite
     duplicates = 0
@@ -81,12 +81,12 @@ def load_table(path) -> EmbeddingTable:
         try:
             vec = np.array(fields[1:], dtype=np.float64)
         except ValueError as e:
-            raise DimensionMismatch(f"line {line_no}: bad float ({e})") from e
+            raise DimensionMismatch(f"line {line_no}: bad float, {e} ({path})") from e
         if dimension is None:
             dimension = len(vec)
         if len(vec) != dimension:
-            raise DimensionMismatch(
-                f"line {line_no}: expected {dimension} components, got {len(vec)}")
+            raise DimensionMismatch(f"line {line_no}: expected {dimension} "
+                                    f"components, got {len(vec)} ({path})")
         if word in entries:
             duplicates += 1
         entries[word] = vec
@@ -94,8 +94,8 @@ def load_table(path) -> EmbeddingTable:
         if len(unchecked) == 256:  # a check per line would cost half a parse
             _require_finite(unchecked, path)
     _require_finite(unchecked, path)
-    if dimension is None:
-        raise DimensionMismatch("empty embedding file")
+    if not entries:
+        raise DimensionMismatch(f"no vector line in {path}")
     return EmbeddingTable(dimension, entries, duplicates)
 
 

@@ -22,6 +22,7 @@ import gzip
 import json
 import re
 import zlib
+from array import array
 from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
@@ -84,24 +85,45 @@ class LoadStats:
 
 
 class KnowledgeGraph:
-    """Append-only triple list; a triple's id is its position in ``triples``.
+    """Append-only triple store held as array columns; a triple's id is its row.
 
-    The pipeline reads triples by id and never walks the graph, so there
-    are no adjacency indexes.  Loading is single-writer; once loaded the
-    graph is treated as immutable and can be shared across concurrent
-    readers.
+    ``add`` interns names to ids (``concepts``, ``relations``) and appends
+    to the ``subject``, ``relation`` and ``object`` id columns and to
+    ``negated``, ``weight`` and ``source_line``; ``triple(i)`` and iteration
+    build ``Triple`` values on demand.  There are no adjacency indexes.  Once
+    loaded the graph is treated as immutable and can be shared by readers.
     """
 
-    def __init__(self):
-        self.triples: list[Triple] = []
+    def __init__(self, triples: Iterable[Triple] = ()):
+        self.concepts: dict[str, int] = {}
+        self.relations: dict[str, int] = {}
+        self._concept_names, self._relation_names = [], []
+        self.subject, self.relation, self.object = array("i"), array("i"), array("i")
+        self.negated, self.weight, self.source_line = array("b"), array("d"), array("q")
         self.stats = LoadStats()
+        for t in triples:
+            self.add(t)
 
     def add(self, triple: Triple) -> int:
-        self.triples.append(triple)
-        return len(self.triples) - 1
+        self.subject.append(_id_of(self.concepts, self._concept_names, triple.subject))
+        self.relation.append(_id_of(self.relations, self._relation_names, triple.relation))
+        self.object.append(_id_of(self.concepts, self._concept_names, triple.object))
+        self.negated.append(triple.negated)
+        self.weight.append(triple.weight)
+        self.source_line.append(triple.source_line)
+        return len(self.subject) - 1
+
+    def triple(self, i: int) -> Triple:
+        return Triple(self._concept_names[self.subject[i]],
+                      self._relation_names[self.relation[i]],
+                      self._concept_names[self.object[i]],
+                      self.weight[i], self.source_line[i], bool(self.negated[i]))
+
+    def __iter__(self) -> Iterator[Triple]:
+        return map(self.triple, range(len(self)))
 
     def __len__(self) -> int:
-        return len(self.triples)
+        return len(self.subject)
 
     @classmethod
     def from_tuples(cls, rows: Iterable[tuple]) -> "KnowledgeGraph":
@@ -111,14 +133,19 @@ class KnowledgeGraph:
         them, so ``("sun", "Causes", "light")`` works as a fixture row.
         """
         g = cls()
-        for n, row in enumerate(rows):
-            subject, relation, obj = row[0], row[1], row[2]
-            weight = float(row[3]) if len(row) > 3 else 1.0
+        for n, (subject, relation, obj, *weight) in enumerate(rows):
             rel, negated = normalize_relation(relation)
-            g.add(Triple(normalize_concept(subject), rel,
-                         normalize_concept(obj), weight, n, negated))
+            g.add(Triple(normalize_concept(subject), rel, normalize_concept(obj),
+                         float(weight[0]) if weight else 1.0, n, negated))
         g.stats.kept = len(g)
         return g
+
+
+def _id_of(ids: dict[str, int], names: list[str], name: str) -> int:
+    if name not in ids:
+        ids[name] = len(names)
+        names.append(name)
+    return ids[name]
 
 
 def normalize_concept(term: str) -> str:
@@ -275,7 +302,7 @@ def load_graph(path, relation_filter: RelationFilter | None = None) -> Knowledge
             continue
         g.add(parsed)
     g.stats.kept = len(g)
-    if not g.triples:
+    if not g:
         raise NoTriplesLoaded(f"no triples loaded from {path}")
     return g
 

@@ -1,7 +1,7 @@
 """End-to-end COPA runs: parse problems, build facts, chain, extract, score.
 
-The graph is held as int32 symbol-id columns (``TripleColumns``), built
-once.  Per problem, the triple prefilter keeps the triples whose object is
+The graph's int id columns are copied once into symbol-id columns
+(``TripleColumns``).  Per problem, the triple prefilter keeps the triples whose object is
 near the problem's words, and each kept triple is indexed for selection by
 its symbol ids as axiom ``t<n>`` and, with inverses on, ``t<n>_inv``; only
 the axioms a text selects get such a name.  Each text (premise, then every
@@ -347,7 +347,7 @@ class Pipeline:
         self.graph = graph
         self.table = table
         self.config = config or PipelineConfig()
-        self.columns = TripleColumns(graph.triples, table, self.config.include_inverse)
+        self.columns = TripleColumns(graph, table, self.config.include_inverse)
         self.prefilter = Prefilter(self.columns)
         # axiom id -> (formula, clauses); translation is problem-independent
         self._translations: OrderedDict[str, tuple[Formula, list[Clause]]] = OrderedDict()
@@ -356,7 +356,7 @@ class Pipeline:
                    inverse: bool) -> tuple[Formula, list[Clause]]:
         cached = self._translations.get(aid)
         if cached is None:
-            triple = self.graph.triples[tid]
+            triple = self.graph.triple(tid)
             if inverse:
                 formula = fol.translate_inverse(triple)
             elif self.config.scheme == "factual":

@@ -12,13 +12,14 @@ Three shrinking devices, usable together or alone:
 
 Selection reads nothing but each axiom's symbols, and a triple's are known
 without translating it: subject, predicate and object, with the ``inv_``
-predicate in place of the predicate for the inverse reading.  So the graph
-is held once as ``TripleColumns``: int32 columns of ids over one
-``SymbolTable``, whose unit-vector matrix serves both the prefilter and
-similarity seeding.  Per problem an ``AxiomIndex`` is one int32 matrix of
-symbol ids, one row per axiom, with ``np.bincount`` occurrence counts;
-selection runs on boolean masks and returns axiom positions, so only the
-axioms a text selects are ever named or translated.
+predicate in place of the predicate for the inverse reading.  So
+``TripleColumns`` copies the graph's id columns, with its concept ids as
+symbol ids and the predicates after them, in one ``SymbolTable`` whose
+unit-vector matrix serves both the prefilter and similarity seeding.  Per
+problem an ``AxiomIndex`` is one int32 matrix of symbol ids, one row per
+axiom, with ``np.bincount`` occurrence counts; selection runs on boolean
+masks and returns axiom positions, so only the axioms a text selects are
+ever named or translated.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ from .embeddings import EmbeddingTable
 from .errors import EmptyGoal
 from .fol import symbols  # noqa: F401  benchmarks/tracing.py wraps this name
 from .fol import INVERSE_PREFIX, relation_predicate
-from .kg import Triple
+from .kg import KnowledgeGraph
 
 
 @dataclass
@@ -96,33 +97,24 @@ class TripleColumns:
 
     Triple ``i`` has ids ``subject[i]``, ``predicate[i]`` and ``object[i]``,
     plus ``inverse[i]`` for its ``inv_`` predicate when inverses are on
-    (``inverse`` is None otherwise), and ``negated[i]``.  Objects are
-    interned first, so the first ``n_objects`` rows of ``symbols.unit`` are
-    exactly the objects' vectors.
+    (``inverse`` is None otherwise), and ``negated[i]``.  The graph's
+    concept ids are its concepts' symbol ids, and predicates and ``inv_``
+    predicates not spelled like a concept come after them.  The columns
+    are copies: a later ``graph.add`` changes nothing here.
     """
 
-    def __init__(self, triples: Sequence[Triple], table: EmbeddingTable,
+    def __init__(self, graph: KnowledgeGraph, table: EmbeddingTable,
                  inverse: bool = False):
-        n = len(triples)
-        ids: dict[str, int] = {}
-        self.object = np.fromiter(
-            (ids.setdefault(t.object, len(ids)) for t in triples), np.int32, n)
-        self.n_objects = len(ids)
-        self.subject = np.fromiter(
-            (ids.setdefault(t.subject, len(ids)) for t in triples), np.int32, n)
-        relations: dict[str, int] = {}
-        relation = np.fromiter(
-            (relations.setdefault(t.relation, len(relations)) for t in triples),
-            np.intp, n)
-        names = [relation_predicate(r) for r in relations]
+        ids = dict(graph.concepts)
+        names = [relation_predicate(r) for r in graph.relations]
+        relation = np.array(graph.relation, dtype=np.intp)
+        self.subject = np.array(graph.subject, dtype=np.int32)
+        self.object = np.array(graph.object, dtype=np.int32)
         self.predicate = _intern(ids, names)[relation]
         self.inverse = _intern(ids, [INVERSE_PREFIX + p for p in names])[relation] \
             if inverse else None
-        self.negated = np.fromiter((t.negated for t in triples), bool, n)
+        self.negated = np.array(graph.negated, dtype=bool)
         self.symbols = SymbolTable(ids, table)
-
-    def __len__(self) -> int:
-        return len(self.object)
 
     def axiom_rows(self, tids: np.ndarray) -> np.ndarray:
         """Symbol-id rows of the axioms of triples ``tids``, in axiom order.
@@ -269,8 +261,8 @@ class Prefilter:
     """Reusable triple filter: keep triples whose object is near problem words.
 
     A triple's object vector is its object's row of the shared unit-vector
-    matrix; the objects are that matrix's first rows, so each problem costs
-    one product of those rows with the problem's word vectors.
+    matrix, so each problem costs one product of that matrix with the
+    problem's word vectors.
     """
 
     def __init__(self, columns: TripleColumns):
@@ -282,5 +274,5 @@ class Prefilter:
             raise EmptyGoal("prefilter needs at least one problem word")
         cols = self.columns
         words = _unit_rows(np.stack([cols.symbols.table.vector(w) for w in problem_words]))
-        best = (cols.symbols.unit[:cols.n_objects] @ words.T).max(axis=1)
+        best = (cols.symbols.unit @ words.T).max(axis=1)
         return np.flatnonzero(best[cols.object] >= theta)

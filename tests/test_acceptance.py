@@ -58,7 +58,7 @@ def criterion(name):
 def test_translation_fidelity(fig_graph):
     start = time.perf_counter()
     lines = [to_tptp(translate_existential(t), f"t{i + 1}", "axiom")
-             for i, t in enumerate(fig_graph.triples)]
+             for i, t in enumerate(fig_graph)]
     assert lines == GOLDEN_TPTP
     assert time.perf_counter() - start < 1.0
 
@@ -163,7 +163,7 @@ def test_end_to_end_worked_problem(fig_graph, fig_table, copa1):
 def test_round_trips(fig_graph, copa_xml_path):
     # every formula family the pipeline produces survives emit -> parse
     produced = []
-    for t in fig_graph.triples:
+    for t in fig_graph:
         produced += [translate_factual(t), translate_existential(t),
                      translate_inverse(t)]
     produced.append(parse_fol(

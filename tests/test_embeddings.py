@@ -63,6 +63,19 @@ class TestLoadTable:
         with pytest.raises(DimensionMismatch):
             load_table(path)
 
+    @pytest.mark.parametrize("text, message", [
+        ("sun 1 0\nmoon 1 0 1\n", "line 2: expected 2 components, got 3"),
+        ("sun 1 0\nmoon 1 x\n", "line 2: bad float"),
+        ("", "no vector line"),
+        ("3 2\n", "no vector line"),
+    ], ids=["dimension", "bad-float", "empty", "header-only"])
+    def test_dimension_errors_name_file(self, tmp_path, text, message):
+        path = tmp_path / "vec.txt"
+        path.write_text(text, "utf-8")
+        with pytest.raises(DimensionMismatch, match=message) as err:
+            load_table(path)
+        assert str(path) in str(err.value)
+
     def test_invalid_utf8_names_file_and_line(self, tmp_path):
         path = tmp_path / "vec.txt"
         path.write_bytes(b"sun 1 0\nsu\xffn 0 1\n")

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from corg import Triple, fol
+from corg import KnowledgeGraph, Triple, fol
 from corg.embeddings import EmbeddingTable
 from corg.errors import NegatedUnsupported, ParseError, UnsupportedFragment
 from corg.fol import (MAX_NESTING, And, Atom, Clause, Constant, Exists, Forall,
@@ -92,7 +92,8 @@ class TestTripleSymbols:
 
     @staticmethod
     def index_rows(triples):
-        columns = TripleColumns(triples, EmbeddingTable(2, {}), inverse=True)
+        columns = TripleColumns(KnowledgeGraph(triples), EmbeddingTable(2, {}),
+                                inverse=True)
         idx = build_index(columns.axiom_rows(np.arange(len(triples))), columns.symbols)
         names = list(columns.symbols.ids)
         out = []
@@ -156,7 +157,7 @@ class TestClausify:
         assert clausify(f, "t3") == clausify(f, "t3")
 
     def test_translator_clauses_horn_and_range_restricted(self, fig_graph):
-        for i, t in enumerate(fig_graph.triples):
+        for i, t in enumerate(fig_graph):
             for f in (translate_existential(t), translate_inverse(t)):
                 for c in clausify(f, f"t{i + 1}"):
                     assert c.is_horn()
@@ -410,7 +411,7 @@ def random_formula(rng, depth=0):
 
 class TestRoundTrip:
     def test_translators_round_trip(self, fig_graph):
-        for t in fig_graph.triples:
+        for t in fig_graph:
             for f in (translate_factual(t), translate_existential(t),
                       translate_inverse(t)):
                 assert parse_fol(to_tptp(f, "x")) == f

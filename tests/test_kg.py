@@ -1,11 +1,16 @@
+import gc
 import gzip
 import random
 
+import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from corg import (KnowledgeGraph, RelationFilter, Skip, Triple,
+from corg import (EmbeddingTable, KnowledgeGraph, Pipeline, PipelineConfig,
+                  RelationFilter, Skip, Triple, TripleColumns,
                   default_relation_whitelist, load_graph, normalize_relation,
-                  parse_assertion_line, parse_plain_line)
+                  parse_assertion_line, parse_plain_line, relation_predicate)
 from corg.errors import CorruptArchive, MalformedLine, NoTriplesLoaded
 
 
@@ -135,9 +140,9 @@ class TestLoadGraph:
 
     def test_fixture_graph_indexes(self, fig_graph_path):
         g = load_graph(fig_graph_path)
-        subjects = [t.subject for t in g.triples]
+        subjects = [t.subject for t in g]
         assert subjects == ["sun", "shadow", "shadow", "grass"]
-        objects = [t.object for t in g.triples]
+        objects = [t.object for t in g]
         assert objects == ["light", "light", "ground", "ground"]
 
     def test_comments_and_blanks(self, tmp_path):
@@ -159,7 +164,7 @@ class TestLoadGraph:
             dump_line("/r/Causes", "/c/en/sun", "/c/en/heat", '{"weight": 2.0}'),
         ]) + "\n", "utf-8")
         g = load_graph(path)
-        assert [(t.object, t.weight) for t in g.triples] == [("heat", 2.0)]
+        assert [(t.object, t.weight) for t in g] == [("heat", 2.0)]
         assert g.stats.skipped == {"malformed": 1}
 
     def test_invalid_utf8_counted_malformed(self, tmp_path):
@@ -169,14 +174,14 @@ class TestLoadGraph:
                          + dump_line("/r/Causes", "/c/en/sun", "/c/en/heat").encode()
                          + b"\n\xc3\n")
         g = load_graph(path)
-        assert [(t.object, t.source_line) for t in g.triples] == [("light", 2), ("heat", 3)]
+        assert [(t.object, t.source_line) for t in g] == [("light", 2), ("heat", 3)]
         assert g.stats.skipped == {"malformed": 2}
 
     def test_relation_whitelist(self, tmp_path):
         path = tmp_path / "fix.tsv"
         path.write_text("sun\tCauses\tlight\nsun\tIsA\tstar\n", "utf-8")
         g = load_graph(path, RelationFilter(allowed=frozenset({"causes"})))
-        assert [t.relation for t in g.triples] == ["causes"]
+        assert [t.relation for t in g] == ["causes"]
         assert g.stats.skipped["relation"] == 1
 
     def test_negated_triples_kept_with_flag(self, tmp_path):
@@ -184,7 +189,7 @@ class TestLoadGraph:
         path = tmp_path / "fix.tsv"
         path.write_text("person\tNotDesires\tpain\nsun\tCauses\tlight\n", "utf-8")
         g = load_graph(path)
-        assert [t.negated for t in g.triples] == [True, False]
+        assert [t.negated for t in g] == [True, False]
         assert g.stats.skipped == {}
 
     def test_gzip_transparent(self, tmp_path):
@@ -213,7 +218,7 @@ class TestLoadGraph:
 
 
 def edges(graph, subject=None, obj=None):
-    return [(t.subject, t.relation, t.object) for t in graph.triples
+    return [(t.subject, t.relation, t.object) for t in graph
             if subject in (None, t.subject) and obj in (None, t.object)]
 
 
@@ -240,9 +245,9 @@ class TestInvariants:
     def test_degree_sums_match_triple_count(self, fig_graph):
         # a triple's id is its position: add() hands out 0, 1, 2, ...
         g = KnowledgeGraph()
-        ids = [g.add(t) for t in fig_graph.triples]
+        ids = [g.add(t) for t in fig_graph]
         assert ids == list(range(len(fig_graph)))
-        assert g.triples == fig_graph.triples
+        assert list(g) == list(fig_graph)
         assert len(g) == fig_graph.stats.kept == 4
 
     def test_filter_monotonicity(self, tmp_path):
@@ -269,8 +274,62 @@ class TestInvariants:
     def test_reload_determinism(self, fig_graph_path):
         g1 = load_graph(fig_graph_path)
         g2 = load_graph(fig_graph_path)
-        assert g1.triples == g2.triples
+        assert list(g1) == list(g2)
         assert g1.stats == g2.stats
+
+
+# concepts spelled like a relation, its predicate or its inv_ predicate
+_CONCEPTS = st.sampled_from(["sun", "light", "causes", "at_location", "atlocation",
+                             "inv_causes", "inv_atlocation"]) \
+    | st.from_regex(r"[a-z][a-z0-9_]{0,6}", fullmatch=True)
+_TRIPLES = st.builds(Triple, _CONCEPTS, st.sampled_from(["causes", "at_location", "is_a"]),
+                     _CONCEPTS, st.floats(allow_nan=False), st.integers(0, 2**40),
+                     st.booleans())
+_COLUMNS = ("subject", "predicate", "inverse", "object", "negated")
+
+
+class TestColumns:
+    """The graph holds ids only; TripleColumns copies them."""
+
+    @settings(max_examples=200, derandomize=True, database=None)
+    @given(st.lists(_TRIPLES, max_size=8))
+    @example([Triple("causes", "causes", "inv_causes"), Triple("causes", "causes", "causes"),
+              Triple("atlocation", "at_location", "sun", negated=True)])
+    def test_rows_round_trip_and_columns_are_copies(self, triples):
+        graph = KnowledgeGraph()
+        assert [graph.add(t) for t in triples] == list(range(len(triples)))
+        assert [graph.triple(i) for i in range(len(graph))] == triples
+        assert list(graph) == triples
+
+        columns = TripleColumns(graph, EmbeddingTable(2, {}), inverse=True)
+        names = list(columns.symbols.ids)
+        for i, t in enumerate(triples):
+            predicate = relation_predicate(t.relation)
+            assert [names[c[i]] for c in (columns.subject, columns.predicate,
+                                          columns.inverse, columns.object)] == \
+                [t.subject, predicate, "inv_" + predicate, t.object]
+            assert columns.negated[i] == t.negated
+
+        pipeline = Pipeline(graph, EmbeddingTable(2, {}), PipelineConfig(include_inverse=True))
+        before = {c: getattr(pipeline.columns, c).copy() for c in _COLUMNS}
+        symbols = dict(pipeline.columns.symbols.ids)
+        graph.add(Triple("fresh", "new_relation", "sun"))
+        for c in _COLUMNS:
+            assert np.array_equal(getattr(pipeline.columns, c), before[c])
+        assert pipeline.columns.symbols.ids == symbols
+        assert len(graph) == len(triples) + 1
+
+    def test_load_stores_no_object_per_triple(self, tmp_path):
+        n = 20_000
+        path = tmp_path / "big.tsv"
+        path.write_text("".join(f"c{i % 5000}\tCauses\tc{i * 7 % 5003}\n"
+                                for i in range(n)), "utf-8")
+        gc.collect()
+        before = len(gc.get_objects())
+        graph = load_graph(path)
+        gc.collect()
+        assert len(graph) == n
+        assert len(gc.get_objects()) - before < n / 10
 
 
 def test_default_whitelist_contents():

@@ -26,7 +26,7 @@ def unary(pred, term):
 
 def fig_clauses(fig_graph, inverse=False):
     clauses = []
-    for i, t in enumerate(fig_graph.triples):
+    for i, t in enumerate(fig_graph):
         clauses.extend(clausify(translate_existential(t), f"t{i + 1}"))
         if inverse:
             clauses.extend(clausify(translate_inverse(t), f"t{i + 1}_inv"))

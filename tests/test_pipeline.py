@@ -190,7 +190,7 @@ class TestRunProblem:
         result = Pipeline(fig_graph, fig_table, cfg).run_problem(copa1)
         for text in result.texts:
             for aid, formula in zip(text.selected, text.formulas, strict=True):
-                triple = fig_graph.triples[int(aid[1:].removesuffix("_inv")) - 1]
+                triple = fig_graph.triple(int(aid[1:].removesuffix("_inv")) - 1)
                 translate = translate_inverse if aid.endswith("_inv") \
                     else translate_existential
                 assert formula == translate(triple)
@@ -250,7 +250,7 @@ class TestReachabilityOracle:
             assert not {"atoms", "rounds"} & set(text.model.cut_by)
             edges = []
             for aid in text.selected:
-                t = graph.triples[int(aid[1:].removesuffix("_inv")) - 1]
+                t = graph.triple(int(aid[1:].removesuffix("_inv")) - 1)
                 edges.append((t.object, t.subject) if aid.endswith("_inv")
                              else (t.subject, t.object))
             words = {fact.predicate for fact in text.facts}
@@ -387,7 +387,7 @@ class TestExportTptp:
         selected = result.texts[1].selected
         assert selected and [a.name for a in annotated] == selected
         assert [a.formula for a in annotated] == result.texts[1].formulas == \
-            [translate_existential(fig_graph.triples[int(aid[1:]) - 1])
+            [translate_existential(fig_graph.triple(int(aid[1:]) - 1))
              for aid in selected]
         facts = parse_tptp((tmp_path / "p1_premise_facts.p").read_text("utf-8"))
         assert [a.formula for a in facts] == result.texts[0].facts
@@ -467,7 +467,10 @@ class TestCli:
         ("vectors.txt", b"moon 0 1\nsun nan 0\n"),
         ("vectors.txt.gz", gzip.compress(b"".join(b"w%d %d 1\n" % (i, i)
                                                   for i in range(300)))[:200]),
-    ], ids=["invalid-utf8", "nan", "cut-gzip"])
+        ("vectors.txt", b"sun 1 0\nmoon 1 0 1\n"),
+        ("vectors.txt", b"sun 1 0\nmoon 1 x\n"),
+        ("vectors.txt", b"3 2\n"),
+    ], ids=["invalid-utf8", "nan", "cut-gzip", "dimension", "bad-float", "header-only"])
     def test_bad_table_exits_1(self, copa_xml_path, fig_graph_path, tmp_path,
                                capsys, name, data):
         table = tmp_path / name

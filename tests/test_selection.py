@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from corg import Triple
+from corg import KnowledgeGraph, Triple
 from corg.embeddings import EmbeddingTable, cosine
 from corg.errors import EmptyGoal
 from corg.fol import symbols, translate_existential, translate_inverse
@@ -33,8 +33,8 @@ def picked(axioms, positions):
 
 
 def fig_index(fig_graph, table=NO_VECTORS):
-    columns = TripleColumns(fig_graph.triples, table)
-    return build_index(columns.axiom_rows(np.arange(len(columns))), columns.symbols)
+    columns = TripleColumns(fig_graph, table)
+    return build_index(columns.axiom_rows(np.arange(len(fig_graph))), columns.symbols)
 
 
 def fig_ids(positions):
@@ -60,7 +60,7 @@ class TestBuildIndex:
         # spelled like its predicate, has fewer than three symbols
         for triple, n in [(Triple("a", "r", "a"), 2), (Triple("causes", "causes", "x"), 2),
                           (Triple("x", "causes", "x"), 2)]:
-            columns = TripleColumns([triple], NO_VECTORS)
+            columns = TripleColumns(KnowledgeGraph([triple]), NO_VECTORS)
             idx = build_index(columns.axiom_rows(np.array([0])), columns.symbols)
             assert (idx.rows >= 0).sum() == n
             assert idx.occ.max() == 1
@@ -260,7 +260,7 @@ class TestReferenceAgreement:
         triples = [Triple(s, r, o, negated=neg) for s, r, o, neg, _ in rows]
         kept = np.array([k for k, row in enumerate(rows) if row[4]], dtype=np.intp)
 
-        columns = TripleColumns(triples, table, inverse=inverse)
+        columns = TripleColumns(KnowledgeGraph(triples), table, inverse=inverse)
         tids = kept[~columns.negated[kept]]
         idx = build_index(columns.axiom_rows(tids), columns.symbols)
         select = sine_select if cfg.similarity_threshold is None else similarity_sine_select
@@ -290,7 +290,7 @@ class TestTriplePrefilter:
         return [Triple("sun", "is_a", "star"), Triple("sun", "causes", "light")]
 
     def prefilter(self, triples, table=None):
-        return Prefilter(TripleColumns(triples, table or self.table()))
+        return Prefilter(TripleColumns(KnowledgeGraph(triples), table or self.table()))
 
     def kept(self, triples, words, theta, table=None):
         return [triples[i] for i in self.prefilter(triples, table).apply_indices(words, theta)]
@@ -352,9 +352,8 @@ class TestTriplePrefilter:
     def test_empty_graph_keeps_nothing(self):
         assert self.prefilter([]).apply_indices(["sun"], -1.0).tolist() == []
 
-    def test_objects_are_the_first_symbols(self):
-        columns = TripleColumns([Triple("a", "r", "b"), Triple("b", "r", "c")],
-                                self.table(), inverse=True)
-        names = list(columns.symbols.ids)
-        assert names[:columns.n_objects] == ["b", "c"]
-        assert set(names) == {"a", "b", "c", "r", "inv_r"}
+    def test_concepts_are_the_first_symbols(self):
+        graph = KnowledgeGraph([Triple("a", "r", "b"), Triple("b", "r", "c")])
+        columns = TripleColumns(graph, self.table(), inverse=True)
+        assert list(columns.symbols.ids) == ["a", "b", "c", "r", "inv_r"]
+        assert list(graph.concepts) == ["a", "b", "c"]
