@@ -4,16 +4,24 @@ File format: optional header line ``<count> <dim>``, then one
 ``word v1 ... v_dim`` entry per line (the layout used by common
 pre-computed embedding releases).  ``.gz`` paths are read transparently.
 Lookup keys are lowercase.
+
+A table is one float64 matrix with a row per word.  ``load_table`` parses
+the vectors a block of lines at a time with one ``np.loadtxt`` call, and
+parses a block again line by line only when that call fails or its result
+is not a finite matrix of the table's width, to name the bad line or to
+accept a float spelling ``loadtxt`` does not (``1_0``).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from typing import Iterator, Mapping
 
 import numpy as np
 
 from .errors import DimensionMismatch, MalformedLine
 from .kg import _CAMEL_BOUNDARY, _is_utf8, _open_text
+
+_BLOCK_LINES = 1024
 
 
 def split_identifier(token: str) -> list[str]:
@@ -26,23 +34,26 @@ def split_identifier(token: str) -> list[str]:
     return parts
 
 
-@dataclass
 class EmbeddingTable:
-    """Immutable-after-load map from lowercase words to fixed-size vectors."""
+    """Immutable-after-load map from lowercase words to fixed-size vectors.
 
-    dimension: int
-    entries: dict[str, np.ndarray] = field(default_factory=dict)
-    duplicates: int = 0
+    The vectors are the rows of one float64 ``matrix`` of shape
+    ``(len(table), dimension)``, and ``rows`` maps each word to its row.
+    ``EmbeddingTable(dimension, {word: vector})`` copies the given vectors
+    into a new matrix.
+    """
+
+    def __init__(self, dimension: int, vectors: Mapping[str, np.ndarray],
+                 duplicates: int = 0):
+        self.dimension = dimension
+        self.duplicates = duplicates
+        self.rows = {word: i for i, word in enumerate(vectors)}
+        self.matrix = np.zeros((len(self.rows), dimension))
+        for word, i in self.rows.items():
+            self.matrix[i] = vectors[word]
 
     def __len__(self) -> int:
-        return len(self.entries)
-
-    def __contains__(self, word: str) -> bool:
-        return word.lower() in self.entries
-
-    def get(self, word: str) -> np.ndarray | None:
-        """Direct lookup, no OOV handling."""
-        return self.entries.get(word.lower())
+        return len(self.rows)
 
     def vector(self, token: str) -> np.ndarray:
         """The token's stored vector, else the mean of the vectors of its
@@ -50,62 +61,113 @@ class EmbeddingTable:
         annoy/your/spouse, ``astronomicalBody`` -> astronomical/body), else
         zeros, the flag for a miss.
 
-        Returns the stored array on a hit (treat it as read-only).
+        Returns a view of the token's matrix row on a hit (treat it as
+        read-only).
         """
-        hit = self.entries.get(token.lower())
-        if hit is not None:
-            return hit
-        found = [self.entries[p] for p in split_identifier(token) if p in self.entries]
-        return np.mean(found, axis=0) if found else np.zeros(self.dimension)
+        row = self.rows.get(token.lower())
+        if row is not None:
+            return self.matrix[row]
+        found = [self.rows[p] for p in split_identifier(token) if p in self.rows]
+        return self.matrix[found].mean(axis=0) if found else np.zeros(self.dimension)
 
 
 def load_table(path) -> EmbeddingTable:
     """Load a vector table; duplicate words are counted and the last wins.
 
-    A bad line raises a CorgError naming it and the file, as does a file with
-    no vector line; a ``.gz`` that does not decompress raises CorruptArchive."""
-    entries: dict[str, np.ndarray] = {}
-    unchecked: list[tuple[int, np.ndarray]] = []  # (line, vector) not yet checked finite
+    A bad line raises a CorgError naming it and the file, as do a file with
+    no vector line and a table of dimension 0; a ``.gz`` that does not
+    decompress raises CorruptArchive."""
+    rows: dict[str, int] = {}
+    matrix = np.zeros((0, 0))
     duplicates = 0
+    for dimension, block in _vector_blocks(path):
+        vectors = _parse_block(block, dimension, path)
+        start = len(rows)
+        for _, word, _ in block:
+            rows.setdefault(word, len(rows))
+        if len(rows) > len(matrix):
+            # grown in place, so that the vectors are never held twice; no
+            # view of ``matrix`` outlives the statement that takes it
+            matrix.resize((max(len(rows), 2 * len(matrix)), dimension), refcheck=False)
+        if len(rows) - start == len(block):
+            matrix[start:len(rows)] = vectors
+        else:
+            duplicates += len(block) - (len(rows) - start)
+            for (_, word, _), vec in zip(block, vectors):
+                matrix[rows[word]] = vec
+    if not rows:
+        raise DimensionMismatch(f"no vector line in {path}")
+    matrix.resize((len(rows), dimension), refcheck=False)
+    table = EmbeddingTable(dimension, {}, duplicates)
+    table.rows, table.matrix = rows, matrix
+    return table
+
+
+def _vector_blocks(path) -> Iterator[tuple[int, list[tuple[int, str, str]]]]:
+    """The table's dimension with blocks of its vector lines as
+    ``(line_no, lowercased word, components text)``.
+
+    Raises for a line that is not UTF-8, for a word with no component and
+    for a header of dimension below 1."""
     dimension: int | None = None
+    block: list[tuple[int, str, str]] = []
     for line_no, line in enumerate(_open_text(path), start=1):
         if not line.isascii() and not _is_utf8(line):
             raise MalformedLine(line_no, f"not valid UTF-8 ({path})")
-        fields = line.split()
+        if line_no == 1:
+            fields = line.split()
+            if len(fields) == 2 and all(_is_int(f) for f in fields):
+                dimension = int(fields[1])
+                if dimension < 1:
+                    raise DimensionMismatch(f"line 1: header gives dimension "
+                                            f"{dimension} ({path})")
+                continue
+        fields = line.split(maxsplit=1)
         if not fields:
             continue
-        if line_no == 1 and len(fields) == 2 and all(_is_int(f) for f in fields):
-            dimension = int(fields[1])
-            continue
-        word = fields[0].lower()
+        if len(fields) == 1:
+            raise DimensionMismatch(f"line {line_no}: word with no vector ({path})")
+        if dimension is None:
+            dimension = len(fields[1].split())
+        block.append((line_no, fields[0].lower(), fields[1]))
+        if len(block) == _BLOCK_LINES:
+            yield dimension, block
+            block = []
+    if block:
+        yield dimension, block
+
+
+def _parse_block(block: list[tuple[int, str, str]], dimension: int, path) -> np.ndarray:
+    """The block's vectors as a ``(len(block), dimension)`` finite matrix."""
+    try:
+        vectors = np.loadtxt([text for _, _, text in block], comments=None, ndmin=2)
+    except ValueError:
+        return _parse_lines(block, dimension, path)
+    if vectors.shape != (len(block), dimension) or not np.isfinite(vectors).all():
+        return _parse_lines(block, dimension, path)
+    return vectors
+
+
+def _parse_lines(block: list[tuple[int, str, str]], dimension: int, path) -> np.ndarray:
+    """``_parse_block`` one line at a time, with Python's float syntax: a
+    bad float or a wrong component count raises DimensionMismatch for its
+    line, and then a component that is not finite raises MalformedLine for
+    the first line that has one."""
+    vectors = []
+    for line_no, _, text in block:
         try:
-            vec = np.array(fields[1:], dtype=np.float64)
+            vec = np.array(text.split(), dtype=np.float64)
         except ValueError as e:
             raise DimensionMismatch(f"line {line_no}: bad float, {e} ({path})") from e
-        if dimension is None:
-            dimension = len(vec)
         if len(vec) != dimension:
             raise DimensionMismatch(f"line {line_no}: expected {dimension} "
                                     f"components, got {len(vec)} ({path})")
-        if word in entries:
-            duplicates += 1
-        entries[word] = vec
-        unchecked.append((line_no, vec))
-        if len(unchecked) == 256:  # a check per line would cost half a parse
-            _require_finite(unchecked, path)
-    _require_finite(unchecked, path)
-    if not entries:
-        raise DimensionMismatch(f"no vector line in {path}")
-    return EmbeddingTable(dimension, entries, duplicates)
-
-
-def _require_finite(rows: list[tuple[int, np.ndarray]], path):
-    """Raise MalformedLine naming the first of these (line, vector) rows
-    with a component that is not finite; otherwise empty ``rows``."""
-    if rows and not np.isfinite(np.stack([vec for _, vec in rows])).all():
-        line_no = next(n for n, vec in rows if not np.isfinite(vec).all())
+        vectors.append(vec)
+    finite = np.isfinite(vectors).all(axis=1)
+    if not finite.all():
+        line_no = block[int(np.argmin(finite))][0]
         raise MalformedLine(line_no, f"component that is not finite ({path})")
-    rows.clear()
+    return np.array(vectors)
 
 
 def _is_int(s: str) -> bool:

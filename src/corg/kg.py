@@ -105,12 +105,17 @@ class KnowledgeGraph:
             self.add(t)
 
     def add(self, triple: Triple) -> int:
-        self.subject.append(_id_of(self.concepts, self._concept_names, triple.subject))
-        self.relation.append(_id_of(self.relations, self._relation_names, triple.relation))
-        self.object.append(_id_of(self.concepts, self._concept_names, triple.object))
-        self.negated.append(triple.negated)
-        self.weight.append(triple.weight)
-        self.source_line.append(triple.source_line)
+        return self._append(triple.subject, triple.relation, triple.object,
+                            triple.weight, triple.source_line, triple.negated)
+
+    def _append(self, subject: str, relation: str, obj: str, weight: float,
+                source_line: int, negated: bool) -> int:
+        self.subject.append(_id_of(self.concepts, self._concept_names, subject))
+        self.relation.append(_id_of(self.relations, self._relation_names, relation))
+        self.object.append(_id_of(self.concepts, self._concept_names, obj))
+        self.negated.append(negated)
+        self.weight.append(weight)
+        self.source_line.append(source_line)
         return len(self.subject) - 1
 
     def triple(self, i: int) -> Triple:
@@ -180,6 +185,78 @@ def _parse_concept_uri(uri: str, line_no: int) -> tuple[str, str] | Skip:
     return parts[2], normalize_concept(parts[3])
 
 
+class _LineParser:
+    """The one parser of dump and fixture lines, with per-load memos.
+
+    A line parses to the fields ``(subject, relation, object, weight,
+    source_line, negated)`` of a ``Triple``, or to a ``Skip``.  Raw relation
+    strings are memoized to their ``normalize_relation`` result, and concept
+    URIs to their ``_parse_concept_uri`` result; a URI that raises
+    MalformedLine is not memoized, so it raises on every use.
+    """
+
+    def __init__(self):
+        self._relations: dict[str, tuple[str, bool]] = {}
+        self._concepts: dict[str, tuple[str, str] | Skip] = {}
+
+    def _relation(self, raw: str) -> tuple[str, bool]:
+        hit = self._relations.get(raw)
+        if hit is None:
+            hit = self._relations[raw] = normalize_relation(raw)
+        return hit
+
+    def _concept(self, uri: str, line_no: int) -> tuple[str, str] | Skip:
+        hit = self._concepts.get(uri)
+        if hit is None:
+            hit = self._concepts[uri] = _parse_concept_uri(uri, line_no)
+        return hit
+
+    def assertion(self, line: str, line_no: int) -> tuple | Skip:
+        fields = line.rstrip("\n").split("\t")
+        if len(fields) != 5:
+            raise MalformedLine(line_no, f"expected 5 fields, got {len(fields)}")
+        _, rel_uri, start_uri, end_uri, meta = fields
+        if not rel_uri.startswith("/r/") or len(rel_uri) <= 3:
+            raise MalformedLine(line_no, f"bad relation URI {rel_uri!r}")
+        relation, negated = self._relation(rel_uri[3:])
+        if relation == "external_url":
+            return Skip("external_url")
+        start = self._concept(start_uri, line_no)
+        if isinstance(start, Skip):
+            return start
+        end = self._concept(end_uri, line_no)
+        if isinstance(end, Skip):
+            return end
+        if start[0] != "en" or end[0] != "en":
+            return Skip("language")
+        weight = 1.0
+        meta = meta.strip()
+        if meta:
+            try:
+                data = json.loads(meta)
+            except (ValueError, RecursionError) as e:
+                raise MalformedLine(line_no, f"bad JSON metadata: {e}") from e
+            if isinstance(data, dict) and "weight" in data:
+                weight = _json_weight(data["weight"], line_no)
+        return start[1], relation, end[1], weight, line_no, negated
+
+    def plain(self, line: str, line_no: int) -> tuple:
+        fields = line.rstrip("\n").split("\t")
+        if len(fields) not in (3, 4):
+            raise MalformedLine(line_no, f"expected 3 or 4 fields, got {len(fields)}")
+        relation, negated = self._relation(fields[1])
+        if not fields[0].strip() or not relation or not fields[2].strip():
+            raise MalformedLine(line_no, "empty field")
+        weight = 1.0
+        if len(fields) == 4:
+            try:
+                weight = float(fields[3])
+            except ValueError as e:
+                raise MalformedLine(line_no, f"bad weight {fields[3]!r}") from e
+        return (normalize_concept(fields[0]), relation, normalize_concept(fields[2]),
+                weight, line_no, negated)
+
+
 def parse_assertion_line(line: str, line_no: int = 0) -> Triple | Skip:
     """Parse one assertions-dump record into a Triple, or a Skip.
 
@@ -187,33 +264,8 @@ def parse_assertion_line(line: str, line_no: int = 0) -> Triple | Skip:
     English, and the external_url relation.  Structural garbage raises
     MalformedLine.
     """
-    fields = line.rstrip("\n").split("\t")
-    if len(fields) != 5:
-        raise MalformedLine(line_no, f"expected 5 fields, got {len(fields)}")
-    _, rel_uri, start_uri, end_uri, meta = fields
-    if not rel_uri.startswith("/r/") or len(rel_uri) <= 3:
-        raise MalformedLine(line_no, f"bad relation URI {rel_uri!r}")
-    relation, negated = normalize_relation(rel_uri[3:])
-    if relation == "external_url":
-        return Skip("external_url")
-    start = _parse_concept_uri(start_uri, line_no)
-    if isinstance(start, Skip):
-        return start
-    end = _parse_concept_uri(end_uri, line_no)
-    if isinstance(end, Skip):
-        return end
-    if start[0] != "en" or end[0] != "en":
-        return Skip("language")
-    weight = 1.0
-    meta = meta.strip()
-    if meta:
-        try:
-            data = json.loads(meta)
-        except (ValueError, RecursionError) as e:
-            raise MalformedLine(line_no, f"bad JSON metadata: {e}") from e
-        if isinstance(data, dict) and "weight" in data:
-            weight = _json_weight(data["weight"], line_no)
-    return Triple(start[1], relation, end[1], weight, line_no, negated)
+    parsed = _LineParser().assertion(line, line_no)
+    return parsed if isinstance(parsed, Skip) else Triple(*parsed)
 
 
 def _json_weight(value, line_no: int) -> float:
@@ -228,20 +280,7 @@ def _json_weight(value, line_no: int) -> float:
 
 def parse_plain_line(line: str, line_no: int = 0) -> Triple:
     """Parse one ``subject<TAB>relation<TAB>object[<TAB>weight]`` fixture line."""
-    fields = line.rstrip("\n").split("\t")
-    if len(fields) not in (3, 4):
-        raise MalformedLine(line_no, f"expected 3 or 4 fields, got {len(fields)}")
-    relation, negated = normalize_relation(fields[1])
-    if not fields[0].strip() or not relation or not fields[2].strip():
-        raise MalformedLine(line_no, "empty field")
-    weight = 1.0
-    if len(fields) == 4:
-        try:
-            weight = float(fields[3])
-        except ValueError as e:
-            raise MalformedLine(line_no, f"bad weight {fields[3]!r}") from e
-    return Triple(normalize_concept(fields[0]), relation,
-                  normalize_concept(fields[2]), weight, line_no, negated)
+    return Triple(*_LineParser().plain(line, line_no))
 
 
 def _open_text(path) -> Iterator[str]:
@@ -276,8 +315,15 @@ def load_graph(path, relation_filter: RelationFilter | None = None) -> Knowledge
     or wrong file), CorruptArchive for a ``.gz`` file that does not
     decompress, and OSError for unreadable paths.  Load statistics end up
     on ``graph.stats``.
+
+    Every line goes through one ``_LineParser``, which memoizes the parse
+    of each relation string and concept URI for the length of the load (a
+    dump repeats them, as a concept takes part in many edges).  A kept
+    line's fields are interned straight into the graph's id columns; no
+    ``Triple`` is built.
     """
     flt = relation_filter or RelationFilter()
+    parser = _LineParser()
     g = KnowledgeGraph()
     for line_no, line in enumerate(_open_text(path), start=1):
         if not line.isascii() and not _is_utf8(line):
@@ -288,19 +334,19 @@ def load_graph(path, relation_filter: RelationFilter | None = None) -> Knowledge
             continue
         try:
             if line.count("\t") == 4 and line.startswith("/a/"):
-                parsed = parse_assertion_line(line, line_no)
+                parsed = parser.assertion(line, line_no)
             else:
-                parsed = parse_plain_line(line, line_no)
+                parsed = parser.plain(line, line_no)
         except MalformedLine:
             g.stats.skip("malformed")
             continue
         if isinstance(parsed, Skip):
             g.stats.skip(parsed.reason)
             continue
-        if flt.allowed is not None and parsed.relation not in flt.allowed:
+        if flt.allowed is not None and parsed[1] not in flt.allowed:
             g.stats.skip("relation")
             continue
-        g.add(parsed)
+        g._append(*parsed)
     g.stats.kept = len(g)
     if not g:
         raise NoTriplesLoaded(f"no triples loaded from {path}")

@@ -71,15 +71,23 @@ class SymbolTable:
     Concepts, predicates and ``inv_`` predicates share one namespace, so a
     concept spelled like a predicate is one symbol, as in ``fol.symbols``.
     ``unit`` holds each symbol's ``table.vector``, scaled to unit norm (zero
-    when the table knows neither the symbol nor any of its parts).
+    when the table knows neither the symbol nor any of its parts); the rows
+    of the symbols the table holds are gathered in one step.
     """
 
     def __init__(self, ids: dict[str, int], table: EmbeddingTable):
         self.ids = ids
         self.table = table
         self.unit = np.zeros((len(ids), table.dimension))
+        hit_ids, hit_rows = [], []
         for name, i in ids.items():
-            self.unit[i] = table.vector(name)
+            row = table.rows.get(name.lower())
+            if row is None:
+                self.unit[i] = table.vector(name)
+            else:
+                hit_ids.append(i)
+                hit_rows.append(row)
+        self.unit[hit_ids] = table.matrix[hit_rows]
         _normalize_rows(self.unit)
 
     def __len__(self) -> int:

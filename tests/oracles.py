@@ -5,15 +5,20 @@ naive least-fixpoint evaluator over its own tuple representation, the
 reference chainer is a direct semi-naive chainer over the AST objects, the
 selection and hop oracles are plain reachability walks, and the worked-problem
 oracle recomputes the expected scores with stdlib math from hand-derived
-symbol sequences.
+symbol sequences.  The reference loaders parse one line at a time, with no
+memo and no block parse.
 """
 
+import json
 import math
 from typing import NamedTuple
 
 import numpy as np
 
+from corg.errors import DimensionMismatch, MalformedLine, NoTriplesLoaded
 from corg.fol import Atom, Constant, Function, Variable
+from corg.kg import (KnowledgeGraph, RelationFilter, Skip, Triple, _is_utf8,
+                     _json_weight, _open_text, normalize_concept, normalize_relation)
 
 # ----------------------------------------------------- naive datalog oracle
 
@@ -371,3 +376,164 @@ def copa1_expected():
     exps = [math.exp(s - max(scores)) for s in scores]
     total = sum(exps)
     return scores, [e / total for e in exps]
+
+
+# ------------------------------------------------------- reference loaders
+#
+# ``corg.kg.load_graph`` and ``corg.embeddings.load_table`` parse in bulk:
+# memoized URIs and relations, and one ``np.loadtxt`` call per block of
+# vector lines.  These parse every line on its own, and the bulk loaders
+# must give the same graph and table, and raise for the same files.
+
+
+def _reference_concept(uri: str, line_no: int):
+    if not uri.startswith("/c/"):
+        return Skip("non_concept")
+    parts = uri.split("/")
+    if len(parts) < 4 or not parts[2] or not parts[3]:
+        raise MalformedLine(line_no, f"bad concept URI {uri!r}")
+    return parts[2], normalize_concept(parts[3])
+
+
+def _reference_assertion(line: str, line_no: int):
+    fields = line.rstrip("\n").split("\t")
+    if len(fields) != 5:
+        raise MalformedLine(line_no, f"expected 5 fields, got {len(fields)}")
+    _, rel_uri, start_uri, end_uri, meta = fields
+    if not rel_uri.startswith("/r/") or len(rel_uri) <= 3:
+        raise MalformedLine(line_no, f"bad relation URI {rel_uri!r}")
+    relation, negated = normalize_relation(rel_uri[3:])
+    if relation == "external_url":
+        return Skip("external_url")
+    start = _reference_concept(start_uri, line_no)
+    if isinstance(start, Skip):
+        return start
+    end = _reference_concept(end_uri, line_no)
+    if isinstance(end, Skip):
+        return end
+    if start[0] != "en" or end[0] != "en":
+        return Skip("language")
+    weight = 1.0
+    meta = meta.strip()
+    if meta:
+        try:
+            data = json.loads(meta)
+        except (ValueError, RecursionError) as e:
+            raise MalformedLine(line_no, f"bad JSON metadata: {e}") from e
+        if isinstance(data, dict) and "weight" in data:
+            weight = _json_weight(data["weight"], line_no)
+    return Triple(start[1], relation, end[1], weight, line_no, negated)
+
+
+def _reference_plain(line: str, line_no: int):
+    fields = line.rstrip("\n").split("\t")
+    if len(fields) not in (3, 4):
+        raise MalformedLine(line_no, f"expected 3 or 4 fields, got {len(fields)}")
+    relation, negated = normalize_relation(fields[1])
+    if not fields[0].strip() or not relation or not fields[2].strip():
+        raise MalformedLine(line_no, "empty field")
+    weight = 1.0
+    if len(fields) == 4:
+        try:
+            weight = float(fields[3])
+        except ValueError as e:
+            raise MalformedLine(line_no, f"bad weight {fields[3]!r}") from e
+    return Triple(normalize_concept(fields[0]), relation,
+                  normalize_concept(fields[2]), weight, line_no, negated)
+
+
+def reference_load_graph(path, relation_filter=None) -> KnowledgeGraph:
+    """``load_graph`` one line at a time: a ``Triple`` per kept line, added
+    with ``KnowledgeGraph.add``."""
+    flt = relation_filter or RelationFilter()
+    g = KnowledgeGraph()
+    for line_no, line in enumerate(_open_text(path), start=1):
+        if not line.isascii() and not _is_utf8(line):
+            g.stats.skip("malformed")
+            continue
+        stripped = line.strip()
+        if not stripped or stripped.startswith("#"):
+            continue
+        try:
+            if line.count("\t") == 4 and line.startswith("/a/"):
+                parsed = _reference_assertion(line, line_no)
+            else:
+                parsed = _reference_plain(line, line_no)
+        except MalformedLine:
+            g.stats.skip("malformed")
+            continue
+        if isinstance(parsed, Skip):
+            g.stats.skip(parsed.reason)
+            continue
+        if flt.allowed is not None and parsed.relation not in flt.allowed:
+            g.stats.skip("relation")
+            continue
+        g.add(parsed)
+    g.stats.kept = len(g)
+    if not g:
+        raise NoTriplesLoaded(f"no triples loaded from {path}")
+    return g
+
+
+class ReferenceTable(NamedTuple):
+    dimension: int
+    vectors: dict  # word -> float64 vector, in first-seen order
+    duplicates: int
+
+
+def reference_load_table(path) -> ReferenceTable:
+    """``load_table`` one line at a time, with Python's float syntax and a
+    finiteness check every 256 vectors.  A table of dimension 0 (a header
+    ``<count> 0``, or a word with no component) is an error."""
+    vectors: dict = {}
+    unchecked: list = []  # (line, vector) not yet checked finite
+    duplicates = 0
+    dimension = None
+    for line_no, line in enumerate(_open_text(path), start=1):
+        if not line.isascii() and not _is_utf8(line):
+            raise MalformedLine(line_no, f"not valid UTF-8 ({path})")
+        fields = line.split()
+        if not fields:
+            continue
+        if line_no == 1 and len(fields) == 2 and all(_is_int(f) for f in fields):
+            dimension = int(fields[1])
+            if dimension < 1:
+                raise DimensionMismatch(f"line 1: dimension {dimension} ({path})")
+            continue
+        if len(fields) == 1:
+            raise DimensionMismatch(f"line {line_no}: no component ({path})")
+        word = fields[0].lower()
+        try:
+            vec = np.array(fields[1:], dtype=np.float64)
+        except ValueError as e:
+            raise DimensionMismatch(f"line {line_no}: bad float, {e} ({path})") from e
+        if dimension is None:
+            dimension = len(vec)
+        if len(vec) != dimension:
+            raise DimensionMismatch(f"line {line_no}: expected {dimension} "
+                                    f"components, got {len(vec)} ({path})")
+        if word in vectors:
+            duplicates += 1
+        vectors[word] = vec
+        unchecked.append((line_no, vec))
+        if len(unchecked) == 256:
+            _require_finite(unchecked, path)
+    _require_finite(unchecked, path)
+    if not vectors:
+        raise DimensionMismatch(f"no vector line in {path}")
+    return ReferenceTable(dimension, vectors, duplicates)
+
+
+def _require_finite(rows: list, path):
+    if rows and not np.isfinite(np.stack([vec for _, vec in rows])).all():
+        line_no = next(n for n, vec in rows if not np.isfinite(vec).all())
+        raise MalformedLine(line_no, f"component that is not finite ({path})")
+    rows.clear()
+
+
+def _is_int(s: str) -> bool:
+    try:
+        int(s)
+        return True
+    except ValueError:
+        return False

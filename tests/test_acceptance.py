@@ -134,7 +134,7 @@ def test_scorer_contract(fig_graph, fig_table, copa1):
     for alpha in (0.5, 2.0, 10.0):
         scaled = EmbeddingTable(
             fig_table.dimension,
-            {w: alpha * v for w, v in fig_table.entries.items()})
+            {w: alpha * fig_table.matrix[r] for w, r in fig_table.rows.items()})
         assert Pipeline(fig_graph, scaled).run_problem(copa1).choice.index == baseline
 
 

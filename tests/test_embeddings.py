@@ -1,11 +1,18 @@
+import gc
 import gzip
 import math
+import re
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from corg import embeddings
 from corg.embeddings import EmbeddingTable, cosine, load_table, split_identifier
-from corg.errors import CorruptArchive, DimensionMismatch, MalformedLine
+from corg.errors import CorgError, CorruptArchive, DimensionMismatch, MalformedLine
+from oracles import reference_load_table
 
 
 @pytest.fixture
@@ -24,7 +31,7 @@ class TestLoadTable:
         table = load_table(path)
         assert len(table) == 3
         assert table.dimension == 4
-        assert np.array_equal(table.get("sun"), [1, 0, 0, 0])
+        assert np.array_equal(table.vector("sun"), [1, 0, 0, 0])
 
     def test_header_enforces_dimension(self, tmp_path):
         path = tmp_path / "vec.txt"
@@ -44,7 +51,7 @@ class TestLoadTable:
         path.write_text("sun 1 0\nsun 0 1\n", "utf-8")
         table = load_table(path)
         assert table.duplicates == 1
-        assert np.array_equal(table.get("sun"), [0, 1])
+        assert np.array_equal(table.vector("sun"), [0, 1])
 
     def test_gzip(self, tmp_path):
         path = tmp_path / "vec.txt.gz"
@@ -55,7 +62,7 @@ class TestLoadTable:
     def test_keys_lowercased(self, tmp_path):
         path = tmp_path / "vec.txt"
         path.write_text("Sun 1 0\n", "utf-8")
-        assert "sun" in load_table(path)
+        assert "sun" in load_table(path).rows
 
     def test_empty_file(self, tmp_path):
         path = tmp_path / "vec.txt"
@@ -91,12 +98,122 @@ class TestLoadTable:
         with pytest.raises(MalformedLine, match="line 2: component that is not finite"):
             load_table(path)
 
+    @pytest.mark.parametrize("text", ["sun\nmoon\n", "3 0\nsun\n", "3 0\n", "2 -1\n",
+                                      "sun 1 0\nmoon\n"])
+    def test_zero_dimension_rejected(self, tmp_path, text):
+        # a table with no component answers every problem as a tie
+        path = tmp_path / "vec.txt"
+        path.write_text(text, "utf-8")
+        with pytest.raises(DimensionMismatch, match=r"line \d+: ") as err:
+            load_table(path)
+        assert str(path) in str(err.value)
+
+    def test_load_stores_no_object_per_word(self, tmp_path):
+        n = 20_000
+        path = tmp_path / "big.txt"
+        path.write_text("".join(f"w{i} {i} 0.5 -1\n" for i in range(n)), "utf-8")
+        gc.collect()
+        before = len(gc.get_objects())
+        table = load_table(path)
+        gc.collect()
+        assert len(table) == n
+        assert len(gc.get_objects()) - before < n / 10
+
     def test_cut_gzip_is_corrupt_archive(self, tmp_path):
         path = tmp_path / "vec.txt.gz"
         data = gzip.compress("".join(f"w{i} {i} 1\n" for i in range(200)).encode())
         path.write_bytes(data[:len(data) // 2])
         with pytest.raises(CorruptArchive):
             load_table(path)
+
+
+_GOOD_FLOATS = ["0", "1", "-2.5", ".5", "3e-2", "-0", "1_0", "\u0661"]  # loadtxt rejects the last two
+_BAD_FLOATS = ["nan", "1e999", "-inf", "x", "1e", "1__0"]
+_SEPARATORS = st.sampled_from([" ", "\t", "\xa0", "  ", "\x0b"])
+
+
+@st.composite
+def _tables(draw):
+    """A table file as bytes, with the number of its bad lines (2 for "more
+    than one").  Words repeat, so duplicates fall inside and across blocks."""
+    dim = draw(st.integers(1, 3))
+
+    def vector_line(width, last=_GOOD_FLOATS):
+        words = [draw(st.sampled_from(["sun", "Sun", "moon", "star", "w1"]))]
+        floats = [draw(st.sampled_from(_GOOD_FLOATS)) for _ in range(width - 1)]
+        floats += [draw(st.sampled_from(last))] if width else []
+        return draw(_SEPARATORS).join(words + floats)
+
+    lines = [vector_line(dim) if draw(st.integers(0, 5)) else draw(st.sampled_from(["", " "]))
+             for _ in range(draw(st.integers(0, 14)))]
+    header = draw(st.sampled_from(["", "", f"9 {dim}", "3 0", f"9 {dim + 1}"]))
+    bad = {"3 0": 1, f"9 {dim + 1}": 2}.get(header, 0)
+    for kind in draw(st.lists(st.integers(0, 3), max_size=2)):
+        if kind == 0:
+            line = vector_line(dim, last=_BAD_FLOATS)
+        elif kind == 1:
+            line = vector_line(dim + 1)
+        elif kind == 2:
+            line = vector_line(0)
+        else:
+            line = "su\udcffn " + vector_line(dim)
+        lines.insert(draw(st.integers(0, len(lines))), line)
+        bad += 1
+    if header:
+        lines.insert(0, header)
+    data = "\n".join(lines).encode("utf-8", "surrogateescape")
+    return data, min(bad, 2)
+
+
+def _error_line(error: Exception):
+    found = re.match(r"line (\d+):", str(error))
+    return found and int(found.group(1))
+
+
+class TestLoadTableOracle:
+    """The block loader loads what the line-by-line reference loads."""
+
+    @settings(max_examples=400, derandomize=True, database=None, deadline=None)
+    @given(_tables(), st.sampled_from([1, 2, 3, 1024]))
+    @example((b"sun 1 0\nmoon 1_0 2\nsun 3 4\nstar nan 1\n", 1), 2)
+    def test_same_table_as_reference(self, tmp_path_factory, table_file, block_lines):
+        data, bad_lines = table_file
+        path = tmp_path_factory.mktemp("table") / "vec.txt"
+        path.write_bytes(data)
+        with mock.patch.object(embeddings, "_BLOCK_LINES", block_lines):
+            self.check(path, bad_lines)
+
+    def test_blocks_of_full_size(self, tmp_path):
+        # duplicates across blocks, "1_0" on the first block's last line;
+        # then one non-finite component on the second block's last line
+        lines = [f"w{i % 1500} {i} {i / 7}" for i in range(3000)]
+        lines[1023] = "w5 1_0 2"
+        path = tmp_path / "vec.txt"
+        path.write_text("\n".join(lines), "utf-8")
+        self.check(path, 0)
+        lines[2047] = "w 1e999 0"
+        path.write_text("\n".join(lines), "utf-8")
+        self.check(path, 1)
+        with pytest.raises(MalformedLine, match="line 2048: "):
+            load_table(path)
+
+    @staticmethod
+    def check(path, bad_lines: int):
+        try:
+            expected = reference_load_table(path)
+        except CorgError as error:
+            with pytest.raises(CorgError) as err:
+                load_table(path)
+            if bad_lines == 1:
+                assert type(err.value) is type(error)
+                assert _error_line(err.value) == _error_line(error)
+            return
+        table = load_table(path)
+        assert (table.dimension, table.duplicates) == (expected.dimension, expected.duplicates)
+        assert list(table.rows) == list(expected.vectors)
+        assert table.matrix.shape == (len(expected.vectors), expected.dimension)
+        for word, vector in expected.vectors.items():
+            assert table.matrix[table.rows[word]].tobytes() == vector.tobytes()
 
 
 class TestSplitIdentifier:

@@ -12,6 +12,7 @@ from corg import (EmbeddingTable, KnowledgeGraph, Pipeline, PipelineConfig,
                   default_relation_whitelist, load_graph, normalize_relation,
                   parse_assertion_line, parse_plain_line, relation_predicate)
 from corg.errors import CorruptArchive, MalformedLine, NoTriplesLoaded
+from oracles import reference_load_graph
 
 
 def dump_line(rel, start, end, meta="{}"):
@@ -330,6 +331,56 @@ class TestColumns:
         gc.collect()
         assert len(graph) == n
         assert len(gc.get_objects()) - before < n / 10
+
+
+# Dump lines from small pools, so that URIs and relations repeat and the
+# memo is hit: good URIs next to malformed ones ("/c/en/", "/c//sun"), Not
+# relations, relation spellings that normalize alike, bad metadata, and
+# lines the loader counts as malformed or does not count at all.
+_URIS = st.sampled_from(3 * ["/c/en/sun", "/c/en/sun/n", "/c/en/Sun", "/c/en/annoy_your_spouse",
+                              "/c/en/light/n/wn/x"]
+                         + ["/c/en/", "/c//sun", "/c/en", "/c/fr/soleil", "/d/x", "/c/en/sun "])
+_RELATION_URIS = st.sampled_from(2 * ["/r/Causes", "/r/NotDesires", "/r/Desires", "/r/AtLocation",
+                                      "/r/NotCapableOf"]
+                                 + ["/r/ExternalURL", "/r/dbpedia/genre", "/r/", "/x/Causes",
+                                    "/r/Not"])
+_METAS = st.sampled_from(['{"weight": 2.0}', '{"weight": "x"}', "", "{", '{"weight": NaN}',
+                          '{"dataset": "a"}', '{"weight": 1e999}', '{"weight": -1}'])
+_PLAIN_FIELDS = st.sampled_from(["sun", "Sun light", "", " ", "Causes", "NotDesires",
+                                 "at_location", "dbpedia/genre", "Not", "0.5", "x", "nan",
+                                 "1_0"])
+_DUMP_LINES = (
+    st.tuples(st.sampled_from(["/a/x", "/a/[y]"]), _RELATION_URIS, _URIS, _URIS,
+              _METAS).map("\t".join)
+    | st.lists(_PLAIN_FIELDS, min_size=2, max_size=5).map("\t".join)
+    | st.sampled_from(["", "# note", " ", "su\udcffn\tCauses\tlight"]))
+
+
+class TestLoadGraphOracle:
+    """The memoized, id-appending loader loads what the line-by-line
+    reference loads."""
+
+    @settings(max_examples=300, derandomize=True, database=None, deadline=None)
+    @given(st.lists(_DUMP_LINES, max_size=60), st.booleans())
+    @example(["/a/x\t/r/Causes\t/c/en/sun\t/c/en/light\t",
+              "/a/x\t/r/Causes\t/c/en/\t/c/en/sun\t",
+              "/a/x\t/r/Causes\t/c/en/sun\t/c/en/\t"], False)
+    def test_same_graph_as_reference(self, tmp_path_factory, lines, whitelist):
+        path = tmp_path_factory.mktemp("dump") / "dump.tsv"
+        path.write_bytes("\n".join(lines).encode("utf-8", "surrogateescape"))
+        flt = RelationFilter(default_relation_whitelist() if whitelist else None)
+        try:
+            expected = reference_load_graph(path, flt)
+        except NoTriplesLoaded:
+            with pytest.raises(NoTriplesLoaded):
+                load_graph(path, flt)
+            return
+        graph = load_graph(path, flt)
+        for column in ("subject", "relation", "object", "negated", "weight", "source_line"):
+            assert getattr(graph, column).tobytes() == getattr(expected, column).tobytes()
+        assert graph.concepts == expected.concepts
+        assert graph.relations == expected.relations
+        assert graph.stats == expected.stats
 
 
 def test_default_whitelist_contents():
