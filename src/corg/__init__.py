@@ -20,9 +20,8 @@ from .kg import (KnowledgeGraph, RelationFilter, Skip, Triple,
                  default_relation_whitelist, load_graph,
                  load_relation_whitelist, normalize_concept,
                  normalize_relation, parse_assertion_line, parse_plain_line)
-from .model import (BuilderConfig, DerivationStep, PartialModel, atom_depth,
-                    explain, extract_symbols, model_lines, saturate,
-                    term_depth, trace_json)
+from .model import (BuilderConfig, DerivationStep, PartialModel, explain,
+                    extract_symbols, saturate, trace_json)
 from .pipeline import (CopaProblem, Pipeline, PipelineConfig, ProblemFailure,
                        ProblemResult, RunReport, TextResult, content_words,
                        export_tptp, parse_copa_xml, text_to_facts)
@@ -49,8 +48,8 @@ __all__ = [
     "normalize_concept", "normalize_relation", "parse_assertion_line",
     "parse_plain_line",
     # partial models
-    "BuilderConfig", "DerivationStep", "PartialModel", "atom_depth", "explain",
-    "extract_symbols", "model_lines", "saturate", "term_depth", "trace_json",
+    "BuilderConfig", "DerivationStep", "PartialModel", "explain",
+    "extract_symbols", "saturate", "trace_json",
     # pipeline
     "CopaProblem", "Pipeline", "PipelineConfig", "ProblemFailure",
     "ProblemResult", "RunReport", "TextResult", "content_words", "export_tptp",

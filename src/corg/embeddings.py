@@ -2,7 +2,8 @@
 
 File format: optional header line ``<count> <dim>``, then one
 ``word v1 ... v_dim`` entry per line (the layout used by common
-pre-computed embedding releases).  ``.gz`` paths are read transparently.
+pre-computed embedding releases); a header's count is the number of
+entry lines, duplicates included.  ``.gz`` paths are read transparently.
 Lookup keys are lowercase.
 
 A table is one float64 matrix with a row per word.  ``load_table`` parses
@@ -75,8 +76,9 @@ def load_table(path) -> EmbeddingTable:
     """Load a vector table; duplicate words are counted and the last wins.
 
     A bad line raises a CorgError naming it and the file, as do a file with
-    no vector line and a table of dimension 0; a ``.gz`` that does not
-    decompress raises CorruptArchive."""
+    no vector line, a table of dimension 0 and a header whose count is not
+    the number of vector lines; a ``.gz`` that does not decompress raises
+    CorruptArchive."""
     rows: dict[str, int] = {}
     matrix = np.zeros((0, 0))
     duplicates = 0
@@ -107,9 +109,11 @@ def _vector_blocks(path) -> Iterator[tuple[int, list[tuple[int, str, str]]]]:
     """The table's dimension with blocks of its vector lines as
     ``(line_no, lowercased word, components text)``.
 
-    Raises for a line that is not UTF-8, for a word with no component and
-    for a header of dimension below 1."""
-    dimension: int | None = None
+    Raises for a line that is not UTF-8, for a word with no component, for
+    a header of dimension below 1, and after the last block for a header
+    whose count is not the number of vector lines (unless there is none)."""
+    count = dimension = None
+    n_lines = 0
     block: list[tuple[int, str, str]] = []
     for line_no, line in enumerate(_open_text(path), start=1):
         if not line.isascii() and not _is_utf8(line):
@@ -117,7 +121,7 @@ def _vector_blocks(path) -> Iterator[tuple[int, list[tuple[int, str, str]]]]:
         if line_no == 1:
             fields = line.split()
             if len(fields) == 2 and all(_is_int(f) for f in fields):
-                dimension = int(fields[1])
+                count, dimension = int(fields[0]), int(fields[1])
                 if dimension < 1:
                     raise DimensionMismatch(f"line 1: header gives dimension "
                                             f"{dimension} ({path})")
@@ -130,11 +134,15 @@ def _vector_blocks(path) -> Iterator[tuple[int, list[tuple[int, str, str]]]]:
         if dimension is None:
             dimension = len(fields[1].split())
         block.append((line_no, fields[0].lower(), fields[1]))
+        n_lines += 1
         if len(block) == _BLOCK_LINES:
             yield dimension, block
             block = []
     if block:
         yield dimension, block
+    if count is not None and n_lines and n_lines != count:
+        raise MalformedLine(1, f"header gives {count} words, the file has "
+                               f"{n_lines} vector lines ({path})")
 
 
 def _parse_block(block: list[tuple[int, str, str]], dimension: int, path) -> np.ndarray:

@@ -9,7 +9,8 @@ class CorgError(Exception):
 
 class MalformedLine(CorgError):
     """A dump or table line that cannot be parsed (wrong field count, bad
-    URI, bad JSON, invalid UTF-8, a vector component that is not finite)."""
+    URI, bad JSON, invalid UTF-8, a vector component that is not finite, a
+    table header whose word count is not the number of vector lines)."""
 
     def __init__(self, line_no: int, reason: str):
         super().__init__(f"line {line_no}: {reason}")

@@ -4,6 +4,9 @@ The formula language is the fragment the pipeline needs: quantifiers,
 ``~ & | => <=>``, and atoms over variables, constants, and function terms.
 Text input accepts TPTP-FOF syntax (``! [X] : (p(X) => ...)``) as well as
 the ASCII form ``exists A (sun(A) & ...)`` produced by semantic parsers.
+Clause form comes from one walk that reads each connective through its
+polarity (Nonnengart & Weidenbach, "Computing Small Clause Normal Forms",
+2001); the rule shape of the triple translations is built directly.
 Emission is deterministic and re-parseable: ``parse_fol(to_tptp(f)) == f``.
 """
 
@@ -135,20 +138,6 @@ def _term_variables(args) -> set[str]:
     return out
 
 
-def term_symbols(t: Term) -> set[str]:
-    """Constant and function names in a term (variables excluded)."""
-    out: set[str] = set()
-    stack = [t]
-    while stack:
-        cur = stack.pop()
-        if isinstance(cur, Constant):
-            out.add(cur.name)
-        elif isinstance(cur, Function):
-            out.add(cur.name)
-            stack.extend(cur.args)
-    return out
-
-
 def symbols(f: Formula | Atom | Clause) -> frozenset[str]:
     """Predicate, constant, and function names occurring in a formula."""
     out: set[str] = set()
@@ -156,8 +145,13 @@ def symbols(f: Formula | Atom | Clause) -> frozenset[str]:
     def walk(g):
         if isinstance(g, Atom):
             out.add(g.predicate)
-            for a in g.args:
-                out.update(term_symbols(a))
+            terms = list(g.args)
+            while terms:
+                t = terms.pop()
+                if not isinstance(t, Variable):
+                    out.add(t.name)
+                    if isinstance(t, Function):
+                        terms.extend(t.args)
         elif isinstance(g, Not):
             walk(g.operand)
         elif isinstance(g, (And, Or)):
@@ -257,126 +251,7 @@ def translate_inverse(t: Triple) -> Formula:
 
 # ----------------------------------------------------------- clausification
 
-
-def _eliminate_arrows(f: Formula) -> Formula:
-    if isinstance(f, Atom):
-        return f
-    if isinstance(f, Not):
-        return Not(_eliminate_arrows(f.operand))
-    if isinstance(f, And):
-        return And(tuple(_eliminate_arrows(g) for g in f.operands))
-    if isinstance(f, Or):
-        return Or(tuple(_eliminate_arrows(g) for g in f.operands))
-    if isinstance(f, Implies):
-        return Or((Not(_eliminate_arrows(f.left)), _eliminate_arrows(f.right)))
-    if isinstance(f, Iff):
-        a, b = _eliminate_arrows(f.left), _eliminate_arrows(f.right)
-        return And((Or((Not(a), b)), Or((Not(b), a))))
-    if isinstance(f, Forall):
-        return Forall(f.var, _eliminate_arrows(f.body))
-    if isinstance(f, Exists):
-        return Exists(f.var, _eliminate_arrows(f.body))
-    raise TypeError(f"not a formula: {f!r}")
-
-
-def _nnf(f: Formula) -> Formula:
-    if isinstance(f, Atom):
-        return f
-    if isinstance(f, And):
-        return And(tuple(_nnf(g) for g in f.operands))
-    if isinstance(f, Or):
-        return Or(tuple(_nnf(g) for g in f.operands))
-    if isinstance(f, Forall):
-        return Forall(f.var, _nnf(f.body))
-    if isinstance(f, Exists):
-        return Exists(f.var, _nnf(f.body))
-    if isinstance(f, Not):
-        g = f.operand
-        if isinstance(g, Atom):
-            return f
-        if isinstance(g, Not):
-            return _nnf(g.operand)
-        if isinstance(g, And):
-            return Or(tuple(_nnf(Not(h)) for h in g.operands))
-        if isinstance(g, Or):
-            return And(tuple(_nnf(Not(h)) for h in g.operands))
-        if isinstance(g, Forall):
-            return Exists(g.var, _nnf(Not(g.body)))
-        if isinstance(g, Exists):
-            return Forall(g.var, _nnf(Not(g.body)))
-    raise TypeError(f"unexpected connective in NNF input: {f!r}")
-
-
-def _apply_subst(t: Term, subst: dict[str, Term]) -> Term:
-    if isinstance(t, Variable):
-        return subst.get(t.name, t)
-    if isinstance(t, Function):
-        return Function(t.name, tuple(_apply_subst(a, subst) for a in t.args))
-    return t
-
-
-def substitute_atom(a: Atom, subst: dict[str, Term]) -> Atom:
-    return Atom(a.predicate, tuple(_apply_subst(t, subst) for t in a.args))
-
-
-def _skolemize(f: Formula, subst: dict[str, Term], universals: tuple[Variable, ...],
-               axiom_id: str, counter, used_names: set[str]) -> Formula:
-    """Drop quantifiers, replacing existential variables with Skolem terms.
-
-    Skolem symbols are named ``sk_<axiom_id>_<k>`` with k the left-to-right
-    existential index, so output never depends on translation order.
-    """
-    if isinstance(f, Atom):
-        return substitute_atom(f, subst)
-    if isinstance(f, Not):
-        return Not(substitute_atom(f.operand, subst))
-    if isinstance(f, (And, Or)):
-        kind = type(f)
-        return kind(tuple(
-            _skolemize(g, subst, universals, axiom_id, counter, used_names)
-            for g in f.operands))
-    if isinstance(f, Forall):
-        name = f.var
-        if name in used_names:
-            n = 1
-            while f"{name}_{n}" in used_names:
-                n += 1
-            name = f"{name}_{n}"
-        used_names.add(name)
-        var = Variable(name)
-        return _skolemize(f.body, {**subst, f.var: var}, universals + (var,),
-                          axiom_id, counter, used_names)
-    if isinstance(f, Exists):
-        k = next(counter)
-        sk = f"sk_{axiom_id}_{k}"
-        term: Term = Function(sk, universals) if universals else Constant(sk)
-        return _skolemize(f.body, {**subst, f.var: term}, universals,
-                          axiom_id, counter, used_names)
-    raise TypeError(f"unexpected node after NNF: {f!r}")
-
-
 _MAX_CLAUSES = 4096
-
-
-def _distribute(f: Formula) -> list[list[Formula]]:
-    """CNF distribution over a quantifier-free NNF matrix."""
-    if isinstance(f, And):
-        out: list[list[Formula]] = []
-        for g in f.operands:
-            out.extend(_distribute(g))
-            if len(out) > _MAX_CLAUSES:
-                raise UnsupportedFragment("clause explosion during CNF distribution")
-        return out
-    if isinstance(f, Or):
-        acc: list[list[Formula]] = [[]]
-        for g in f.operands:
-            acc = [left + right for left in acc for right in _distribute(g)]
-            if len(acc) > _MAX_CLAUSES:
-                raise UnsupportedFragment("clause explosion during CNF distribution")
-        return acc
-    if isinstance(f, (Atom, Not)):
-        return [[f]]
-    raise TypeError(f"unexpected node in matrix: {f!r}")
 
 
 def clausify(f: Formula, axiom_id: str) -> list[Clause]:
@@ -390,14 +265,13 @@ def clausify(f: Formula, axiom_id: str) -> list[Clause]:
     ``! [X] : (a(X) => ? [Y] : (b(X,Y) & c(Y)))`` with X and Y distinct,
     is built directly as ``a(X) -> b(X, sk(X))`` and ``a(X) -> c(sk(X))``,
     sharing the formula's ``a(X)``: the pipeline clausifies every axiom a
-    text selects, and the generic passes rebuild each such formula four
-    times over to reach the same two clauses.  The direct clauses equal
-    the generic passes' clauses, and the generic passes handle every other
-    formula.
+    text selects, and nearly all of them have that shape.  Every other
+    formula goes through ``_polarity_clauses``, which gives the rule shape
+    the same two clauses.
     """
     clauses = _triple_clauses(f, axiom_id)
     if clauses is None:
-        clauses = _clausify_generic(f, axiom_id)
+        clauses = _polarity_clauses(f, axiom_id)
     return clauses
 
 
@@ -429,24 +303,89 @@ def _is_variable(t: Term, name: str) -> bool:
     return type(t) is Variable and t.name == name
 
 
-def _clausify_generic(f: Formula, axiom_id: str) -> list[Clause]:
-    """Closedness check, arrow elimination, NNF, Skolemization and CNF."""
+def _polarity_clauses(f: Formula, axiom_id: str) -> list[Clause]:
+    """Clause form by one walk over the formula that carries its polarity.
+
+    ``~a`` flips the polarity, ``a => b`` reads as ``~a | b`` and ``a <=> b``
+    as ``(a => b) & (b => a)``.  A universal at positive polarity, or an
+    existential at negative, binds a variable, renamed ``X_1``, ``X_2`` ...
+    when its name is taken; the dual binds the Skolem term
+    ``sk_<axiom_id>_<k>`` over the enclosing universals, k counting Skolem
+    terms left to right, so output never depends on translation order.
+    """
     if not is_closed(f):
         raise UnsupportedFragment(f"formula has free variables: {sorted(free_variables(f))}")
-    matrix = _skolemize(_nnf(_eliminate_arrows(f)), {}, (), axiom_id,
-                        itertools.count(), set())
+    skolems = itertools.count()
+    used_names: set[str] = set()
+
+    def walk(g, positive, subst, universals, wanted) -> list[list[tuple[bool, Atom]]]:
+        """The (sign, atom) literal lists of g's clauses at this polarity.
+        A disjunction holds once a part has no clause; its later parts are
+        then not wanted and give no clause, but are still walked to number
+        their Skolem terms and rename their variables."""
+        if isinstance(g, Atom):
+            atom = Atom(g.predicate, tuple(_substitute(t, subst) for t in g.args))
+            return [[(positive, atom)]] if wanted else []
+        if isinstance(g, Not):
+            return walk(g.operand, not positive, subst, universals, wanted)
+        if isinstance(g, (Forall, Exists)):
+            if isinstance(g, Forall) != positive:
+                sk = f"sk_{axiom_id}_{next(skolems)}"
+                term: Term = Function(sk, universals) if universals else Constant(sk)
+                return walk(g.body, positive, {**subst, g.var: term}, universals, wanted)
+            name = g.var
+            n = 0
+            while name in used_names:
+                n += 1
+                name = f"{g.var}_{n}"
+            used_names.add(name)
+            var = Variable(name)
+            return walk(g.body, positive, {**subst, g.var: var}, universals + (var,), wanted)
+        if isinstance(g, (And, Or)):
+            parts = [(h, positive) for h in g.operands]
+            conjunction = isinstance(g, And) == positive
+        elif isinstance(g, Implies):
+            parts = [(g.left, not positive), (g.right, positive)]
+            conjunction = not positive
+        elif isinstance(g, Iff):
+            parts = [(Implies(g.left, g.right), positive),
+                     (Implies(g.right, g.left), positive)]
+            conjunction = positive
+        else:
+            raise TypeError(f"not a formula: {g!r}")
+        if conjunction:  # concatenate the parts' clauses; a disjunction crosses them
+            out = []
+            for h, polarity in parts:
+                out.extend(walk(h, polarity, subst, universals, wanted))
+                if len(out) > _MAX_CLAUSES:
+                    raise UnsupportedFragment("clause explosion during CNF distribution")
+            return out
+        acc: list[list[tuple[bool, Atom]]] = [[]] if wanted else []
+        for h, polarity in parts:
+            right = walk(h, polarity, subst, universals, bool(acc))
+            if len(acc) * len(right) > _MAX_CLAUSES:
+                raise UnsupportedFragment("clause explosion during CNF distribution")
+            acc = [left + lits for left in acc for lits in right]
+        return acc
+
     clauses = []
-    for lits in _distribute(matrix):
+    for lits in walk(f, True, {}, (), True):
         negatives: list[Atom] = []
         positives: list[Atom] = []
-        for lit in lits:
-            if isinstance(lit, Not):
-                if lit.operand not in negatives:
-                    negatives.append(lit.operand)
-            elif lit not in positives:
-                positives.append(lit)
+        for positive, atom in lits:
+            side = positives if positive else negatives
+            if atom not in side:
+                side.append(atom)
         clauses.append(Clause(tuple(negatives), tuple(positives), axiom_id))
     return clauses
+
+
+def _substitute(t: Term, subst: dict[str, Term]) -> Term:
+    if isinstance(t, Variable):
+        return subst[t.name]
+    if isinstance(t, Function):
+        return Function(t.name, tuple(_substitute(a, subst) for a in t.args))
+    return t
 
 
 # ----------------------------------------------------------------- output

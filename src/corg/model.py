@@ -82,17 +82,6 @@ class PartialModel:
         return len(self.trace)
 
 
-def term_depth(t: Term) -> int:
-    """Constants and variables have depth 1; each nesting level adds one."""
-    if isinstance(t, Function) and t.args:
-        return 1 + max(term_depth(a) for a in t.args)
-    return 1
-
-
-def atom_depth(a: Atom) -> int:
-    return max((term_depth(t) for t in a.args), default=0)
-
-
 def is_ground_atom(a: Atom) -> bool:
     stack = list(a.args)
     while stack:
@@ -451,11 +440,6 @@ def explain(model: PartialModel, target: Atom) -> str:
 
     render(index[target], 0)
     return "\n".join(lines)
-
-
-def model_lines(model: PartialModel) -> list[str]:
-    """One TPTP-style ground atom per line, in trace order."""
-    return [format_atom(step.derived) for step in model.trace]
 
 
 def trace_json(model: PartialModel) -> str:

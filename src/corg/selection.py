@@ -44,14 +44,12 @@ class SineConfig:
 
     ``tolerance`` >= 1 widens triggering beyond the strictly least general
     symbol of an axiom.  ``max_depth=None`` iterates to the fixpoint.
-    Symbols occurring in at most ``generality_threshold`` axioms trigger
-    every axiom they appear in (0 disables this).  ``similarity_threshold``
-    switches on embedding-widened goal seeding when set.
+    ``similarity_threshold`` switches on embedding-widened goal seeding
+    when set.
     """
 
     tolerance: float = 1.5
     max_depth: int | None = 3
-    generality_threshold: int = 0
     similarity_threshold: float | None = None
 
     def __post_init__(self):
@@ -192,12 +190,8 @@ def build_index(rows: np.ndarray, symbol_table: SymbolTable) -> AxiomIndex:
 
 def _closure(idx: AxiomIndex, seed: np.ndarray, cfg: SineConfig) -> np.ndarray:
     rows = idx.rows
-    valid = rows >= 0
     occ = idx.occ[rows]
-    triggers = occ <= float(cfg.tolerance) * idx.min_occ[:, None]
-    if cfg.generality_threshold > 0:
-        triggers |= occ <= cfg.generality_threshold
-    triggers &= valid
+    triggers = (occ <= float(cfg.tolerance) * idx.min_occ[:, None]) & (rows >= 0)
     selected = np.zeros(len(rows), dtype=bool)
     reached = seed
     frontier = seed
@@ -219,9 +213,8 @@ def sine_select(idx: AxiomIndex, goal_symbols: Iterable[str],
     """Positions of the axioms reachable from the goal symbols, ascending.
 
     A symbol s triggers axiom A iff s occurs in A and
-    occ(s) <= tolerance * min occ over A's symbols (or s is rarer than the
-    generality threshold).  Symbols of selected axioms become reached;
-    iteration stops at max_depth or at the fixpoint.
+    occ(s) <= tolerance * min occ over A's symbols.  Symbols of selected
+    axioms become reached; iteration stops at max_depth or at the fixpoint.
     """
     goals = set(goal_symbols)
     if not goals:

@@ -5,18 +5,23 @@ naive least-fixpoint evaluator over its own tuple representation, the
 reference chainer is a direct semi-naive chainer over the AST objects, the
 selection and hop oracles are plain reachability walks, and the worked-problem
 oracle recomputes the expected scores with stdlib math from hand-derived
-symbol sequences.  The reference loaders parse one line at a time, with no
-memo and no block parse.
+symbol sequences.  The reference clausifier rebuilds the formula in four
+passes where ``corg.fol`` walks it once.  The reference loaders parse one
+line at a time, with no memo and no block parse.
 """
 
+import itertools
 import json
 import math
 from typing import NamedTuple
 
 import numpy as np
 
-from corg.errors import DimensionMismatch, MalformedLine, NoTriplesLoaded
-from corg.fol import Atom, Constant, Function, Variable
+from corg.errors import (DimensionMismatch, MalformedLine, NoTriplesLoaded,
+                         UnsupportedFragment)
+from corg.fol import (And, Atom, Clause, Constant, Exists, Forall, Formula,
+                      Function, Iff, Implies, Not, Or, Term, Variable,
+                      free_variables, is_closed)
 from corg.kg import (KnowledgeGraph, RelationFilter, Skip, Triple, _is_utf8,
                      _json_weight, _open_text, normalize_concept, normalize_relation)
 
@@ -159,6 +164,12 @@ def _depth(t) -> int:
     return 1
 
 
+def atom_depth(a: Atom) -> int:
+    """Deepest argument of an atom: constants have depth 1, each function
+    nesting level adds one, and an atom without arguments has depth 0."""
+    return max((_depth(t) for t in a.args), default=0)
+
+
 class _Database:
     def __init__(self):
         self.trace: list = []  # (atom, clause origin, premises)
@@ -251,6 +262,157 @@ def reference_saturate(facts, clauses, max_term_depth, max_atoms, max_rounds):
     return ReferenceModel(db.trace, not cut, cut_by)
 
 
+# ------------------------------------------------ reference clausifier
+#
+# The passes that ``corg.fol.clausify`` must agree with clause for clause,
+# or raise the same UnsupportedFragment message: each rebuilds the whole
+# formula, first without arrows, then in negation normal form, then
+# Skolemized, and last distributed into clauses.
+
+
+def _eliminate_arrows(f: Formula) -> Formula:
+    if isinstance(f, Atom):
+        return f
+    if isinstance(f, Not):
+        return Not(_eliminate_arrows(f.operand))
+    if isinstance(f, And):
+        return And(tuple(_eliminate_arrows(g) for g in f.operands))
+    if isinstance(f, Or):
+        return Or(tuple(_eliminate_arrows(g) for g in f.operands))
+    if isinstance(f, Implies):
+        return Or((Not(_eliminate_arrows(f.left)), _eliminate_arrows(f.right)))
+    if isinstance(f, Iff):
+        a, b = _eliminate_arrows(f.left), _eliminate_arrows(f.right)
+        return And((Or((Not(a), b)), Or((Not(b), a))))
+    if isinstance(f, Forall):
+        return Forall(f.var, _eliminate_arrows(f.body))
+    if isinstance(f, Exists):
+        return Exists(f.var, _eliminate_arrows(f.body))
+    raise TypeError(f"not a formula: {f!r}")
+
+
+def _nnf(f: Formula) -> Formula:
+    if isinstance(f, Atom):
+        return f
+    if isinstance(f, And):
+        return And(tuple(_nnf(g) for g in f.operands))
+    if isinstance(f, Or):
+        return Or(tuple(_nnf(g) for g in f.operands))
+    if isinstance(f, Forall):
+        return Forall(f.var, _nnf(f.body))
+    if isinstance(f, Exists):
+        return Exists(f.var, _nnf(f.body))
+    if isinstance(f, Not):
+        g = f.operand
+        if isinstance(g, Atom):
+            return f
+        if isinstance(g, Not):
+            return _nnf(g.operand)
+        if isinstance(g, And):
+            return Or(tuple(_nnf(Not(h)) for h in g.operands))
+        if isinstance(g, Or):
+            return And(tuple(_nnf(Not(h)) for h in g.operands))
+        if isinstance(g, Forall):
+            return Exists(g.var, _nnf(Not(g.body)))
+        if isinstance(g, Exists):
+            return Forall(g.var, _nnf(Not(g.body)))
+    raise TypeError(f"unexpected connective in NNF input: {f!r}")
+
+
+def _apply_subst(t: Term, subst: dict[str, Term]) -> Term:
+    if isinstance(t, Variable):
+        return subst.get(t.name, t)
+    if isinstance(t, Function):
+        return Function(t.name, tuple(_apply_subst(a, subst) for a in t.args))
+    return t
+
+
+def substitute_atom(a: Atom, subst: dict[str, Term]) -> Atom:
+    return Atom(a.predicate, tuple(_apply_subst(t, subst) for t in a.args))
+
+
+def _skolemize(f: Formula, subst: dict[str, Term], universals: tuple[Variable, ...],
+               axiom_id: str, counter, used_names: set[str]) -> Formula:
+    """Drop quantifiers, replacing existential variables with Skolem terms.
+
+    Skolem symbols are named ``sk_<axiom_id>_<k>`` with k the left-to-right
+    existential index, so output never depends on translation order.
+    """
+    if isinstance(f, Atom):
+        return substitute_atom(f, subst)
+    if isinstance(f, Not):
+        return Not(substitute_atom(f.operand, subst))
+    if isinstance(f, (And, Or)):
+        kind = type(f)
+        return kind(tuple(
+            _skolemize(g, subst, universals, axiom_id, counter, used_names)
+            for g in f.operands))
+    if isinstance(f, Forall):
+        name = f.var
+        if name in used_names:
+            n = 1
+            while f"{name}_{n}" in used_names:
+                n += 1
+            name = f"{name}_{n}"
+        used_names.add(name)
+        var = Variable(name)
+        return _skolemize(f.body, {**subst, f.var: var}, universals + (var,),
+                          axiom_id, counter, used_names)
+    if isinstance(f, Exists):
+        k = next(counter)
+        sk = f"sk_{axiom_id}_{k}"
+        term: Term = Function(sk, universals) if universals else Constant(sk)
+        return _skolemize(f.body, {**subst, f.var: term}, universals,
+                          axiom_id, counter, used_names)
+    raise TypeError(f"unexpected node after NNF: {f!r}")
+
+
+_MAX_CLAUSES = 4096
+
+
+def _distribute(f: Formula) -> list[list[Formula]]:
+    """CNF distribution over a quantifier-free NNF matrix."""
+    if isinstance(f, And):
+        out: list[list[Formula]] = []
+        for g in f.operands:
+            out.extend(_distribute(g))
+            if len(out) > _MAX_CLAUSES:
+                raise UnsupportedFragment("clause explosion during CNF distribution")
+        return out
+    if isinstance(f, Or):
+        acc: list[list[Formula]] = [[]]
+        for g in f.operands:
+            acc = [left + right for left in acc for right in _distribute(g)]
+            if len(acc) > _MAX_CLAUSES:
+                raise UnsupportedFragment("clause explosion during CNF distribution")
+        return acc
+    if isinstance(f, (Atom, Not)):
+        return [[f]]
+    raise TypeError(f"unexpected node in matrix: {f!r}")
+
+
+def reference_clausify(f: Formula, axiom_id: str) -> list[Clause]:
+    """Closedness check, arrow elimination, NNF, Skolemization and CNF."""
+    if not is_closed(f):
+        raise UnsupportedFragment(f"formula has free variables: {sorted(free_variables(f))}")
+    matrix = _skolemize(_nnf(_eliminate_arrows(f)), {}, (), axiom_id,
+                        itertools.count(), set())
+    clauses = []
+    for lits in _distribute(matrix):
+        negatives: list[Atom] = []
+        positives: list[Atom] = []
+        for lit in lits:
+            if isinstance(lit, Not):
+                if lit.operand not in negatives:
+                    negatives.append(lit.operand)
+            elif lit not in positives:
+                positives.append(lit)
+        clauses.append(Clause(tuple(negatives), tuple(positives), axiom_id))
+    return clauses
+
+
+
+
 # ------------------------------------------------- selection closure oracle
 
 
@@ -284,12 +446,12 @@ def reference_sine_select(axioms: dict, goals, cfg, table=None) -> list:
     """SInE selection over string-keyed symbol sets; selected ids in axiom order.
 
     ``axioms`` maps axiom id -> symbols; each axiom counts once per symbol.
-    A symbol s triggers axiom A iff s occurs in A and occ(s) is at most the
-    generality threshold (when positive) or tolerance times the least occ
-    over A's symbols.  With ``cfg.similarity_threshold`` set, every indexed
-    symbol whose cosine to some goal reaches it joins the seed, vectors
-    coming from ``table.vector(name)``.  Triggering then runs from
-    the seed to ``cfg.max_depth`` rounds or the fixpoint.
+    A symbol s triggers axiom A iff s occurs in A and occ(s) is at most
+    tolerance times the least occ over A's symbols.  With
+    ``cfg.similarity_threshold`` set, every indexed symbol whose cosine to
+    some goal reaches it joins the seed, vectors coming from
+    ``table.vector(name)``.  Triggering then runs from the seed to
+    ``cfg.max_depth`` rounds or the fixpoint.
     """
     axiom_symbols = {aid: frozenset(syms) for aid, syms in axioms.items()}
     occ: dict = {}
@@ -315,8 +477,6 @@ def reference_sine_select(axioms: dict, goals, cfg, table=None) -> list:
                     if sim >= cfg.similarity_threshold}
 
     def triggers(s, aid):
-        if 0 < cfg.generality_threshold and occ[s] <= cfg.generality_threshold:
-            return True
         return occ[s] <= cfg.tolerance * min_occ[aid]
 
     frontier = set(reached)
@@ -484,11 +644,13 @@ class ReferenceTable(NamedTuple):
 def reference_load_table(path) -> ReferenceTable:
     """``load_table`` one line at a time, with Python's float syntax and a
     finiteness check every 256 vectors.  A table of dimension 0 (a header
-    ``<count> 0``, or a word with no component) is an error."""
+    ``<count> 0``, or a word with no component) is an error, and so is a
+    header whose count is not the number of vector lines (duplicates
+    included), once the file has a vector line."""
     vectors: dict = {}
     unchecked: list = []  # (line, vector) not yet checked finite
     duplicates = 0
-    dimension = None
+    count = dimension = None
     for line_no, line in enumerate(_open_text(path), start=1):
         if not line.isascii() and not _is_utf8(line):
             raise MalformedLine(line_no, f"not valid UTF-8 ({path})")
@@ -496,7 +658,7 @@ def reference_load_table(path) -> ReferenceTable:
         if not fields:
             continue
         if line_no == 1 and len(fields) == 2 and all(_is_int(f) for f in fields):
-            dimension = int(fields[1])
+            count, dimension = int(fields[0]), int(fields[1])
             if dimension < 1:
                 raise DimensionMismatch(f"line 1: dimension {dimension} ({path})")
             continue
@@ -521,6 +683,9 @@ def reference_load_table(path) -> ReferenceTable:
     _require_finite(unchecked, path)
     if not vectors:
         raise DimensionMismatch(f"no vector line in {path}")
+    if count is not None and count != len(vectors) + duplicates:
+        raise MalformedLine(1, f"header gives {count} words, the file has "
+                               f"{len(vectors) + duplicates} vector lines ({path})")
     return ReferenceTable(dimension, vectors, duplicates)
 
 

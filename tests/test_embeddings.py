@@ -35,16 +35,32 @@ class TestLoadTable:
 
     def test_header_enforces_dimension(self, tmp_path):
         path = tmp_path / "vec.txt"
-        path.write_text("2 300\n" + "sun " + " ".join(["0.5"] * 300) + "\n", "utf-8")
+        path.write_text("1 300\n" + "sun " + " ".join(["0.5"] * 300) + "\n", "utf-8")
         table = load_table(path)
         assert table.dimension == 300
         assert len(table) == 1
 
     def test_dimension_mismatch(self, tmp_path):
         path = tmp_path / "vec.txt"
-        path.write_text("2 300\nsun " + " ".join(["0.5"] * 299) + "\n", "utf-8")
+        path.write_text("1 300\nsun " + " ".join(["0.5"] * 299) + "\n", "utf-8")
         with pytest.raises(DimensionMismatch):
             load_table(path)
+
+    @pytest.mark.parametrize("text", ["3 2\nsun 1 0\n", "1 2\nsun 1 0\nsun 0 1\n",
+                                      "0 2\nsun 1 0\n", "3 2\nsun 1 0\n\nmoon 0 1\n"])
+    def test_header_count_must_match_vector_lines(self, tmp_path, text):
+        # a table cut short after its header loaded silently
+        path = tmp_path / "vec.txt"
+        path.write_text(text, "utf-8")
+        with pytest.raises(MalformedLine, match="line 1: header gives") as err:
+            load_table(path)
+        assert str(path) in str(err.value)
+
+    def test_header_counts_duplicates(self, tmp_path):
+        path = tmp_path / "vec.txt"
+        path.write_text("2 2\nsun 1 0\n\nsun 0 1\n", "utf-8")
+        table = load_table(path)
+        assert (len(table), table.duplicates) == (1, 1)
 
     def test_duplicates_last_wins(self, tmp_path):
         path = tmp_path / "vec.txt"
@@ -146,8 +162,8 @@ def _tables(draw):
 
     lines = [vector_line(dim) if draw(st.integers(0, 5)) else draw(st.sampled_from(["", " "]))
              for _ in range(draw(st.integers(0, 14)))]
-    header = draw(st.sampled_from(["", "", f"9 {dim}", "3 0", f"9 {dim + 1}"]))
-    bad = {"3 0": 1, f"9 {dim + 1}": 2}.get(header, 0)
+    header = draw(st.sampled_from(["", "", "count", "3 0", "wide", "miscount"]))
+    bad = {"3 0": 1, "wide": 2, "miscount": 1}.get(header, 0)
     for kind in draw(st.lists(st.integers(0, 3), max_size=2)):
         if kind == 0:
             line = vector_line(dim, last=_BAD_FLOATS)
@@ -160,7 +176,9 @@ def _tables(draw):
         lines.insert(draw(st.integers(0, len(lines))), line)
         bad += 1
     if header:
-        lines.insert(0, header)
+        n = sum(1 for line in lines if line.strip())
+        lines.insert(0, {"count": f"{n} {dim}", "wide": f"{n} {dim + 1}",
+                         "miscount": f"{n + 1} {dim}"}.get(header, header))
     data = "\n".join(lines).encode("utf-8", "surrogateescape")
     return data, min(bad, 2)
 

@@ -9,11 +9,12 @@ from corg import KnowledgeGraph, Triple, fol
 from corg.embeddings import EmbeddingTable
 from corg.errors import NegatedUnsupported, ParseError, UnsupportedFragment
 from corg.fol import (MAX_NESTING, And, Atom, Clause, Constant, Exists, Forall,
-                      Function, Implies, Not, Or, Variable, clausify,
+                      Function, Iff, Implies, Not, Or, Variable, clausify,
                       format_formula, is_closed, parse_fol, parse_tptp,
                       symbols, to_tptp, translate_existential,
                       translate_factual, translate_inverse)
 from corg.selection import TripleColumns, build_index
+from oracles import reference_clausify
 
 X, Y = Variable("X"), Variable("Y")
 
@@ -171,11 +172,11 @@ class TestClausify:
         assert preds["p"] != preds["q"]
 
     def test_iff_expands(self):
-        f = parse_fol("(p(a) <=> q(a))")
-        clauses = clausify(f, "e")
-        assert len(clauses) == 2
-        assert not clauses[0].is_horn() or clauses[0].is_horn()  # both shapes legal
-        assert {len(c.negatives) for c in clauses} == {1}
+        p, q = unary("p", Constant("a")), unary("q", Constant("a"))
+        assert clausify(parse_fol("(p(a) <=> q(a))"), "e") == [
+            Clause((p,), (q,), "e"),
+            Clause((q,), (p,), "e"),
+        ]
 
 
 _SHAPE_CONCEPTS = st.sampled_from(["sun", "light", "X", "Y", "x", "sk_t1_0", "inv_causes"]) \
@@ -232,7 +233,7 @@ def _outcome(clausifier, f, aid):
 
 class TestDirectClausify:
     """``clausify`` builds the rule shape directly; every formula gets exactly
-    the clauses of the generic passes."""
+    the clauses of the reference passes."""
 
     @settings(max_examples=300, derandomize=True, database=None)
     @given(_SHAPE_CONCEPTS, _RELATIONS, _SHAPE_CONCEPTS, st.sampled_from(_TRANSLATORS),
@@ -243,10 +244,11 @@ class TestDirectClausify:
     def test_translations_equal_generic_passes(self, s, r, o, translate, aid, self_loop):
         t = Triple(s, r, s if self_loop else o)
         f = translate(t)
-        generic = fol._clausify_generic(f, aid)
-        assert clausify(f, aid) == generic
+        reference = reference_clausify(f, aid)
+        assert clausify(f, aid) == reference
+        assert fol._polarity_clauses(f, aid) == reference
         if translate is not translate_factual:
-            assert fol._triple_clauses(f, aid) == generic
+            assert fol._triple_clauses(f, aid) == reference
 
     def test_rule_clauses_share_the_antecedent(self):
         f = translate_inverse(Triple("sun", "causes", "light"))
@@ -257,7 +259,7 @@ class TestDirectClausify:
 
     def test_other_variable_names_match(self):
         f = parse_fol("! [A] : (p(A) => ? [B] : (q(A,B) & r(B)))")
-        assert fol._triple_clauses(f, "q") == fol._clausify_generic(f, "q") == [
+        assert fol._triple_clauses(f, "q") == reference_clausify(f, "q") == [
             Clause((unary("p", A),), (Atom("q", (A, Function("sk_q_0", (A,)))),), "q"),
             Clause((unary("p", A),), (unary("r", Function("sk_q_0", (A,))),), "q"),
         ]
@@ -267,7 +269,73 @@ class TestDirectClausify:
     def test_near_misses_take_the_generic_path(self, name, aid):
         f = _NEAR_MISSES[name]
         assert fol._triple_clauses(f, aid) is None
-        assert _outcome(clausify, f, aid) == _outcome(fol._clausify_generic, f, aid)
+        assert _outcome(clausify, f, aid) == _outcome(reference_clausify, f, aid)
+
+
+_WALK_VARS = ["X", "Y", "Z"]
+_WALK_TERMS = st.recursive(
+    st.sampled_from([Variable(v) for v in _WALK_VARS] + [Constant("a"), Constant("b")]),
+    lambda inner: st.builds(Function, st.sampled_from(["f", "g"]),
+                            st.lists(inner, min_size=1, max_size=2).map(tuple)),
+    max_leaves=3)
+_WALK_ATOMS = st.builds(Atom, st.sampled_from(["p", "q", "r"]),
+                        st.lists(_WALK_TERMS, max_size=2).map(tuple))
+# 2**13 clauses at positive polarity, past the 4,096 limit; 13 at negative
+_WIDE = Or(tuple(And((unary("p", Constant(f"c{k}")), unary("q", Constant(f"c{k}"))))
+                 for k in range(13)))
+
+
+def _walk_leaf(k, atom):
+    """Mostly atoms, sometimes the wide disjunction or an empty connective."""
+    return {0: _WIDE, 1: And(()), 2: Or(())}.get(k, atom)
+
+
+def _close(f, universal):
+    """f under one quantifier per variable, universal or existential."""
+    for var, forall in zip(_WALK_VARS, universal):
+        f = Forall(var, f) if forall else Exists(var, f)
+    return f
+
+
+_WALK_FORMULAS = st.recursive(
+    st.builds(_walk_leaf, st.integers(0, 24), _WALK_ATOMS),
+    lambda inner: st.one_of(
+        st.builds(Not, inner),
+        st.builds(And, st.lists(inner, min_size=1, max_size=3).map(tuple)),
+        st.builds(Or, st.lists(inner, min_size=1, max_size=3).map(tuple)),
+        st.builds(Implies, inner, inner),
+        st.builds(Iff, inner, inner),
+        st.builds(Forall, st.sampled_from(_WALK_VARS), inner),
+        st.builds(Exists, st.sampled_from(_WALK_VARS), inner)),
+    max_leaves=10)
+Z = Variable("Z")
+
+
+class TestPolarityWalk:
+    """The one-walk clausifier gives the clauses of the four reference
+    passes, or raises the same UnsupportedFragment message."""
+
+    @settings(max_examples=600, derandomize=True, database=None, deadline=None)
+    @given(_WALK_FORMULAS, st.none() | st.lists(st.booleans(), min_size=3, max_size=3),
+           _AXIOM_IDS)
+    @example(Not(Iff(Forall("X", unary("p", X)), Exists("Y", unary("q", Y)))), [], "i")
+    @example(Forall("X", Implies(unary("p", X), Forall("X", Exists("Y", Atom(
+        "r", (X, Function("f", (Y,)))))))), [], "s")
+    # the disjunction holds once And(()) gives no clause: its later parts
+    # give no clause, the wide one does not explode, and Z still takes
+    # Skolem index 0, so Y takes 1
+    @example(And((Or((And(()), Exists("Z", unary("r", Z)), _WIDE)),
+                  Exists("Y", unary("p", Y)))), [], "w")
+    def test_equals_reference_passes(self, f, universal, aid):
+        if universal is not None:
+            f = _close(f, universal)
+        assert _outcome(fol._polarity_clauses, f, aid) == _outcome(reference_clausify, f, aid)
+        assert _outcome(clausify, f, aid) == _outcome(reference_clausify, f, aid)
+
+    def test_explosion_raises(self):
+        with pytest.raises(UnsupportedFragment, match="clause explosion"):
+            clausify(_WIDE, "x")
+        assert len(clausify(Not(_WIDE), "x")) == 13
 
 
 class TestParse:

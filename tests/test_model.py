@@ -8,13 +8,12 @@ from hypothesis import strategies as st
 from corg.errors import (AtomNotInModel, NonHornClause,
                          NonRangeRestrictedClause)
 from corg.fol import (Atom, Clause, Constant, Function, Variable, clausify,
-                      format_atom, substitute_atom, translate_existential,
-                      translate_inverse)
+                      format_atom, translate_existential, translate_inverse)
 from corg.kg import Triple
-from corg.model import (BuilderConfig, atom_depth, explain, extract_symbols,
-                        model_lines, saturate, term_depth, trace_json)
-from oracles import (match_atom, model_atom_tuples, naive_least_model,
-                     reference_saturate)
+from corg.model import (BuilderConfig, explain, extract_symbols, saturate,
+                        trace_json)
+from oracles import (atom_depth, match_atom, model_atom_tuples,
+                     naive_least_model, reference_saturate, substitute_atom)
 
 X, Y = Variable("X"), Variable("Y")
 LOOSE = BuilderConfig(max_term_depth=50, max_atoms=100_000, max_rounds=1000)
@@ -358,10 +357,6 @@ class TestExplain:
 
 
 class TestDumps:
-    def test_model_lines(self):
-        model = saturate([unary("p", Constant("a"))], [])
-        assert model_lines(model) == ["p(a)"]
-
     def test_trace_json(self, fig_graph):
         model = saturate([unary("sun", Constant("c"))], fig_clauses(fig_graph))
         data = json.loads(trace_json(model))
@@ -370,15 +365,3 @@ class TestDumps:
         assert data["steps"][0] == \
             {"step": 0, "atom": "sun(c)", "clause": None, "premises": []}
         assert all(p < row["step"] for row in data["steps"] for p in row["premises"])
-
-
-class TestDepth:
-    def test_term_depth(self):
-        c = Constant("a")
-        assert term_depth(c) == 1
-        assert term_depth(Function("f", (c,))) == 2
-        assert term_depth(Function("f", (Function("g", (c,)),))) == 3
-
-    def test_atom_depth(self):
-        assert atom_depth(Atom("p", ())) == 0
-        assert atom_depth(unary("p", Function("f", (Constant("a"),)))) == 2

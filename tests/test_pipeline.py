@@ -471,8 +471,9 @@ class TestCli:
         ("vectors.txt", b"sun 1 0\nmoon 1 x\n"),
         ("vectors.txt", b"3 2\n"),
         ("vectors.txt", b"sun\nrising\ngrass\n"),
+        ("vectors.txt", b"3 2\nsun 1 0\n"),
     ], ids=["invalid-utf8", "nan", "cut-gzip", "dimension", "bad-float", "header-only",
-            "zero-dimension"])
+            "zero-dimension", "header-count"])
     def test_bad_table_exits_1(self, copa_xml_path, fig_graph_path, tmp_path,
                                capsys, name, data):
         table = tmp_path / name

@@ -101,20 +101,6 @@ class TestSineSelect:
         assert got.tolist() == sorted(set(got.tolist()))
         assert all(0 <= p < len(idx) for p in got)
 
-    def test_generality_threshold_triggers_rare_symbols(self):
-        # occ(q)=1 <= threshold, so q triggers a2 even though p is less general there
-        axioms = {"a1": {"p"}, "a2": {"q", "c1", "c2", "c3"}}
-        strict = sine_select(index_of(axioms), {"q"}, SineConfig(tolerance=1, max_depth=1))
-        assert picked(axioms, strict) == ["a2"]
-        # raise occ(q) above min occ of a2 by adding another q axiom
-        axioms["a3"] = {"q"}
-        idx = index_of(axioms)
-        base = sine_select(idx, {"q"}, SineConfig(tolerance=1, max_depth=1))
-        assert picked(axioms, base) == ["a3"]
-        widened = sine_select(idx, {"q"}, SineConfig(
-            tolerance=1, max_depth=1, generality_threshold=2))
-        assert picked(axioms, widened) == ["a2", "a3"]
-
 
 def random_axiom_set(rng):
     pool = [f"s{k}" for k in range(10)]
@@ -241,7 +227,6 @@ _CONFIGS = st.builds(
     SineConfig,
     tolerance=st.sampled_from([1.0, 1.5, 2.0]) | st.floats(1.0, 4.0),
     max_depth=st.none() | st.integers(1, 4),
-    generality_threshold=st.integers(0, 3),
     similarity_threshold=st.none() | st.floats(-1.0, 1.0))
 
 

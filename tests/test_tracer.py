@@ -1,0 +1,31 @@
+"""The benchmark tracer still finds every package function it wraps.
+
+``benchmarks/tracing.py`` wraps functions by name and reports a name that
+is gone as an absent layer; ``selftest.check_tracer`` fails on one.  It
+runs in a process of its own, since installing the tracer replaces the
+package's functions for the rest of the process.
+"""
+
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+_CHECK = """
+import sys
+sys.path.insert(0, sys.argv[1])
+from run import require_checkout
+require_checkout()
+import selftest
+errors = selftest.check_tracer()
+print("\\n".join(errors))
+sys.exit(1 if errors else 0)
+"""
+
+
+def test_check_tracer_finds_no_error():
+    proc = subprocess.run([sys.executable, "-c", _CHECK, str(ROOT / "benchmarks")],
+                          cwd=ROOT, capture_output=True, text=True, timeout=120,
+                          check=False)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
