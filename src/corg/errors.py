@@ -110,6 +110,11 @@ class MissingFormula(CorgError):
         self.role = role
 
 
+class UnreadableFormula(CorgError):
+    """fol_file mode found a sidecar formula path it cannot read (a
+    directory, no read permission, an I/O error)."""
+
+
 class StageError(CorgError):
     """Pipeline stage failure, annotated with problem id and stage name."""
 

@@ -16,8 +16,13 @@ once, and only when one of its (predicate, arity) pairs gained atoms in
 the previous round; matching binds the body's variables to term ids, and
 every match fans out to the group's heads.  A head's depth is read off
 the depths of the ids it binds, so an over-depth head is dropped before
-any of its terms is built, and the ``Atom`` of a trace step is built
-only when the atom is admitted.
+any of its terms is interned.
+
+The model keeps what saturation computed: the term table and one row per
+admitted atom (predicate, argument term ids, clause origin, premises).
+Its size, completeness and symbols are read from those rows; a derived
+term's ``Function``, an atom's ``Atom`` and a ``DerivationStep`` are only
+built when ``trace`` or ``atoms`` is first read.
 """
 
 from __future__ import annotations
@@ -25,7 +30,8 @@ from __future__ import annotations
 import json
 import re
 from bisect import bisect_left
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from operator import itemgetter
 
 from .errors import AtomNotInModel, NonHornClause, NonRangeRestrictedClause
@@ -61,25 +67,45 @@ class DerivationStep:
 BOUNDS = ("depth", "atoms", "rounds")
 
 
-@dataclass
+@dataclass(eq=False)
 class PartialModel:
-    """Derived ground atoms plus the trace that produced them."""
+    """Derived ground atoms plus the trace that produced them.
 
-    trace: list[DerivationStep] = field(default_factory=list)
+    Held as saturation left it: the term table and, per admitted atom in
+    trace order, a row of its predicate, its argument term ids, the origin
+    of the clause that derived it (None for an input fact) and its premise
+    trace indices.  ``len``, ``complete``, ``cut_by`` and
+    ``extract_symbols`` read the rows; ``trace`` and ``atoms`` build their
+    objects on first read and keep them.
+    """
+
+    terms: _Terms
+    predicates: list[str]
+    arguments: list[tuple[int, ...]]
+    origins: list[str | None]
+    premises: list[tuple[int, ...]]
     # the bounds that suppressed an atom or a round, in BOUNDS order
-    cut_by: tuple[str, ...] = ()
+    cut_by: tuple[str, ...]
 
     @property
     def complete(self) -> bool:
         """True when the fixpoint was reached with nothing suppressed."""
         return not self.cut_by
 
-    @property
+    @cached_property
+    def trace(self) -> list[DerivationStep]:
+        objects = self.terms.built()
+        return [DerivationStep(Atom(predicate, tuple([objects[i] for i in ids])),
+                               origin, premises)
+                for predicate, ids, origin, premises in zip(
+                    self.predicates, self.arguments, self.origins, self.premises)]
+
+    @cached_property
     def atoms(self) -> list[Atom]:
         return [step.derived for step in self.trace]
 
     def __len__(self) -> int:
-        return len(self.trace)
+        return len(self.predicates)
 
 
 def is_ground_atom(a: Atom) -> bool:
@@ -105,15 +131,16 @@ def _validate(clauses: list[Clause]):
 
 class _Terms:
     """The ground terms of one saturation, interned: per id, the key
-    (name, argument ids or None for a constant), the depth and the Term."""
+    (name, argument ids or None for a constant), the depth, and the Term
+    when it was given as input or has been built (None until then)."""
 
     def __init__(self):
         self.ids: dict[tuple[str, tuple[int, ...] | None], int] = {}
         self.keys: list[tuple[str, tuple[int, ...] | None]] = []
         self.depth: list[int] = []
-        self.objects: list[Term] = []
+        self.objects: list[Term | None] = []
 
-    def _add(self, key: tuple[str, tuple[int, ...] | None], term: Term) -> int:
+    def _add(self, key: tuple[str, tuple[int, ...] | None], term: Term | None) -> int:
         i = self.ids[key] = len(self.objects)
         self.keys.append(key)
         self.depth.append(1 + max(self.depth[a] for a in key[1]) if key[1] else 1)
@@ -128,13 +155,20 @@ class _Terms:
         return self._add(key, t) if i is None else i
 
     def apply(self, name: str, args: tuple[int, ...]) -> int:
-        """Id of the term name(args); its Function is built on first use."""
+        """Id of the term name(args); no Function is built."""
         key = (name, args)
         i = self.ids.get(key)
-        if i is None:
-            objects = self.objects
-            i = self._add(key, Function(name, tuple(objects[a] for a in args)))
-        return i
+        return self._add(key, None) if i is None else i
+
+    def built(self) -> list[Term]:
+        """The Term of every id, building the missing ones; a term's
+        arguments have smaller ids, so one pass in id order does."""
+        objects, keys = self.objects, self.keys
+        for i, term in enumerate(objects):
+            if term is None:
+                name, args = keys[i]
+                objects[i] = Function(name, tuple([objects[a] for a in args]))
+        return objects
 
 
 # Body argument patterns: bind the next variable slot to the id, compare
@@ -284,8 +318,12 @@ def saturate(facts: list[Atom], clauses: list[Clause],
 
     terms = _Terms()
     depth = terms.depth
-    trace: list[DerivationStep] = []
-    arg_ids: list[tuple[int, ...]] = []  # per trace index
+    max_depth = cfg.max_term_depth
+    # the rows of the model, per trace index
+    predicates: list[str] = []
+    arg_ids: list[tuple[int, ...]] = []
+    origins: list[str | None] = []
+    premises_of: list[tuple[int, ...]] = []
     seen: set[tuple[str, tuple[int, ...]]] = set()
     # ascending trace indices per (predicate, arity)
     by_key: dict[tuple[str, int], list[int]] = {}
@@ -297,45 +335,54 @@ def saturate(facts: list[Atom], clauses: list[Clause],
         key = (predicate, ids)
         if key in seen:
             return
-        if len(trace) >= cfg.max_atoms:
+        if len(predicates) >= cfg.max_atoms:
             cut.add("atoms")
             return
         seen.add(key)
-        atom = Atom(predicate, tuple([terms.objects[i] for i in ids]))
-        by_key.setdefault((predicate, len(ids)), []).append(len(trace))
+        pair = (predicate, len(ids))
+        by_key.setdefault(pair, []).append(len(predicates))
+        predicates.append(predicate)
         arg_ids.append(ids)
-        trace.append(DerivationStep(atom, origin, premises))
-        fresh.add((predicate, len(ids)))
+        origins.append(origin)
+        premises_of.append(premises)
+        fresh.add(pair)
 
     for f in facts:
         ids = tuple(terms.intern(t) for t in f.args)
-        if max((depth[i] for i in ids), default=0) > cfg.max_term_depth:
+        if max((depth[i] for i in ids), default=0) > max_depth:
             cut.add("depth")
         else:
             admit(f.predicate, ids, None, ())
 
     # one group per distinct body, and the groups each (predicate, arity)
-    # occurs in; bodiless clauses fire once, in the first round
+    # occurs in; bodiless clauses fire once, in the first round.  Clauses
+    # often share one body tuple (both clauses of a triple axiom do), so a
+    # body is looked up by identity before it is hashed.
     groups: dict[tuple[Atom, ...], _Group] = {}
+    group_of_body: dict[int, _Group] = {}
     for position, clause in enumerate(clauses):
         if clause.positives:
-            group = groups.get(clause.negatives)
+            body = clause.negatives
+            group = group_of_body.get(id(body))
             if group is None:
-                group = groups[clause.negatives] = _Group(clause.negatives)
+                group = groups.get(body)
+                if group is None:
+                    group = groups[body] = _Group(body)
+                group_of_body[id(body)] = group
             group.positions.append(position)
     groups_of: dict[tuple[str, int], list[_Group]] = {}
     for group in groups.values():
         for key in {(a.predicate, len(a.args)) for a in group.atoms}:
             groups_of.setdefault(key, []).append(group)
 
-    delta_start, delta_end = 0, len(trace)
+    delta_start, delta_end = 0, len(predicates)
     rounds = 0
     while fresh or rounds == 0:
         if rounds >= cfg.max_rounds:
             cut.add("rounds")
             break
         candidates: list[tuple[int, tuple[int, ...], _Group, tuple[int, ...]]] = []
-        # candidates are sorted below, so the order of the groups is free
+        # candidates are sorted below, so the order they are found in is free
         active = {g for key in fresh for g in groups_of.get(key, ())}
         if rounds == 0 and () in groups:
             active.add(groups[()])
@@ -346,25 +393,33 @@ def saturate(facts: list[Atom], clauses: list[Clause],
             matches = _matches(group.body, by_key, arg_ids, terms, delta_start,
                                delta_end, fresh) if group.body else [((), ())]
             slots = group.slots
-            for binding, premises in matches:
-                for position in group.positions:
-                    d = max([_depth(t, slots, binding, depth)
-                             for t in clauses[position].positives[0].args], default=0)
-                    if d > cfg.max_term_depth:
+            for position in group.positions:
+                args = clauses[position].positives[0].args
+                for binding, premises in matches:
+                    # the head's depth; a top-level variable, the usual
+                    # argument, is read without a call
+                    d = 0
+                    for t in args:
+                        x = depth[binding[slots[t.name]]] if t.__class__ is Variable \
+                            else _depth(t, slots, binding, depth)
+                        if x > d:
+                            d = x
+                    if d > max_depth:
                         cut.add("depth")
                     else:
                         candidates.append((position, premises, group, binding))
         candidates.sort(key=_CANDIDATE_ORDER)
         fresh = set()
-        delta_start = len(trace)
+        delta_start = len(predicates)
         for position, premises, group, binding in candidates:
             clause = clauses[position]
             head = clause.positives[0]
             admit(head.predicate,
                   tuple([_build(t, group.slots, binding, terms) for t in head.args]),
                   clause.origin, premises)
-        delta_end = len(trace)
-    return PartialModel(trace, tuple(b for b in BOUNDS if b in cut))
+        delta_end = len(predicates)
+    return PartialModel(terms, predicates, arg_ids, origins, premises_of,
+                        tuple(b for b in BOUNDS if b in cut))
 
 
 # ------------------------------------------------------------- extraction
@@ -378,10 +433,9 @@ def _is_skolem(name: str) -> bool:
     return bool(_SKOLEM.fullmatch(name))
 
 
-def _is_relation_predicate(atom: Atom) -> bool:
-    return (len(atom.args) == 2
-            or atom.predicate.startswith("inv_")
-            or bool(_ROLE_PREDICATE.fullmatch(atom.predicate)))
+def _is_relation_predicate(predicate: str, arity: int) -> bool:
+    return (arity == 2 or predicate.startswith("inv_")
+            or bool(_ROLE_PREDICATE.fullmatch(predicate)))
 
 
 def extract_symbols(model: PartialModel) -> list[str]:
@@ -391,29 +445,35 @@ def extract_symbols(model: PartialModel) -> list[str]:
     constant/function names, minus Skolems and relation predicates (binary
     ones, ``inv_*``, and semantic-parser role predicates such as
     ``r1Actor``), ordered by first appearance in the trace.
+
+    Reads the model's rows and term keys, not its trace.  Each distinct
+    term id is walked once: a second walk would add no name, since a
+    term's walk adds every name under it.
     """
     out: list[str] = []
     seen: set[str] = set()
+    keys = model.terms.keys
+    walked: set[int] = set()
 
-    def add(name: str):
-        if name not in seen and not _is_skolem(name):
+    def add(name: str):  # a Skolem name goes into seen, never into out
+        if name not in seen:
             seen.add(name)
-            out.append(name)
+            if not _is_skolem(name):
+                out.append(name)
 
-    def add_term(t: Term):
-        if isinstance(t, Constant):
-            add(t.name)
-        elif isinstance(t, Function):
-            add(t.name)
-            for a in t.args:
-                add_term(a)
-
-    for step in model.trace:
-        atom = step.derived
-        if not _is_relation_predicate(atom):
-            add(atom.predicate)
-        for t in atom.args:
-            add_term(t)
+    for predicate, ids in zip(model.predicates, model.arguments):
+        if predicate not in seen and not _is_relation_predicate(predicate, len(ids)):
+            add(predicate)
+        stack = list(reversed(ids))
+        while stack:
+            i = stack.pop()
+            if i in walked:
+                continue
+            walked.add(i)
+            name, args = keys[i]
+            add(name)
+            if args:
+                stack.extend(reversed(args))
     return out
 
 

@@ -39,7 +39,8 @@ import numpy as np
 from . import fol
 from .embeddings import EmbeddingTable
 from .errors import (CorgError, InvalidField, MissingField, MissingFormula,
-                     ParseError, StageError, UnsupportedFragment, XmlError)
+                     ParseError, StageError, UnreadableFormula, UnsupportedFragment,
+                     XmlError)
 from .fol import Atom, Clause, Constant, Formula
 from .kg import KnowledgeGraph
 from .model import BuilderConfig, PartialModel, extract_symbols, saturate, trace_json
@@ -181,6 +182,8 @@ def text_to_facts(text: str, mode: str = "bag_of_words",
         content = path.read_text(encoding="utf-8")
     except UnicodeDecodeError as e:
         raise ParseError(f"{path}: not valid UTF-8", e.start) from e
+    except OSError as e:  # a directory, no read permission, an I/O error
+        raise UnreadableFormula(f"{path}: {e.strerror or e}") from e
     if "fof(" in content or "cnf(" in content:
         formulas = [a.formula for a in fol.parse_tptp(content)]
     else:
@@ -212,6 +215,10 @@ class PipelineConfig:
     def __post_init__(self):
         if self.scheme not in ("existential", "factual"):
             raise ValueError(f"unknown scheme {self.scheme!r}")
+        if self.fact_mode not in ("bag_of_words", "fol_file"):
+            raise ValueError(f"unknown fact mode {self.fact_mode!r}")
+        if self.fact_mode == "fol_file" and self.fol_dir is None:
+            raise ValueError("fact_mode fol_file needs fol_dir")
         if not math.isfinite(self.prefilter_theta):
             raise ValueError(f"prefilter_theta must be finite, got {self.prefilter_theta}")
 
@@ -335,7 +342,9 @@ class RunReport:
 
 # Translated axioms kept across problems, the oldest evicted first.  A
 # 100-problem scale-smoke pass translates 6,901 distinct axioms, so such a
-# run never evicts.
+# run never evicts.  An entry is keyed by the int 2 * triple id + inverse
+# and holds the axiom's interned id string, its formula and its clauses,
+# so a hit formats no string.
 TRANSLATION_CACHE_SIZE = 8192
 
 
@@ -349,25 +358,29 @@ class Pipeline:
         self.config = config or PipelineConfig()
         self.columns = TripleColumns(graph, table, self.config.include_inverse)
         self.prefilter = Prefilter(self.columns)
-        # axiom id -> (formula, clauses); translation is problem-independent
-        self._translations: OrderedDict[str, tuple[Formula, list[Clause]]] = OrderedDict()
+        # 2 * triple id + inverse -> (axiom id, formula, clauses); translation
+        # is problem-independent
+        self._translations: OrderedDict[int, tuple[str, Formula, list[Clause]]] = \
+            OrderedDict()
 
-    def _translate(self, aid: str, tid: int,
-                   inverse: bool) -> tuple[Formula, list[Clause]]:
-        cached = self._translations.get(aid)
-        if cached is None:
-            triple = self.graph.triple(tid)
-            if inverse:
-                formula = fol.translate_inverse(triple)
-            elif self.config.scheme == "factual":
-                formula = fol.translate_factual(triple)
-            else:
-                formula = fol.translate_existential(triple)
-            cached = formula, fol.clausify(formula, aid)
-            if len(self._translations) >= TRANSLATION_CACHE_SIZE:
-                self._translations.popitem(last=False)
-            self._translations[aid] = cached
-        return cached
+    def _translate(self, key: int) -> tuple[str, Formula, list[Clause]]:
+        """Translate and clausify axiom ``key`` (2 * triple id + inverse),
+        and cache the result."""
+        tid, inverse = divmod(key, 2)
+        triple = self.graph.triple(tid)
+        if inverse:
+            formula = fol.translate_inverse(triple)
+        elif self.config.scheme == "factual":
+            formula = fol.translate_factual(triple)
+        else:
+            formula = fol.translate_existential(triple)
+        # interned, so that every problem's results share one string
+        aid = sys.intern(f"t{tid + 1}_inv" if inverse else f"t{tid + 1}")
+        entry = aid, formula, fol.clausify(formula, aid)
+        if len(self._translations) >= TRANSLATION_CACHE_SIZE:
+            self._translations.popitem(last=False)
+        self._translations[key] = entry
+        return entry
 
     def _run_text(self, problem: CopaProblem, role: str, text: str,
                   tids: np.ndarray, index: AxiomIndex) -> TextResult:
@@ -380,24 +393,22 @@ class Pipeline:
             goals |= fol.symbols(f)
         with _stage(problem.id, "select"):
             if not goals:
-                positions: list[int] = []
+                positions = np.empty(0, dtype=np.intp)
             elif cfg.sine.similarity_threshold is not None:
-                positions = similarity_sine_select(index, goals, cfg.sine).tolist()
+                positions = similarity_sine_select(index, goals, cfg.sine)
             else:
-                positions = sine_select(index, goals, cfg.sine).tolist()
-        # axiom position -> (triple id, inverse): each kept triple's forward
-        # axiom, then its inverse one when inverses are on
+                positions = sine_select(index, goals, cfg.sine)
+        # axiom position -> 2 * triple id + inverse: each kept triple's
+        # forward axiom, then its inverse one when inverses are on
         per_triple = 2 if cfg.include_inverse else 1
+        keys = (2 * tids[positions // per_triple] + positions % per_triple).tolist()
+        translations = self._translations
         selected: list[str] = []
         formulas: list[Formula] = []
         clauses: list[Clause] = []
         with _stage(problem.id, "translate"):
-            for p in positions:
-                tid = int(tids[p // per_triple])
-                inverse = p % per_triple == 1
-                # interned, so that every problem's results share one string
-                aid = sys.intern(f"t{tid + 1}_inv" if inverse else f"t{tid + 1}")
-                formula, axiom_clauses = self._translate(aid, tid, inverse)
+            for key in keys:
+                aid, formula, axiom_clauses = translations.get(key) or self._translate(key)
                 selected.append(aid)
                 formulas.append(formula)
                 clauses.extend(axiom_clauses)

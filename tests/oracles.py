@@ -5,14 +5,16 @@ naive least-fixpoint evaluator over its own tuple representation, the
 reference chainer is a direct semi-naive chainer over the AST objects, the
 selection and hop oracles are plain reachability walks, and the worked-problem
 oracle recomputes the expected scores with stdlib math from hand-derived
-symbol sequences.  The reference clausifier rebuilds the formula in four
-passes where ``corg.fol`` walks it once.  The reference loaders parse one
-line at a time, with no memo and no block parse.
+symbol sequences.  The reference extractor walks each atom's AST where
+``corg.model`` reads term ids.  The reference clausifier rebuilds the
+formula in four passes where ``corg.fol`` walks it once.  The reference
+loaders parse one line at a time, with no memo and no block parse.
 """
 
 import itertools
 import json
 import math
+import re
 from typing import NamedTuple
 
 import numpy as np
@@ -260,6 +262,53 @@ def reference_saturate(facts, clauses, max_term_depth, max_atoms, max_rounds):
         first_round = False
     cut_by = tuple(b for b in ("depth", "atoms", "rounds") if b in cut)
     return ReferenceModel(db.trace, not cut, cut_by)
+
+
+# ------------------------------------------------ reference extraction
+#
+# The extractor that ``corg.model.extract_symbols`` must agree with name for
+# name: it walks every atom's AST, term by term, instead of the model's
+# rows and term ids.
+
+# the clausifier's Skolem names: sk_<axiom id>_<k>
+_SKOLEM = re.compile(r"sk_\w+_\d+")
+_ROLE_PREDICATE = re.compile(r"r[0-9]+[A-Z]\w*")
+
+
+def _is_skolem(name: str) -> bool:
+    return bool(_SKOLEM.fullmatch(name))
+
+
+def _is_relation_predicate(atom: Atom) -> bool:
+    return (len(atom.args) == 2
+            or atom.predicate.startswith("inv_")
+            or bool(_ROLE_PREDICATE.fullmatch(atom.predicate)))
+
+
+def reference_extract_symbols(atoms: list[Atom]) -> list[str]:
+    """Word-like symbols of a model's atoms in first-derivation order."""
+    out: list[str] = []
+    seen: set[str] = set()
+
+    def add(name: str):
+        if name not in seen and not _is_skolem(name):
+            seen.add(name)
+            out.append(name)
+
+    def add_term(t: Term):
+        if isinstance(t, Constant):
+            add(t.name)
+        elif isinstance(t, Function):
+            add(t.name)
+            for a in t.args:
+                add_term(a)
+
+    for atom in atoms:
+        if not _is_relation_predicate(atom):
+            add(atom.predicate)
+        for t in atom.args:
+            add_term(t)
+    return out
 
 
 # ------------------------------------------------ reference clausifier

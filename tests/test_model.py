@@ -13,7 +13,8 @@ from corg.kg import Triple
 from corg.model import (BuilderConfig, explain, extract_symbols, saturate,
                         trace_json)
 from oracles import (atom_depth, match_atom, model_atom_tuples,
-                     naive_least_model, reference_saturate, substitute_atom)
+                     naive_least_model, reference_extract_symbols,
+                     reference_saturate, substitute_atom)
 
 X, Y = Variable("X"), Variable("Y")
 LOOSE = BuilderConfig(max_term_depth=50, max_atoms=100_000, max_rounds=1000)
@@ -217,22 +218,38 @@ def random_datalog(rng: random.Random):
     return facts, clauses
 
 
-PREDICATES = (("p", 1), ("q", 1), ("r", 2))
-GROUND = (Constant("a"), Constant("b"))
-SKOLEMS = ("f", "g")
+# Besides plain names: relation predicates extract_symbols drops (inv_*,
+# role predicates of either arity), clausifier Skolem names, and names that
+# only look like either.
+PREDICATES = (("p", 1), ("q", 1), ("r", 2), ("inv_q", 1), ("r1Actor", 2),
+              ("r2Theme", 1), ("r1actor", 1), ("sk_t1_0", 1))
+GROUND = (Constant("a"), Constant("b"), Constant("sk_q_0"), Constant("sk_a"),
+          Constant("sk_1"))
+FUNCTIONS = (("f", 1), ("g", 1), ("h", 2), ("sk_t1_0", 1), ("sk_t2_inv_1", 1),
+             ("sk8", 1))
+
+
+def _variables(t) -> set:
+    if isinstance(t, Variable):
+        return {t}
+    if isinstance(t, Function):
+        return set().union(*(_variables(a) for a in t.args))
+    return set()
 
 
 def random_horn(pick):
-    """Horn program with Skolem terms and bounds small enough to cut it.
+    """Horn program with function terms and bounds small enough to cut it.
 
     ``pick(options)`` returns one element of a sequence (a range for
     integers).  Bodies have 0-2 atoms, some clauses reuse an earlier
-    clause's body, some are headless, and heads and bodies may hold a
-    unary Skolem term f(t) or g(t).
+    clause's body, some are headless, and heads and bodies may hold
+    function terms nested up to two levels, over the names above.
     """
-    def term(pool):
-        base = pick(pool)
-        return Function(pick(SKOLEMS), (base,)) if pick((False, True)) else base
+    def term(pool, levels=2):
+        if levels and pick((False, True)):
+            name, arity = pick(FUNCTIONS)
+            return Function(name, tuple(term(pool, levels - 1) for _ in range(arity)))
+        return pick(pool)
 
     def atom(pool):
         name, arity = pick(PREDICATES)
@@ -248,11 +265,8 @@ def random_horn(pick):
             body = ()
         else:
             body = tuple(atom(GROUND + (X, Y)) for _ in range(pick(range(1, 3))))
-        # body terms are at most one level deep: t or f(t)
-        leaves = [t.args[0] if isinstance(t, Function) else t
-                  for a in body for t in a.args]
-        head_pool = GROUND + tuple(sorted({t for t in leaves if isinstance(t, Variable)},
-                                          key=lambda v: v.name))
+        body_vars = set().union(*(_variables(t) for a in body for t in a.args))
+        head_pool = GROUND + tuple(sorted(body_vars, key=lambda v: v.name))
         heads = () if shape == "headless" else (atom(head_pool),)
         clauses.append(Clause(body, heads, f"c{k}"))
     bounds = (pick(range(1, 5)), pick(range(1, 31)), pick(range(1, 6)))
@@ -290,6 +304,14 @@ class TestOracleEquivalence:
     @given(horn_programs())
     def test_trace_matches_reference_chainer(self, program):
         assert_matches_reference(*program)
+
+    @settings(max_examples=300, derandomize=True, database=None, deadline=None)
+    @given(horn_programs())
+    def test_extract_symbols_matches_reference(self, program):
+        facts, clauses, bounds = program
+        model = saturate(facts, clauses, BuilderConfig(*bounds))
+        symbols = extract_symbols(model)  # before the trace is built
+        assert symbols == reference_extract_symbols(model.atoms)
 
     def test_reference_agreement_reaches_every_cut(self):
         rng = random.Random(1912)

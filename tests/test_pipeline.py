@@ -8,19 +8,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import corg
-from corg import EmbeddingTable, KnowledgeGraph, Triple, pipeline
+from corg import EmbeddingTable, KnowledgeGraph, Triple, model, pipeline
 from corg.cli import main
 from corg.errors import (MissingField, MissingFormula, ParseError, StageError,
-                         XmlError)
-from corg.fol import (Atom, Constant, parse_tptp, translate_existential,
+                         UnreadableFormula, XmlError)
+from corg.fol import (Atom, Constant, clausify, parse_tptp, translate_existential,
                       translate_inverse)
 from corg.model import BuilderConfig
-from corg.pipeline import (CopaProblem, Pipeline, PipelineConfig,
+from corg.pipeline import (CopaProblem, Pipeline, PipelineConfig, RunReport,
                            content_words, export_tptp, parse_copa_xml,
                            text_to_facts)
 from corg.selection import SineConfig
 from conftest import COPA_XML
-from oracles import copa1_expected, reachable_within
+from oracles import (atom_tuple, copa1_expected, reachable_within,
+                     reference_saturate)
 
 
 def c0(pred):
@@ -183,7 +184,7 @@ class TestRunProblem:
         indexed = {t.n_translated for t in result.texts}
         assert indexed == {8}  # four triples, each with its inverse
         selected = {aid for t in result.texts for aid in t.selected}
-        assert selected and set(pipe._translations) == selected
+        assert selected and {aid for aid, _, _ in pipe._translations.values()} == selected
 
     def test_selected_formulas_are_the_translations(self, fig_graph, fig_table, copa1):
         cfg = PipelineConfig(include_inverse=True, prefilter_theta=-1.0)
@@ -359,10 +360,74 @@ class TestEvaluate:
         assert isinstance(failure.error.cause, ParseError)
         assert "2_a1.p: not valid UTF-8 (at position 19)" in str(failure.error)
 
+    def test_unreadable_formula_file_becomes_error_row(self, fig_graph, fig_table,
+                                                       copa1, tmp_path):
+        for pid in (1, 2, 3):
+            write_formulas(tmp_path, pid)
+        (tmp_path / "2_a1.p").unlink()
+        (tmp_path / "2_a1.p").mkdir()  # the path exists but cannot be read
+        cfg = PipelineConfig(fact_mode="fol_file", fol_dir=tmp_path)
+        problems = [copa1, replace(copa1, id=2), replace(copa1, id=3)]
+        report = Pipeline(fig_graph, fig_table, cfg).evaluate(problems)
+        assert [r.problem.id for r in report.results] == [1, 3]
+        [failure] = report.failures
+        assert (failure.problem.id, failure.error.stage) == (2, "facts")
+        assert isinstance(failure.error.cause, UnreadableFormula)
+        assert str(tmp_path / "2_a1.p") in str(failure.error)
+
     def test_timings_on_request(self, fig_graph, fig_table, copa1):
         report = Pipeline(fig_graph, fig_table).evaluate([copa1])
         row = json.loads(report.to_jsonl(include_timings=True).splitlines()[0])
         assert row["seconds"] > 0
+
+
+class TestLazyModel:
+    """The pipeline reads a model's size, completeness and symbols from its
+    int rows; steps, atoms and derived terms are built only for a trace."""
+
+    def test_report_builds_no_step_and_trace_equals_reference(
+            self, fig_graph, fig_table, copa1, monkeypatch):
+        built = []
+
+        class CountingStep(model.DerivationStep):
+            def __init__(self, *args):
+                built.append("step")
+                super().__init__(*args)
+
+        class CountingAtom(Atom):
+            def __init__(self, *args):
+                built.append("atom")
+                super().__init__(*args)
+
+        monkeypatch.setattr(model, "DerivationStep", CountingStep)
+        monkeypatch.setattr(model, "Atom", CountingAtom)
+        pipe = Pipeline(fig_graph, fig_table)
+        result = pipe.run_problem(copa1)
+        report = RunReport([result]).to_jsonl()
+        assert json.loads(report.splitlines()[0])["chosen"] == 1
+        assert built == []
+        for text in result.texts:  # each model holds a Skolem term, unbuilt
+            assert None in text.model.terms.objects
+
+        builder = pipe.config.builder
+        for text in result.texts:
+            clauses = [c for aid, formula in zip(text.selected, text.formulas)
+                       for c in clausify(formula, aid)]
+            ref = reference_saturate(text.facts, clauses, builder.max_term_depth,
+                                     builder.max_atoms, builder.max_rounds)
+            steps = len(built)
+            trace = text.model.trace
+            assert len(built) == steps + 2 * len(trace)
+            assert all(type(s) is CountingStep for s in trace)
+            # atom_tuple, since a CountingAtom never equals an Atom
+            assert [(atom_tuple(s.derived), s.clause_origin, s.premises)
+                    for s in trace] == \
+                [(atom_tuple(a), origin, premises) for a, origin, premises in ref.trace]
+            assert text.model.cut_by == ref.cut_by
+            assert None not in text.model.terms.objects
+            assert text.model.trace is trace
+            assert text.model.atoms == [s.derived for s in trace]
+            assert len(built) == steps + 2 * len(trace)  # kept, not rebuilt
 
 
 class TestExplanationPath:
@@ -571,16 +636,18 @@ class TestCli:
         assert code == 1
         assert err.startswith("error:")
 
-    def test_failed_problem_still_writes_report(self, fig_graph_path, fig_table_path,
-                                                tmp_path, capsys):
+    def run_two_problems(self, capsys, tmp_path, fig_graph_path, fig_table_path,
+                         fol_dir):
+        """``corg run`` over problems 1 and 2 (copies of COPA problem 1) in
+        fol_file mode; problem 1's formula files exist.  Returns the error
+        output after checking that problem 2 failed in stage facts and that
+        the report still holds problem 1's answer."""
         copa = tmp_path / "two.xml"
         item = COPA_XML.split("<item")[1].split("</item>")[0]
         copa.write_text(COPA_XML.replace(
             "</copa-corpus>", "<item" + item.replace('id="1"', 'id="2"')
             + "</item>\n</copa-corpus>"), "utf-8")
-        fol_dir = tmp_path / "fol"
-        fol_dir.mkdir()
-        write_formulas(fol_dir, 1)  # none for problem 2
+        write_formulas(fol_dir, 1)
         report_path = tmp_path / "report.jsonl"
         code, _, err = self.run_cli(
             capsys, "run", "--copa", str(copa), "--kg", str(fig_graph_path),
@@ -592,6 +659,39 @@ class TestCli:
         assert rows[0]["problem_id"] == 1 and rows[0]["chosen"] == 1
         assert rows[1]["problem_id"] == 2 and rows[1]["error"]["stage"] == "facts"
         assert rows[2]["failed"] == 1
+        return err
+
+    def test_failed_problem_still_writes_report(self, fig_graph_path, fig_table_path,
+                                                tmp_path, capsys):
+        fol_dir = tmp_path / "fol"
+        fol_dir.mkdir()  # no formula file for problem 2
+        self.run_two_problems(capsys, tmp_path, fig_graph_path, fig_table_path, fol_dir)
+
+    def test_unreadable_formula_file_still_writes_report(self, fig_graph_path,
+                                                         fig_table_path, tmp_path,
+                                                         capsys):
+        fol_dir = tmp_path / "fol"
+        fol_dir.mkdir()
+        (fol_dir / "2_premise.p").mkdir()  # the path exists but cannot be read
+        err = self.run_two_problems(capsys, tmp_path, fig_graph_path, fig_table_path,
+                                    fol_dir)
+        assert "2_premise.p" in err
+
+
+class TestPipelineConfig:
+    def test_defaults_and_fol_file_with_dir_construct(self, tmp_path):
+        PipelineConfig()
+        PipelineConfig(fact_mode="fol_file", fol_dir=tmp_path)
+
+    @pytest.mark.parametrize("kwargs, message", [
+        ({"scheme": "bogus"}, "unknown scheme"),
+        ({"fact_mode": "bogus"}, "unknown fact mode"),
+        ({"fact_mode": "fol_file"}, "needs fol_dir"),
+        ({"prefilter_theta": float("nan")}, "must be finite"),
+    ])
+    def test_rejects_configurations_that_can_only_fail_later(self, kwargs, message):
+        with pytest.raises(ValueError, match=message):
+            PipelineConfig(**kwargs)
 
 
 def test_public_names_importable():
