@@ -16,10 +16,10 @@ from .fol import (AnnotatedFormula, And, Atom, Clause, Constant, Exists,
                   parse_fol, parse_tptp, relation_predicate, symbols,
                   to_tptp, translate_existential, translate_factual,
                   translate_inverse)
-from .kg import (KnowledgeGraph, RelationFilter, Skip, Triple,
+from .kg import (KnowledgeGraph, RelationFilter, Triple,
                  default_relation_whitelist, load_graph,
                  load_relation_whitelist, normalize_concept,
-                 normalize_relation, parse_assertion_line, parse_plain_line)
+                 normalize_relation)
 from .model import (BuilderConfig, DerivationStep, PartialModel, explain,
                     extract_symbols, saturate, trace_json)
 from .pipeline import (CopaProblem, Pipeline, PipelineConfig, ProblemFailure,
@@ -43,10 +43,9 @@ __all__ = [
     "parse_tptp", "relation_predicate", "symbols", "to_tptp",
     "translate_existential", "translate_factual", "translate_inverse",
     # knowledge graph
-    "KnowledgeGraph", "RelationFilter", "Skip", "Triple",
+    "KnowledgeGraph", "RelationFilter", "Triple",
     "default_relation_whitelist", "load_graph", "load_relation_whitelist",
-    "normalize_concept", "normalize_relation", "parse_assertion_line",
-    "parse_plain_line",
+    "normalize_concept", "normalize_relation",
     # partial models
     "BuilderConfig", "DerivationStep", "PartialModel", "explain",
     "extract_symbols", "saturate", "trace_json",

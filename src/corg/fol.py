@@ -435,17 +435,10 @@ def format_formula(f: Formula) -> str:
     raise TypeError(f"not a formula: {f!r}")
 
 
-def to_tptp(obj: Formula | Clause, name: str, role: str = "axiom") -> str:
-    """One annotated TPTP line: FOF for formulas, CNF for clauses."""
+def to_tptp(f: Formula, name: str, role: str = "axiom") -> str:
+    """One annotated TPTP FOF line for a formula."""
     label = name if name.isdigit() else _name_token(name)
-    if isinstance(obj, Clause):
-        lits = ["~" + format_atom(a) for a in obj.negatives]
-        lits += [format_atom(a) for a in obj.positives]
-        body = " | ".join(lits)
-        if len(lits) > 1:
-            body = "(" + body + ")"
-        return f"cnf({label}, {role}, {body})."
-    return f"fof({label}, {role}, {format_formula(obj)})."
+    return f"fof({label}, {role}, {format_formula(f)})."
 
 
 # ----------------------------------------------------------------- parser
@@ -508,13 +501,6 @@ class _Parser:
 
     def peek(self):
         return self.tokens[self.i] if self.i < len(self.tokens) else (None, None, len(self.text))
-
-    def advance(self):
-        tok = self.peek()
-        if tok[0] is None:
-            raise ParseError("unexpected end of input", tok[2])
-        self.i += 1
-        return tok
 
     def expect_op(self, op: str):
         kind, value, pos = self.peek()

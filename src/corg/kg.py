@@ -257,17 +257,6 @@ class _LineParser:
                 weight, line_no, negated)
 
 
-def parse_assertion_line(line: str, line_no: int = 0) -> Triple | Skip:
-    """Parse one assertions-dump record into a Triple, or a Skip.
-
-    Skips cover non-concept endpoints, concepts in a language other than
-    English, and the external_url relation.  Structural garbage raises
-    MalformedLine.
-    """
-    parsed = _LineParser().assertion(line, line_no)
-    return parsed if isinstance(parsed, Skip) else Triple(*parsed)
-
-
 def _json_weight(value, line_no: int) -> float:
     """A JSON ``"weight"`` as a float; anything but a number is malformed."""
     if isinstance(value, (int, float)) and not isinstance(value, bool):
@@ -276,11 +265,6 @@ def _json_weight(value, line_no: int) -> float:
         except OverflowError:
             pass
     raise MalformedLine(line_no, f"weight is not a number: {value!r:.40}")
-
-
-def parse_plain_line(line: str, line_no: int = 0) -> Triple:
-    """Parse one ``subject<TAB>relation<TAB>object[<TAB>weight]`` fixture line."""
-    return Triple(*_LineParser().plain(line, line_no))
 
 
 def _open_text(path) -> Iterator[str]:

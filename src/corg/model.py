@@ -434,8 +434,7 @@ def _is_skolem(name: str) -> bool:
 
 
 def _is_relation_predicate(predicate: str, arity: int) -> bool:
-    return (arity == 2 or predicate.startswith("inv_")
-            or bool(_ROLE_PREDICATE.fullmatch(predicate)))
+    return arity == 2 or bool(_ROLE_PREDICATE.fullmatch(predicate))
 
 
 def extract_symbols(model: PartialModel) -> list[str]:
@@ -443,8 +442,9 @@ def extract_symbols(model: PartialModel) -> list[str]:
 
     Term structure is discarded: the output is the unique predicate and
     constant/function names, minus Skolems and relation predicates (binary
-    ones, ``inv_*``, and semantic-parser role predicates such as
-    ``r1Actor``), ordered by first appearance in the trace.
+    ones, the generated ``inv_*`` predicates among them, and semantic-parser
+    role predicates such as ``r1Actor``), ordered by first appearance in
+    the trace.  A unary ``inv_*`` concept is a word like any other.
 
     Reads the model's rows and term keys, not its trace.  Each distinct
     term id is walked once: a second walk would add no name, since a

@@ -1,16 +1,20 @@
 """End-to-end COPA runs: parse problems, build facts, chain, extract, score.
 
 The graph's int id columns are copied once into symbol-id columns
-(``TripleColumns``).  Per problem, the triple prefilter keeps the triples whose object is
-near the problem's words, and each kept triple is indexed for selection by
-its symbol ids as axiom ``t<n>`` and, with inverses on, ``t<n>_inv``; only
-the axioms a text selects get such a name.  Each text (premise, then every
+(``TripleColumns``).  Per problem, the triple prefilter keeps the triples
+whose object is near the problem's words, and each kept triple is indexed
+for selection by its symbol ids, as its forward axiom and, with inverses
+on, its inverse one.  An axiom is known by its key ``2 * triple id +
+inverse`` from selection to the result.  Each text (premise, then every
 alternative) then goes through
 
     facts -> select -> translate + clausify (selected axioms only)
           -> saturate -> extract symbols
 
 and the per-alternative symbol sequences are scored against the premise's.
+Only the selected axioms' clauses are kept, cached by key.  A text result
+holds the keys; an axiom's id (``t<n>``, ``t<n>_inv``) and its formula are
+built again only when they are read, as by the TPTP export.
 A failure is raised as a StageError that names the problem and the stage;
 ``evaluate`` records it as an error row of the report and goes on.
 Resources (graph, embeddings) are loaded once and shared; problems are
@@ -24,7 +28,6 @@ from __future__ import annotations
 import json
 import math
 import re
-import sys
 import time
 import xml.etree.ElementTree as ET
 from collections import OrderedDict
@@ -228,23 +231,36 @@ class PipelineConfig:
 
 @dataclass
 class TextResult:
-    """Everything the pipeline derived for one text of a problem."""
+    """Everything the pipeline derived for one text of a problem.
+
+    The selected axioms are held by their keys; their ids and formulas are
+    built from the keys on each read of ``selected`` and ``formulas``.
+    """
 
     role: str
     facts: list[Atom]
     n_translated: int  # axioms indexed for selection
-    selected: list[str]  # axiom ids, in index order
-    formulas: list[Formula]  # the selected axioms' translations, in the same order
+    keys: list[int]  # the selected axioms' keys, in index order
     model: PartialModel
     symbols: list[str]
     seconds: float
+    # the pipeline that produced the result, which translates its formulas
+    pipeline: Pipeline = field(compare=False, repr=False)
+
+    @property
+    def selected(self) -> list[str]:
+        return [axiom_id(key) for key in self.keys]
+
+    @property
+    def formulas(self) -> list[Formula]:
+        return [self.pipeline.formula(key) for key in self.keys]
 
     def to_json(self, include_timings: bool = False) -> dict:
         row = {
             "role": self.role,
             "n_facts": len(self.facts),
             "n_translated": self.n_translated,
-            "n_selected": len(self.selected),
+            "n_selected": len(self.keys),
             "model_atoms": len(self.model),
             "complete": self.model.complete,
         }
@@ -340,12 +356,18 @@ class RunReport:
 # ---------------------------------------------------------------- pipeline
 
 
-# Translated axioms kept across problems, the oldest evicted first.  A
+# Clause lists of translated axioms kept across problems, the oldest
+# evicted first, keyed by the axiom key 2 * triple id + inverse.  A
 # 100-problem scale-smoke pass translates 6,901 distinct axioms, so such a
-# run never evicts.  An entry is keyed by the int 2 * triple id + inverse
-# and holds the axiom's interned id string, its formula and its clauses,
-# so a hit formats no string.
+# run never evicts.
 TRANSLATION_CACHE_SIZE = 8192
+
+
+def axiom_id(key: int) -> str:
+    """The id of axiom ``key``: ``t<n>`` for triple n - 1 read forward,
+    ``t<n>_inv`` for its inverse reading."""
+    tid, inverse = divmod(key, 2)
+    return f"t{tid + 1}_inv" if inverse else f"t{tid + 1}"
 
 
 class Pipeline:
@@ -358,32 +380,29 @@ class Pipeline:
         self.config = config or PipelineConfig()
         self.columns = TripleColumns(graph, table, self.config.include_inverse)
         self.prefilter = Prefilter(self.columns)
-        # 2 * triple id + inverse -> (axiom id, formula, clauses); translation
-        # is problem-independent
-        self._translations: OrderedDict[int, tuple[str, Formula, list[Clause]]] = \
-            OrderedDict()
+        # axiom key -> clauses; translation is problem-independent
+        self._translations: OrderedDict[int, list[Clause]] = OrderedDict()
 
-    def _translate(self, key: int) -> tuple[str, Formula, list[Clause]]:
-        """Translate and clausify axiom ``key`` (2 * triple id + inverse),
-        and cache the result."""
+    def formula(self, key: int) -> Formula:
+        """The translation of axiom ``key`` (2 * triple id + inverse)."""
         tid, inverse = divmod(key, 2)
         triple = self.graph.triple(tid)
         if inverse:
-            formula = fol.translate_inverse(triple)
-        elif self.config.scheme == "factual":
-            formula = fol.translate_factual(triple)
-        else:
-            formula = fol.translate_existential(triple)
-        # interned, so that every problem's results share one string
-        aid = sys.intern(f"t{tid + 1}_inv" if inverse else f"t{tid + 1}")
-        entry = aid, formula, fol.clausify(formula, aid)
+            return fol.translate_inverse(triple)
+        if self.config.scheme == "factual":
+            return fol.translate_factual(triple)
+        return fol.translate_existential(triple)
+
+    def _translate(self, key: int) -> list[Clause]:
+        """Translate and clausify axiom ``key``, and cache its clauses."""
+        clauses = fol.clausify(self.formula(key), axiom_id(key))
         if len(self._translations) >= TRANSLATION_CACHE_SIZE:
             self._translations.popitem(last=False)
-        self._translations[key] = entry
-        return entry
+        self._translations[key] = clauses
+        return clauses
 
     def _run_text(self, problem: CopaProblem, role: str, text: str,
-                  tids: np.ndarray, index: AxiomIndex) -> TextResult:
+                  axiom_keys: np.ndarray, index: AxiomIndex) -> TextResult:
         cfg = self.config
         start = time.perf_counter()
         with _stage(problem.id, "facts"):
@@ -398,25 +417,17 @@ class Pipeline:
                 positions = similarity_sine_select(index, goals, cfg.sine)
             else:
                 positions = sine_select(index, goals, cfg.sine)
-        # axiom position -> 2 * triple id + inverse: each kept triple's
-        # forward axiom, then its inverse one when inverses are on
-        per_triple = 2 if cfg.include_inverse else 1
-        keys = (2 * tids[positions // per_triple] + positions % per_triple).tolist()
+        keys = axiom_keys[positions].tolist()
         translations = self._translations
-        selected: list[str] = []
-        formulas: list[Formula] = []
         clauses: list[Clause] = []
         with _stage(problem.id, "translate"):
             for key in keys:
-                aid, formula, axiom_clauses = translations.get(key) or self._translate(key)
-                selected.append(aid)
-                formulas.append(formula)
-                clauses.extend(axiom_clauses)
+                clauses.extend(translations.get(key) or self._translate(key))
         with _stage(problem.id, "saturate"):
             model = saturate(facts, clauses, cfg.builder)
         syms = extract_symbols(model)
-        return TextResult(role, facts, len(index), selected, formulas,
-                          model, syms, time.perf_counter() - start)
+        return TextResult(role, facts, len(index), keys, model, syms,
+                          time.perf_counter() - start, self)
 
     def run_problem(self, problem: CopaProblem) -> ProblemResult:
         """Full pipeline for one problem; see the module docstring."""
@@ -428,9 +439,10 @@ class Pipeline:
                 if words else np.empty(0, dtype=np.intp)
         tids = kept[~self.columns.negated[kept]]
         index = build_index(self.columns.axiom_rows(tids), self.columns.symbols)
-        texts = [self._run_text(problem, "premise", problem.premise, tids, index)]
+        keys = self.columns.axiom_keys(tids)
+        texts = [self._run_text(problem, "premise", problem.premise, keys, index)]
         for k, alt in enumerate(problem.alternatives, start=1):
-            texts.append(self._run_text(problem, f"a{k}", alt, tids, index))
+            texts.append(self._run_text(problem, f"a{k}", alt, keys, index))
         with _stage(problem.id, "score"):
             premise_syms = texts[0].symbols
             scores = [score_pair(premise_syms, t.symbols, self.table) for t in texts[1:]]
@@ -473,8 +485,9 @@ def export_tptp(result: ProblemResult, out_dir) -> list[Path]:
     """Write each text's facts, selected axioms and model as TPTP files, and
     the model's derivation trace as JSON.
 
-    Everything comes from the stored text results.  Returns the written
-    paths.
+    Facts and models come from the stored text results; the selected
+    axioms' ids and formulas are built again from their keys.  Returns the
+    written paths.
     """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)

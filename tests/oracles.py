@@ -280,9 +280,7 @@ def _is_skolem(name: str) -> bool:
 
 
 def _is_relation_predicate(atom: Atom) -> bool:
-    return (len(atom.args) == 2
-            or atom.predicate.startswith("inv_")
-            or bool(_ROLE_PREDICATE.fullmatch(atom.predicate)))
+    return len(atom.args) == 2 or bool(_ROLE_PREDICATE.fullmatch(atom.predicate))
 
 
 def reference_extract_symbols(atoms: list[Atom]) -> list[str]:

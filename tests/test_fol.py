@@ -438,14 +438,6 @@ class TestEmit:
         assert line == \
             "fof(q, hypothesis, ? [A] : (sun(A) & ? [B] : (r1Actor(B,A) & rise(B))))."
 
-    def test_clause_emission(self):
-        f = translate_existential(Triple("sun", "causes", "light"))
-        lines = [to_tptp(c, f"t1_c{i}") for i, c in enumerate(clausify(f, "t1"))]
-        assert lines == [
-            "cnf(t1_c0, axiom, (~sun(X) | causes(X,sk_t1_0(X)))).",
-            "cnf(t1_c1, axiom, (~sun(X) | light(sk_t1_0(X)))).",
-        ]
-
     def test_quoting_non_word_names(self):
         f = unary("p", Constant("3d_printer"))
         assert to_tptp(f, "n") == "fof(n, axiom, p('3d_printer'))."

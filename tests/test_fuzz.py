@@ -16,8 +16,7 @@ from hypothesis import strategies as st
 from corg.embeddings import load_table
 from corg.errors import CorgError
 from corg.fol import parse_fol, parse_tptp
-from corg.kg import (Skip, Triple, load_graph, parse_assertion_line,
-                     parse_plain_line)
+from corg.kg import Skip, Triple, _LineParser, load_graph
 from corg.pipeline import parse_copa_xml
 
 
@@ -99,7 +98,7 @@ _SETTINGS = settings(max_examples=300, derandomize=True, database=None, deadline
 @given(_TOKENS | _PLAIN)
 def test_parse_plain_line(text):
     try:
-        assert isinstance(parse_plain_line(text, 1), Triple)
+        assert isinstance(Triple(*_LineParser().plain(text, 1)), Triple)
     except CorgError:
         pass
 
@@ -108,7 +107,8 @@ def test_parse_plain_line(text):
 @given(_TOKENS | _ASSERTION)
 def test_parse_assertion_line(text):
     try:
-        assert isinstance(parse_assertion_line(text, 1), (Triple, Skip))
+        parsed = _LineParser().assertion(text, 1)
+        assert isinstance(parsed, Skip) or isinstance(Triple(*parsed), Triple)
     except CorgError:
         pass
 

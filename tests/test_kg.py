@@ -8,11 +8,23 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from corg import (EmbeddingTable, KnowledgeGraph, Pipeline, PipelineConfig,
-                  RelationFilter, Skip, Triple, TripleColumns,
+                  RelationFilter, Triple, TripleColumns,
                   default_relation_whitelist, load_graph, normalize_relation,
-                  parse_assertion_line, parse_plain_line, relation_predicate)
+                  relation_predicate)
 from corg.errors import CorruptArchive, MalformedLine, NoTriplesLoaded
+from corg.kg import Skip, _LineParser
 from oracles import reference_load_graph
+
+
+def parse_assertion_line(line: str, line_no: int = 0) -> Triple | Skip:
+    """One dump line through a fresh ``_LineParser``, as a Triple or a Skip."""
+    parsed = _LineParser().assertion(line, line_no)
+    return parsed if isinstance(parsed, Skip) else Triple(*parsed)
+
+
+def parse_plain_line(line: str, line_no: int = 0) -> Triple:
+    """One fixture line through a fresh ``_LineParser``, as a Triple."""
+    return Triple(*_LineParser().plain(line, line_no))
 
 
 def dump_line(rel, start, end, meta="{}"):

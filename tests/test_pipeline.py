@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import corg
-from corg import EmbeddingTable, KnowledgeGraph, Triple, model, pipeline
+from corg import EmbeddingTable, KnowledgeGraph, Triple, fol, model, pipeline
 from corg.cli import main
 from corg.errors import (MissingField, MissingFormula, ParseError, StageError,
                          UnreadableFormula, XmlError)
@@ -183,8 +183,60 @@ class TestRunProblem:
         result = pipe.run_problem(copa1)
         indexed = {t.n_translated for t in result.texts}
         assert indexed == {8}  # four triples, each with its inverse
-        selected = {aid for t in result.texts for aid in t.selected}
-        assert selected and {aid for aid, _, _ in pipe._translations.values()} == selected
+        selected = {key for t in result.texts for key in t.keys}
+        assert selected and set(pipe._translations) == selected
+
+    def test_translated_once_per_key_and_never_for_the_report(
+            self, fig_graph, fig_table, copa1, monkeypatch):
+        calls = {"translate": 0, "clausify": 0}
+
+        def counted(name, fn):
+            def wrapper(*args):
+                calls[name] += 1
+                return fn(*args)
+            return wrapper
+
+        for name in ("translate_existential", "translate_inverse", "translate_factual"):
+            monkeypatch.setattr(fol, name, counted("translate", getattr(fol, name)))
+        monkeypatch.setattr(fol, "clausify", counted("clausify", fol.clausify))
+        pipe = Pipeline(fig_graph, fig_table,
+                        PipelineConfig(include_inverse=True, prefilter_theta=-1.0))
+        problems = [copa1, replace(copa1, id=2), replace(
+            copa1, id=3, premise="The grass was cut.",
+            alternatives=["The sun was rising.", "My body cast a shadow."])]
+        results = [pipe.run_problem(p) for p in problems]
+        keys = {key for r in results for t in r.texts for key in t.keys}
+        assert len(keys) > 1
+        assert calls == {"translate": len(keys), "clausify": len(keys)}
+        RunReport(results).to_jsonl()
+        assert calls == {"translate": len(keys), "clausify": len(keys)}
+
+    def test_selected_and_formulas_are_what_was_clausified(
+            self, fig_graph, fig_table, copa1, monkeypatch):
+        clausified = {}
+
+        def recorded(formula, axiom_id):
+            clausified[axiom_id] = formula
+            return clausify(formula, axiom_id)
+
+        monkeypatch.setattr(fol, "clausify", recorded)
+        cfg = PipelineConfig(include_inverse=True, prefilter_theta=-1.0)
+        result = Pipeline(fig_graph, fig_table, cfg).run_problem(copa1)
+        assert {aid for t in result.texts for aid in t.selected} == set(clausified)
+        for text in result.texts:
+            assert text.formulas == [clausified[aid] for aid in text.selected]
+
+    def test_unary_inv_concept_is_a_symbol(self, fig_table, copa1):
+        # a concept spelled inv_* is a word; the generated inv_ predicates
+        # are binary and stay out of the symbols
+        graph = KnowledgeGraph.from_tuples([("sun", "Causes", "inv_light")])
+        for inverse in (False, True):
+            cfg = PipelineConfig(include_inverse=inverse, prefilter_theta=-1.0,
+                                 sine=SineConfig(tolerance=1e9))
+            a1 = Pipeline(graph, fig_table, cfg).run_problem(copa1).texts[1]
+            assert a1.selected == (["t1", "t1_inv"] if inverse else ["t1"])
+            assert "inv_light" in a1.symbols
+            assert "causes" not in a1.symbols and "inv_causes" not in a1.symbols
 
     def test_selected_formulas_are_the_translations(self, fig_graph, fig_table, copa1):
         cfg = PipelineConfig(include_inverse=True, prefilter_theta=-1.0)

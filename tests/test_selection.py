@@ -9,6 +9,7 @@ from corg import KnowledgeGraph, Triple
 from corg.embeddings import EmbeddingTable, cosine
 from corg.errors import EmptyGoal
 from corg.fol import symbols, translate_existential, translate_inverse
+from corg.pipeline import axiom_id
 from corg.selection import (Prefilter, SineConfig, SymbolTable, TripleColumns,
                             build_index, similarity_sine_select, sine_select)
 from oracles import reachable_closure, reference_sine_select
@@ -256,10 +257,28 @@ class TestReferenceAgreement:
             if inverse:
                 axioms[f"t{tid + 1}_inv"] = symbols(translate_inverse(triples[tid]))
         assert len(idx) == len(axioms)
+        assert [axiom_id(key) for key in columns.axiom_keys(tids).tolist()] == list(axioms)
         # a second goal set on the same index reuses what the first call cached
         for g in (goals, goals | {"rising"}):
             assert picked(axioms, select(idx, g, cfg)) == \
                 reference_sine_select(axioms, g, cfg, table)
+
+
+class TestAxiomKeys:
+    @pytest.mark.parametrize("inverse", [False, True])
+    @pytest.mark.parametrize("tids", [[], [0], [3, 1, 2], [2, 2, 0]])
+    def test_keys_name_the_rows(self, fig_graph, inverse, tids):
+        columns = TripleColumns(fig_graph, NO_VECTORS, inverse=inverse)
+        tids = np.array(tids, dtype=np.intp)
+        rows, keys = columns.axiom_rows(tids), columns.axiom_keys(tids)
+        assert len(keys) == len(rows) == len(tids) * (2 if inverse else 1)
+        for row, key in zip(rows.tolist(), keys.tolist()):
+            tid, backward = divmod(key, 2)
+            s, p, o = (columns.subject[tid], columns.predicate[tid],
+                       columns.object[tid])
+            assert row == ([o, columns.inverse[tid], s] if backward else [s, p, o])
+        assert keys.tolist() == [2 * t + b for t in tids.tolist()
+                                 for b in ((0, 1) if inverse else (0,))]
 
 
 class TestTriplePrefilter:
