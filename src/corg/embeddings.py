@@ -4,7 +4,8 @@ File format: optional header line ``<count> <dim>``, then one
 ``word v1 ... v_dim`` entry per line (the layout used by common
 pre-computed embedding releases); a header's count is the number of
 entry lines, duplicates included.  ``.gz`` paths are read transparently.
-Lookup keys are lowercase.
+Every module reads vectors through ``EmbeddingTable.vectors``, the one
+lookup, in bulk; its keys are lowercase.
 
 A table is one float64 matrix with a row per word.  ``load_table`` parses
 the vectors a block of lines at a time with one ``np.loadtxt`` call, and
@@ -15,7 +16,7 @@ accept a float spelling ``loadtxt`` does not (``1_0``).
 
 from __future__ import annotations
 
-from typing import Iterator, Mapping
+from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -56,20 +57,24 @@ class EmbeddingTable:
     def __len__(self) -> int:
         return len(self.rows)
 
-    def vector(self, token: str) -> np.ndarray:
-        """The token's stored vector, else the mean of the vectors of its
-        in-vocabulary ``split_identifier`` parts (``annoy_your_spouse`` ->
-        annoy/your/spouse, ``astronomicalBody`` -> astronomical/body), else
-        zeros, the flag for a miss.
+    def vectors(self, tokens: Sequence[str]) -> np.ndarray:
+        """A fresh ``(len(tokens), dimension)`` array, one row per token.
 
-        Returns a view of the token's matrix row on a hit (treat it as
-        read-only).
+        Row i is token i's stored vector (keys are lowercase), else the
+        mean of the vectors of its in-vocabulary ``split_identifier`` parts
+        (``annoy_your_spouse`` -> annoy/your/spouse, ``astronomicalBody`` ->
+        astronomical/body), else zeros, the flag for a miss.  The stored
+        rows are gathered in one step.
         """
-        row = self.rows.get(token.lower())
-        if row is not None:
-            return self.matrix[row]
-        found = [self.rows[p] for p in split_identifier(token) if p in self.rows]
-        return self.matrix[found].mean(axis=0) if found else np.zeros(self.dimension)
+        rows = np.array([self.rows.get(t.lower(), -1) for t in tokens], dtype=np.intp)
+        hit = rows >= 0
+        out = np.zeros((len(tokens), self.dimension))
+        out[hit] = self.matrix[rows[hit]]
+        for i in np.flatnonzero(~hit):
+            found = [self.rows[p] for p in split_identifier(tokens[i]) if p in self.rows]
+            if found:
+                out[i] = self.matrix[found].mean(axis=0)
+        return out
 
 
 def load_table(path) -> EmbeddingTable:

@@ -116,14 +116,16 @@ class Clause:
                 return False
         return True
 
-    def is_ground(self) -> bool:
-        return not any(_term_variables(a.args) for a in self.negatives + self.positives)
-
     @cached_property
     def chainable(self) -> bool:
         """Horn and range-restricted, as forward chaining needs; computed
         once per clause object."""
         return self.is_horn() and self.is_range_restricted()
+
+
+def is_ground(a: Atom) -> bool:
+    """True when no variable occurs in the atom, at any term depth."""
+    return not _term_variables(a.args)
 
 
 def _term_variables(args) -> set[str]:
@@ -252,6 +254,17 @@ def translate_inverse(t: Triple) -> Formula:
 # ----------------------------------------------------------- clausification
 
 _MAX_CLAUSES = 4096
+_SKOLEM = re.compile(r"sk_\w+_\d+")
+
+
+def skolem_name(axiom_id: str, k: int) -> str:
+    """The name of the k-th Skolem term of an axiom: ``sk_<axiom_id>_<k>``."""
+    return f"sk_{axiom_id}_{k}"
+
+
+def is_skolem(name: str) -> bool:
+    """True for a name spelled as ``skolem_name`` spells one."""
+    return bool(_SKOLEM.fullmatch(name))
 
 
 def clausify(f: Formula, axiom_id: str) -> list[Clause]:
@@ -293,7 +306,7 @@ def _triple_clauses(f: Formula, axiom_id: str) -> list[Clause] | None:
     if not (_is_variable(x, f.var) and _is_variable(x_edge, f.var)
             and _is_variable(y_edge, exists.var) and _is_variable(y, exists.var)):
         return None
-    sk = Function(f"sk_{axiom_id}_0", antecedent.args)
+    sk = Function(skolem_name(axiom_id, 0), antecedent.args)
     body = (antecedent,)
     return [Clause(body, (Atom(edge.predicate, (x, sk)),), axiom_id),
             Clause(body, (Atom(target.predicate, (sk,)),), axiom_id)]
@@ -310,7 +323,7 @@ def _polarity_clauses(f: Formula, axiom_id: str) -> list[Clause]:
     as ``(a => b) & (b => a)``.  A universal at positive polarity, or an
     existential at negative, binds a variable, renamed ``X_1``, ``X_2`` ...
     when its name is taken; the dual binds the Skolem term
-    ``sk_<axiom_id>_<k>`` over the enclosing universals, k counting Skolem
+    ``skolem_name(axiom_id, k)`` over the enclosing universals, k counting Skolem
     terms left to right, so output never depends on translation order.
     """
     if not is_closed(f):
@@ -330,7 +343,7 @@ def _polarity_clauses(f: Formula, axiom_id: str) -> list[Clause]:
             return walk(g.operand, not positive, subst, universals, wanted)
         if isinstance(g, (Forall, Exists)):
             if isinstance(g, Forall) != positive:
-                sk = f"sk_{axiom_id}_{next(skolems)}"
+                sk = skolem_name(axiom_id, next(skolems))
                 term: Term = Function(sk, universals) if universals else Constant(sk)
                 return walk(g.body, positive, {**subst, g.var: term}, universals, wanted)
             name = g.var

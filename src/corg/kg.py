@@ -340,17 +340,20 @@ def load_graph(path, relation_filter: RelationFilter | None = None) -> Knowledge
 def default_relation_whitelist() -> frozenset[str]:
     """Relation ids from the whitelist file shipped with the package."""
     text = resources.files("corg.data").joinpath("relations_default.txt").read_text("utf-8")
-    return frozenset(_read_relation_lines(text.splitlines()))
+    return frozenset(_read_relation_lines(text.splitlines(), "relations_default.txt"))
 
 
 def load_relation_whitelist(path) -> frozenset[str]:
-    """Read a one-relation-per-line whitelist file (# comments allowed)."""
-    with open(path, encoding="utf-8") as fh:
-        return frozenset(_read_relation_lines(fh))
+    """Read a one-relation-per-line whitelist file (# comments allowed).
+
+    A line that is not UTF-8 raises MalformedLine naming it and the file."""
+    return frozenset(_read_relation_lines(_open_text(path), path))
 
 
-def _read_relation_lines(lines: Iterable[str]) -> Iterator[str]:
-    for line in lines:
+def _read_relation_lines(lines: Iterable[str], path) -> Iterator[str]:
+    for line_no, line in enumerate(lines, start=1):
+        if not line.isascii() and not _is_utf8(line):
+            raise MalformedLine(line_no, f"not valid UTF-8 ({path})")
         entry = line.strip()
         if entry and not entry.startswith("#"):
             yield normalize_relation(entry)[0]

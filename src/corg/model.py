@@ -22,7 +22,8 @@ The model keeps what saturation computed: the term table and one row per
 admitted atom (predicate, argument term ids, clause origin, premises).
 Its size, completeness and symbols are read from those rows; a derived
 term's ``Function``, an atom's ``Atom`` and a ``DerivationStep`` are only
-built when ``trace`` or ``atoms`` is first read.
+built when ``trace`` or ``atoms`` is first read.  Skolem names and
+groundness are decided in ``fol`` (``is_skolem``, ``is_ground``).
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ from operator import itemgetter
 
 from .errors import AtomNotInModel, NonHornClause, NonRangeRestrictedClause
 from .fol import (Atom, Clause, Constant, Function, Term, Variable,
-                  format_atom)
+                  format_atom, is_ground, is_skolem)
 
 
 @dataclass
@@ -75,8 +76,8 @@ class PartialModel:
     trace order, a row of its predicate, its argument term ids, the origin
     of the clause that derived it (None for an input fact) and its premise
     trace indices.  ``len``, ``complete``, ``cut_by`` and
-    ``extract_symbols`` read the rows; ``trace`` and ``atoms`` build their
-    objects on first read and keep them.
+    ``extract_symbols`` read the rows; ``trace``, ``atoms`` and
+    ``positions`` build their objects on first read and keep them.
     """
 
     terms: _Terms
@@ -104,19 +105,13 @@ class PartialModel:
     def atoms(self) -> list[Atom]:
         return [step.derived for step in self.trace]
 
+    @cached_property
+    def positions(self) -> dict[Atom, int]:
+        """The trace index of each atom, built on first read."""
+        return {atom: i for i, atom in enumerate(self.atoms)}
+
     def __len__(self) -> int:
         return len(self.predicates)
-
-
-def is_ground_atom(a: Atom) -> bool:
-    stack = list(a.args)
-    while stack:
-        t = stack.pop()
-        if isinstance(t, Variable):
-            return False
-        if isinstance(t, Function):
-            stack.extend(t.args)
-    return True
 
 
 def _validate(clauses: list[Clause]):
@@ -313,7 +308,7 @@ def saturate(facts: list[Atom], clauses: list[Clause],
     cfg = cfg or BuilderConfig()
     _validate(clauses)
     for f in facts:
-        if not is_ground_atom(f):
+        if not is_ground(f):
             raise ValueError(f"input fact is not ground: {format_atom(f)}")
 
     terms = _Terms()
@@ -424,13 +419,7 @@ def saturate(facts: list[Atom], clauses: list[Clause],
 
 # ------------------------------------------------------------- extraction
 
-# the clausifier's Skolem names: sk_<axiom id>_<k>
-_SKOLEM = re.compile(r"sk_\w+_\d+")
 _ROLE_PREDICATE = re.compile(r"r[0-9]+[A-Z]\w*")
-
-
-def _is_skolem(name: str) -> bool:
-    return bool(_SKOLEM.fullmatch(name))
 
 
 def _is_relation_predicate(predicate: str, arity: int) -> bool:
@@ -441,10 +430,11 @@ def extract_symbols(model: PartialModel) -> list[str]:
     """Word-like symbols of the model in first-derivation order.
 
     Term structure is discarded: the output is the unique predicate and
-    constant/function names, minus Skolems and relation predicates (binary
-    ones, the generated ``inv_*`` predicates among them, and semantic-parser
-    role predicates such as ``r1Actor``), ordered by first appearance in
-    the trace.  A unary ``inv_*`` concept is a word like any other.
+    constant/function names, minus Skolem names (those ``fol.is_skolem``
+    accepts) and relation predicates (binary ones, the generated ``inv_*``
+    predicates among them, and semantic-parser role predicates such as
+    ``r1Actor``), ordered by first appearance in the trace.  A unary
+    ``inv_*`` concept is a word like any other.
 
     Reads the model's rows and term keys, not its trace.  Each distinct
     term id is walked once: a second walk would add no name, since a
@@ -458,7 +448,7 @@ def extract_symbols(model: PartialModel) -> list[str]:
     def add(name: str):  # a Skolem name goes into seen, never into out
         if name not in seen:
             seen.add(name)
-            if not _is_skolem(name):
+            if not is_skolem(name):
                 out.append(name)
 
     for predicate, ids in zip(model.predicates, model.arguments):
@@ -483,22 +473,20 @@ def extract_symbols(model: PartialModel) -> list[str]:
 def explain(model: PartialModel, target: Atom) -> str:
     """Human-readable derivation tree for an atom of the model.
 
-    Renders the target and, recursively indented, the premises it was
+    Renders the target and, indented in preorder, the premises it was
     derived from, down to input facts.  Deterministic for a fixed trace.
     """
-    index = {step.derived: i for i, step in enumerate(model.trace)}
-    if target not in index:
+    position = model.positions.get(target)
+    if position is None:
         raise AtomNotInModel(f"{format_atom(target)} is not in the model")
     lines: list[str] = []
-
-    def render(idx: int, depth: int):
-        step = model.trace[idx]
+    stack = [(position, 0)]
+    while stack:
+        position, depth = stack.pop()
+        step = model.trace[position]
         source = "input" if step.clause_origin is None else f"clause {step.clause_origin}"
         lines.append("  " * depth + f"{format_atom(step.derived)}   [{source}]")
-        for p in step.premises:
-            render(p, depth + 1)
-
-    render(index[target], 0)
+        stack.extend((p, depth + 1) for p in reversed(step.premises))
     return "\n".join(lines)
 
 

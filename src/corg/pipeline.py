@@ -195,7 +195,8 @@ def text_to_facts(text: str, mode: str = "bag_of_words",
     for k, formula in enumerate(formulas):
         axiom_id = "q" if k == 0 else f"q{k}"
         for clause in fol.clausify(formula, axiom_id):
-            if clause.negatives or len(clause.positives) != 1 or not clause.is_ground():
+            if clause.negatives or len(clause.positives) != 1 \
+                    or not fol.is_ground(clause.positives[0]):
                 raise UnsupportedFragment(
                     f"{path}: formula must clausify to ground facts")
             facts.append(clause.positives[0])

@@ -1,9 +1,10 @@
 """Deterministic premise/alternative scoring over mean word embeddings.
 
 Each symbol sequence is embedded as the componentwise mean of its word
-vectors; a premise/answer pair is scored by cosine; per-problem scores go
-through a softmax into likelihoods summing to 1; the highest
-likelihood wins (ties break to the lowest index and are flagged).
+vectors, read through ``EmbeddingTable.vectors``; a premise/answer pair
+is scored by cosine; per-problem scores go through a softmax into
+likelihoods summing to 1; the highest likelihood wins (ties break to the
+lowest index and are flagged).
 """
 
 from __future__ import annotations
@@ -45,14 +46,14 @@ class Choice(NamedTuple):
 
 
 def embed_sequence(words: Sequence[str], table: EmbeddingTable) -> np.ndarray:
-    """Componentwise mean of the word vectors (see ``EmbeddingTable.vector``).
+    """Componentwise mean of the words' rows of ``EmbeddingTable.vectors``.
 
     An empty or all-OOV sequence embeds as the zero vector, which is the
     flag downstream scoring treats as "no signal".
     """
     if not words:
         return np.zeros(table.dimension)
-    return np.mean([table.vector(w) for w in words], axis=0)
+    return table.vectors(words).mean(axis=0)
 
 
 def score_pair(premise_words: Sequence[str], answer_words: Sequence[str],

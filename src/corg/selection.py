@@ -15,11 +15,12 @@ without translating it: subject, predicate and object, with the ``inv_``
 predicate in place of the predicate for the inverse reading.  So
 ``TripleColumns`` copies the graph's id columns, with its concept ids as
 symbol ids and the predicates after them, in one ``SymbolTable`` whose
-unit-vector matrix serves both the prefilter and similarity seeding.  Per
-problem an ``AxiomIndex`` is one int32 matrix of symbol ids, one row per
-axiom, with ``np.bincount`` occurrence counts; selection runs on boolean
-masks and returns axiom positions, so only the axioms a text selects are
-ever named or translated.
+unit-vector matrix serves both the prefilter and similarity seeding.
+Every vector, a symbol's or a problem word's, is a row of
+``EmbeddingTable.vectors``.  Per problem an ``AxiomIndex`` is one int32
+matrix of symbol ids, one row per axiom, with ``np.bincount`` occurrence
+counts; selection runs on boolean masks and returns axiom positions, so
+only the axioms a text selects are ever named or translated.
 """
 
 from __future__ import annotations
@@ -68,25 +69,14 @@ class SymbolTable:
 
     Concepts, predicates and ``inv_`` predicates share one namespace, so a
     concept spelled like a predicate is one symbol, as in ``fol.symbols``.
-    ``unit`` holds each symbol's ``table.vector``, scaled to unit norm (zero
-    when the table knows neither the symbol nor any of its parts); the rows
-    of the symbols the table holds are gathered in one step.
+    ``unit[i]`` is symbol i's row of ``table.vectors``, scaled to unit norm
+    (zero when the table knows neither the symbol nor any of its parts).
     """
 
     def __init__(self, ids: dict[str, int], table: EmbeddingTable):
         self.ids = ids
         self.table = table
-        self.unit = np.zeros((len(ids), table.dimension))
-        hit_ids, hit_rows = [], []
-        for name, i in ids.items():
-            row = table.rows.get(name.lower())
-            if row is None:
-                self.unit[i] = table.vector(name)
-            else:
-                hit_ids.append(i)
-                hit_rows.append(row)
-        self.unit[hit_ids] = table.matrix[hit_rows]
-        _normalize_rows(self.unit)
+        self.unit = _unit_rows(table.vectors(sorted(ids, key=ids.__getitem__)))
 
     def __len__(self) -> int:
         return len(self.ids)
@@ -246,23 +236,18 @@ def similarity_sine_select(idx: AxiomIndex, goal_symbols: Iterable[str],
     seed = syms.mask(goals)
     candidates = idx.indexed
     if cfg.similarity_threshold is not None and candidates.size:
-        goal_mat = _unit_rows(np.stack([syms.table.vector(g) for g in sorted(goals)]))
+        goal_mat = _unit_rows(syms.table.vectors(sorted(goals)))
         best = (idx.indexed_unit @ goal_mat.T).max(axis=1)
         seed[candidates[best >= cfg.similarity_threshold]] = True
     return _closure(idx, seed, cfg)
 
 
-def _normalize_rows(mat: np.ndarray):
+def _unit_rows(mat: np.ndarray) -> np.ndarray:
+    """``mat`` with its rows scaled to unit norm in place (zero rows stay
+    zero)."""
     norms = np.linalg.norm(mat, axis=1, keepdims=True)
     norms[norms == 0.0] = 1.0
     mat /= norms
-
-
-def _unit_rows(mat: np.ndarray) -> np.ndarray:
-    """A freshly stacked matrix with its rows scaled to unit norm in place
-    (zero rows stay zero)."""
-    mat = np.asarray(mat, dtype=np.float64)
-    _normalize_rows(mat)
     return mat
 
 
@@ -282,6 +267,6 @@ class Prefilter:
         if not problem_words:
             raise EmptyGoal("prefilter needs at least one problem word")
         cols = self.columns
-        words = _unit_rows(np.stack([cols.symbols.table.vector(w) for w in problem_words]))
+        words = _unit_rows(cols.symbols.table.vectors(problem_words))
         best = (cols.symbols.unit @ words.T).max(axis=1)
         return np.flatnonzero(best[cols.object] >= theta)

@@ -497,7 +497,8 @@ def reference_sine_select(axioms: dict, goals, cfg, table=None) -> list:
     tolerance times the least occ over A's symbols.  With
     ``cfg.similarity_threshold`` set, every indexed symbol whose cosine to
     some goal reaches it joins the seed, vectors coming from
-    ``table.vector(name)``.  Triggering then runs from the seed to
+    ``reference_vector(table, name)`` over a ``ReferenceTable``.
+    Triggering then runs from the seed to
     ``cfg.max_depth`` rounds or the fixpoint.
     """
     axiom_symbols = {aid: frozenset(syms) for aid, syms in axioms.items()}
@@ -513,7 +514,7 @@ def reference_sine_select(axioms: dict, goals, cfg, table=None) -> list:
     reached = set(goals)
     if cfg.similarity_threshold is not None and occ:
         def unit(names):
-            mat = np.stack([table.vector(n) for n in names])
+            mat = np.stack([reference_vector(table, n) for n in names])
             norms = np.linalg.norm(mat, axis=1, keepdims=True)
             norms[norms == 0.0] = 1.0
             return mat / norms
@@ -685,7 +686,47 @@ def reference_load_graph(path, relation_filter=None) -> KnowledgeGraph:
 class ReferenceTable(NamedTuple):
     dimension: int
     vectors: dict  # word -> float64 vector, in first-seen order
-    duplicates: int
+    duplicates: int = 0
+
+
+def _identifier_parts(token: str) -> list:
+    """Lowercased parts of an identifier, split character by character at
+    ``_``, at an ASCII lowercase letter or digit followed by an ASCII
+    capital, and before the last capital of a run of capitals that an
+    ASCII lowercase letter follows (``HTTPServer`` -> http, server)."""
+    def lower(c):  # "" (no character) is neither
+        return "a" <= c <= "z"
+
+    def upper(c):
+        return "A" <= c <= "Z"
+
+    def digit(c):
+        return "0" <= c <= "9"
+
+    parts, part = [], ""
+    for i, ch in enumerate(token):
+        prev = token[i - 1] if i else ""
+        nxt = token[i + 1] if i + 1 < len(token) else ""
+        if ch == "_" or upper(ch) and (lower(prev) or digit(prev)
+                                       or upper(prev) and lower(nxt)):
+            if part:
+                parts.append(part.lower())
+            part = ""
+        if ch != "_":
+            part += ch
+    if part:
+        parts.append(part.lower())
+    return parts
+
+
+def reference_vector(table: ReferenceTable, token: str) -> np.ndarray:
+    """A token's vector by the documented rule: its stored vector (lookup
+    by the lowercased token), else the mean of the stored vectors of its
+    identifier parts, else zeros."""
+    if token.lower() in table.vectors:
+        return np.array(table.vectors[token.lower()], dtype=np.float64)
+    found = [table.vectors[p] for p in _identifier_parts(token) if p in table.vectors]
+    return np.mean(found, axis=0) if found else np.zeros(table.dimension)
 
 
 def reference_load_table(path) -> ReferenceTable:

@@ -12,7 +12,8 @@ from hypothesis import strategies as st
 from corg import embeddings
 from corg.embeddings import EmbeddingTable, cosine, load_table, split_identifier
 from corg.errors import CorgError, CorruptArchive, DimensionMismatch, MalformedLine
-from oracles import reference_load_table
+from corg.scorer import embed_sequence
+from oracles import ReferenceTable, reference_load_table, reference_vector
 
 
 @pytest.fixture
@@ -31,7 +32,7 @@ class TestLoadTable:
         table = load_table(path)
         assert len(table) == 3
         assert table.dimension == 4
-        assert np.array_equal(table.vector("sun"), [1, 0, 0, 0])
+        assert np.array_equal(table.vectors(["sun"])[0], [1, 0, 0, 0])
 
     def test_header_enforces_dimension(self, tmp_path):
         path = tmp_path / "vec.txt"
@@ -67,7 +68,7 @@ class TestLoadTable:
         path.write_text("sun 1 0\nsun 0 1\n", "utf-8")
         table = load_table(path)
         assert table.duplicates == 1
-        assert np.array_equal(table.vector("sun"), [0, 1])
+        assert np.array_equal(table.vectors(["sun"])[0], [0, 1])
 
     def test_gzip(self, tmp_path):
         path = tmp_path / "vec.txt.gz"
@@ -248,25 +249,69 @@ class TestSplitIdentifier:
 
 class TestVector:
     def test_direct_hit(self, small_table):
-        assert np.array_equal(small_table.vector("sun"), [0.6, 0.8])
+        assert np.array_equal(small_table.vectors(["sun"])[0], [0.6, 0.8])
 
     def test_camel_case_average(self, small_table):
-        v = small_table.vector("astronomicalBody")
+        v = small_table.vectors(["astronomicalBody"])[0]
         assert np.allclose(v, [0.5, 0.5])
 
     def test_underscore_average_skips_oov_parts(self, small_table):
         # only "body" is in vocabulary, so the mean is just its vector
-        v = small_table.vector("strange_body")
+        v = small_table.vectors(["strange_body"])[0]
         assert np.allclose(v, [0.0, 1.0])
 
     def test_all_oov_zero_mode(self, small_table):
-        v = small_table.vector("unknown_thing")
+        v = small_table.vectors(["unknown_thing"])[0]
         assert v.shape == (2,) and not v.any()
 
     def test_deterministic(self, small_table):
-        a = small_table.vector("astronomicalBody")
-        b = small_table.vector("astronomicalBody")
+        a = small_table.vectors(["astronomicalBody"])[0]
+        b = small_table.vectors(["astronomicalBody"])[0]
         assert np.array_equal(a, b)
+
+
+_VOCAB = ["sun", "light", "body", "astronomical", "http", "server", "c0", "Sun"]
+_PARTS = st.sampled_from(_VOCAB + ["zzz", "q9"])
+
+
+@st.composite
+def _tokens(draw):
+    """A vocabulary word, an out-of-vocabulary word, an identifier built
+    from parts (snake, camel or upper case), or any short text."""
+    parts = draw(st.lists(_PARTS, min_size=1, max_size=3))
+    style = draw(st.sampled_from(["snake", "camel", "upper", "title", "text"]))
+    if style == "snake":
+        return "_".join(parts)
+    if style == "camel":
+        return parts[0] + "".join(p[:1].upper() + p[1:] for p in parts[1:])
+    if style == "upper":
+        return "".join(parts).upper()
+    if style == "title":
+        return "_".join(p.title() for p in parts)
+    return draw(st.text(st.sampled_from("suNnB_bo0LyHTP"), max_size=8))
+
+
+class TestVectorsOracle:
+    @settings(max_examples=400, derandomize=True, database=None)
+    @given(st.dictionaries(st.sampled_from(_VOCAB),
+                           st.lists(st.floats(-4, 4, width=32), min_size=3, max_size=3)),
+           st.lists(_tokens(), max_size=6))
+    def test_rows_and_mean_match_reference(self, stored, tokens):
+        reference = ReferenceTable(3, {w: np.array(v) for w, v in stored.items()})
+        table = EmbeddingTable(3, reference.vectors)
+        expected = [reference_vector(reference, t) for t in tokens]
+        rows = table.vectors(tokens)
+        assert rows.shape == (len(tokens), 3)
+        assert [row.tobytes() for row in rows] == [e.tobytes() for e in expected]
+        # the mean of per-token vectors, as embed_sequence computed it before
+        mean = np.mean(expected, axis=0) if tokens else np.zeros(3)
+        assert embed_sequence(tokens, table).tobytes() == mean.tobytes()
+
+    def test_repeated_and_empty(self, small_table):
+        rows = small_table.vectors(["sun", "astronomicalBody", "sun", "nothing"])
+        assert rows.tolist() == [[0.6, 0.8], [0.5, 0.5], [0.6, 0.8], [0.0, 0.0]]
+        assert small_table.vectors([]).shape == (0, 2)
+        assert EmbeddingTable(2, {}).vectors(["sun"]).tolist() == [[0.0, 0.0]]
 
 
 class TestCosine:

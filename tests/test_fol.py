@@ -13,6 +13,7 @@ from corg.fol import (MAX_NESTING, And, Atom, Clause, Constant, Exists, Forall,
                       format_formula, is_closed, parse_fol, parse_tptp,
                       symbols, to_tptp, translate_existential,
                       translate_factual, translate_inverse)
+from corg.pipeline import axiom_id
 from corg.selection import TripleColumns, build_index
 from oracles import reference_clausify
 
@@ -336,6 +337,29 @@ class TestPolarityWalk:
         with pytest.raises(UnsupportedFragment, match="clause explosion"):
             clausify(_WIDE, "x")
         assert len(clausify(Not(_WIDE), "x")) == 13
+
+
+_SKOLEM_AXIOM_IDS = st.integers(0, 2**40).map(axiom_id) | st.just("q") \
+    | st.integers(1, 99).map(lambda k: f"q{k}")
+
+
+class TestSkolemNames:
+    @settings(max_examples=300, derandomize=True, database=None, deadline=None)
+    @given(_WALK_FORMULAS, st.lists(st.booleans(), min_size=3, max_size=3),
+           _SKOLEM_AXIOM_IDS, st.sampled_from([translate_existential, translate_inverse]))
+    def test_emitted_skolem_names_are_skolem(self, f, universal, aid, translate):
+        for g in (_close(f, universal), translate(Triple("sun", "causes", "light"))):
+            try:
+                clauses = clausify(g, aid)
+            except UnsupportedFragment:
+                continue
+            for name in set().union(*map(symbols, clauses)) - symbols(g):
+                k = int(name.rpartition("_")[2])
+                assert fol.is_skolem(name) and name == fol.skolem_name(aid, k)
+
+    @pytest.mark.parametrize("name", ["sk_a", "sk_1", "sk8", "sk__0", "sun", "sk_t1_x"])
+    def test_look_alikes_are_not_skolem(self, name):
+        assert not fol.is_skolem(name)
 
 
 class TestParse:

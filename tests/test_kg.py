@@ -12,7 +12,7 @@ from corg import (EmbeddingTable, KnowledgeGraph, Pipeline, PipelineConfig,
                   default_relation_whitelist, load_graph, normalize_relation,
                   relation_predicate)
 from corg.errors import CorruptArchive, MalformedLine, NoTriplesLoaded
-from corg.kg import Skip, _LineParser
+from corg.kg import Skip, _LineParser, load_relation_whitelist
 from oracles import reference_load_graph
 
 
@@ -224,6 +224,12 @@ class TestLoadGraph:
         path.write_bytes(bytes(data))
         with pytest.raises(CorruptArchive, match="dump.tsv.gz"):
             load_graph(path)
+
+    def test_undecodable_whitelist_names_file_and_line(self, tmp_path):
+        path = tmp_path / "rels.txt"
+        path.write_bytes(b"causes\nis_\xffa\n")
+        with pytest.raises(MalformedLine, match=r"line 2: not valid UTF-8 \(.*rels\.txt\)"):
+            load_relation_whitelist(path)
 
     def test_empty_whitelist_rejected(self):
         with pytest.raises(ValueError):

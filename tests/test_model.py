@@ -1,5 +1,6 @@
 import json
 import random
+from functools import cached_property
 
 import pytest
 from hypothesis import given, settings
@@ -10,8 +11,8 @@ from corg.errors import (AtomNotInModel, NonHornClause,
 from corg.fol import (Atom, Clause, Constant, Function, Variable, clausify,
                       format_atom, translate_existential, translate_inverse)
 from corg.kg import Triple
-from corg.model import (BuilderConfig, explain, extract_symbols, saturate,
-                        trace_json)
+from corg.model import (BuilderConfig, PartialModel, explain, extract_symbols,
+                        saturate, trace_json)
 from oracles import (atom_depth, match_atom, model_atom_tuples,
                      naive_least_model, reference_extract_symbols,
                      reference_saturate, substitute_atom)
@@ -108,8 +109,10 @@ class TestSaturate:
         assert len(calls) == len(clauses)
 
     def test_non_ground_fact_rejected(self):
-        with pytest.raises(ValueError):
-            saturate([unary("p", X)], [])
+        deep = unary("p", Function("f", (Function("g", (X,)),)))
+        for fact in (unary("p", X), deep, Atom("p", (Constant("a"), X))):
+            with pytest.raises(ValueError, match="not ground"):
+                saturate([fact], [])
 
     def test_headless_clause_ignored(self):
         goal = Clause((unary("p", X),), (), "g")
@@ -376,6 +379,47 @@ class TestExplain:
         model = saturate([unary("p", Constant("a"))], [])
         with pytest.raises(AtomNotInModel):
             explain(model, unary("q", Constant("a")))
+
+    def test_premises_in_body_order(self):
+        a = Constant("a")
+        clauses = [Clause((unary("p", X), unary("q", X)), (unary("r", X),), "c1"),
+                   Clause((unary("r", X), unary("p", X)), (unary("s", X),), "c2")]
+        model = saturate([unary("p", a), unary("q", a)], clauses)
+        assert explain(model, unary("s", a)).splitlines() == [
+            "s(a)   [clause c2]",
+            "  r(a)   [clause c1]",
+            "    p(a)   [input]",
+            "    q(a)   [input]",
+            "  p(a)   [input]",
+        ]
+
+    @staticmethod
+    def chain(n):
+        """A model deriving p1(a) ... p<n>(a) from p0(a), one per round."""
+        clauses = [Clause((unary(f"p{i}", X),), (unary(f"p{i + 1}", X),), f"c{i}")
+                   for i in range(n)]
+        return saturate([unary("p0", Constant("a"))], clauses,
+                        BuilderConfig(max_rounds=n + 5))
+
+    def test_long_chain(self):
+        model = self.chain(1500)
+        assert model.complete and len(model) == 1501
+        lines = explain(model, unary("p1500", Constant("a"))).splitlines()
+        assert lines[0] == "p1500(a)   [clause c1499]"
+        assert lines[1499] == "  " * 1499 + "p1(a)   [clause c0]"
+        assert lines[1500] == "  " * 1500 + "p0(a)   [input]"
+        assert len(lines) == 1501
+
+    def test_index_built_once_per_model(self, monkeypatch):
+        built = []
+        build = PartialModel.positions.func
+        counted = cached_property(lambda model: built.append(model) or build(model))
+        counted.__set_name__(PartialModel, "positions")
+        monkeypatch.setattr(PartialModel, "positions", counted)
+        model = self.chain(40)
+        texts = [explain(model, atom) for atom in model.atoms]
+        assert texts[-1].count("\n") == 40
+        assert built == [model]
 
 
 class TestDumps:

@@ -681,6 +681,14 @@ class TestCli:
             "--embeddings", str(fig_table_path))
         assert (code, out, err) == (1, "", f"error: {message}\n")
 
+    def test_undecodable_relations_file_exits_1(self, tmp_path, capsys):
+        relations = tmp_path / "rels.txt"
+        relations.write_bytes(b"causes\nis_\xffa\n")
+        code, out, err = self.run_cli(
+            capsys, "run", "--copa", "c.xml", "--kg", "kg.tsv",
+            "--embeddings", "v.txt", "--relations", str(relations))
+        assert (code, out, err) == (1, "", f"error: line 2: not valid UTF-8 ({relations})\n")
+
     def test_missing_relations_file_exits_1(self, capsys):
         code, _, err = self.run_cli(
             capsys, "run", "--copa", "c.xml", "--kg", "kg.tsv",

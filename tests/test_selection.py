@@ -12,7 +12,8 @@ from corg.fol import symbols, translate_existential, translate_inverse
 from corg.pipeline import axiom_id
 from corg.selection import (Prefilter, SineConfig, SymbolTable, TripleColumns,
                             build_index, similarity_sine_select, sine_select)
-from oracles import reachable_closure, reference_sine_select
+from oracles import (ReferenceTable, reachable_closure, reference_sine_select,
+                     reference_vector)
 
 NO_VECTORS = EmbeddingTable(2, {})
 
@@ -242,7 +243,8 @@ class TestReferenceAgreement:
     def test_integer_index_selects_like_reference(self, rows, inverse, goals, cfg,
                                                   words, seed):
         rng = np.random.default_rng(seed)
-        table = EmbeddingTable(3, {w: rng.normal(size=3) for w in sorted(words)})
+        vectors = {w: rng.normal(size=3) for w in sorted(words)}
+        table = EmbeddingTable(3, vectors)
         triples = [Triple(s, r, o, negated=neg) for s, r, o, neg, _ in rows]
         kept = np.array([k for k, row in enumerate(rows) if row[4]], dtype=np.intp)
 
@@ -261,7 +263,7 @@ class TestReferenceAgreement:
         # a second goal set on the same index reuses what the first call cached
         for g in (goals, goals | {"rising"}):
             assert picked(axioms, select(idx, g, cfg)) == \
-                reference_sine_select(axioms, g, cfg, table)
+                reference_sine_select(axioms, g, cfg, ReferenceTable(3, vectors))
 
 
 class TestAxiomKeys:
@@ -342,13 +344,15 @@ class TestTriplePrefilter:
         rng = np.random.default_rng(5)
         words = [f"w{i}" for i in range(3)]
         objects = [f"o{i}" for i in range(6)] + ["missing"]
-        table = EmbeddingTable(3, {w: rng.normal(size=3)
-                                   for w in words + objects[:-1]})
+        reference = ReferenceTable(3, {w: rng.normal(size=3)
+                                       for w in words + objects[:-1]})
+        table = EmbeddingTable(3, reference.vectors)
         triples = [Triple("s", "r", objects[k]) for k in rng.integers(7, size=40)]
         for theta in (-1.0, -0.2, 0.0, 0.3, 0.9):
             expected = [
                 i for i, t in enumerate(triples)
-                if max(cosine(table.vector(t.object), table.vector(w)) for w in words)
+                if max(cosine(reference_vector(reference, t.object),
+                              reference_vector(reference, w)) for w in words)
                 >= theta]
             got = self.prefilter(triples, table).apply_indices(words, theta)
             assert got.tolist() == expected
