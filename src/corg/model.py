@@ -474,19 +474,29 @@ def explain(model: PartialModel, target: Atom) -> str:
     """Human-readable derivation tree for an atom of the model.
 
     Renders the target and, indented in preorder, the premises it was
-    derived from, down to input facts.  Deterministic for a fixed trace.
+    derived from, down to input facts.  A derived atom's premises are
+    rendered once: a later occurrence is one line marked ``shown above``,
+    so the text grows with the trace, not with the number of paths through
+    it.  Deterministic for a fixed trace.
     """
     position = model.positions.get(target)
     if position is None:
         raise AtomNotInModel(f"{format_atom(target)} is not in the model")
     lines: list[str] = []
+    shown: set[int] = set()
     stack = [(position, 0)]
     while stack:
         position, depth = stack.pop()
         step = model.trace[position]
-        source = "input" if step.clause_origin is None else f"clause {step.clause_origin}"
+        if step.clause_origin is None:
+            source = "input"
+        elif position in shown:
+            source = f"clause {step.clause_origin}, shown above"
+        else:
+            source = f"clause {step.clause_origin}"
+            shown.add(position)
+            stack.extend((p, depth + 1) for p in reversed(step.premises))
         lines.append("  " * depth + f"{format_atom(step.derived)}   [{source}]")
-        stack.extend((p, depth + 1) for p in reversed(step.premises))
     return "\n".join(lines)
 
 

@@ -729,12 +729,16 @@ def reference_vector(table: ReferenceTable, token: str) -> np.ndarray:
     return np.mean(found, axis=0) if found else np.zeros(table.dimension)
 
 
-def reference_load_table(path) -> ReferenceTable:
+def reference_load_table(path, parse_floats: bool = True) -> ReferenceTable:
     """``load_table`` one line at a time, with Python's float syntax and a
     finiteness check every 256 vectors.  A table of dimension 0 (a header
     ``<count> 0``, or a word with no component) is an error, and so is a
     header whose count is not the number of vector lines (duplicates
-    included), once the file has a vector line."""
+    included), once the file has a vector line.
+
+    With ``parse_floats=False`` no float is read: each word maps to its
+    last line's ``(line_no, components)``, and ``reference_row`` parses it,
+    as a lazily loaded plain table does on first read."""
     vectors: dict = {}
     unchecked: list = []  # (line, vector) not yet checked finite
     duplicates = 0
@@ -753,19 +757,18 @@ def reference_load_table(path) -> ReferenceTable:
         if len(fields) == 1:
             raise DimensionMismatch(f"line {line_no}: no component ({path})")
         word = fields[0].lower()
-        try:
-            vec = np.array(fields[1:], dtype=np.float64)
-        except ValueError as e:
-            raise DimensionMismatch(f"line {line_no}: bad float, {e} ({path})") from e
+        vec = _reference_floats(line_no, fields[1:], path) if parse_floats \
+            else (line_no, fields[1:])
         if dimension is None:
-            dimension = len(vec)
-        if len(vec) != dimension:
+            dimension = len(fields) - 1
+        if len(fields) - 1 != dimension:
             raise DimensionMismatch(f"line {line_no}: expected {dimension} "
-                                    f"components, got {len(vec)} ({path})")
+                                    f"components, got {len(fields) - 1} ({path})")
         if word in vectors:
             duplicates += 1
         vectors[word] = vec
-        unchecked.append((line_no, vec))
+        if parse_floats:
+            unchecked.append((line_no, vec))
         if len(unchecked) == 256:
             _require_finite(unchecked, path)
     _require_finite(unchecked, path)
@@ -775,6 +778,22 @@ def reference_load_table(path) -> ReferenceTable:
         raise MalformedLine(1, f"header gives {count} words, the file has "
                                f"{len(vectors) + duplicates} vector lines ({path})")
     return ReferenceTable(dimension, vectors, duplicates)
+
+
+def reference_row(table: ReferenceTable, word: str, path) -> np.ndarray:
+    """The vector of ``word`` in a table loaded with ``parse_floats=False``:
+    its line's floats, which must be finite."""
+    line_no, components = table.vectors[word]
+    vec = _reference_floats(line_no, components, path)
+    _require_finite([(line_no, vec)], path)
+    return vec
+
+
+def _reference_floats(line_no: int, components: list, path) -> np.ndarray:
+    try:
+        return np.array(components, dtype=np.float64)
+    except ValueError as e:
+        raise DimensionMismatch(f"line {line_no}: bad float, {e} ({path})") from e
 
 
 def _require_finite(rows: list, path):

@@ -132,9 +132,10 @@ def test_scorer_contract(fig_graph, fig_table, copa1):
         assert choose(y).index == scores.index(max(scores)) + 1
     baseline = Pipeline(fig_graph, fig_table).run_problem(copa1).choice.index
     for alpha in (0.5, 2.0, 10.0):
+        words = list(fig_table.rows)
         scaled = EmbeddingTable(
             fig_table.dimension,
-            {w: alpha * fig_table.matrix[r] for w, r in fig_table.rows.items()})
+            {w: alpha * v for w, v in zip(words, fig_table.vectors(words))})
         assert Pipeline(fig_graph, scaled).run_problem(copa1).choice.index == baseline
 
 

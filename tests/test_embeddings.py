@@ -1,6 +1,7 @@
 import gc
 import gzip
 import math
+import os
 import re
 from unittest import mock
 
@@ -13,7 +14,7 @@ from corg import embeddings
 from corg.embeddings import EmbeddingTable, cosine, load_table, split_identifier
 from corg.errors import CorgError, CorruptArchive, DimensionMismatch, MalformedLine
 from corg.scorer import embed_sequence
-from oracles import ReferenceTable, reference_load_table, reference_vector
+from oracles import ReferenceTable, reference_load_table, reference_row, reference_vector
 
 
 @pytest.fixture
@@ -97,7 +98,7 @@ class TestLoadTable:
         path = tmp_path / "vec.txt"
         path.write_text(text, "utf-8")
         with pytest.raises(DimensionMismatch, match=message) as err:
-            load_table(path)
+            _read_all(load_table(path))  # a bad float raises when its row is read
         assert str(path) in str(err.value)
 
     def test_invalid_utf8_names_file_and_line(self, tmp_path):
@@ -113,7 +114,7 @@ class TestLoadTable:
         path = tmp_path / "vec.txt"
         path.write_text(f"moon 0 1\nsun {component} 0\n", "utf-8")
         with pytest.raises(MalformedLine, match="line 2: component that is not finite"):
-            load_table(path)
+            _read_all(load_table(path))
 
     @pytest.mark.parametrize("text", ["sun\nmoon\n", "3 0\nsun\n", "3 0\n", "2 -1\n",
                                       "sun 1 0\nmoon\n"])
@@ -150,9 +151,10 @@ _SEPARATORS = st.sampled_from([" ", "\t", "\xa0", "  ", "\x0b"])
 
 
 @st.composite
-def _tables(draw):
+def _tables(draw, bad=True):
     """A table file as bytes, with the number of its bad lines (2 for "more
-    than one").  Words repeat, so duplicates fall inside and across blocks."""
+    than one"), none unless ``bad``.  Words repeat, so duplicates fall
+    inside and across blocks."""
     dim = draw(st.integers(1, 3))
 
     def vector_line(width, last=_GOOD_FLOATS):
@@ -163,9 +165,10 @@ def _tables(draw):
 
     lines = [vector_line(dim) if draw(st.integers(0, 5)) else draw(st.sampled_from(["", " "]))
              for _ in range(draw(st.integers(0, 14)))]
-    header = draw(st.sampled_from(["", "", "count", "3 0", "wide", "miscount"]))
+    header = draw(st.sampled_from(["", "", "count", "3 0", "wide", "miscount"] if bad
+                                  else ["", "count"]))
     bad = {"3 0": 1, "wide": 2, "miscount": 1}.get(header, 0)
-    for kind in draw(st.lists(st.integers(0, 3), max_size=2)):
+    for kind in draw(st.lists(st.integers(0, 3), max_size=2 if bad else 0)):
         if kind == 0:
             line = vector_line(dim, last=_BAD_FLOATS)
         elif kind == 1:
@@ -189,8 +192,16 @@ def _error_line(error: Exception):
     return found and int(found.group(1))
 
 
+def _read_all(table: EmbeddingTable) -> np.ndarray:
+    """Every row of the table, read with one ``vectors`` call."""
+    return table.vectors(list(table.rows))
+
+
 class TestLoadTableOracle:
-    """The block loader loads what the line-by-line reference loads."""
+    """The loader loads what the line-by-line reference loads: a plain table
+    makes the reference's checks that read no float at load, and each row
+    it reads has the reference's floats or raises its error; a ``.gz``
+    table makes every check at load."""
 
     @settings(max_examples=400, derandomize=True, database=None, deadline=None)
     @given(_tables(), st.sampled_from([1, 2, 3, 1024]))
@@ -199,8 +210,11 @@ class TestLoadTableOracle:
         data, bad_lines = table_file
         path = tmp_path_factory.mktemp("table") / "vec.txt"
         path.write_bytes(data)
+        gz = path.with_name("vec.txt.gz")
+        gz.write_bytes(gzip.compress(data))
+        self.check(path, bad_lines)
         with mock.patch.object(embeddings, "_BLOCK_LINES", block_lines):
-            self.check(path, bad_lines)
+            self.check_gz(gz, bad_lines)
 
     def test_blocks_of_full_size(self, tmp_path):
         # duplicates across blocks, "1_0" on the first block's last line;
@@ -208,31 +222,160 @@ class TestLoadTableOracle:
         lines = [f"w{i % 1500} {i} {i / 7}" for i in range(3000)]
         lines[1023] = "w5 1_0 2"
         path = tmp_path / "vec.txt"
+        gz = tmp_path / "vec.txt.gz"
         path.write_text("\n".join(lines), "utf-8")
+        gz.write_bytes(gzip.compress(path.read_bytes()))
         self.check(path, 0)
+        self.check_gz(gz, 0)
         lines[2047] = "w 1e999 0"
         path.write_text("\n".join(lines), "utf-8")
+        gz.write_bytes(gzip.compress(path.read_bytes()))
         self.check(path, 1)
+        self.check_gz(gz, 1)
+        table = load_table(path)
         with pytest.raises(MalformedLine, match="line 2048: "):
-            load_table(path)
+            table.vectors(["w"])
+        with pytest.raises(MalformedLine, match="line 2048: "):
+            load_table(gz)
 
     @staticmethod
-    def check(path, bad_lines: int):
+    def load_fails_alike(path, bad_lines: int, error: CorgError):
+        with pytest.raises(CorgError) as err:
+            load_table(path)
+        if bad_lines == 1:
+            assert type(err.value) is type(error)
+            assert _error_line(err.value) == _error_line(error)
+
+    def check(self, path, bad_lines: int):
         try:
-            expected = reference_load_table(path)
+            expected = reference_load_table(path, parse_floats=False)
         except CorgError as error:
-            with pytest.raises(CorgError) as err:
-                load_table(path)
-            if bad_lines == 1:
-                assert type(err.value) is type(error)
-                assert _error_line(err.value) == _error_line(error)
+            self.load_fails_alike(path, bad_lines, error)
             return
         table = load_table(path)
         assert (table.dimension, table.duplicates) == (expected.dimension, expected.duplicates)
         assert list(table.rows) == list(expected.vectors)
-        assert table.matrix.shape == (len(expected.vectors), expected.dimension)
-        for word, vector in expected.vectors.items():
-            assert table.matrix[table.rows[word]].tobytes() == vector.tobytes()
+        for word in expected.vectors:
+            try:
+                vector = reference_row(expected, word, path)
+            except CorgError as error:
+                with pytest.raises(type(error)) as err:
+                    table.vectors([word])
+                assert _error_line(err.value) == _error_line(error)
+                assert str(path) in str(err.value)
+                continue
+            assert table.vectors([word])[0].tobytes() == vector.tobytes()
+
+    def check_gz(self, path, bad_lines: int):
+        try:
+            expected = reference_load_table(path)
+        except CorgError as error:
+            self.load_fails_alike(path, bad_lines, error)
+            return
+        table = load_table(path)
+        assert (table.dimension, table.duplicates) == (expected.dimension, expected.duplicates)
+        assert list(table.rows) == list(expected.vectors)
+        assert [row.tobytes() for row in _read_all(table)] == \
+            [vector.tobytes() for vector in expected.vectors.values()]
+
+
+class TestLazyRows:
+    """A plain table parses a row when ``vectors`` first reads it."""
+
+    @settings(max_examples=300, derandomize=True, database=None, deadline=None)
+    @given(_tables(bad=False), st.data())
+    def test_rows_read_in_any_order_match_reference(self, tmp_path_factory,
+                                                    table_file, data):
+        path = tmp_path_factory.mktemp("table") / "vec.txt"
+        path.write_bytes(table_file[0])
+        try:
+            expected = reference_load_table(path)
+        except CorgError:  # no vector line
+            with pytest.raises(CorgError):
+                load_table(path)
+            return
+        table = load_table(path)
+        tokens = st.sampled_from(list(expected.vectors)).flatmap(
+            lambda w: st.sampled_from([w, w.upper(), w.title()]))
+        for batch in data.draw(st.lists(st.lists(tokens, max_size=6), max_size=5)):
+            rows = table.vectors(batch)
+            assert [row.tobytes() for row in rows] == \
+                [expected.vectors[t.lower()].tobytes() for t in batch]
+        assert [row.tobytes() for row in _read_all(table)] == \
+            [vector.tobytes() for vector in expected.vectors.values()]
+
+    def test_bad_float_in_unread_row_loads(self, tmp_path):
+        path = tmp_path / "vec.txt"
+        path.write_text("sun 1 0\nmoon 1 x\nstar nan 0\n", "utf-8")
+        table = load_table(path)
+        assert len(table) == 3
+        assert table.vectors(["sun"]).tolist() == [[1.0, 0.0]]
+        with pytest.raises(DimensionMismatch, match="line 2: bad float") as err:
+            table.vectors(["sun", "moon"])
+        assert str(path) in str(err.value)
+        with pytest.raises(MalformedLine, match="line 3: component that is not finite"):
+            table.vectors(["star"])
+        with pytest.raises(DimensionMismatch, match="line 2: bad float"):
+            table.vectors(["moon"])  # a failed read keeps nothing
+        assert table.vectors(["sun"]).tolist() == [[1.0, 0.0]]
+
+    def test_mean_of_parts_reads_their_rows(self, tmp_path):
+        path = tmp_path / "vec.txt"
+        path.write_text("astronomical 1 0\nbody 0 1\nsun x 1\n", "utf-8")
+        table = load_table(path)
+        assert table.vectors(["astronomicalBody"]).tolist() == [[0.5, 0.5]]
+
+    def test_rows_read_after_a_change_of_directory(self, tmp_path, monkeypatch):
+        (tmp_path / "vec.txt").write_text("sun 1 0\nmoon 0 1\n", "utf-8")
+        monkeypatch.chdir(tmp_path)
+        table = load_table("vec.txt")
+        monkeypatch.chdir(tmp_path.parent)
+        assert table.vectors(["moon"]).tolist() == [[0.0, 1.0]]
+
+    def test_row_parsed_once_and_kept(self, tmp_path):
+        path = tmp_path / "vec.txt"
+        path.write_text("sun 1 0\nmoon 0 1\n", "utf-8")
+        table = load_table(path)
+        with mock.patch.object(embeddings, "_parse_block",
+                               wraps=embeddings._parse_block) as parse:
+            table.vectors(["moon", "sun", "moon"])
+            table.vectors(["sun", "Moon"])
+        assert [len(call.args[0]) for call in parse.call_args_list] == [2]
+        path.unlink()
+        assert table.vectors(["moon", "sun"]).tolist() == [[0.0, 1.0], [1.0, 0.0]]
+
+    @pytest.mark.parametrize("change", ["truncated", "rewritten", "same words", "deleted"])
+    def test_file_changed_after_load(self, tmp_path, change):
+        path = tmp_path / "vec.txt"
+        path.write_text("sun 1 0\nmoon 0 1\n", "utf-8")
+        table = load_table(path)
+        if change == "truncated":
+            path.write_text("sun 1 0\n", "utf-8")
+        elif change == "rewritten":
+            path.write_text("moon 0 1\nsun 1 0\n", "utf-8")
+        elif change == "same words":  # same size, same words at the same offsets
+            stat = path.stat()
+            path.write_text("sun 1 0\nmoon 0 2\n", "utf-8")
+            os.utime(path, ns=(stat.st_atime_ns, stat.st_mtime_ns + 1_000_000_000))
+        else:
+            path.unlink()
+        with pytest.raises(MalformedLine, match="line 2: ") as err:
+            table.vectors(["moon"])
+        assert str(path) in str(err.value)
+
+    def test_gzip_parses_every_row_at_load(self, tmp_path):
+        path = tmp_path / "vec.txt.gz"
+        path.write_bytes(gzip.compress(b"sun 1 0\nmoon 1 x\n"))
+        with pytest.raises(DimensionMismatch, match="line 2: bad float") as err:
+            load_table(path)
+        assert str(path) in str(err.value)
+        path.write_bytes(gzip.compress(b"sun 1 0\nmoon 0 inf\n"))
+        with pytest.raises(MalformedLine, match="line 2: component that is not finite"):
+            load_table(path)
+        path.write_bytes(gzip.compress(b"sun 1 0\nmoon 0 1\n"))
+        table = load_table(path)
+        path.unlink()
+        assert table.vectors(["moon", "sun"]).tolist() == [[0.0, 1.0], [1.0, 0.0]]
 
 
 class TestSplitIdentifier:

@@ -410,6 +410,27 @@ class TestExplain:
         assert lines[1500] == "  " * 1500 + "p0(a)   [input]"
         assert len(lines) == 1501
 
+    def test_shared_premises_expanded_once(self):
+        # p<i+1> from p<i> and q<i>, q<i> from p<i>: a tree of every path
+        # doubles with each level (49,150 lines at 14 levels)
+        def lines(n):
+            clauses = [c for i in range(n) for c in (
+                Clause((unary(f"p{i}", X), unary(f"q{i}", X)), (unary(f"p{i + 1}", X),),
+                       f"c{i}"),
+                Clause((unary(f"p{i}", X),), (unary(f"q{i}", X),), f"d{i}"))]
+            model = saturate([unary("p0", Constant("a"))], clauses,
+                             BuilderConfig(max_rounds=2 * n + 5))
+            assert model.complete
+            return explain(model, unary(f"p{n}", Constant("a"))).splitlines(), len(model)
+
+        text, atoms = lines(14)
+        assert text[:4] == ["p14(a)   [clause c13]", "  p13(a)   [clause c12]",
+                            "    p12(a)   [clause c11]", "      p11(a)   [clause c10]"]
+        assert text[-2:] == ["  q13(a)   [clause d13]", "    p13(a)   [clause c12, shown above]"]
+        for n in (3, 7, 14):
+            text, atoms = lines(n)
+            assert len(text) == 3 * n + 1 < 2 * atoms
+
     def test_index_built_once_per_model(self, monkeypatch):
         built = []
         build = PartialModel.positions.func

@@ -585,7 +585,7 @@ class TestCli:
         ("vectors.txt.gz", gzip.compress(b"".join(b"w%d %d 1\n" % (i, i)
                                                   for i in range(300)))[:200]),
         ("vectors.txt", b"sun 1 0\nmoon 1 0 1\n"),
-        ("vectors.txt", b"sun 1 0\nmoon 1 x\n"),
+        ("vectors.txt", b"sun 1 0\nshadow 1 x\n"),  # a graph symbol: read at set-up
         ("vectors.txt", b"3 2\n"),
         ("vectors.txt", b"sun\nrising\ngrass\n"),
         ("vectors.txt", b"3 2\nsun 1 0\n"),
@@ -601,6 +601,24 @@ class TestCli:
         assert (code, out) == (1, "")
         assert err.startswith("error: ") and err.count("\n") == 1
         assert str(table) in err
+
+    def test_bad_row_of_a_problem_word_fails_that_problem(
+            self, copa_xml_path, fig_graph_path, fig_table_path, tmp_path, capsys):
+        # "rising" is a word of problem 1 but no symbol of the graph: its
+        # row is first read, and found bad, by the problem's prefilter
+        table = tmp_path / "vectors.txt"
+        table.write_bytes(fig_table_path.read_bytes().replace(b"rising 1.0 0.0",
+                                                              b"rising 1.0 x"))
+        report_path = tmp_path / "report.jsonl"
+        code, out, err = self.run_cli(
+            capsys, "run", "--copa", str(copa_xml_path), "--kg", str(fig_graph_path),
+            "--embeddings", str(table), "--report", str(report_path))
+        assert (code, out) == (1, "")
+        assert err.startswith("error: problem 1, stage prefilter: line 2: bad float")
+        assert err.count("\n") == 1 and str(table) in err
+        rows = [json.loads(line) for line in report_path.read_text("utf-8").splitlines()]
+        assert rows[0]["problem_id"] == 1 and rows[0]["error"]["stage"] == "prefilter"
+        assert rows[1]["failed"] == 1
 
     def test_bad_arguments_exit_2(self, capsys):
         with pytest.raises(SystemExit) as exc:
