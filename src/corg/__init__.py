@@ -25,8 +25,7 @@ from .model import (BuilderConfig, DerivationStep, PartialModel, explain,
 from .pipeline import (CopaProblem, Pipeline, PipelineConfig, ProblemFailure,
                        ProblemResult, RunReport, TextResult, content_words,
                        export_tptp, parse_copa_xml, text_to_facts)
-from .scorer import (Choice, ScoreVector, choose, embed_sequence, likelihoods,
-                     score_pair)
+from .scorer import Choice, choose, embed_sequence, likelihoods, score_pair
 from .selection import (AxiomIndex, Prefilter, SineConfig, SymbolTable,
                         TripleColumns, build_index, similarity_sine_select,
                         sine_select)
@@ -54,8 +53,7 @@ __all__ = [
     "ProblemResult", "RunReport", "TextResult", "content_words", "export_tptp",
     "parse_copa_xml", "text_to_facts",
     # scoring
-    "Choice", "ScoreVector", "choose", "embed_sequence", "likelihoods",
-    "score_pair",
+    "Choice", "choose", "embed_sequence", "likelihoods", "score_pair",
     # selection
     "AxiomIndex", "Prefilter", "SineConfig", "SymbolTable", "TripleColumns",
     "build_index", "similarity_sine_select", "sine_select",

@@ -44,7 +44,7 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--scheme", choices=("factual", "existential"),
                      default="existential", help="triple translation scheme")
     run.add_argument("--sine-tolerance", type=float, default=1.5, metavar="R")
-    run.add_argument("--sine-depth", type=int, default=3, metavar="N",
+    run.add_argument("--sine-depth", type=_depth, default=3, metavar="N",
                      help="selection depth (>= 0); 0 iterates to the fixpoint")
     run.add_argument("--sim-threshold", type=float, default=None, metavar="R",
                      help="enable similarity-widened goal seeding at this cosine")
@@ -57,6 +57,17 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--explain", type=int, metavar="PROBLEM-ID",
                      help="print derivation trees for this problem's chosen alternative")
     return parser
+
+
+def _depth(text: str) -> int:
+    """A ``--sine-depth`` value: an int >= 0."""
+    try:
+        depth = int(text)
+    except ValueError:
+        depth = -1
+    if depth < 0:
+        raise argparse.ArgumentTypeError(f"expected an integer >= 0, got {text!r}")
+    return depth
 
 
 def _config(args) -> PipelineConfig:

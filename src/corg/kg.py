@@ -5,10 +5,12 @@ Two input formats are accepted, detected per line:
 * assertions dump: 5 tab-separated fields
   ``assertion-URI <TAB> relation-URI <TAB> start-URI <TAB> end-URI <TAB> json``
   with relation URIs like ``/r/Causes`` and concept URIs like ``/c/en/sun``;
-  the edge weight is read from the ``"weight"`` key of the JSON metadata.
-  Only edges between two English concepts are kept.
+  the JSON metadata must decode, and its ``"weight"`` key, if any, must be
+  a number: it is checked, not kept.  Only edges between two English
+  concepts are kept.
 * plain fixture: ``subject <TAB> relation <TAB> object [<TAB> weight]``,
-  ``#`` comments and blank lines allowed.
+  ``#`` comments and blank lines allowed; the weight must parse as a float
+  and is not kept either.
 
 Concept identifiers are normalized to lowercase single tokens (multiword
 concepts stay underscore-joined, e.g. ``annoy_your_spouse``); relation names
@@ -35,21 +37,12 @@ _CAMEL_BOUNDARY = re.compile(r"(?<=[a-z0-9])(?=[A-Z])|(?<=[A-Z])(?=[A-Z][a-z])")
 
 @dataclass(frozen=True)
 class Triple:
-    """One knowledge-graph edge with provenance and dump-provided confidence."""
+    """One knowledge-graph edge: the fields that translation reads."""
 
     subject: str
     relation: str
     object: str
-    weight: float = 1.0
-    source_line: int = 0
     negated: bool = False
-
-
-@dataclass(frozen=True)
-class Skip:
-    """Outcome of a parse that cleanly rejected a line (not an error)."""
-
-    reason: str
 
 
 @dataclass
@@ -88,10 +81,10 @@ class KnowledgeGraph:
     """Append-only triple store held as array columns; a triple's id is its row.
 
     ``add`` interns names to ids (``concepts``, ``relations``) and appends
-    to the ``subject``, ``relation`` and ``object`` id columns and to
-    ``negated``, ``weight`` and ``source_line``; ``triple(i)`` and iteration
-    build ``Triple`` values on demand.  There are no adjacency indexes.  Once
-    loaded the graph is treated as immutable and can be shared by readers.
+    to the ``subject``, ``relation``, ``object`` and ``negated`` columns;
+    ``triple(i)`` and iteration build ``Triple`` values on demand.  There
+    are no adjacency indexes.  Once loaded the graph is treated as
+    immutable and can be shared by readers.
     """
 
     def __init__(self, triples: Iterable[Triple] = ()):
@@ -99,30 +92,25 @@ class KnowledgeGraph:
         self.relations: dict[str, int] = {}
         self._concept_names, self._relation_names = [], []
         self.subject, self.relation, self.object = array("i"), array("i"), array("i")
-        self.negated, self.weight, self.source_line = array("b"), array("d"), array("q")
+        self.negated = array("b")
         self.stats = LoadStats()
         for t in triples:
             self.add(t)
 
     def add(self, triple: Triple) -> int:
-        return self._append(triple.subject, triple.relation, triple.object,
-                            triple.weight, triple.source_line, triple.negated)
+        return self._append(triple.subject, triple.relation, triple.object, triple.negated)
 
-    def _append(self, subject: str, relation: str, obj: str, weight: float,
-                source_line: int, negated: bool) -> int:
+    def _append(self, subject: str, relation: str, obj: str, negated: bool) -> int:
         self.subject.append(_id_of(self.concepts, self._concept_names, subject))
         self.relation.append(_id_of(self.relations, self._relation_names, relation))
         self.object.append(_id_of(self.concepts, self._concept_names, obj))
         self.negated.append(negated)
-        self.weight.append(weight)
-        self.source_line.append(source_line)
         return len(self.subject) - 1
 
     def triple(self, i: int) -> Triple:
         return Triple(self._concept_names[self.subject[i]],
                       self._relation_names[self.relation[i]],
-                      self._concept_names[self.object[i]],
-                      self.weight[i], self.source_line[i], bool(self.negated[i]))
+                      self._concept_names[self.object[i]], bool(self.negated[i]))
 
     def __iter__(self) -> Iterator[Triple]:
         return map(self.triple, range(len(self)))
@@ -131,17 +119,17 @@ class KnowledgeGraph:
         return len(self.subject)
 
     @classmethod
-    def from_tuples(cls, rows: Iterable[tuple]) -> "KnowledgeGraph":
-        """Build a graph from (subject, relation, object[, weight]) tuples.
+    def from_tuples(cls, rows: Iterable[tuple[str, str, str]]) -> "KnowledgeGraph":
+        """Build a graph from (subject, relation, object) tuples.
 
-        Relation names are normalized the same way the loaders normalize
-        them, so ``("sun", "Causes", "light")`` works as a fixture row.
+        Names are normalized the same way the loaders normalize them, so
+        ``("sun", "Causes", "light")`` works as a fixture row, and
+        ``("person", "NotDesires", "pain")`` gives a negated triple.
         """
         g = cls()
-        for n, (subject, relation, obj, *weight) in enumerate(rows):
+        for subject, relation, obj in rows:
             rel, negated = normalize_relation(relation)
-            g.add(Triple(normalize_concept(subject), rel, normalize_concept(obj),
-                         float(weight[0]) if weight else 1.0, n, negated))
+            g._append(normalize_concept(subject), rel, normalize_concept(obj), negated)
         g.stats.kept = len(g)
         return g
 
@@ -175,10 +163,11 @@ def normalize_relation(raw: str) -> tuple[str, bool]:
     return snake.lower(), negated
 
 
-def _parse_concept_uri(uri: str, line_no: int) -> tuple[str, str] | Skip:
-    """``/c/en/sun/n`` -> ("en", "sun"); non-concept URIs become a Skip."""
+def _parse_concept_uri(uri: str, line_no: int) -> tuple[str, str] | str:
+    """``/c/en/sun/n`` -> ("en", "sun"); a non-concept URI gives the skip
+    reason ``"non_concept"``."""
     if not uri.startswith("/c/"):
-        return Skip("non_concept")
+        return "non_concept"
     parts = uri.split("/")
     if len(parts) < 4 or not parts[2] or not parts[3]:
         raise MalformedLine(line_no, f"bad concept URI {uri!r}")
@@ -188,8 +177,9 @@ def _parse_concept_uri(uri: str, line_no: int) -> tuple[str, str] | Skip:
 class _LineParser:
     """The one parser of dump and fixture lines, with per-load memos.
 
-    A line parses to the fields ``(subject, relation, object, weight,
-    source_line, negated)`` of a ``Triple``, or to a ``Skip``.  Raw relation
+    A line parses to the fields ``(subject, relation, object, negated)`` of
+    a ``Triple``, or to the reason it is skipped, a ``str``
+    (``"external_url"``, ``"non_concept"``, ``"language"``).  Raw relation
     strings are memoized to their ``normalize_relation`` result, and concept
     URIs to their ``_parse_concept_uri`` result; a URI that raises
     MalformedLine is not memoized, so it raises on every use.
@@ -197,7 +187,7 @@ class _LineParser:
 
     def __init__(self):
         self._relations: dict[str, tuple[str, bool]] = {}
-        self._concepts: dict[str, tuple[str, str] | Skip] = {}
+        self._concepts: dict[str, tuple[str, str] | str] = {}
 
     def _relation(self, raw: str) -> tuple[str, bool]:
         hit = self._relations.get(raw)
@@ -205,13 +195,13 @@ class _LineParser:
             hit = self._relations[raw] = normalize_relation(raw)
         return hit
 
-    def _concept(self, uri: str, line_no: int) -> tuple[str, str] | Skip:
+    def _concept(self, uri: str, line_no: int) -> tuple[str, str] | str:
         hit = self._concepts.get(uri)
         if hit is None:
             hit = self._concepts[uri] = _parse_concept_uri(uri, line_no)
         return hit
 
-    def assertion(self, line: str, line_no: int) -> tuple | Skip:
+    def assertion(self, line: str, line_no: int) -> tuple[str, str, str, bool] | str:
         fields = line.rstrip("\n").split("\t")
         if len(fields) != 5:
             raise MalformedLine(line_no, f"expected 5 fields, got {len(fields)}")
@@ -220,16 +210,15 @@ class _LineParser:
             raise MalformedLine(line_no, f"bad relation URI {rel_uri!r}")
         relation, negated = self._relation(rel_uri[3:])
         if relation == "external_url":
-            return Skip("external_url")
+            return "external_url"
         start = self._concept(start_uri, line_no)
-        if isinstance(start, Skip):
+        if isinstance(start, str):
             return start
         end = self._concept(end_uri, line_no)
-        if isinstance(end, Skip):
+        if isinstance(end, str):
             return end
         if start[0] != "en" or end[0] != "en":
-            return Skip("language")
-        weight = 1.0
+            return "language"
         meta = meta.strip()
         if meta:
             try:
@@ -237,31 +226,31 @@ class _LineParser:
             except (ValueError, RecursionError) as e:
                 raise MalformedLine(line_no, f"bad JSON metadata: {e}") from e
             if isinstance(data, dict) and "weight" in data:
-                weight = _json_weight(data["weight"], line_no)
-        return start[1], relation, end[1], weight, line_no, negated
+                _check_weight(data["weight"], line_no)
+        return start[1], relation, end[1], negated
 
-    def plain(self, line: str, line_no: int) -> tuple:
+    def plain(self, line: str, line_no: int) -> tuple[str, str, str, bool]:
         fields = line.rstrip("\n").split("\t")
         if len(fields) not in (3, 4):
             raise MalformedLine(line_no, f"expected 3 or 4 fields, got {len(fields)}")
         relation, negated = self._relation(fields[1])
         if not fields[0].strip() or not relation or not fields[2].strip():
             raise MalformedLine(line_no, "empty field")
-        weight = 1.0
         if len(fields) == 4:
             try:
-                weight = float(fields[3])
+                float(fields[3])
             except ValueError as e:
                 raise MalformedLine(line_no, f"bad weight {fields[3]!r}") from e
-        return (normalize_concept(fields[0]), relation, normalize_concept(fields[2]),
-                weight, line_no, negated)
+        return normalize_concept(fields[0]), relation, normalize_concept(fields[2]), negated
 
 
-def _json_weight(value, line_no: int) -> float:
-    """A JSON ``"weight"`` as a float; anything but a number is malformed."""
+def _check_weight(value, line_no: int):
+    """A JSON ``"weight"`` that is not a number, or an int too large for a
+    float, makes its line malformed."""
     if isinstance(value, (int, float)) and not isinstance(value, bool):
         try:
-            return float(value)
+            float(value)
+            return
         except OverflowError:
             pass
     raise MalformedLine(line_no, f"weight is not a number: {value!r:.40}")
@@ -295,6 +284,10 @@ def load_graph(path, relation_filter: RelationFilter | None = None) -> Knowledge
     """Load a dump or fixture file into a KnowledgeGraph.
 
     Malformed lines, invalid UTF-8 among them, are counted, never fatal.
+    Bad JSON metadata, a ``"weight"`` that is not a number (nor an int
+    that overflows a float) and a plain fourth field that is not a float
+    make a line malformed.  The relation filter comes after every check,
+    so a line it would drop still counts as malformed.
     Raises NoTriplesLoaded when nothing survives the filter (wrong filter
     or wrong file), CorruptArchive for a ``.gz`` file that does not
     decompress, and OSError for unreadable paths.  Load statistics end up
@@ -324,8 +317,8 @@ def load_graph(path, relation_filter: RelationFilter | None = None) -> Knowledge
         except MalformedLine:
             g.stats.skip("malformed")
             continue
-        if isinstance(parsed, Skip):
-            g.stats.skip(parsed.reason)
+        if isinstance(parsed, str):
+            g.stats.skip(parsed)
             continue
         if flt.allowed is not None and parsed[1] not in flt.allowed:
             g.stats.skip("relation")

@@ -47,7 +47,7 @@ from .errors import (CorgError, InvalidField, MissingField, MissingFormula,
 from .fol import Atom, Clause, Constant, Formula
 from .kg import KnowledgeGraph
 from .model import BuilderConfig, PartialModel, extract_symbols, saturate, trace_json
-from .scorer import Choice, ScoreVector, choose, likelihoods, score_pair
+from .scorer import Choice, choose, likelihoods, score_pair
 from .selection import (AxiomIndex, Prefilter, SineConfig, TripleColumns,
                         build_index, sine_select, similarity_sine_select)
 
@@ -275,7 +275,7 @@ class ProblemResult:
     problem: CopaProblem
     texts: list[TextResult]  # premise first, then alternatives in order
     scores: list[float]
-    y: ScoreVector
+    y: list[float]
     choice: Choice
     seconds: float
 
@@ -292,7 +292,7 @@ class ProblemResult:
             "chosen": self.choice.index,
             "tie": self.choice.tie,
             "scores": self.scores,
-            "likelihoods": list(self.y),
+            "likelihoods": self.y,
             "gold": self.problem.gold,
             "correct": self.correct,
             "texts": [t.to_json(include_timings) for t in self.texts],

@@ -11,21 +11,24 @@ formula in four passes where ``corg.fol`` walks it once.  The reference
 loaders parse one line at a time, with no memo and no block parse.
 """
 
+import gzip
 import itertools
 import json
 import math
 import re
+import zlib
+from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
 
-from corg.errors import (DimensionMismatch, MalformedLine, NoTriplesLoaded,
-                         UnsupportedFragment)
+from corg.errors import (CorruptArchive, DimensionMismatch, MalformedLine,
+                         NoTriplesLoaded, UnsupportedFragment)
 from corg.fol import (And, Atom, Clause, Constant, Exists, Forall, Formula,
                       Function, Iff, Implies, Not, Or, Term, Variable,
                       free_variables, is_closed)
-from corg.kg import (KnowledgeGraph, RelationFilter, Skip, Triple, _is_utf8,
-                     _json_weight, _open_text, normalize_concept, normalize_relation)
+from corg.kg import (KnowledgeGraph, RelationFilter, Triple, normalize_concept,
+                     normalize_relation)
 
 # ----------------------------------------------------- naive datalog oracle
 
@@ -591,12 +594,41 @@ def copa1_expected():
 # ``corg.kg.load_graph`` and ``corg.embeddings.load_table`` parse in bulk:
 # memoized URIs and relations, and one ``np.loadtxt`` call per block of
 # vector lines.  These parse every line on its own, and the bulk loaders
-# must give the same graph and table, and raise for the same files.
+# must give the same graph and table, and raise for the same files.  They
+# read files, check UTF-8 and check weights with their own code.
+
+
+def _reference_lines(path):
+    """The lines of a text file, without their ends, by the loaders'
+    documented rule: a ``.gz`` path is gunzipped first (CorruptArchive if
+    that fails), and a line ends at ``\r\n``, ``\n`` or ``\r``.  A line
+    whose bytes are not UTF-8 comes out as None."""
+    data = Path(path).read_bytes()
+    if Path(path).suffix == ".gz":
+        try:
+            data = gzip.decompress(data)
+        except (OSError, EOFError, zlib.error) as e:
+            raise CorruptArchive(f"{path}: {e}") from e
+    *ended, last = re.split(rb"\r\n|\n|\r", data)
+    for raw in ended + [last] * bool(last):
+        try:
+            yield raw.decode("utf-8")
+        except UnicodeDecodeError:
+            yield None
+
+
+def _reference_weight_ok(value) -> bool:
+    """A JSON ``"weight"`` must be a number that a float holds: a float, or
+    an int (not a bool) below 2**1024 - 2**970 in magnitude, as from there
+    on an int rounds to 2**1024, past the largest float."""
+    if type(value) is float:
+        return True
+    return type(value) is int and abs(value) < 2**1024 - 2**970
 
 
 def _reference_concept(uri: str, line_no: int):
     if not uri.startswith("/c/"):
-        return Skip("non_concept")
+        return "non_concept"
     parts = uri.split("/")
     if len(parts) < 4 or not parts[2] or not parts[3]:
         raise MalformedLine(line_no, f"bad concept URI {uri!r}")
@@ -612,25 +644,25 @@ def _reference_assertion(line: str, line_no: int):
         raise MalformedLine(line_no, f"bad relation URI {rel_uri!r}")
     relation, negated = normalize_relation(rel_uri[3:])
     if relation == "external_url":
-        return Skip("external_url")
+        return "external_url"
     start = _reference_concept(start_uri, line_no)
-    if isinstance(start, Skip):
+    if isinstance(start, str):
         return start
     end = _reference_concept(end_uri, line_no)
-    if isinstance(end, Skip):
+    if isinstance(end, str):
         return end
     if start[0] != "en" or end[0] != "en":
-        return Skip("language")
-    weight = 1.0
+        return "language"
     meta = meta.strip()
     if meta:
         try:
             data = json.loads(meta)
         except (ValueError, RecursionError) as e:
             raise MalformedLine(line_no, f"bad JSON metadata: {e}") from e
-        if isinstance(data, dict) and "weight" in data:
-            weight = _json_weight(data["weight"], line_no)
-    return Triple(start[1], relation, end[1], weight, line_no, negated)
+        if isinstance(data, dict) and "weight" in data \
+                and not _reference_weight_ok(data["weight"]):
+            raise MalformedLine(line_no, "weight is not a number")
+    return Triple(start[1], relation, end[1], negated)
 
 
 def _reference_plain(line: str, line_no: int):
@@ -640,14 +672,13 @@ def _reference_plain(line: str, line_no: int):
     relation, negated = normalize_relation(fields[1])
     if not fields[0].strip() or not relation or not fields[2].strip():
         raise MalformedLine(line_no, "empty field")
-    weight = 1.0
     if len(fields) == 4:
         try:
-            weight = float(fields[3])
+            float(fields[3])
         except ValueError as e:
             raise MalformedLine(line_no, f"bad weight {fields[3]!r}") from e
-    return Triple(normalize_concept(fields[0]), relation,
-                  normalize_concept(fields[2]), weight, line_no, negated)
+    return Triple(normalize_concept(fields[0]), relation, normalize_concept(fields[2]),
+                  negated)
 
 
 def reference_load_graph(path, relation_filter=None) -> KnowledgeGraph:
@@ -655,8 +686,8 @@ def reference_load_graph(path, relation_filter=None) -> KnowledgeGraph:
     with ``KnowledgeGraph.add``."""
     flt = relation_filter or RelationFilter()
     g = KnowledgeGraph()
-    for line_no, line in enumerate(_open_text(path), start=1):
-        if not line.isascii() and not _is_utf8(line):
+    for line_no, line in enumerate(_reference_lines(path), start=1):
+        if line is None:
             g.stats.skip("malformed")
             continue
         stripped = line.strip()
@@ -670,8 +701,8 @@ def reference_load_graph(path, relation_filter=None) -> KnowledgeGraph:
         except MalformedLine:
             g.stats.skip("malformed")
             continue
-        if isinstance(parsed, Skip):
-            g.stats.skip(parsed.reason)
+        if isinstance(parsed, str):
+            g.stats.skip(parsed)
             continue
         if flt.allowed is not None and parsed.relation not in flt.allowed:
             g.stats.skip("relation")
@@ -743,8 +774,8 @@ def reference_load_table(path, parse_floats: bool = True) -> ReferenceTable:
     unchecked: list = []  # (line, vector) not yet checked finite
     duplicates = 0
     count = dimension = None
-    for line_no, line in enumerate(_open_text(path), start=1):
-        if not line.isascii() and not _is_utf8(line):
+    for line_no, line in enumerate(_reference_lines(path), start=1):
+        if line is None:
             raise MalformedLine(line_no, f"not valid UTF-8 ({path})")
         fields = line.split()
         if not fields:

@@ -71,3 +71,12 @@ def test_every_def_is_referenced():
                     and not _dunder(node.name) and node.name not in used:
                 unreferenced.append(f"{path.relative_to(ROOT)}:{node.lineno}: {node.name}")
     assert unreferenced == []
+
+
+def test_oracles_import_no_private_name():
+    # an oracle that borrows a private helper shares the code it judges
+    private = [f"{node.module}.{alias.name}"
+               for node in ast.walk(_tree(ROOT / "tests" / "oracles.py"))
+               if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "corg"
+               for alias in node.names if alias.name.startswith("_")]
+    assert private == []

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 from corg.embeddings import load_table
 from corg.errors import CorgError
 from corg.fol import parse_fol, parse_tptp
-from corg.kg import Skip, Triple, _LineParser, load_graph
+from corg.kg import Triple, _LineParser, load_graph
 from corg.pipeline import parse_copa_xml
 
 
@@ -108,7 +108,7 @@ def test_parse_plain_line(text):
 def test_parse_assertion_line(text):
     try:
         parsed = _LineParser().assertion(text, 1)
-        assert isinstance(parsed, Skip) or isinstance(Triple(*parsed), Triple)
+        assert isinstance(parsed, str) or isinstance(Triple(*parsed), Triple)
     except CorgError:
         pass
 

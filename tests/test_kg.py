@@ -12,14 +12,15 @@ from corg import (EmbeddingTable, KnowledgeGraph, Pipeline, PipelineConfig,
                   default_relation_whitelist, load_graph, normalize_relation,
                   relation_predicate)
 from corg.errors import CorruptArchive, MalformedLine, NoTriplesLoaded
-from corg.kg import Skip, _LineParser, load_relation_whitelist
+from corg.kg import _LineParser, load_relation_whitelist
 from oracles import reference_load_graph
 
 
-def parse_assertion_line(line: str, line_no: int = 0) -> Triple | Skip:
-    """One dump line through a fresh ``_LineParser``, as a Triple or a Skip."""
+def parse_assertion_line(line: str, line_no: int = 0) -> Triple | str:
+    """One dump line through a fresh ``_LineParser``, as a Triple or the
+    reason it is skipped."""
     parsed = _LineParser().assertion(line, line_no)
-    return parsed if isinstance(parsed, Skip) else Triple(*parsed)
+    return parsed if isinstance(parsed, str) else Triple(*parsed)
 
 
 def parse_plain_line(line: str, line_no: int = 0) -> Triple:
@@ -33,13 +34,14 @@ def dump_line(rel, start, end, meta="{}"):
 
 class TestParseAssertionLine:
     def test_concept_edge_with_weight(self):
+        # the weight is checked, not kept
         line = dump_line("/r/Causes", "/c/en/sun", "/c/en/light", '{"weight": 2.0}')
         t = parse_assertion_line(line, 7)
-        assert t == Triple("sun", "causes", "light", 2.0, 7, False)
+        assert t == Triple("sun", "causes", "light", False)
 
     def test_external_url_skipped(self):
         line = dump_line("/r/ExternalURL", "/c/en/sun", "http://example.org/sun")
-        assert parse_assertion_line(line, 1) == Skip("external_url")
+        assert parse_assertion_line(line, 1) == "external_url"
 
     def test_not_prefix_sets_negated_flag(self):
         line = dump_line("/r/NotDesires", "/c/en/person", "/c/en/pain")
@@ -49,13 +51,13 @@ class TestParseAssertionLine:
 
     def test_non_concept_endpoint_skipped(self):
         line = dump_line("/r/Causes", "/c/en/sun", "http://example.org")
-        assert parse_assertion_line(line, 1) == Skip("non_concept")
+        assert parse_assertion_line(line, 1) == "non_concept"
 
     def test_language_filter(self):
         line = dump_line("/r/Causes", "/c/de/sonne", "/c/de/licht")
-        assert parse_assertion_line(line, 1) == Skip("language")
+        assert parse_assertion_line(line, 1) == "language"
         line = dump_line("/r/Synonym", "/c/en/sun", "/c/de/sonne")
-        assert parse_assertion_line(line, 1) == Skip("language")
+        assert parse_assertion_line(line, 1) == "language"
 
     def test_sense_suffix_dropped(self):
         line = dump_line("/r/IsA", "/c/en/sun/n", "/c/en/star/n/astronomy")
@@ -86,7 +88,7 @@ class TestParseAssertionLine:
     def test_multiword_concept(self):
         line = dump_line("/r/HasSubevent", "/c/en/snore", "/c/en/annoy_your_spouse")
         t = parse_assertion_line(line, 1)
-        assert t == Triple("snore", "has_subevent", "annoy_your_spouse", 1.0, 1)
+        assert t == Triple("snore", "has_subevent", "annoy_your_spouse")
 
 
 class TestNormalizeRelation:
@@ -111,10 +113,11 @@ class TestNormalizeRelation:
 class TestPlainLine:
     def test_basic(self):
         t = parse_plain_line("sun\tCauses\tlight", 2)
-        assert t == Triple("sun", "causes", "light", 1.0, 2)
+        assert t == Triple("sun", "causes", "light")
 
     def test_weight(self):
-        assert parse_plain_line("a\tr\tb\t0.5").weight == 0.5
+        # a fourth field that parses as a float is accepted, and not kept
+        assert parse_plain_line("a\tr\tb\t0.5") == Triple("a", "r", "b")
 
     def test_bad_weight(self):
         with pytest.raises(MalformedLine):
@@ -177,8 +180,21 @@ class TestLoadGraph:
             dump_line("/r/Causes", "/c/en/sun", "/c/en/heat", '{"weight": 2.0}'),
         ]) + "\n", "utf-8")
         g = load_graph(path)
-        assert [(t.object, t.weight) for t in g] == [("heat", 2.0)]
+        assert list(g) == [Triple("sun", "causes", "heat")]
         assert g.stats.skipped == {"malformed": 1}
+
+    @pytest.mark.parametrize("meta", ["{", '{"weight": "heavy"}'])
+    def test_bad_metadata_counts_before_the_relation_filter(self, tmp_path, meta):
+        # the filter would drop the line, but its metadata is checked first
+        path = tmp_path / "dump.tsv"
+        path.write_text("\n".join([
+            dump_line("/r/IsA", "/c/en/sun", "/c/en/star", meta),
+            dump_line("/r/IsA", "/c/en/sun", "/c/en/light"),
+            dump_line("/r/Causes", "/c/en/sun", "/c/en/heat"),
+        ]) + "\n", "utf-8")
+        g = load_graph(path, RelationFilter(allowed=frozenset({"causes"})))
+        assert list(g) == [Triple("sun", "causes", "heat")]
+        assert g.stats.skipped == {"malformed": 1, "relation": 1}
 
     def test_invalid_utf8_counted_malformed(self, tmp_path):
         path = tmp_path / "dump.tsv"
@@ -187,7 +203,7 @@ class TestLoadGraph:
                          + dump_line("/r/Causes", "/c/en/sun", "/c/en/heat").encode()
                          + b"\n\xc3\n")
         g = load_graph(path)
-        assert [(t.object, t.source_line) for t in g] == [("light", 2), ("heat", 3)]
+        assert [t.object for t in g] == ["light", "heat"]
         assert g.stats.skipped == {"malformed": 2}
 
     def test_relation_whitelist(self, tmp_path):
@@ -302,8 +318,7 @@ _CONCEPTS = st.sampled_from(["sun", "light", "causes", "at_location", "atlocatio
                              "inv_causes", "inv_atlocation"]) \
     | st.from_regex(r"[a-z][a-z0-9_]{0,6}", fullmatch=True)
 _TRIPLES = st.builds(Triple, _CONCEPTS, st.sampled_from(["causes", "at_location", "is_a"]),
-                     _CONCEPTS, st.floats(allow_nan=False), st.integers(0, 2**40),
-                     st.booleans())
+                     _CONCEPTS, st.booleans())
 _COLUMNS = ("subject", "predicate", "inverse", "object", "negated")
 
 
@@ -394,7 +409,7 @@ class TestLoadGraphOracle:
                 load_graph(path, flt)
             return
         graph = load_graph(path, flt)
-        for column in ("subject", "relation", "object", "negated", "weight", "source_line"):
+        for column in ("subject", "relation", "object", "negated"):
             assert getattr(graph, column).tobytes() == getattr(expected, column).tobytes()
         assert graph.concepts == expected.concepts
         assert graph.relations == expected.relations

@@ -628,7 +628,6 @@ class TestCli:
     @pytest.mark.parametrize("option, value, message", [
         ("--sine-tolerance", "0.5", "tolerance must be >= 1"),
         ("--sine-tolerance", "nan", "tolerance must be >= 1"),
-        ("--sine-depth", "-1", "max_depth must be positive"),
         ("--prefilter-theta", "nan", "prefilter_theta must be finite"),
         ("--prefilter-theta", "inf", "prefilter_theta must be finite"),
         ("--sim-threshold", "nan", "similarity_threshold must be finite"),
@@ -642,6 +641,18 @@ class TestCli:
         err = capsys.readouterr().err
         assert "Traceback" not in err
         assert err.strip().splitlines()[-1].startswith(f"corg: error: {message}")
+
+    @pytest.mark.parametrize("value", ["-1", "x"])
+    def test_bad_sine_depth_exits_2(self, capsys, value):
+        # rejected as the arguments are parsed, naming the flag the user typed
+        with pytest.raises(SystemExit) as exc:
+            main(["run", "--copa", "c.xml", "--kg", "kg.tsv",
+                  "--embeddings", "v.txt", "--sine-depth", value])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err and "max_depth" not in err
+        assert err.strip().splitlines()[-1] == ("corg run: error: argument --sine-depth: "
+                                                f"expected an integer >= 0, got {value!r}")
 
     def test_inverse_and_flags_accepted(self, copa_xml_path, fig_graph_path,
                                         fig_table_path, capsys):

@@ -6,8 +6,7 @@ import pytest
 
 from corg.embeddings import EmbeddingTable
 from corg.errors import BadCardinality
-from corg.scorer import (Choice, ScoreVector, choose, embed_sequence, likelihoods,
-                         score_pair)
+from corg.scorer import Choice, choose, embed_sequence, likelihoods, score_pair
 
 
 @pytest.fixture
@@ -56,7 +55,7 @@ class TestScorePair:
 
 class TestLikelihoods:
     def test_equal_scores_split_evenly(self):
-        assert list(likelihoods([0.3, 0.3])) == [0.5, 0.5]
+        assert likelihoods([0.3, 0.3]) == [0.5, 0.5]
 
     def test_hand_softmax(self):
         y = likelihoods([1.0, 0.0])
@@ -104,15 +103,3 @@ class TestChoose:
 
     def test_accepts_score_vector(self):
         assert choose(likelihoods([0.0, 3.0])).index == 2
-
-
-class TestScoreVector:
-    def test_validates_sum(self):
-        with pytest.raises(ValueError):
-            ScoreVector([0.5, 0.4])
-
-    def test_iteration_and_len(self):
-        y = ScoreVector([0.25, 0.75])
-        assert len(y) == 2
-        assert list(y) == [0.25, 0.75]
-        assert y[1] == 0.75
