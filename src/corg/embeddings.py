@@ -9,14 +9,25 @@ lookup, in bulk; its keys are lowercase.
 
 ``load_table`` reads a plain table once, to index it, and parses no float
 then: it checks every line's UTF-8 and component count and the header's
-word count, and keeps, per word, where its last line is.  A row is parsed
-when ``vectors`` first needs it, and kept: each call reopens the file,
-checks that the file has not changed since the load and that every line
-it needs still starts with its word, and parses those lines together with
-one ``_parse_block`` call.  So a bad float or a
+word count, and keeps, per word, where its last line is.  It reads the file
+in byte blocks of whole lines, ``_BLOCK_BYTES`` at a time.  A block whose
+bytes are ASCII, whose only control bytes are its ``\\n`` line ends and
+whose lines are each the word and ``dimension`` components, separated by
+single spaces, is indexed from the positions of those bytes, with a few
+numpy passes: per line, Python only cuts out the word and lowercases it.
+Any other block, a non-ASCII one among them, goes line by line through
+``_vector_lines``'s rule, the one definition of the format; so do the
+first lines, up to the one that fixes the dimension.  Both ways give the
+same index, line numbers and errors.
+
+A row is parsed when ``vectors`` first needs it, and kept: each call
+reopens the file, checks that the file has not changed since the load and
+that every line it needs still starts with its word, and parses those
+lines together with one ``_parse_block`` call.  So a bad float or a
 component that is not finite raises when its row is read, and never for a
-row that no run reads.  A ``.gz`` table cannot seek cheaply, so every row
-is parsed, and checked, at load, a block of lines at a time.
+row that no run reads.  A ``.gz`` table cannot seek cheaply: it is read in
+the same blocks, decompressed, and every row is parsed, and checked, at
+load, a block at a time.
 
 ``_parse_block`` parses its lines with one ``np.loadtxt`` call, and again
 line by line only when that call fails or its result is not a finite
@@ -26,17 +37,18 @@ spelling ``loadtxt`` does not (``1_0``).
 
 from __future__ import annotations
 
+import gzip
+import io
 import os
-from array import array
 from pathlib import Path
 from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
 from .errors import DimensionMismatch, MalformedLine
-from .kg import _CAMEL_BOUNDARY, _open_text
+from .kg import _CAMEL_BOUNDARY, _archive_errors
 
-_BLOCK_LINES = 1024
+_BLOCK_BYTES = 1 << 18  # bytes read at a time by ``load_table``
 
 
 def split_identifier(token: str) -> list[str]:
@@ -157,30 +169,36 @@ def load_table(path) -> EmbeddingTable:
     row (at load for a ``.gz`` table, whose rows are all parsed then).  A
     plain table is read again for every row parsed; a file changed or gone
     since the load raises then.  A ``.gz`` that does not decompress raises
-    CorruptArchive."""
+    CorruptArchive.
+
+    The file, a ``.gz`` one decompressed, is read in byte blocks of whole
+    lines, and ``_vector_lines`` indexes each block.  A block of ASCII
+    lines that are each a word and ``dimension`` components, separated by
+    single spaces, is indexed with a few numpy passes over its bytes.  Any
+    other block, a non-ASCII one among them, goes line by line through the
+    one rule of the format; so does the header line.  Both ways give the
+    same rows, line numbers and errors."""
     eager = Path(path).suffix == ".gz"
     table = EmbeddingTable(0, {})
     rows = table.rows
-    offsets, sizes, line_nos = array("q"), array("q"), array("q")
-    block: list[tuple[int, str, str]] = []
+    lines = np.empty((0, 3), dtype=np.int64)  # per row: its last line's offset, size, number
     n_lines = 0
-    lines = _open_text(path) if eager else _open_plain(path, table)
-    for dimension, offset, size, line_no, word, line in _vector_lines(lines, path):
-        n_lines += 1
-        row = rows.setdefault(word, len(rows))
+    for dimension, words, offsets, sizes, line_nos, components in _vector_lines(
+            _table_blocks(path, table), path, texts=eager):
+        if not words:
+            continue
+        n_lines += len(words)
+        found = [rows.setdefault(word, len(rows)) for word in words]
         if eager:
-            block.append((line_no, word, line.split(maxsplit=1)[1]))
-            if len(block) == _BLOCK_LINES:
-                _keep_block(table, block, dimension, path)
-                block = []
-        elif row < len(offsets):  # a duplicate: its last line wins
-            offsets[row], sizes[row], line_nos[row] = offset, size, line_no
+            _keep_block(table, list(zip(line_nos.tolist(), words, components)),
+                        dimension, path)
         else:
-            offsets.append(offset)
-            sizes.append(size)
-            line_nos.append(line_no)
-    if block:
-        _keep_block(table, block, dimension, path)
+            found = np.array(found)
+            # a word's last line wins
+            last = len(found) - 1 - np.unique(found[::-1], return_index=True)[1]
+            if len(rows) > len(lines):  # grown in place, as the store is
+                lines.resize((max(len(rows), 2 * len(lines)), 3), refcheck=False)
+            lines[found[last]] = np.column_stack([offsets, sizes, line_nos])[last]
     if not rows:
         raise DimensionMismatch(f"no vector line in {path}")
     table.dimension, table.duplicates = dimension, n_lines - len(rows)
@@ -191,17 +209,40 @@ def load_table(path) -> EmbeddingTable:
     else:
         table._store = np.empty((0, dimension))
         table._slot = np.full(len(rows), -1, dtype=np.intp)
-        table._lines = np.column_stack([offsets, sizes, line_nos])
+        lines.resize((len(rows), 3), refcheck=False)
+        table._lines = lines
     return table
 
 
-def _open_plain(path, table: EmbeddingTable) -> Iterator[str]:
-    """The lines of a plain table file, line ends kept, so that a line's
-    UTF-8 size is its byte size; records the file's signature on
-    ``table``."""
-    with open(path, encoding="utf-8", errors="surrogateescape", newline="") as fh:
+def _table_blocks(path, table: EmbeddingTable) -> Iterator[bytes]:
+    """The ``_blocks`` of a table file, a ``.gz`` one decompressed; records
+    a plain file's signature on ``table``."""
+    if Path(path).suffix == ".gz":
+        with _archive_errors(path), gzip.open(path, "rb") as fh:
+            yield from _blocks(fh)
+        return
+    with open(path, "rb") as fh:
         table._signature = _signature(os.fstat(fh.fileno()))
-        yield from fh
+        yield from _blocks(fh)
+
+
+def _blocks(fh) -> Iterator[bytes]:
+    """The bytes of ``fh`` in blocks of whole lines: each read of
+    ``_BLOCK_BYTES`` is cut after its last ``\\n``, or else after its last
+    ``\\r`` that is not its last byte (the end of a ``\\r\\n`` may come in
+    the next read), and the rest goes in front of the next block.  The last
+    block may lack a line end."""
+    pieces = []
+    while chunk := fh.read(_BLOCK_BYTES):
+        cut = chunk.rfind(b"\n") + 1 or chunk.rfind(b"\r", 0, len(chunk) - 1) + 1
+        if cut:
+            pieces.append(chunk[:cut])
+            yield b"".join(pieces)
+            pieces = [chunk[cut:]]
+        else:
+            pieces.append(chunk)
+    if rest := b"".join(pieces):
+        yield rest
 
 
 def _signature(stat: os.stat_result) -> tuple[int, ...]:
@@ -209,43 +250,113 @@ def _signature(stat: os.stat_result) -> tuple[int, ...]:
     return stat.st_dev, stat.st_ino, stat.st_size, stat.st_mtime_ns
 
 
-def _vector_lines(lines: Iterator[str], path) -> Iterator[tuple[int, int, int, int, str, str]]:
-    """``(dimension, byte offset, byte size, line_no, lowercased word,
-    line)`` for each vector line.
+def _vector_lines(blocks: Iterator[bytes], path, texts: bool = False) -> Iterator[tuple]:
+    """The vector lines of a table file's ``blocks``, one run of lines at a
+    time, as ``(dimension, lowercased words, byte offsets, byte sizes, line
+    numbers, components)``: three int64 arrays, and per line the text after
+    its word if ``texts``, else None.
 
-    Raises for a line that is not UTF-8, for a word with no component, for
-    a line whose component count is not the table's, for a header of
-    dimension below 1, and after the last line for a header whose count is
-    not the number of vector lines (unless there is none)."""
+    The rule is ``str.split`` on each line, the line ends being ``\\r\\n``,
+    ``\\n`` and ``\\r``.  It raises for a line that is not UTF-8, for a word
+    with no component, for a line whose component count is not the table's,
+    for a header of dimension below 1, and after the last line for a header
+    whose count is not the number of vector lines (unless there is none).
+    The first lines, up to the one that fixes the dimension, go through it
+    one by one.  The rest of a block goes through it line by line only when
+    ``_even_lines`` cannot index the block from its bytes."""
     count = dimension = None
-    n_lines = offset = 0
-    for line_no, line in enumerate(lines, start=1):
-        try:
-            size = len(line) if line.isascii() else len(line.encode("utf-8"))
-        except UnicodeEncodeError:
-            raise MalformedLine(line_no, f"not valid UTF-8 ({path})") from None
-        offset += size
-        fields = line.split()
-        if line_no == 1 and len(fields) == 2 and all(_is_int(f) for f in fields):
-            count, dimension = int(fields[0]), int(fields[1])
-            if dimension < 1:
-                raise DimensionMismatch(f"line 1: header gives dimension "
-                                        f"{dimension} ({path})")
-            continue
-        if not fields:
-            continue
-        if len(fields) == 1:
-            raise DimensionMismatch(f"line {line_no}: word with no vector ({path})")
-        if dimension is None:
-            dimension = len(fields) - 1
-        elif len(fields) - 1 != dimension:
-            raise DimensionMismatch(f"line {line_no}: expected {dimension} "
-                                    f"components, got {len(fields) - 1} ({path})")
-        n_lines += 1
-        yield dimension, offset - size, size, line_no, fields[0].lower(), line
+    n_lines = line_no = offset = 0
+    for data in blocks:
+        start = 0
+        while start < len(data):
+            even = None
+            if line_no and dimension is not None:
+                stop = len(data)
+                even = _even_lines(data[start:], dimension, texts)
+            else:
+                stop = data.find(b"\n", start) + 1 or len(data)
+            if even is not None:
+                words, starts, stops, components = even
+                yield (dimension, words, offset + starts, stops - starts,
+                       np.arange(line_no + 1, line_no + len(words) + 1), components)
+                n_lines += len(words)
+                line_no += len(words)
+                offset += stop - start
+                start = stop
+                continue
+            words, offsets, sizes, line_nos, components = [], [], [], [], []
+            for line in _text_lines(data[start:stop]):
+                line_no += 1
+                try:
+                    size = len(line) if line.isascii() else len(line.encode("utf-8"))
+                except UnicodeEncodeError:
+                    raise MalformedLine(line_no, f"not valid UTF-8 ({path})") from None
+                offset += size
+                fields = line.split()
+                if line_no == 1 and len(fields) == 2 and all(_is_int(f) for f in fields):
+                    count, dimension = int(fields[0]), int(fields[1])
+                    if dimension < 1:
+                        raise DimensionMismatch(f"line 1: header gives dimension "
+                                                f"{dimension} ({path})")
+                    continue
+                if not fields:
+                    continue
+                if len(fields) == 1:
+                    raise DimensionMismatch(f"line {line_no}: word with no vector ({path})")
+                if dimension is None:
+                    dimension = len(fields) - 1
+                elif len(fields) - 1 != dimension:
+                    raise DimensionMismatch(f"line {line_no}: expected {dimension} "
+                                            f"components, got {len(fields) - 1} ({path})")
+                n_lines += 1
+                words.append(fields[0].lower())
+                offsets.append(offset - size)
+                sizes.append(size)
+                line_nos.append(line_no)
+                if texts:
+                    components.append(line.split(maxsplit=1)[1])
+            yield (dimension, words, np.array(offsets, dtype=np.int64),
+                   np.array(sizes, dtype=np.int64), np.array(line_nos, dtype=np.int64),
+                   components if texts else None)
+            start = stop
     if count is not None and n_lines and n_lines != count:
         raise MalformedLine(1, f"header gives {count} words, the file has "
                                f"{n_lines} vector lines ({path})")
+
+
+def _text_lines(data: bytes) -> Iterator[str]:
+    """The lines of ``data`` for the per-line rule, ends kept; undecodable
+    bytes become lone surrogates."""
+    return io.StringIO(data.decode("utf-8", "surrogateescape"), newline="")
+
+
+def _even_lines(data: bytes, dimension: int, texts: bool):
+    """``data``'s lines indexed from its bytes, as ``(lowercased words, line
+    starts, line stops, components)``, or None unless every line is
+    ``dimension + 1`` ASCII tokens separated by single spaces, with no
+    control byte but its ``\\n``.  Such a line's ``str.split()`` is those
+    tokens, so the per-line rule would index it alike."""
+    if not data.isascii():
+        return None
+    width = dimension + 1
+    a = np.frombuffer(data, dtype=np.uint8)
+    ends = np.flatnonzero(a <= 32)  # where each token ends: a space or a line end
+    kinds = a[ends]
+    if data[-1] != 10:  # the file's last line, with no line end
+        ends, kinds = np.append(ends, len(a)), np.append(kinds, 10)
+    line = np.full(width, 32, dtype=np.uint8)  # the token ends of an even line
+    line[-1] = 10
+    if len(ends) % width or not (kinds.reshape(-1, width) == line).all() \
+            or np.diff(ends, prepend=-1).min() < 2:  # an empty token
+        return None
+    line_ends = ends[dimension::width]
+    stops = np.minimum(line_ends + 1, len(a))
+    starts = np.concatenate(([0], stops[:-1]))
+    text = data.decode("ascii")
+    words = [text[s:e].lower() for s, e in zip(starts.tolist(), ends[::width].tolist())]
+    components = [text[w + 1:e] for w, e in zip(ends[::width].tolist(),
+                                                 line_ends.tolist())] if texts else None
+    return words, starts, stops, components
 
 
 def _keep_block(table: EmbeddingTable, block: list[tuple[int, str, str]],

@@ -25,6 +25,7 @@ import json
 import re
 import zlib
 from array import array
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
@@ -163,77 +164,98 @@ def normalize_relation(raw: str) -> tuple[str, bool]:
     return snake.lower(), negated
 
 
-def _parse_concept_uri(uri: str, line_no: int) -> tuple[str, str] | str:
-    """``/c/en/sun/n`` -> ("en", "sun"); a non-concept URI gives the skip
-    reason ``"non_concept"``."""
-    if not uri.startswith("/c/"):
-        return "non_concept"
-    parts = uri.split("/")
-    if len(parts) < 4 or not parts[2] or not parts[3]:
-        raise MalformedLine(line_no, f"bad concept URI {uri!r}")
-    return parts[2], normalize_concept(parts[3])
+_JSON = json.JSONDecoder()
 
 
 class _LineParser:
     """The one parser of dump and fixture lines, with per-load memos.
 
     A line parses to the fields ``(subject, relation, object, negated)`` of
-    a ``Triple``, or to the reason it is skipped, a ``str``
-    (``"external_url"``, ``"non_concept"``, ``"language"``).  Raw relation
-    strings are memoized to their ``normalize_relation`` result, and concept
-    URIs to their ``_parse_concept_uri`` result; a URI that raises
-    MalformedLine is not memoized, so it raises on every use.
+    a kept ``Triple``, or to the reason it is skipped, a ``str``
+    (``"external_url"``, ``"non_concept"``, ``"language"``, ``"relation"``),
+    or raises MalformedLine.  ``allowed`` is the relation filter's set, or
+    None for no filter.  Each relation URI is memoized to its verdict,
+    ``(relation, negated, allowed)`` or ``"external_url"``, and so is each
+    plain relation field (a fixture keeps ``external_url`` edges).  Each
+    concept URI is memoized to ``(name, None)`` for an English concept,
+    else to ``(None, reason)``.  A URI that raises MalformedLine is not
+    memoized, so it raises on every use.
     """
 
-    def __init__(self):
-        self._relations: dict[str, tuple[str, bool]] = {}
-        self._concepts: dict[str, tuple[str, str] | str] = {}
+    def __init__(self, allowed: frozenset[str] | None = None):
+        self._allowed = allowed
+        self._relation_uris: dict[str, tuple[str, bool, bool] | str] = {}
+        self._relations: dict[str, tuple[str, bool, bool]] = {}
+        self._concepts: dict[str, tuple[str | None, str | None]] = {}
 
-    def _relation(self, raw: str) -> tuple[str, bool]:
-        hit = self._relations.get(raw)
-        if hit is None:
-            hit = self._relations[raw] = normalize_relation(raw)
-        return hit
+    def _relation(self, raw: str) -> tuple[str, bool, bool]:
+        relation, negated = normalize_relation(raw)
+        verdict = relation, negated, self._allowed is None or relation in self._allowed
+        self._relations[raw] = verdict
+        return verdict
 
-    def _concept(self, uri: str, line_no: int) -> tuple[str, str] | str:
-        hit = self._concepts.get(uri)
-        if hit is None:
-            hit = self._concepts[uri] = _parse_concept_uri(uri, line_no)
-        return hit
+    def _relation_uri(self, uri: str, line_no: int) -> tuple[str, bool, bool] | str:
+        if not uri.startswith("/r/") or len(uri) <= 3:
+            raise MalformedLine(line_no, f"bad relation URI {uri!r}")
+        verdict = self._relations.get(uri[3:]) or self._relation(uri[3:])
+        if verdict[0] == "external_url":
+            verdict = "external_url"
+        self._relation_uris[uri] = verdict
+        return verdict
+
+    def _concept(self, uri: str, line_no: int) -> tuple[str | None, str | None]:
+        """``/c/en/sun/n`` -> ("sun", None); ``/c/fr/soleil`` -> (None,
+        "language"); a URI outside ``/c/`` -> (None, "non_concept")."""
+        if not uri.startswith("/c/"):
+            verdict = None, "non_concept"
+        else:
+            parts = uri.split("/")
+            if len(parts) < 4 or not parts[2] or not parts[3]:
+                raise MalformedLine(line_no, f"bad concept URI {uri!r}")
+            verdict = (normalize_concept(parts[3]), None) if parts[2] == "en" \
+                else (None, "language")
+        self._concepts[uri] = verdict
+        return verdict
 
     def assertion(self, line: str, line_no: int) -> tuple[str, str, str, bool] | str:
+        """A dump line; what skips or breaks it comes first in the order of
+        its fields: the relation URI, the start URI, the end URI, then
+        ``language``, the metadata and last the relation filter."""
         fields = line.rstrip("\n").split("\t")
         if len(fields) != 5:
             raise MalformedLine(line_no, f"expected 5 fields, got {len(fields)}")
         _, rel_uri, start_uri, end_uri, meta = fields
-        if not rel_uri.startswith("/r/") or len(rel_uri) <= 3:
-            raise MalformedLine(line_no, f"bad relation URI {rel_uri!r}")
-        relation, negated = self._relation(rel_uri[3:])
+        relation = self._relation_uris.get(rel_uri) or self._relation_uri(rel_uri, line_no)
         if relation == "external_url":
-            return "external_url"
-        start = self._concept(start_uri, line_no)
-        if isinstance(start, str):
-            return start
-        end = self._concept(end_uri, line_no)
-        if isinstance(end, str):
-            return end
-        if start[0] != "en" or end[0] != "en":
+            return relation
+        start, start_skip = self._concepts.get(start_uri) or self._concept(start_uri, line_no)
+        if start_skip == "non_concept":
+            return start_skip
+        end, end_skip = self._concepts.get(end_uri) or self._concept(end_uri, line_no)
+        if end_skip == "non_concept":
+            return end_skip
+        if start_skip or end_skip:
             return "language"
         meta = meta.strip()
         if meta:
+            # json.loads(meta) without its wrappers: the same verdict, as
+            # ``meta`` has no whitespace at either end
             try:
-                data = json.loads(meta)
+                data, stop = _JSON.raw_decode(meta)
             except (ValueError, RecursionError) as e:
                 raise MalformedLine(line_no, f"bad JSON metadata: {e}") from e
+            if stop != len(meta):
+                raise MalformedLine(line_no, f"bad JSON metadata: extra data at {stop}")
             if isinstance(data, dict) and "weight" in data:
                 _check_weight(data["weight"], line_no)
-        return start[1], relation, end[1], negated
+        relation, negated, allowed = relation
+        return (start, relation, end, negated) if allowed else "relation"
 
-    def plain(self, line: str, line_no: int) -> tuple[str, str, str, bool]:
+    def plain(self, line: str, line_no: int) -> tuple[str, str, str, bool] | str:
         fields = line.rstrip("\n").split("\t")
         if len(fields) not in (3, 4):
             raise MalformedLine(line_no, f"expected 3 or 4 fields, got {len(fields)}")
-        relation, negated = self._relation(fields[1])
+        relation, negated, allowed = self._relations.get(fields[1]) or self._relation(fields[1])
         if not fields[0].strip() or not relation or not fields[2].strip():
             raise MalformedLine(line_no, "empty field")
         if len(fields) == 4:
@@ -241,6 +263,8 @@ class _LineParser:
                 float(fields[3])
             except ValueError as e:
                 raise MalformedLine(line_no, f"bad weight {fields[3]!r}") from e
+        if not allowed:
+            return "relation"
         return normalize_concept(fields[0]), relation, normalize_concept(fields[2]), negated
 
 
@@ -262,11 +286,18 @@ def _open_text(path) -> Iterator[str]:
     A ``.gz`` file that is not gzip data, is cut short or is corrupt raises
     CorruptArchive.
     """
-    path = Path(path)
-    opener = gzip.open if path.suffix == ".gz" else open
+    opener = gzip.open if Path(path).suffix == ".gz" else open
+    with _archive_errors(path), \
+            opener(path, "rt", encoding="utf-8", errors="surrogateescape") as fh:
+        yield from fh
+
+
+@contextmanager
+def _archive_errors(path):
+    """Turns what a ``.gz`` file that is not gzip data, is cut short or is
+    corrupt raises, while read, into CorruptArchive."""
     try:
-        with opener(path, "rt", encoding="utf-8", errors="surrogateescape") as fh:
-            yield from fh
+        yield
     except (gzip.BadGzipFile, EOFError, zlib.error) as e:
         raise CorruptArchive(f"{path}: {e}") from e
 
@@ -293,37 +324,34 @@ def load_graph(path, relation_filter: RelationFilter | None = None) -> Knowledge
     decompress, and OSError for unreadable paths.  Load statistics end up
     on ``graph.stats``.
 
-    Every line goes through one ``_LineParser``, which memoizes the parse
-    of each relation string and concept URI for the length of the load (a
-    dump repeats them, as a concept takes part in many edges).  A kept
-    line's fields are interned straight into the graph's id columns; no
-    ``Triple`` is built.
+    Each line goes to one ``_LineParser``, which holds the relation filter,
+    and comes back as a kept line's fields or as a skip reason; this loop
+    only dispatches and counts.  The parser memoizes the verdict on each
+    relation URI and concept URI for the length of the load (a dump
+    repeats them, as a concept takes part in many edges), and decodes the
+    metadata with one ``JSONDecoder.raw_decode`` call.  A kept line's
+    fields are interned straight into the graph's id columns, so concept
+    ids follow the order of the first kept line; no ``Triple`` is built.
     """
-    flt = relation_filter or RelationFilter()
-    parser = _LineParser()
+    parser = _LineParser((relation_filter or RelationFilter()).allowed)
     g = KnowledgeGraph()
+    skip, append = g.stats.skip, g._append
     for line_no, line in enumerate(_open_text(path), start=1):
-        if not line.isascii() and not _is_utf8(line):
-            g.stats.skip("malformed")
-            continue
-        stripped = line.strip()
-        if not stripped or stripped.startswith("#"):
-            continue
         try:
-            if line.count("\t") == 4 and line.startswith("/a/"):
+            if not line.isascii() and not _is_utf8(line):
+                parsed = "malformed"
+            elif line.startswith("/a/") and line.count("\t") == 4:
                 parsed = parser.assertion(line, line_no)
-            else:
+            elif (stripped := line.strip()) and not stripped.startswith("#"):
                 parsed = parser.plain(line, line_no)
+            else:
+                continue
         except MalformedLine:
-            g.stats.skip("malformed")
-            continue
+            parsed = "malformed"
         if isinstance(parsed, str):
-            g.stats.skip(parsed)
-            continue
-        if flt.allowed is not None and parsed[1] not in flt.allowed:
-            g.stats.skip("relation")
-            continue
-        g._append(*parsed)
+            skip(parsed)
+        else:
+            append(*parsed)
     g.stats.kept = len(g)
     if not g:
         raise NoTriplesLoaded(f"no triples loaded from {path}")

@@ -108,6 +108,13 @@ class TestLoadTable:
             load_table(path)
         assert str(path) in str(err.value)
 
+    def test_invalid_utf8_in_gzip_names_file_and_line(self, tmp_path):
+        path = tmp_path / "vec.txt.gz"
+        path.write_bytes(gzip.compress(b"sun 1 0\nsu\xffn 0 1\n"))
+        with pytest.raises(MalformedLine, match="line 2: not valid UTF-8") as err:
+            load_table(path)
+        assert str(path) in str(err.value)
+
     @pytest.mark.parametrize("component", ["nan", "inf", "-inf", "1e999"])
     def test_non_finite_component_rejected(self, tmp_path, component):
         # a NaN row would score its words -1 against everything
@@ -147,7 +154,13 @@ class TestLoadTable:
 
 _GOOD_FLOATS = ["0", "1", "-2.5", ".5", "3e-2", "-0", "1_0", "\u0661"]  # loadtxt rejects the last two
 _BAD_FLOATS = ["nan", "1e999", "-inf", "x", "1e", "1__0"]
-_SEPARATORS = st.sampled_from([" ", "\t", "\xa0", "  ", "\x0b"])
+# each separator but " " sends its block to the per-line rule, as do a line
+# end other than "\n", a space at either end of a line, a blank line and a
+# word that is not ASCII
+_SEPARATORS = st.sampled_from([" ", " ", "\t", "\xa0", "  ", "\x0b", "\x0c", "\x1c", "\x1f",
+                               "\x85", "\u3000"])
+_LINE_ENDS = st.sampled_from(["\n", "\n", "\n", "\r\n", "\r"])
+_WORDS = st.sampled_from(["sun", "Sun", "moon", "star", "w1", "Sönne", "SÖNNE"])
 
 
 @st.composite
@@ -158,38 +171,47 @@ def _tables(draw, bad=True):
     dim = draw(st.integers(1, 3))
 
     def vector_line(width, last=_GOOD_FLOATS):
-        words = [draw(st.sampled_from(["sun", "Sun", "moon", "star", "w1"]))]
+        words = [draw(_WORDS)]
         floats = [draw(st.sampled_from(_GOOD_FLOATS)) for _ in range(width - 1)]
         floats += [draw(st.sampled_from(last))] if width else []
-        return draw(_SEPARATORS).join(words + floats)
+        line = draw(_SEPARATORS).join(words + floats)
+        return draw(st.sampled_from(["", "", "", " "])) + line + \
+            draw(st.sampled_from(["", "", "", " ", "\x0c"]))
 
     lines = [vector_line(dim) if draw(st.integers(0, 5)) else draw(st.sampled_from(["", " "]))
              for _ in range(draw(st.integers(0, 14)))]
     header = draw(st.sampled_from(["", "", "count", "3 0", "wide", "miscount"] if bad
                                   else ["", "count"]))
-    bad = {"3 0": 1, "wide": 2, "miscount": 1}.get(header, 0)
+    n_bad = {"3 0": 1, "wide": 2, "miscount": 1}.get(header, 0)
     for kind in draw(st.lists(st.integers(0, 3), max_size=2 if bad else 0)):
         if kind == 0:
             line = vector_line(dim, last=_BAD_FLOATS)
-        elif kind == 1:
-            line = vector_line(dim + 1)
+        elif kind == 1:  # a component too many or too few
+            line = vector_line(dim + draw(st.sampled_from([1, -1])))
         elif kind == 2:
             line = vector_line(0)
         else:
             line = "su\udcffn " + vector_line(dim)
         lines.insert(draw(st.integers(0, len(lines))), line)
-        bad += 1
+        n_bad += 1
     if header:
         n = sum(1 for line in lines if line.strip())
         lines.insert(0, {"count": f"{n} {dim}", "wide": f"{n} {dim + 1}",
                          "miscount": f"{n + 1} {dim}"}.get(header, header))
-    data = "\n".join(lines).encode("utf-8", "surrogateescape")
-    return data, min(bad, 2)
+    text = "".join(line + draw(_LINE_ENDS) for line in lines)
+    if draw(st.booleans()):  # no line end after the last line
+        text = text.rstrip("\r\n")
+    return text.encode("utf-8", "surrogateescape"), min(n_bad, 2)
 
 
 def _error_line(error: Exception):
     found = re.match(r"line (\d+):", str(error))
     return found and int(found.group(1))
+
+
+def _per_line_bytes(spy) -> bytes:
+    """The bytes that a spy on ``_text_lines`` saw go to the per-line rule."""
+    return b"".join(call.args[0] for call in spy.call_args_list)
 
 
 def _read_all(table: EmbeddingTable) -> np.ndarray:
@@ -204,21 +226,23 @@ class TestLoadTableOracle:
     table makes every check at load."""
 
     @settings(max_examples=400, derandomize=True, database=None, deadline=None)
-    @given(_tables(), st.sampled_from([1, 2, 3, 1024]))
-    @example((b"sun 1 0\nmoon 1_0 2\nsun 3 4\nstar nan 1\n", 1), 2)
-    def test_same_table_as_reference(self, tmp_path_factory, table_file, block_lines):
+    @given(_tables(), st.sampled_from([1, 7, 64, embeddings._BLOCK_BYTES]))
+    @example((b"sun 1 0\nmoon 1_0 2\nsun 3 4\nstar nan 1\n", 1), 7)
+    @example((b"2 2\nsun 1 0\r\nmoon  0 1", 0), 7)
+    def test_same_table_as_reference(self, tmp_path_factory, table_file, block_bytes):
         data, bad_lines = table_file
         path = tmp_path_factory.mktemp("table") / "vec.txt"
         path.write_bytes(data)
         gz = path.with_name("vec.txt.gz")
         gz.write_bytes(gzip.compress(data))
-        self.check(path, bad_lines)
-        with mock.patch.object(embeddings, "_BLOCK_LINES", block_lines):
+        with mock.patch.object(embeddings, "_BLOCK_BYTES", block_bytes):
+            self.check(path, bad_lines)
             self.check_gz(gz, bad_lines)
 
-    def test_blocks_of_full_size(self, tmp_path):
-        # duplicates across blocks, "1_0" on the first block's last line;
-        # then one non-finite component on the second block's last line
+    def test_blocks_of_full_size(self, tmp_path, monkeypatch):
+        # about 20 blocks: duplicates across blocks and "1_0" at a block's
+        # end; then one non-finite component further on
+        monkeypatch.setattr(embeddings, "_BLOCK_BYTES", 4096)
         lines = [f"w{i % 1500} {i} {i / 7}" for i in range(3000)]
         lines[1023] = "w5 1_0 2"
         path = tmp_path / "vec.txt"
@@ -237,6 +261,39 @@ class TestLoadTableOracle:
             table.vectors(["w"])
         with pytest.raises(MalformedLine, match="line 2048: "):
             load_table(gz)
+
+    @pytest.mark.parametrize("line", [
+        "sun 1 0\r", "sun\x0c1 0", "sun\x1c1 0", "sun\x1f1 0", " sun 1 0", "sun 1 0 ", "",
+        "sönne 1 0", "sun\x851 0", "sun\u30001 0", "sun\t1 0", "sun  1 0", "sun\xa01 0",
+        "sun\x0b1 0"])
+    @pytest.mark.parametrize("suffix", [".txt", ".txt.gz"])
+    def test_uneven_block_goes_line_by_line(self, tmp_path, line, suffix):
+        data = f"{2 + bool(line)} 2\nmoon 0 1\n{line}\nstar 1 1\n".encode("utf-8")
+        path = tmp_path / ("vec" + suffix)
+        path.write_bytes(gzip.compress(data) if suffix == ".txt.gz" else data)
+        with mock.patch.object(embeddings, "_text_lines", wraps=embeddings._text_lines) as spy:
+            (self.check_gz if suffix == ".txt.gz" else self.check)(path, 0)
+        assert f"moon 0 1\n{line}\n".encode("utf-8") in _per_line_bytes(spy)
+
+    @pytest.mark.parametrize("block_bytes", [64, embeddings._BLOCK_BYTES])
+    @pytest.mark.parametrize("suffix", [".txt", ".txt.gz"])
+    def test_even_blocks_skip_the_per_line_rule(self, tmp_path, monkeypatch, block_bytes,
+                                                suffix):
+        # every line but the header is indexed from its block's bytes
+        monkeypatch.setattr(embeddings, "_BLOCK_BYTES", block_bytes)
+        dim, n = 40, 8000
+        header = f"{n} {dim}\n".encode()
+        data = header + "".join(f"W{i} " + " ".join(str((i * j) % 97 - 48) for j in range(dim))
+                                + "\n" for i in range(n)).encode()
+        assert len(data) > 4 * embeddings._BLOCK_BYTES
+        path = tmp_path / ("vec" + suffix)
+        path.write_bytes(gzip.compress(data) if suffix == ".txt.gz" else data)
+        with mock.patch.object(embeddings, "_text_lines", wraps=embeddings._text_lines) as spy:
+            table = load_table(path)
+        assert _per_line_bytes(spy) == header
+        assert (len(table), table.dimension, table.duplicates) == (n, dim, 0)
+        assert table.vectors(["w7", "W7999"]).tolist() == \
+            [[(7 * j) % 97 - 48 for j in range(dim)], [(7999 * j) % 97 - 48 for j in range(dim)]]
 
     @staticmethod
     def load_fails_alike(path, bad_lines: int, error: CorgError):

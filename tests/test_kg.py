@@ -378,7 +378,9 @@ _RELATION_URIS = st.sampled_from(2 * ["/r/Causes", "/r/NotDesires", "/r/Desires"
                                  + ["/r/ExternalURL", "/r/dbpedia/genre", "/r/", "/x/Causes",
                                     "/r/Not"])
 _METAS = st.sampled_from(['{"weight": 2.0}', '{"weight": "x"}', "", "{", '{"weight": NaN}',
-                          '{"dataset": "a"}', '{"weight": 1e999}', '{"weight": -1}'])
+                          '{"dataset": "a"}', '{"weight": 1e999}', '{"weight": -1}',
+                          '\ufeff{"weight": 1}', '{"weight": 1} x', "{}{}", "[1]", '"w"',
+                          '{"weight": true}', ' {"weight": 1}\u3000'])
 _PLAIN_FIELDS = st.sampled_from(["sun", "Sun light", "", " ", "Causes", "NotDesires",
                                  "at_location", "dbpedia/genre", "Not", "0.5", "x", "nan",
                                  "1_0"])
@@ -398,6 +400,13 @@ class TestLoadGraphOracle:
     @example(["/a/x\t/r/Causes\t/c/en/sun\t/c/en/light\t",
               "/a/x\t/r/Causes\t/c/en/\t/c/en/sun\t",
               "/a/x\t/r/Causes\t/c/en/sun\t/c/en/\t"], False)
+    # what skips a line first: a French start with an http:// end is
+    # non_concept, a bad end URI after a French start is malformed, and a
+    # URI that raises raises again
+    @example(["/a/x\t/r/Causes\t/c/fr/soleil\thttp://example.org\t{}",
+              "/a/x\t/r/Causes\t/c/fr/soleil\t/c/en/\t{}",
+              "/a/x\t/r/Causes\t/c/fr/soleil\t/c/en/\t{",
+              "/a/x\t/r/Causes\t/c/en/sun\t/c/en/light\t{}"], False)
     def test_same_graph_as_reference(self, tmp_path_factory, lines, whitelist):
         path = tmp_path_factory.mktemp("dump") / "dump.tsv"
         path.write_bytes("\n".join(lines).encode("utf-8", "surrogateescape"))
