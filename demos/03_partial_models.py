@@ -28,8 +28,6 @@ for i, t in enumerate(graph):
 
 model = saturate(facts, forward_only, BuilderConfig(max_term_depth=3))
 print("existential rules only:")
-for line in (f"  {a.predicate}" for a in model.atoms):
-    pass
 for step in model.trace:
     origin = "input" if step.clause_origin is None else step.clause_origin
     print(f"  [{origin}] {step.derived.predicate}(...)")

@@ -20,14 +20,16 @@ Any other block, a non-ASCII one among them, goes line by line through
 first lines, up to the one that fixes the dimension.  Both ways give the
 same index, line numbers and errors.
 
-A row is parsed when ``vectors`` first needs it, and kept: each call
+A row is parsed when ``vectors`` first needs it, and kept in the table's
+``_parsed`` dict, row to vector, the one place parsed rows live: each call
 reopens the file, checks that the file has not changed since the load and
 that every line it needs still starts with its word, and parses those
 lines together with one ``_parse_block`` call.  So a bad float or a
 component that is not finite raises when its row is read, and never for a
 row that no run reads.  A ``.gz`` table cannot seek cheaply: it is read in
 the same blocks, decompressed, and every row is parsed, and checked, at
-load, a block at a time.
+load, a block at a time, into the same dict.  Nothing allocates room for
+rows not parsed yet.
 
 ``_parse_block`` parses its lines with one ``np.loadtxt`` call, and again
 line by line only when that call fails or its result is not a finite
@@ -64,25 +66,30 @@ def split_identifier(token: str) -> list[str]:
 class EmbeddingTable:
     """Immutable-after-load map from lowercase words to fixed-size vectors.
 
-    ``rows`` maps each word to its row.  Parsed rows are kept in one
-    float64 store: row i is ``_store[_slot[i]]``, and ``_slot[i]`` is -1
-    until row i is parsed.  A table that ``load_table`` indexed holds, per
-    row, the byte offset, byte size and line number of its line in
-    ``_lines``, and parses its rows from there.
-    ``EmbeddingTable(dimension, {word: vector})`` copies the given vectors,
-    so every row of it is parsed.
+    ``rows`` maps each word to its row, and ``_parsed`` maps each parsed
+    row to its float64 vector; a row is absent from it until it is parsed.
+    A table that ``load_table`` indexed holds, per row, the byte offset,
+    byte size and line number of its line in ``_lines``, and parses its
+    rows from there.  ``EmbeddingTable(dimension, {word: vector})`` copies
+    the given vectors, so every row of it is parsed; its keys are kept as
+    given.  A vector whose shape is not ``(dimension,)`` raises
+    DimensionMismatch, and one with a component that is not finite raises
+    ValueError, each naming its word.
     """
 
-    def __init__(self, dimension: int, vectors: Mapping[str, np.ndarray],
-                 duplicates: int = 0):
+    def __init__(self, dimension: int, vectors: Mapping[str, np.ndarray]):
         self.dimension = dimension
-        self.duplicates = duplicates
+        self.duplicates = 0
         self.rows = {word: i for i, word in enumerate(vectors)}
-        self._store = np.zeros((len(self.rows), dimension))
+        self._parsed = {}
         for word, i in self.rows.items():
-            self._store[i] = vectors[word]
-        self._slot = np.arange(len(self.rows))
-        self._n_parsed = len(self.rows)
+            vector = np.array(vectors[word], dtype=np.float64)
+            if vector.shape != (dimension,):
+                raise DimensionMismatch(f"vector of {word!r} has shape {vector.shape}, "
+                                        f"expected ({dimension},)")
+            if not np.isfinite(vector).all():
+                raise ValueError(f"vector of {word!r} must be finite, got {vector}")
+            self._parsed[i] = vector
         self._path = self._lines = self._signature = None
 
     def __len__(self) -> int:
@@ -98,38 +105,29 @@ class EmbeddingTable:
         needs that are not parsed yet are parsed first, together; a bad one
         raises a CorgError naming the file and its line.
         """
-        rows = np.array([self.rows.get(t.lower(), -1) for t in tokens], dtype=np.intp)
-        hit = rows >= 0
+        rows = [self.rows.get(t.lower(), -1) for t in tokens]
         parts = {i: [self.rows[p] for p in split_identifier(tokens[i]) if p in self.rows]
-                 for i in np.flatnonzero(~hit).tolist()}
-        needed = rows[hit].tolist()
+                 for i, row in enumerate(rows) if row < 0}
+        needed = [row for row in rows if row >= 0]
         for found in parts.values():
             needed += found
-        self._parse(np.array(needed, dtype=np.intp))
-        out = np.zeros((len(tokens), self.dimension))
-        out[hit] = self._store[self._slot[rows[hit]]]
-        for i, found in parts.items():
-            if found:
-                out[i] = self._store[self._slot[found]].mean(axis=0)
+        self._parse(needed)
+        parsed, out = self._parsed, np.zeros((len(tokens), self.dimension))
+        for i, row in enumerate(rows):
+            if row >= 0:
+                out[i] = parsed[row]
+            elif parts[i]:
+                out[i] = np.array([parsed[r] for r in parts[i]]).mean(axis=0)
         return out
 
-    def _parse(self, rows: np.ndarray) -> None:
+    def _parse(self, rows: list[int]) -> None:
         """Parse those of ``rows`` not parsed yet, in one block, and keep them."""
-        rows = rows[self._slot[rows] < 0]
+        rows = np.array(list(set(rows).difference(self._parsed)), dtype=np.intp)
         if not len(rows):
             return
-        rows = np.unique(rows)
         rows = rows[np.argsort(self._lines[rows, 0])]  # in file order
-        vectors = _parse_block(self._read(rows), self.dimension, self._path)
-        start, end = self._n_parsed, self._n_parsed + len(rows)
-        if end > len(self._store):
-            # grown in place, so that the parsed rows are never held twice; no
-            # view of ``_store`` outlives the statement that takes it
-            self._store.resize((max(end, 2 * len(self._store)), self.dimension),
-                               refcheck=False)
-        self._store[start:end] = vectors
-        self._slot[rows] = np.arange(start, end)
-        self._n_parsed = end
+        self._parsed.update(zip(rows.tolist(), _parse_block(self._read(rows),
+                                                            self.dimension, self._path)))
 
     def _read(self, rows: np.ndarray) -> list[tuple[int, str, str]]:
         """The lines of ``rows``, read again from the table file, as
@@ -166,9 +164,10 @@ def load_table(path) -> EmbeddingTable:
     vector line, a table of dimension 0 and a header whose count is not the
     number of vector lines.  A bad float or a component that is not finite
     raises, naming its line and the file, only when ``vectors`` reads its
-    row (at load for a ``.gz`` table, whose rows are all parsed then).  A
-    plain table is read again for every row parsed; a file changed or gone
-    since the load raises then.  A ``.gz`` that does not decompress raises
+    row (at load for a ``.gz`` table, whose rows all go into ``_parsed``
+    then, block by block).  A plain table comes back with no row parsed and
+    is read again for every row parsed; a file changed or gone since the
+    load raises then.  A ``.gz`` that does not decompress raises
     CorruptArchive.
 
     The file, a ``.gz`` one decompressed, is read in byte blocks of whole
@@ -189,26 +188,23 @@ def load_table(path) -> EmbeddingTable:
             continue
         n_lines += len(words)
         found = [rows.setdefault(word, len(rows)) for word in words]
-        if eager:
-            _keep_block(table, list(zip(line_nos.tolist(), words, components)),
-                        dimension, path)
+        if eager:  # a word's later line wins
+            block = list(zip(line_nos.tolist(), words, components))
+            table._parsed.update(zip(found, _parse_block(block, dimension, path)))
         else:
             found = np.array(found)
             # a word's last line wins
             last = len(found) - 1 - np.unique(found[::-1], return_index=True)[1]
-            if len(rows) > len(lines):  # grown in place, as the store is
+            if len(rows) > len(lines):
+                # grown in place, so that the index is never held twice; no
+                # view of ``lines`` outlives the statement that takes it
                 lines.resize((max(len(rows), 2 * len(lines)), 3), refcheck=False)
             lines[found[last]] = np.column_stack([offsets, sizes, line_nos])[last]
     if not rows:
         raise DimensionMismatch(f"no vector line in {path}")
     table.dimension, table.duplicates = dimension, n_lines - len(rows)
     table._path = os.path.abspath(path)  # reopened whatever the working directory is then
-    if eager:
-        table._store.resize((len(rows), dimension), refcheck=False)
-        table._slot, table._n_parsed = np.arange(len(rows)), len(rows)
-    else:
-        table._store = np.empty((0, dimension))
-        table._slot = np.full(len(rows), -1, dtype=np.intp)
+    if not eager:
         lines.resize((len(rows), 3), refcheck=False)
         table._lines = lines
     return table
@@ -357,19 +353,6 @@ def _even_lines(data: bytes, dimension: int, texts: bool):
     components = [text[w + 1:e] for w, e in zip(ends[::width].tolist(),
                                                  line_ends.tolist())] if texts else None
     return words, starts, stops, components
-
-
-def _keep_block(table: EmbeddingTable, block: list[tuple[int, str, str]],
-                dimension: int, path) -> None:
-    """Parse a block of lines of a table being loaded into its store, at the
-    rows of their words; a word's later line wins."""
-    vectors = _parse_block(block, dimension, path)
-    last = {table.rows[word]: i for i, (_, word, _) in enumerate(block)}
-    store = table._store
-    if len(table.rows) > len(store):
-        # grown in place, as in ``EmbeddingTable._parse``
-        store.resize((max(len(table.rows), 2 * len(store)), dimension), refcheck=False)
-    store[list(last)] = vectors[list(last.values())]
 
 
 def _parse_block(block: list[tuple[int, str, str]], dimension: int, path) -> np.ndarray:

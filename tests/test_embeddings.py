@@ -3,6 +3,7 @@ import gzip
 import math
 import os
 import re
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -434,6 +435,22 @@ class TestLazyRows:
         path.unlink()
         assert table.vectors(["moon", "sun"]).tolist() == [[0.0, 1.0], [1.0, 0.0]]
 
+    def test_parsed_rows_hold_no_slack(self, tmp_path):
+        # parsed rows hold no zero-filled room for rows not read yet
+        n, dim = 2000, 64
+        path = tmp_path / "vec.txt"
+        path.write_text("".join(f"w{i} " + " ".join([str(i % 7)] * dim) + "\n"
+                                for i in range(n)), "utf-8")
+        table = load_table(path)
+        tracemalloc.start()
+        try:
+            table.vectors([f"w{i}" for i in range(n // 2)])
+            table.vectors([f"w{n - 1}"])
+            kept = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert kept < 2 * (n // 2 + 1) * dim * 8
+
 
 class TestSplitIdentifier:
     @pytest.mark.parametrize("token,parts", [
@@ -448,6 +465,19 @@ class TestSplitIdentifier:
 
 
 class TestVector:
+    @pytest.mark.parametrize("vector, error, message", [
+        (np.float64(1.0), DimensionMismatch, r"'sun' has shape \(\)"),
+        (np.array([1.0]), DimensionMismatch, r"'sun' has shape \(1,\)"),
+        (np.array([1.0, 0.0, 0.0]), DimensionMismatch, r"'sun' has shape \(3,\)"),
+        (np.array([np.nan, 1.0]), ValueError, "'sun' must be finite"),
+        (np.array([1.0, -np.inf]), ValueError, "'sun' must be finite"),
+    ], ids=["scalar", "length-1", "length-3", "nan", "inf"])
+    def test_given_vectors_checked_as_loaded_rows(self, vector, error, message):
+        # a length-1 vector would be broadcast, and a NaN one would score -1
+        # against everything
+        with pytest.raises(error, match=message):
+            EmbeddingTable(2, {"moon": np.array([0.0, 1.0]), "sun": vector})
+
     def test_direct_hit(self, small_table):
         assert np.array_equal(small_table.vectors(["sun"])[0], [0.6, 0.8])
 
