@@ -47,9 +47,10 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--sine-depth", type=_depth, default=3, metavar="N",
                      help="selection depth (>= 0); 0 iterates to the fixpoint")
     run.add_argument("--sim-threshold", type=float, default=None, metavar="R",
-                     help="enable similarity-widened goal seeding at this cosine")
+                     help="enable similarity-widened goal seeding at this threshold "
+                          "on cosines clipped to [-1, 1] (-1 seeds every symbol)")
     run.add_argument("--prefilter-theta", type=float, default=0.4, metavar="R",
-                     help="triple prefilter threshold; -1 keeps everything")
+                     help="prefilter threshold on cosines clipped to [-1, 1]; -1 keeps all")
     run.add_argument("--fol-dir", help="sidecar formula directory (switches on fol_file mode)")
     run.add_argument("--report", help="write the JSONL report here instead of stdout")
     run.add_argument("--export-tptp", metavar="DIR",

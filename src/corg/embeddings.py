@@ -5,7 +5,7 @@ File format: optional header line ``<count> <dim>``, then one
 pre-computed embedding releases); a header's count is the number of
 entry lines, duplicates included.  ``.gz`` paths are read transparently.
 Every module reads vectors through ``EmbeddingTable.vectors``, the one
-lookup, in bulk; its keys are lowercase.
+lookup, in bulk, by lowercased token.
 
 ``load_table`` reads a plain table once, to index it, and parses no float
 then: it checks every line's UTF-8 and component count and the header's
@@ -64,15 +64,18 @@ def split_identifier(token: str) -> list[str]:
 
 
 class EmbeddingTable:
-    """Immutable-after-load map from lowercase words to fixed-size vectors.
+    """Immutable-after-load map from words to fixed-size vectors.
 
     ``rows`` maps each word to its row, and ``_parsed`` maps each parsed
     row to its float64 vector; a row is absent from it until it is parsed.
     A table that ``load_table`` indexed holds, per row, the byte offset,
     byte size and line number of its line in ``_lines``, and parses its
     rows from there.  ``EmbeddingTable(dimension, {word: vector})`` copies
-    the given vectors, so every row of it is parsed; its keys are kept as
-    given.  A vector whose shape is not ``(dimension,)`` raises
+    the given vectors, so every row of it is parsed; it keeps their keys as
+    given, while ``load_table`` lowercases every word.  ``vectors``
+    lowercases every token, so a key with an uppercase letter is never
+    found: ``EmbeddingTable(2, {"Sun": v}).vectors(["Sun"])`` is zeros.
+    A vector whose shape is not ``(dimension,)`` raises
     DimensionMismatch, and one with a component that is not finite raises
     ValueError, each naming its word.
     """
@@ -98,7 +101,7 @@ class EmbeddingTable:
     def vectors(self, tokens: Sequence[str]) -> np.ndarray:
         """A fresh ``(len(tokens), dimension)`` array, one row per token.
 
-        Row i is token i's stored vector (keys are lowercase), else the
+        Row i is the stored vector of token i lowercased, else the
         mean of the vectors of its in-vocabulary ``split_identifier`` parts
         (``annoy_your_spouse`` -> annoy/your/spouse, ``astronomicalBody`` ->
         astronomical/body), else zeros, the flag for a miss.  The rows this

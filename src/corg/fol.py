@@ -282,10 +282,7 @@ def clausify(f: Formula, axiom_id: str) -> list[Clause]:
     formula goes through ``_polarity_clauses``, which gives the rule shape
     the same two clauses.
     """
-    clauses = _triple_clauses(f, axiom_id)
-    if clauses is None:
-        clauses = _polarity_clauses(f, axiom_id)
-    return clauses
+    return _triple_clauses(f, axiom_id) or _polarity_clauses(f, axiom_id)
 
 
 def _triple_clauses(f: Formula, axiom_id: str) -> list[Clause] | None:
@@ -473,10 +470,10 @@ _TOKEN = re.compile(
 _BINARY_OPS = {"&", "|", "=>", "<=>"}
 
 
-def _tokenize(text: str) -> list[tuple[str, str, int]]:
+def _tokenize(text: str, limit: int | None = None) -> list[tuple[str, str, int]]:
     tokens = []
     pos = 0
-    while pos < len(text):
+    while pos < len(text) and len(tokens) != limit:
         m = _TOKEN.match(text, pos)
         if not m:
             raise ParseError(f"unexpected character {text[pos]!r}", pos)
@@ -512,8 +509,9 @@ class _Parser:
         if self.nesting > MAX_NESTING:
             raise ParseError(f"nested deeper than {MAX_NESTING} levels", pos)
 
-    def peek(self):
-        return self.tokens[self.i] if self.i < len(self.tokens) else (None, None, len(self.text))
+    def peek(self, ahead: int = 0):
+        i = self.i + ahead
+        return self.tokens[i] if i < len(self.tokens) else (None, None, len(self.text))
 
     def expect_op(self, op: str):
         kind, value, pos = self.peek()
@@ -582,7 +580,8 @@ class _Parser:
             self.nesting -= 1
             self.expect_op(")")
             return f
-        if kind == "name" and value in ("forall", "exists") and self.lookahead_is_name():
+        if kind == "name" and value in ("forall", "exists") \
+                and self.peek(1)[0] in ("name", "quoted"):
             self.i += 1
             var = self.name_token()
             self.nest(1, pos)
@@ -592,10 +591,6 @@ class _Parser:
         if kind in ("name", "quoted"):
             return self.atom(bound)
         raise ParseError(f"expected a formula, found {value!r}", pos)
-
-    def lookahead_is_name(self) -> bool:
-        nxt = self.tokens[self.i + 1] if self.i + 1 < len(self.tokens) else (None, None, 0)
-        return nxt[0] in ("name", "quoted")
 
     def name_token(self) -> str:
         kind, value, pos = self.peek()
@@ -651,12 +646,10 @@ class _Parser:
         return AnnotatedFormula(name, role, f)
 
 
-def _looks_annotated(p: _Parser) -> bool:
-    kind, value, _ = p.peek()
-    if kind != "name" or value not in ("fof", "cnf"):
-        return False
-    nxt = p.tokens[p.i + 1] if p.i + 1 < len(p.tokens) else (None, None, 0)
-    return nxt[1] == "("
+def _looks_annotated(tokens: list[tuple[str, str, int]]) -> bool:
+    """Whether a text opens with ``fof(`` or ``cnf(``, as annotated lines do."""
+    return len(tokens) > 1 and tokens[0][0] == "name" and tokens[0][1] in ("fof", "cnf") \
+        and tokens[1][1] == "("
 
 
 def parse_fol(text: str) -> Formula:
@@ -667,7 +660,7 @@ def parse_fol(text: str) -> Formula:
     Nesting deeper than ``MAX_NESTING`` is a ParseError.
     """
     p = _Parser(text)
-    if _looks_annotated(p):
+    if _looks_annotated(p.tokens):
         f = p.annotated().formula
     else:
         f = p.formula(frozenset())
@@ -686,3 +679,13 @@ def parse_tptp(text: str) -> list[AnnotatedFormula]:
     while not p.at_end():
         out.append(p.annotated())
     return out
+
+
+def parse_formulas(text: str) -> list[Formula]:
+    """The formulas of a formula file.  A file whose first tokens, comments
+    aside, are ``fof(`` or ``cnf(`` holds annotated lines, read by
+    ``parse_tptp``; any other file holds one bare formula, read by
+    ``parse_fol``."""
+    if _looks_annotated(_tokenize(text, limit=2)):
+        return [a.formula for a in parse_tptp(text)]
+    return [parse_fol(text)]

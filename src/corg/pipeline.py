@@ -12,9 +12,9 @@ alternative) then goes through
           -> saturate -> extract symbols
 
 and the per-alternative symbol sequences are scored against the premise's.
-Only the selected axioms' clauses are kept, cached by key.  A text result
-holds the keys; an axiom's id (``t<n>``, ``t<n>_inv``) and its formula are
-built again only when they are read, as by the TPTP export.
+Only the selected axioms' clauses are kept, cached by key with the least
+recently used evicted first.  A text result holds the keys; an axiom's id
+(``t<n>``, ``t<n>_inv``) and its formula are built again when read.
 A failure is raised as a StageError that names the problem and the stage;
 ``evaluate`` records it as an error row of the report and goes on.
 Resources (graph, embeddings) are loaded once and shared; problems are
@@ -29,10 +29,11 @@ import json
 import math
 import re
 import time
+import weakref
 import xml.etree.ElementTree as ET
-from collections import OrderedDict
 from contextlib import contextmanager
 from dataclasses import dataclass, field
+from functools import lru_cache, partial
 from importlib import resources
 from pathlib import Path
 from typing import Sequence
@@ -136,24 +137,20 @@ def _int_field(item_id: str, field: str, value: str) -> int:
 # ------------------------------------------------------------------- text
 
 _WORD = re.compile(r"[a-z]+")
-_stopwords: frozenset[str] | None = None
 
 
+@lru_cache(maxsize=None)
 def stopwords() -> frozenset[str]:
-    global _stopwords
-    if _stopwords is None:
-        text = resources.files("corg.data").joinpath("stopwords_en.txt").read_text("utf-8")
-        _stopwords = frozenset(
-            w.strip() for w in text.splitlines()
-            if w.strip() and not w.startswith("#"))
-    return _stopwords
+    text = resources.files("corg.data").joinpath("stopwords_en.txt").read_text("utf-8")
+    return frozenset(w.strip() for w in text.splitlines()
+                     if w.strip() and not w.startswith("#"))
 
 
 def content_words(text: str) -> list[str]:
     """Lowercase non-stopword tokens of a sentence, duplicates dropped."""
-    out, seen = [], set()
+    out, seen, stop = [], set(), stopwords()
     for w in _WORD.findall(text.lower()):
-        if w not in stopwords() and w not in seen:
+        if w not in stop and w not in seen:
             seen.add(w)
             out.append(w)
     return out
@@ -169,8 +166,9 @@ def text_to_facts(text: str, mode: str = "bag_of_words",
 
     ``bag_of_words`` turns every content word into a unary atom over a
     fresh per-text constant: "The sun was rising." -> sun(c0), rising(c0).
-    ``fol_file`` reads ``<problem_id>_<role>.p`` from fol_dir (one formula,
-    bare or fof-annotated) and clausifies it into ground facts.
+    ``fol_file`` reads ``<problem_id>_<role>.p`` from fol_dir and clausifies
+    its formulas into ground facts: annotated lines when its first tokens,
+    comments aside, are ``fof(`` or ``cnf(``, else one bare formula.
     """
     if mode == "bag_of_words":
         return [Atom(w, (Constant(TEXT_CONSTANT),)) for w in content_words(text)]
@@ -187,12 +185,8 @@ def text_to_facts(text: str, mode: str = "bag_of_words",
         raise ParseError(f"{path}: not valid UTF-8", e.start) from e
     except OSError as e:  # a directory, no read permission, an I/O error
         raise UnreadableFormula(f"{path}: {e.strerror or e}") from e
-    if "fof(" in content or "cnf(" in content:
-        formulas = [a.formula for a in fol.parse_tptp(content)]
-    else:
-        formulas = [fol.parse_fol(content)]
     facts: list[Atom] = []
-    for k, formula in enumerate(formulas):
+    for k, formula in enumerate(fol.parse_formulas(content)):
         axiom_id = "q" if k == 0 else f"q{k}"
         for clause in fol.clausify(formula, axiom_id):
             if clause.negatives or len(clause.positives) != 1 \
@@ -212,7 +206,7 @@ class PipelineConfig:
     include_inverse: bool = False
     fact_mode: str = "bag_of_words"  # or "fol_file"
     fol_dir: Path | None = None
-    prefilter_theta: float = 0.4  # -1 keeps every triple
+    prefilter_theta: float = 0.4  # on cosines clipped to [-1, 1]; -1 keeps every triple
     sine: SineConfig = field(default_factory=SineConfig)
     builder: BuilderConfig = field(default_factory=BuilderConfig)
 
@@ -357,10 +351,9 @@ class RunReport:
 # ---------------------------------------------------------------- pipeline
 
 
-# Clause lists of translated axioms kept across problems, the oldest
-# evicted first, keyed by the axiom key 2 * triple id + inverse.  A
-# 100-problem scale-smoke pass translates 6,901 distinct axioms, so such a
-# run never evicts.
+# Translated axioms' clause lists kept across problems by axiom key, the
+# least recently used evicted first.  A 100-problem scale-smoke pass
+# translates 6,901 distinct axioms, so it never evicts.
 TRANSLATION_CACHE_SIZE = 8192
 
 
@@ -381,8 +374,10 @@ class Pipeline:
         self.config = config or PipelineConfig()
         self.columns = TripleColumns(graph, table, self.config.include_inverse)
         self.prefilter = Prefilter(self.columns)
-        # axiom key -> clauses; translation is problem-independent
-        self._translations: OrderedDict[int, list[Clause]] = OrderedDict()
+        # axiom key -> clauses.  The cache holds the pipeline by a weak proxy,
+        # so no cycle keeps a dropped pipeline's graph and table alive.
+        self._clauses = lru_cache(maxsize=TRANSLATION_CACHE_SIZE)(
+            partial(Pipeline._translate, weakref.proxy(self)))
 
     def formula(self, key: int) -> Formula:
         """The translation of axiom ``key`` (2 * triple id + inverse)."""
@@ -395,12 +390,8 @@ class Pipeline:
         return fol.translate_existential(triple)
 
     def _translate(self, key: int) -> list[Clause]:
-        """Translate and clausify axiom ``key``, and cache its clauses."""
-        clauses = fol.clausify(self.formula(key), axiom_id(key))
-        if len(self._translations) >= TRANSLATION_CACHE_SIZE:
-            self._translations.popitem(last=False)
-        self._translations[key] = clauses
-        return clauses
+        """Translate and clausify axiom ``key``."""
+        return fol.clausify(self.formula(key), axiom_id(key))
 
     def _run_text(self, problem: CopaProblem, role: str, text: str,
                   axiom_keys: np.ndarray, index: AxiomIndex) -> TextResult:
@@ -419,11 +410,10 @@ class Pipeline:
             else:
                 positions = sine_select(index, goals, cfg.sine)
         keys = axiom_keys[positions].tolist()
-        translations = self._translations
         clauses: list[Clause] = []
         with _stage(problem.id, "translate"):
             for key in keys:
-                clauses.extend(translations.get(key) or self._translate(key))
+                clauses.extend(self._clauses(key))
         with _stage(problem.id, "saturate"):
             model = saturate(facts, clauses, cfg.builder)
         syms = extract_symbols(model)

@@ -224,22 +224,26 @@ def similarity_sine_select(idx: AxiomIndex, goal_symbols: Iterable[str],
                            cfg: SineConfig) -> np.ndarray:
     """sine_select with the seed widened by embedding similarity.
 
-    Every indexed symbol whose cosine to some goal symbol reaches
-    ``cfg.similarity_threshold`` joins the seed before triggering starts.
+    Every indexed symbol whose cosine to some goal symbol, clipped to
+    [-1, 1], reaches ``cfg.similarity_threshold`` joins the seed first.
     The indexed symbols' unit rows are gathered once per index, by the
     first call that needs them.
     """
     goals = set(goal_symbols)
     if not goals:
         raise EmptyGoal("selection needs at least one goal symbol")
-    syms = idx.symbols
-    seed = syms.mask(goals)
-    candidates = idx.indexed
-    if cfg.similarity_threshold is not None and candidates.size:
-        goal_mat = _unit_rows(syms.table.vectors(sorted(goals)))
-        best = (idx.indexed_unit @ goal_mat.T).max(axis=1)
-        seed[candidates[best >= cfg.similarity_threshold]] = True
+    seed = idx.symbols.mask(goals)
+    if cfg.similarity_threshold is not None and idx.indexed.size:
+        seed[idx.indexed[_near(idx.indexed_unit, idx.symbols.table, sorted(goals),
+                               cfg.similarity_threshold)]] = True
     return _closure(idx, seed, cfg)
+
+
+def _near(unit: np.ndarray, table: EmbeddingTable, words: Sequence[str], theta: float):
+    """Mask of the rows of ``unit`` whose best cosine with the words' unit
+    vectors, clipped to [-1, 1] as ``cosine`` clips it, reaches ``theta``."""
+    best = (unit @ _unit_rows(table.vectors(words)).T).max(axis=1)
+    return np.clip(best, -1.0, 1.0, out=best) >= theta
 
 
 def _unit_rows(mat: np.ndarray) -> np.ndarray:
@@ -263,10 +267,9 @@ class Prefilter:
         self.columns = columns
 
     def apply_indices(self, problem_words: Sequence[str], theta: float) -> np.ndarray:
-        """Ids (ascending) of the triples that pass at threshold theta."""
+        """Ids (ascending) of the triples whose object is ``_near`` the words."""
         if not problem_words:
             raise EmptyGoal("prefilter needs at least one problem word")
         cols = self.columns
-        words = _unit_rows(cols.symbols.table.vectors(problem_words))
-        best = (cols.symbols.unit @ words.T).max(axis=1)
-        return np.flatnonzero(best[cols.object] >= theta)
+        near = _near(cols.symbols.unit, cols.symbols.table, problem_words, theta)
+        return np.flatnonzero(near[cols.object])

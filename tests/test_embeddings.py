@@ -537,6 +537,12 @@ class TestVectorsOracle:
         mean = np.mean(expected, axis=0) if tokens else np.zeros(3)
         assert embed_sequence(tokens, table).tobytes() == mean.tobytes()
 
+    def test_given_key_kept_as_given(self):
+        # vectors lowercases every token, so an uppercase key is never found
+        table = EmbeddingTable(2, {"Sun": np.array([0.6, 0.8])})
+        assert list(table.rows) == ["Sun"]
+        assert table.vectors(["Sun", "sun"]).tolist() == [[0.0, 0.0], [0.0, 0.0]]
+
     def test_repeated_and_empty(self, small_table):
         rows = small_table.vectors(["sun", "astronomicalBody", "sun", "nothing"])
         assert rows.tolist() == [[0.6, 0.8], [0.5, 0.5], [0.6, 0.8], [0.0, 0.0]]

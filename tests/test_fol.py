@@ -10,8 +10,8 @@ from corg.embeddings import EmbeddingTable
 from corg.errors import NegatedUnsupported, ParseError, UnsupportedFragment
 from corg.fol import (MAX_NESTING, And, Atom, Clause, Constant, Exists, Forall,
                       Function, Iff, Implies, Not, Or, Variable, clausify,
-                      format_formula, is_closed, parse_fol, parse_tptp,
-                      symbols, to_tptp, translate_existential,
+                      format_formula, is_closed, parse_fol, parse_formulas,
+                      parse_tptp, symbols, to_tptp, translate_existential,
                       translate_factual, translate_inverse)
 from corg.pipeline import axiom_id
 from corg.selection import TripleColumns, build_index
@@ -420,6 +420,15 @@ class TestParse:
         annotated = parse_tptp(text)
         assert [(a.name, a.role) for a in annotated] == \
             [("a1", "axiom"), ("a2", "hypothesis")]
+
+    def test_parse_formulas_decides_on_first_tokens(self):
+        pa, qb = unary("p", Constant("a")), unary("q", Constant("b"))
+        assert parse_formulas("% c\nfof(a1, axiom, p(a)).\ncnf(a2, axiom, q(b)).") == [pa, qb]
+        assert parse_formulas("fof (a1, axiom, p(a)).") == [pa]
+        assert parse_formulas("% parsed from fof(...) output\np(a).") == [pa]
+        assert parse_formulas("scofof(a)") == [unary("scofof", Constant("a"))]
+        with pytest.raises(ParseError, match="trailing input"):
+            parse_formulas("p(a). fof(a1, axiom, q(b)).")
 
     def test_comments_skipped(self):
         f = parse_fol("% a comment\np(a)")

@@ -1,5 +1,7 @@
+import gc
 import gzip
 import json
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -114,6 +116,17 @@ class TestTextToFacts:
         assert facts == [Atom("shadow", (Constant("sk_q_0"),)),
                          Atom("grass", (Constant("sk_q_0"),))]
 
+    @pytest.mark.parametrize("text, predicate", [
+        ("% parsed from fof(...) output\nexists A (sun(A) & rising(A))", "sun"),
+        ("exists A (scofof(A) & rising(A))", "scofof"),
+    ])
+    def test_fol_file_bare_formula_decided_on_tokens(self, tmp_path, text, predicate):
+        # "fof(" inside a comment or a name does not make the file annotated
+        (tmp_path / "3_a1.p").write_text(text, "utf-8")
+        facts = text_to_facts("x", "fol_file", fol_dir=tmp_path, problem_id=3, role="a1")
+        assert facts == [Atom(predicate, (Constant("sk_q_0"),)),
+                         Atom("rising", (Constant("sk_q_0"),))]
+
     def test_missing_formula(self, tmp_path):
         with pytest.raises(MissingFormula):
             text_to_facts("x", "fol_file", fol_dir=tmp_path,
@@ -177,14 +190,23 @@ class TestRunProblem:
         assert err.value.stage == "facts"
         assert isinstance(err.value.cause, ParseError)
 
-    def test_only_selected_axioms_translated(self, fig_graph, fig_table, copa1):
+    def test_only_selected_axioms_translated(self, fig_graph, fig_table, copa1,
+                                             monkeypatch):
+        clausified = []
+
+        def recorded(formula, aid):
+            clausified.append(aid)
+            return clausify(formula, aid)
+
+        monkeypatch.setattr(fol, "clausify", recorded)
         pipe = Pipeline(fig_graph, fig_table,
                         PipelineConfig(include_inverse=True, prefilter_theta=-1.0))
         result = pipe.run_problem(copa1)
         indexed = {t.n_translated for t in result.texts}
         assert indexed == {8}  # four triples, each with its inverse
-        selected = {key for t in result.texts for key in t.keys}
-        assert selected and set(pipe._translations) == selected
+        selected = {aid for t in result.texts for aid in t.selected}
+        assert selected and sorted(clausified) == sorted(selected)  # each once
+        assert pipe._clauses.cache_info().currsize == len(selected)
 
     def test_translated_once_per_key_and_never_for_the_report(
             self, fig_graph, fig_table, copa1, monkeypatch):
@@ -208,8 +230,26 @@ class TestRunProblem:
         keys = {key for r in results for t in r.texts for key in t.keys}
         assert len(keys) > 1
         assert calls == {"translate": len(keys), "clausify": len(keys)}
+        info = pipe._clauses.cache_info()
+        assert info.misses == info.currsize == len(keys)
         RunReport(results).to_jsonl()
         assert calls == {"translate": len(keys), "clausify": len(keys)}
+        assert pipe._clauses.cache_info() == info
+
+    def test_dropped_pipeline_freed_without_the_collector(self, fig_graph, fig_table,
+                                                          copa1):
+        # the translation cache makes no reference cycle, so the last
+        # reference frees the pipeline with its graph, table and columns
+        pipe = Pipeline(fig_graph, fig_table, PipelineConfig(prefilter_theta=-1.0))
+        pipe.run_problem(copa1)
+        assert pipe._clauses.cache_info().currsize > 0
+        dropped = weakref.ref(pipe)
+        gc.disable()
+        try:
+            del pipe
+            assert dropped() is None
+        finally:
+            gc.enable()
 
     def test_selected_and_formulas_are_what_was_clausified(
             self, fig_graph, fig_table, copa1, monkeypatch):
@@ -340,16 +380,19 @@ class TestEvaluate:
         expected = Pipeline(fig_graph, fig_table, cfg).evaluate(problems).to_jsonl()
         monkeypatch.setattr(pipeline, "TRANSLATION_CACHE_SIZE", 2)
         pipe = Pipeline(fig_graph, fig_table, cfg)
-        translate, sizes = pipe._translate, []
+        translated, sizes = [], []
 
-        def watched(*args):
-            out = translate(*args)
-            sizes.append(len(pipe._translations))
-            return out
+        def watched(formula, aid):
+            translated.append(aid)
+            sizes.append(pipe._clauses.cache_info().currsize)
+            return clausify(formula, aid)
 
-        monkeypatch.setattr(pipe, "_translate", watched)
+        monkeypatch.setattr(fol, "clausify", watched)
         assert pipe.evaluate(problems).to_jsonl() == expected
-        assert len(sizes) > 2 and max(sizes) == 2
+        info = pipe._clauses.cache_info()
+        assert info.maxsize == 2 and max(sizes + [info.currsize]) == 2
+        # an evicted axiom is translated again
+        assert len(translated) > len(set(translated)) > 2
 
     def test_report_determinism(self, fig_graph, fig_table, copa1):
         problems = self.four_problems(copa1)

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import numpy as np
@@ -188,6 +189,19 @@ class TestSimilaritySine:
         assert picked(axioms, similarity_sine_select(idx, {"sun"}, cfg)) == \
             ["a1", "a2", "a3"]
 
+    def test_threshold_minus_one_seeds_antiparallel_symbol(self):
+        # a product of two unit rows can round below -1; the clipped cosine
+        # cannot, so -1 seeds every indexed symbol on every draw
+        rng = np.random.default_rng(0)
+        axioms = {"a1": ["sun", "warm"], "a2": ["dark"], "a3": ["rain", "wet"]}
+        cfg = SineConfig(tolerance=1, max_depth=1, similarity_threshold=-1.0)
+        for _ in range(50):
+            v = rng.normal(size=7)
+            table = EmbeddingTable(7, {"sun": v, "dark": -v, "rain": rng.normal(size=7)})
+            idx = index_of(axioms, table)
+            assert picked(axioms, similarity_sine_select(idx, {"sun"}, cfg)) == \
+                ["a1", "a2", "a3"]
+
     def test_empty_goal_rejected(self):
         idx = index_of(self.axioms(), self.table())
         with pytest.raises(EmptyGoal):
@@ -325,6 +339,16 @@ class TestTriplePrefilter:
             assert set((t.subject, t.object) for t in kept2) <= \
                 set((t.subject, t.object) for t in kept1)
 
+    def test_antiparallel_object_kept_at_minus_one(self):
+        # the object's vector is the negation of the only word's, so the
+        # product of their unit rows can round below -1
+        rng = np.random.default_rng(0)
+        triples = [Triple("sun", "is_a", "dark")]
+        for _ in range(50):
+            v = rng.normal(size=7)
+            table = EmbeddingTable(7, {"sun": v, "dark": -v})
+            assert self.kept(triples, ["sun"], -1.0, table) == triples
+
     def test_order_preserved(self):
         kept = self.kept(self.triples(), ["sun"], -1.0)
         assert kept == self.triples()
@@ -343,18 +367,23 @@ class TestTriplePrefilter:
         # reference: each triple's own object cosine against every word
         rng = np.random.default_rng(5)
         words = [f"w{i}" for i in range(3)]
-        objects = [f"o{i}" for i in range(6)] + ["missing"]
-        reference = ReferenceTable(3, {w: rng.normal(size=3)
-                                       for w in words + objects[:-1]})
+        vectors = {w: rng.normal(size=3) for w in words + [f"o{i}" for i in range(6)]}
+        # objects pointing away from w0: against w0 alone the product of
+        # their unit rows can round below -1, and theta -1 must keep them
+        for k, scale in enumerate((1.0, 0.1, 3.0)):
+            vectors[f"anti{k}"] = -scale * vectors["w0"]
+        objects = list(vectors)[len(words):] + ["missing"]
+        reference = ReferenceTable(3, vectors)
         table = EmbeddingTable(3, reference.vectors)
-        triples = [Triple("s", "r", objects[k]) for k in rng.integers(7, size=40)]
-        for theta in (-1.0, -0.2, 0.0, 0.3, 0.9):
+        triples = [Triple("s", "r", objects[k])
+                   for k in rng.integers(len(objects), size=40)]
+        for ws, theta in itertools.product((words, words[:1]), (-1.0, -0.2, 0.0, 0.3, 0.9)):
             expected = [
                 i for i, t in enumerate(triples)
                 if max(cosine(reference_vector(reference, t.object),
-                              reference_vector(reference, w)) for w in words)
+                              reference_vector(reference, w)) for w in ws)
                 >= theta]
-            got = self.prefilter(triples, table).apply_indices(words, theta)
+            got = self.prefilter(triples, table).apply_indices(ws, theta)
             assert got.tolist() == expected
 
     def test_empty_graph_keeps_nothing(self):
