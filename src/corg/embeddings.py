@@ -3,7 +3,8 @@
 File format: optional header line ``<count> <dim>``, then one
 ``word v1 ... v_dim`` entry per line (the layout used by common
 pre-computed embedding releases); a header's count is the number of
-entry lines, duplicates included.  ``.gz`` paths are read transparently.
+entry lines, duplicates included.  A UTF-8 byte-order mark at the start of
+the file is dropped.  ``.gz`` paths are read transparently.
 Every module reads vectors through ``EmbeddingTable.vectors``, the one
 lookup, in bulk, by lowercased token.
 
@@ -39,6 +40,7 @@ spelling ``loadtxt`` does not (``1_0``).
 
 from __future__ import annotations
 
+import codecs
 import gzip
 import io
 import os
@@ -48,9 +50,7 @@ from typing import Iterator, Mapping, Sequence
 import numpy as np
 
 from .errors import DimensionMismatch, MalformedLine
-from .kg import _CAMEL_BOUNDARY, _archive_errors
-
-_BLOCK_BYTES = 1 << 18  # bytes read at a time by ``load_table``
+from .kg import _BLOCK_BYTES, _CAMEL_BOUNDARY, _archive_errors, _blocks
 
 
 def split_identifier(token: str) -> list[str]:
@@ -218,30 +218,11 @@ def _table_blocks(path, table: EmbeddingTable) -> Iterator[bytes]:
     a plain file's signature on ``table``."""
     if Path(path).suffix == ".gz":
         with _archive_errors(path), gzip.open(path, "rb") as fh:
-            yield from _blocks(fh)
+            yield from _blocks(fh, _BLOCK_BYTES)
         return
     with open(path, "rb") as fh:
         table._signature = _signature(os.fstat(fh.fileno()))
-        yield from _blocks(fh)
-
-
-def _blocks(fh) -> Iterator[bytes]:
-    """The bytes of ``fh`` in blocks of whole lines: each read of
-    ``_BLOCK_BYTES`` is cut after its last ``\\n``, or else after its last
-    ``\\r`` that is not its last byte (the end of a ``\\r\\n`` may come in
-    the next read), and the rest goes in front of the next block.  The last
-    block may lack a line end."""
-    pieces = []
-    while chunk := fh.read(_BLOCK_BYTES):
-        cut = chunk.rfind(b"\n") + 1 or chunk.rfind(b"\r", 0, len(chunk) - 1) + 1
-        if cut:
-            pieces.append(chunk[:cut])
-            yield b"".join(pieces)
-            pieces = [chunk[cut:]]
-        else:
-            pieces.append(chunk)
-    if rest := b"".join(pieces):
-        yield rest
+        yield from _blocks(fh, _BLOCK_BYTES)
 
 
 def _signature(stat: os.stat_result) -> tuple[int, ...]:
@@ -267,6 +248,8 @@ def _vector_lines(blocks: Iterator[bytes], path, texts: bool = False) -> Iterato
     n_lines = line_no = offset = 0
     for data in blocks:
         start = 0
+        if not offset and data.startswith(codecs.BOM_UTF8):  # the file's first bytes
+            start = offset = len(codecs.BOM_UTF8)
         while start < len(data):
             even = None
             if line_no and dimension is not None:

@@ -12,6 +12,21 @@ Two input formats are accepted, detected per line:
   ``#`` comments and blank lines allowed; the weight must parse as a float
   and is not kept either.
 
+A UTF-8 byte-order mark at the start of a file is dropped.  Lines end at
+``\\r\\n``, ``\\n`` or ``\\r``.
+
+``load_graph`` reads the file in byte blocks of whole lines, ``_BLOCK_BYTES``
+at a time, as ``load_table`` reads a vector table.  A block is even when its
+bytes are ASCII, hold no ``#`` and no control byte (below 0x20) but ``\\t``
+and ``\\n``, and its lines all have exactly 3 tab-separated fields, or all
+have exactly 4.  An even block is parsed by columns: it is split once, each
+distinct relation field gets its verdict and each distinct concept field is
+normalized once, each distinct weight is checked once, and the kept rows are
+interned in line order.  Any other block, a dump block among them, goes line
+by line through ``_LineParser``, the one definition of the format; so does an
+even block with a field that would make its line malformed.  Both ways give
+the same graph.
+
 Concept identifiers are normalized to lowercase single tokens (multiword
 concepts stay underscore-joined, e.g. ``annoy_your_spouse``); relation names
 are normalized to lowercase snake_case (``AtLocation`` -> ``at_location``).
@@ -20,7 +35,9 @@ A leading ``Not`` on a relation becomes a ``negated`` flag on the triple.
 
 from __future__ import annotations
 
+import codecs
 import gzip
+import io
 import json
 import re
 import zlib
@@ -28,12 +45,16 @@ from array import array
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from importlib import resources
+from itertools import chain, compress
 from pathlib import Path
 from typing import Iterable, Iterator
+
+import numpy as np
 
 from .errors import CorruptArchive, MalformedLine, NoTriplesLoaded
 
 _CAMEL_BOUNDARY = re.compile(r"(?<=[a-z0-9])(?=[A-Z])|(?<=[A-Z])(?=[A-Z][a-z])")
+_BLOCK_BYTES = 1 << 18  # bytes read at a time by ``load_graph`` and ``load_table``
 
 
 @dataclass(frozen=True)
@@ -70,8 +91,8 @@ class LoadStats:
     kept: int = 0
     skipped: dict[str, int] = field(default_factory=dict)
 
-    def skip(self, reason: str):
-        self.skipped[reason] = self.skipped.get(reason, 0) + 1
+    def skip(self, reason: str, lines: int = 1):
+        self.skipped[reason] = self.skipped.get(reason, 0) + lines
 
     @property
     def total_skipped(self) -> int:
@@ -188,6 +209,10 @@ class _LineParser:
         self._relations: dict[str, tuple[str, bool, bool]] = {}
         self._concepts: dict[str, tuple[str | None, str | None]] = {}
 
+    def relation(self, raw: str) -> tuple[str, bool, bool]:
+        """The verdict on a plain relation field, memoized."""
+        return self._relations.get(raw) or self._relation(raw)
+
     def _relation(self, raw: str) -> tuple[str, bool, bool]:
         relation, negated = normalize_relation(raw)
         verdict = relation, negated, self._allowed is None or relation in self._allowed
@@ -255,7 +280,7 @@ class _LineParser:
         fields = line.rstrip("\n").split("\t")
         if len(fields) not in (3, 4):
             raise MalformedLine(line_no, f"expected 3 or 4 fields, got {len(fields)}")
-        relation, negated, allowed = self._relations.get(fields[1]) or self._relation(fields[1])
+        relation, negated, allowed = self.relation(fields[1])
         if not fields[0].strip() or not relation or not fields[2].strip():
             raise MalformedLine(line_no, "empty field")
         if len(fields) == 4:
@@ -281,14 +306,15 @@ def _check_weight(value, line_no: int):
 
 
 def _open_text(path) -> Iterator[str]:
-    """Lines of a UTF-8 text file; undecodable bytes become lone surrogates.
+    """Lines of a UTF-8 text file, a leading byte-order mark dropped;
+    undecodable bytes become lone surrogates.
 
     A ``.gz`` file that is not gzip data, is cut short or is corrupt raises
     CorruptArchive.
     """
     opener = gzip.open if Path(path).suffix == ".gz" else open
     with _archive_errors(path), \
-            opener(path, "rt", encoding="utf-8", errors="surrogateescape") as fh:
+            opener(path, "rt", encoding="utf-8-sig", errors="surrogateescape") as fh:
         yield from fh
 
 
@@ -302,6 +328,42 @@ def _archive_errors(path):
         raise CorruptArchive(f"{path}: {e}") from e
 
 
+def _blocks(fh, size: int) -> Iterator[bytes]:
+    """The bytes of ``fh`` in blocks of whole lines: each read of ``size``
+    bytes is cut after its last ``\\n``, or else after its last ``\\r`` that
+    is not its last byte (the end of a ``\\r\\n`` may come in the next read),
+    and the rest goes in front of the next block.  The last block may lack a
+    line end."""
+    pieces = []
+    while chunk := fh.read(size):
+        cut = chunk.rfind(b"\n") + 1 or chunk.rfind(b"\r", 0, len(chunk) - 1) + 1
+        if cut:
+            pieces.append(chunk[:cut])
+            yield b"".join(pieces)
+            pieces = [chunk[cut:]]
+        else:
+            pieces.append(chunk)
+    if rest := b"".join(pieces):
+        yield rest
+
+
+def _graph_blocks(path) -> Iterator[bytes]:
+    """The ``_blocks`` of a graph file, a ``.gz`` one decompressed, with a
+    leading byte-order mark dropped."""
+    opener = gzip.open if Path(path).suffix == ".gz" else open
+    with _archive_errors(path), opener(path, "rb") as fh:
+        if fh.read(len(codecs.BOM_UTF8)) != codecs.BOM_UTF8:
+            fh.seek(0)
+        yield from _blocks(fh, _BLOCK_BYTES)
+
+
+def _block_lines(data: bytes) -> Iterator[str]:
+    """The lines of ``data`` for the per-line rule, each ending in ``\\n``
+    (a ``\\r\\n`` or ``\\r`` read as one) but a last line with no end;
+    undecodable bytes become lone surrogates."""
+    return io.TextIOWrapper(io.BytesIO(data), encoding="utf-8", errors="surrogateescape")
+
+
 def _is_utf8(line: str) -> bool:
     """False for a line read from bytes that are not valid UTF-8."""
     try:
@@ -311,6 +373,78 @@ def _is_utf8(line: str) -> bool:
         return False
 
 
+# the control bytes of an even line of 3 or of 4 fields, in order
+_EVEN_LINE = {3: np.array([9, 9, 10], dtype=np.uint8),
+              4: np.array([9, 9, 9, 10], dtype=np.uint8)}
+
+
+def _append_even(g: KnowledgeGraph, parser: _LineParser, data: bytes) -> int | None:
+    """Append the kept rows of an even block of plain lines to ``g``, count
+    the rows that the relation filter drops, and return the block's line
+    count; or return None, having changed nothing, when ``data`` is not an
+    even block or one of its fields would make its line malformed.
+
+    Each distinct field is checked once, with the per-line rule's own steps:
+    a relation field's verdict from ``parser``'s memo, ``normalize_concept``
+    on a concept field (blank is malformed) and ``float`` on a weight.  So
+    the rows, their order and the counts are those of the per-line rule."""
+    first_end = data.find(b"\n")
+    width = data.count(b"\t", 0, first_end if first_end >= 0 else len(data)) + 1
+    if width not in _EVEN_LINE or not data.isascii() or b"#" in data:
+        return None
+    ended = data[-1] == 10
+    a = np.frombuffer(data, dtype=np.uint8)
+    kinds = a[a < 32]
+    if not ended:
+        kinds = np.append(kinds, 10)
+    if len(kinds) % width or not (kinds.reshape(-1, width) == _EVEN_LINE[width]).all():
+        return None
+    n_lines = len(kinds) // width
+    # split as bytes, and only the distinct fields decoded: a small object
+    # per field, and no copy of the block as text
+    fields = data.replace(b"\n", b"\t").split(b"\t")
+    if ended:
+        fields.pop()
+    subjects, relations, objects = fields[0::width], fields[1::width], fields[2::width]
+    verdicts = {raw: parser.relation(raw.decode()) for raw in set(relations)}
+    names = {raw: normalize_concept(raw.decode()) for raw in set(subjects).union(objects)}
+    if not all(relation for relation, _, _ in verdicts.values()) or not all(names.values()):
+        return None
+    try:
+        for weight in set(fields[3::4] if width == 4 else ()):
+            float(weight.decode())
+    except ValueError:
+        return None
+    if not all(allowed for _, _, allowed in verdicts.values()):
+        keep = [verdicts[raw][2] for raw in relations]
+        g.stats.skip("relation", keep.count(False))
+        subjects, relations, objects = (list(compress(column, keep))
+                                        for column in (subjects, relations, objects))
+    concept_ids = _intern(g.concepts, g._concept_names, names,
+                          chain.from_iterable(zip(subjects, objects)))
+    relation_ids = _intern(g.relations, g._relation_names,
+                           {raw: relation for raw, (relation, _, _) in verdicts.items()}, relations)
+    negated = {raw: flag for raw, (_, flag, _) in verdicts.items()}
+    g.subject += array("i", map(concept_ids.__getitem__, subjects))
+    g.relation += array("i", map(relation_ids.__getitem__, relations))
+    g.object += array("i", map(concept_ids.__getitem__, objects))
+    g.negated += array("b", map(negated.__getitem__, relations))
+    return n_lines
+
+
+def _intern(ids: dict[str, int], names: list[str], fields: dict[bytes, str],
+            uses: Iterable[bytes]) -> dict[bytes, int]:
+    """Each of ``fields``, raw field to name, mapped to its name's id; a
+    name not in ``ids`` yet is interned as ``_id_of`` does, in the order of
+    its raw field's first place in ``uses``."""
+    found = {raw: ids.get(name, -1) for raw, name in fields.items()}
+    if -1 in found.values():
+        for raw in dict.fromkeys(uses):
+            if found[raw] < 0:
+                found[raw] = _id_of(ids, names, fields[raw])
+    return found
+
+
 def load_graph(path, relation_filter: RelationFilter | None = None) -> KnowledgeGraph:
     """Load a dump or fixture file into a KnowledgeGraph.
 
@@ -318,40 +452,57 @@ def load_graph(path, relation_filter: RelationFilter | None = None) -> Knowledge
     Bad JSON metadata, a ``"weight"`` that is not a number (nor an int
     that overflows a float) and a plain fourth field that is not a float
     make a line malformed.  The relation filter comes after every check,
-    so a line it would drop still counts as malformed.
+    so a line it would drop still counts as malformed.  A byte-order mark
+    at the start of the file is dropped, so it is not part of the first
+    name.
     Raises NoTriplesLoaded when nothing survives the filter (wrong filter
     or wrong file), CorruptArchive for a ``.gz`` file that does not
     decompress, and OSError for unreadable paths.  Load statistics end up
     on ``graph.stats``.
 
-    Each line goes to one ``_LineParser``, which holds the relation filter,
-    and comes back as a kept line's fields or as a skip reason; this loop
-    only dispatches and counts.  The parser memoizes the verdict on each
+    The file, a ``.gz`` one decompressed, is read in byte blocks of whole
+    lines.  An even block, whose bytes are ASCII, hold no ``#`` and no
+    control byte but ``\\t`` and ``\\n``, and whose lines all have 3
+    tab-separated fields or all have 4, is parsed by columns
+    (``_append_even``): each distinct field is checked once, and the kept
+    rows are interned in line order.  Any other block, and an even one with
+    a field that makes its line malformed, goes line by line to one
+    ``_LineParser``, which holds the relation filter; each line comes back
+    as a kept line's fields or as a skip reason, and this loop only
+    dispatches and counts.  The parser memoizes the verdict on each
     relation URI and concept URI for the length of the load (a dump
     repeats them, as a concept takes part in many edges), and decodes the
-    metadata with one ``JSONDecoder.raw_decode`` call.  A kept line's
-    fields are interned straight into the graph's id columns, so concept
-    ids follow the order of the first kept line; no ``Triple`` is built.
+    metadata with one ``JSONDecoder.raw_decode`` call.  Either way a kept
+    line's fields are interned straight into the graph's id columns, so
+    concept ids follow the order of the first kept line, subject before
+    object; no ``Triple`` is built.
     """
     parser = _LineParser((relation_filter or RelationFilter()).allowed)
     g = KnowledgeGraph()
     skip, append = g.stats.skip, g._append
-    for line_no, line in enumerate(_open_text(path), start=1):
-        try:
-            if not line.isascii() and not _is_utf8(line):
+    line_no = 0
+    for data in _graph_blocks(path):
+        even = _append_even(g, parser, data)
+        if even is not None:
+            line_no += even
+            continue
+        for line in _block_lines(data):
+            line_no += 1
+            try:
+                if not line.isascii() and not _is_utf8(line):
+                    parsed = "malformed"
+                elif line.startswith("/a/") and line.count("\t") == 4:
+                    parsed = parser.assertion(line, line_no)
+                elif (stripped := line.strip()) and not stripped.startswith("#"):
+                    parsed = parser.plain(line, line_no)
+                else:
+                    continue
+            except MalformedLine:
                 parsed = "malformed"
-            elif line.startswith("/a/") and line.count("\t") == 4:
-                parsed = parser.assertion(line, line_no)
-            elif (stripped := line.strip()) and not stripped.startswith("#"):
-                parsed = parser.plain(line, line_no)
+            if isinstance(parsed, str):
+                skip(parsed)
             else:
-                continue
-        except MalformedLine:
-            parsed = "malformed"
-        if isinstance(parsed, str):
-            skip(parsed)
-        else:
-            append(*parsed)
+                append(*parsed)
     g.stats.kept = len(g)
     if not g:
         raise NoTriplesLoaded(f"no triples loaded from {path}")

@@ -601,14 +601,17 @@ def copa1_expected():
 def _reference_lines(path):
     """The lines of a text file, without their ends, by the loaders'
     documented rule: a ``.gz`` path is gunzipped first (CorruptArchive if
-    that fails), and a line ends at ``\r\n``, ``\n`` or ``\r``.  A line
-    whose bytes are not UTF-8 comes out as None."""
+    that fails), a UTF-8 byte-order mark at the start is dropped, and a
+    line ends at ``\r\n``, ``\n`` or ``\r``.  A line whose bytes are not
+    UTF-8 comes out as None."""
     data = Path(path).read_bytes()
     if Path(path).suffix == ".gz":
         try:
             data = gzip.decompress(data)
         except (OSError, EOFError, zlib.error) as e:
             raise CorruptArchive(f"{path}: {e}") from e
+    if data[:3] == b"\xef\xbb\xbf":
+        data = data[3:]
     *ended, last = re.split(rb"\r\n|\n|\r", data)
     for raw in ended + [last] * bool(last):
         try:

@@ -72,6 +72,18 @@ class TestLoadTable:
         assert table.duplicates == 1
         assert np.array_equal(table.vectors(["sun"])[0], [0, 1])
 
+    @pytest.mark.parametrize("header", ["", "2 2\n"])
+    @pytest.mark.parametrize("suffix", [".txt", ".txt.gz"])
+    def test_byte_order_mark_dropped(self, tmp_path, header, suffix):
+        # the mark is not part of the first word, or of a header; a plain
+        # table's rows are read again from the right bytes
+        data = f"\ufeff{header}sun 1 0\nmoon 0 1\n".encode("utf-8")
+        path = tmp_path / ("vec" + suffix)
+        path.write_bytes(gzip.compress(data) if suffix == ".txt.gz" else data)
+        table = load_table(path)
+        assert list(table.rows) == ["sun", "moon"]
+        assert table.vectors(["sun", "moon"]).tolist() == [[1, 0], [0, 1]]
+
     def test_gzip(self, tmp_path):
         path = tmp_path / "vec.txt.gz"
         with gzip.open(path, "wt", encoding="utf-8") as fh:

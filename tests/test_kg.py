@@ -1,6 +1,7 @@
 import gc
 import gzip
 import random
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from corg import (EmbeddingTable, KnowledgeGraph, Pipeline, PipelineConfig,
                   RelationFilter, Triple, TripleColumns,
                   default_relation_whitelist, load_graph, normalize_relation,
                   relation_predicate)
+from corg import kg
 from corg.errors import CorruptArchive, MalformedLine, NoTriplesLoaded
 from corg.kg import _LineParser, load_relation_whitelist
 from oracles import reference_load_graph
@@ -241,6 +243,24 @@ class TestLoadGraph:
         with pytest.raises(CorruptArchive, match="dump.tsv.gz"):
             load_graph(path)
 
+    @pytest.mark.parametrize("suffix", [".tsv", ".tsv.gz"])
+    @pytest.mark.parametrize("dump", [False, True])
+    def test_byte_order_mark_dropped(self, tmp_path, suffix, dump):
+        # a mark is not part of the first name; later lines keep a leading one
+        first = dump_line("/r/Causes", "/c/en/sun", "/c/en/light") if dump \
+            else "sun\tCauses\tlight"
+        data = f"\ufeff{first}\n\ufeffmoon\tCauses\tdark\n".encode("utf-8")
+        path = tmp_path / ("dump" + suffix)
+        path.write_bytes(gzip.compress(data) if suffix == ".tsv.gz" else data)
+        g = load_graph(path)
+        assert list(g.concepts) == ["sun", "light", "\ufeffmoon", "dark"]
+        assert g.stats.skipped == {}
+
+    def test_byte_order_mark_dropped_from_whitelist(self, tmp_path):
+        path = tmp_path / "rels.txt"
+        path.write_bytes("\ufeffCauses\nIsA\n".encode("utf-8"))
+        assert load_relation_whitelist(path) == {"causes", "is_a"}
+
     def test_undecodable_whitelist_names_file_and_line(self, tmp_path):
         path = tmp_path / "rels.txt"
         path.write_bytes(b"causes\nis_\xffa\n")
@@ -391,38 +411,143 @@ _DUMP_LINES = (
     | st.sampled_from(["", "# note", " ", "su\udcffn\tCauses\tlight"]))
 
 
+# Plain lines of 3 or 4 fields from pools where most values are good, so
+# that runs of them make even blocks; a blank concept, the relation "/" (its
+# name is empty) and a bad weight make a line malformed, and a line that
+# starts with "#sun" is a comment.
+_EVEN_CONCEPTS = st.sampled_from(3 * ["sun", "Sun", "moon", "Sun light", "annoy_your_spouse",
+                                      " sun", "causes"] + [" ", "#sun"])
+_EVEN_RELATIONS = st.sampled_from(3 * ["Causes", "NotDesires", "AtLocation", "at_location",
+                                       "IsA", "ExternalURL", "dbpedia/genre", "Not"] + ["/"])
+_EVEN_WEIGHTS = st.sampled_from(3 * ["0.5", "1", "-2e3", " 1 ", "nan", "1_0"] + ["x"])
+
+
+@st.composite
+def _graph_files(draw):
+    """A graph file's bytes: dump lines, even lines of 3 or of 4 fields, or
+    both; a line end drawn per line (``\\n``, ``\\r\\n`` or ``\\r``), and
+    sometimes none after the last line."""
+    width = draw(st.sampled_from([3, 4]))
+    even = st.tuples(_EVEN_CONCEPTS, _EVEN_RELATIONS, _EVEN_CONCEPTS,
+                     _EVEN_WEIGHTS).map(lambda fields: "\t".join(fields[:width]))
+    kind = draw(st.sampled_from(["even", "mixed", "dump"]))
+    line = {"even": even, "mixed": even | _DUMP_LINES, "dump": _DUMP_LINES}[kind]
+    ends = st.sampled_from(["\n", "\n", "\r\n", "\r"] if draw(st.booleans()) else ["\n"])
+    text = "".join(draw(line) + draw(ends) for _ in range(draw(st.integers(0, 60))))
+    if draw(st.booleans()):
+        text = text.rstrip("\r\n")
+    return text.encode("utf-8", "surrogateescape")
+
+
+def _assert_same_graph(graph: KnowledgeGraph, expected: KnowledgeGraph):
+    """The same columns, names in the same order, and the same stats."""
+    for column in ("subject", "relation", "object", "negated"):
+        assert getattr(graph, column).tobytes() == getattr(expected, column).tobytes()
+    assert list(graph.concepts.items()) == list(expected.concepts.items())
+    assert list(graph.relations.items()) == list(expected.relations.items())
+    assert graph.stats == expected.stats
+    assert list(graph.stats.skipped) == list(expected.stats.skipped)
+
+
+def _per_line_bytes(spy) -> bytes:
+    """The bytes that a spy on ``kg._block_lines`` saw go to the per-line rule."""
+    return b"".join(call.args[0] for call in spy.call_args_list)
+
+
 class TestLoadGraphOracle:
-    """The memoized, id-appending loader loads what the line-by-line
-    reference loads."""
+    """The loader, by columns for even blocks and by the memoized per-line
+    rule for the rest, loads what the line-by-line reference loads, at any
+    block size, from a plain file and from its ``.gz`` copy."""
 
     @settings(max_examples=300, derandomize=True, database=None, deadline=None)
-    @given(st.lists(_DUMP_LINES, max_size=60), st.booleans())
-    @example(["/a/x\t/r/Causes\t/c/en/sun\t/c/en/light\t",
-              "/a/x\t/r/Causes\t/c/en/\t/c/en/sun\t",
-              "/a/x\t/r/Causes\t/c/en/sun\t/c/en/\t"], False)
+    @given(_graph_files(), st.booleans(), st.booleans(),
+           st.sampled_from([1, 7, 64, kg._BLOCK_BYTES]))
+    @example("\n".join(["/a/x\t/r/Causes\t/c/en/sun\t/c/en/light\t",
+                        "/a/x\t/r/Causes\t/c/en/\t/c/en/sun\t",
+                        "/a/x\t/r/Causes\t/c/en/sun\t/c/en/\t"]).encode(), False, False, 7)
     # what skips a line first: a French start with an http:// end is
     # non_concept, a bad end URI after a French start is malformed, and a
     # URI that raises raises again
-    @example(["/a/x\t/r/Causes\t/c/fr/soleil\thttp://example.org\t{}",
-              "/a/x\t/r/Causes\t/c/fr/soleil\t/c/en/\t{}",
-              "/a/x\t/r/Causes\t/c/fr/soleil\t/c/en/\t{",
-              "/a/x\t/r/Causes\t/c/en/sun\t/c/en/light\t{}"], False)
-    def test_same_graph_as_reference(self, tmp_path_factory, lines, whitelist):
+    @example("\n".join(["/a/x\t/r/Causes\t/c/fr/soleil\thttp://example.org\t{}",
+                        "/a/x\t/r/Causes\t/c/fr/soleil\t/c/en/\t{}",
+                        "/a/x\t/r/Causes\t/c/fr/soleil\t/c/en/\t{",
+                        "/a/x\t/r/Causes\t/c/en/sun\t/c/en/light\t{}"]).encode(),
+             False, False, kg._BLOCK_BYTES)
+    # one block, even but for a subject that is blank after strip: that line
+    # is malformed, and the rest of the block is kept in order
+    @example(b"moon\tCauses\tsun\n \tCauses\tlight\nsun\tIsA\tstar\n", False, False,
+             kg._BLOCK_BYTES)
+    # a byte-order mark in front of an even block
+    @example("\ufeffSun\tCauses\tlight\nsun\tIsA\tstar\n".encode(), True, False, 64)
+    def test_same_graph_as_reference(self, tmp_path_factory, data, whitelist, bom,
+                                     block_bytes):
+        if bom:
+            data = b"\xef\xbb\xbf" + data
         path = tmp_path_factory.mktemp("dump") / "dump.tsv"
-        path.write_bytes("\n".join(lines).encode("utf-8", "surrogateescape"))
+        path.write_bytes(data)
+        gz = path.with_name("dump.tsv.gz")
+        gz.write_bytes(gzip.compress(data))
         flt = RelationFilter(default_relation_whitelist() if whitelist else None)
         try:
             expected = reference_load_graph(path, flt)
         except NoTriplesLoaded:
-            with pytest.raises(NoTriplesLoaded):
-                load_graph(path, flt)
-            return
-        graph = load_graph(path, flt)
-        for column in ("subject", "relation", "object", "negated"):
-            assert getattr(graph, column).tobytes() == getattr(expected, column).tobytes()
-        assert graph.concepts == expected.concepts
-        assert graph.relations == expected.relations
-        assert graph.stats == expected.stats
+            expected = None
+        with mock.patch.object(kg, "_BLOCK_BYTES", block_bytes):
+            for source in (path, gz):
+                if expected is None:
+                    with pytest.raises(NoTriplesLoaded):
+                        load_graph(source, flt)
+                else:
+                    _assert_same_graph(load_graph(source, flt), expected)
+
+
+class TestGraphBlocks:
+    """Which blocks go through the per-line rule."""
+
+    @pytest.mark.parametrize("block_bytes", [64, kg._BLOCK_BYTES])
+    @pytest.mark.parametrize("width", [3, 4])
+    def test_even_plain_file_skips_the_per_line_rule(self, tmp_path, monkeypatch,
+                                                       block_bytes, width):
+        # the whitelist drops the ExternalURL and dbpedia/genre rows
+        monkeypatch.setattr(kg, "_BLOCK_BYTES", block_bytes)
+        relations = ["Causes", "NotDesires", "ExternalURL", "AtLocation", "dbpedia/genre"]
+        lines = [f"C{i % 2003}\t{relations[i % 5]}\tc {i * 7 % 1999}\t{i / 8}"
+                 for i in range(60_000)]
+        data = "".join("\t".join(line.split("\t")[:width]) + "\n" for line in lines).encode()
+        assert len(data) > 4 * kg._BLOCK_BYTES
+        path = tmp_path / "dump.tsv"
+        path.write_bytes(data)
+        flt = RelationFilter(default_relation_whitelist())
+        with mock.patch.object(kg, "_block_lines", wraps=kg._block_lines) as spy:
+            graph = load_graph(path, flt)
+        assert spy.call_count == 0
+        assert graph.stats.kept == 36_000
+        assert graph.stats.skipped == {"relation": 24_000}
+        expected = reference_load_graph(path, flt)
+        _assert_same_graph(graph, expected)
+        gz = tmp_path / "dump.tsv.gz"
+        gz.write_bytes(gzip.compress(data))
+        _assert_same_graph(load_graph(gz, flt), expected)
+
+    @pytest.mark.parametrize("block_bytes", [64, kg._BLOCK_BYTES])
+    def test_dump_goes_through_the_per_line_rule(self, tmp_path, monkeypatch, block_bytes):
+        monkeypatch.setattr(kg, "_BLOCK_BYTES", block_bytes)
+        relations = ["/r/Causes", "/r/NotDesires", "/r/ExternalURL", "/r/AtLocation"]
+        data = "".join(dump_line(relations[i % 4], f"/c/en/c{i % 2003}",
+                                 f"/c/en/c{i * 7 % 1999}", f'{{"weight": {i / 8}}}') + "\n"
+                       for i in range(8_000)).encode()
+        assert len(data) > 2 * kg._BLOCK_BYTES
+        path = tmp_path / "dump.csv"
+        path.write_bytes(data)
+        with mock.patch.object(kg, "_block_lines", wraps=kg._block_lines) as spy:
+            graph = load_graph(path)
+        assert _per_line_bytes(spy) == data
+        assert graph.stats.skipped == {"external_url": 2_000}
+        expected = reference_load_graph(path)
+        _assert_same_graph(graph, expected)
+        gz = tmp_path / "dump.csv.gz"
+        gz.write_bytes(gzip.compress(data))
+        _assert_same_graph(load_graph(gz), expected)
 
 
 def test_default_whitelist_contents():
