@@ -8,10 +8,11 @@ the file is dropped.  ``.gz`` paths are read transparently.
 Every module reads vectors through ``EmbeddingTable.vectors``, the one
 lookup, in bulk, by lowercased token.
 
-``load_table`` reads a plain table once, to index it, and parses no float
-then: it checks every line's UTF-8 and component count and the header's
-word count, and keeps, per word, where its last line is.  It reads the file
-in byte blocks of whole lines, ``_BLOCK_BYTES`` at a time.  A block whose
+``load_table`` reads a table once, to index it, and parses no float then:
+it checks every line's UTF-8 and component count and the header's word
+count, and keeps, per word, where its last line is.  It reads the file, a
+``.gz`` one decompressed, in byte blocks of whole lines, ``_BLOCK_BYTES`` at
+a time.  A block whose
 bytes are ASCII, whose only control bytes are its ``\\n`` line ends and
 whose lines are each the word and ``dimension`` components, separated by
 single spaces, is indexed from the positions of those bytes, with a few
@@ -23,14 +24,14 @@ same index, line numbers and errors.
 
 A row is parsed when ``vectors`` first needs it, and kept in the table's
 ``_parsed`` dict, row to vector, the one place parsed rows live: each call
-reopens the file, checks that the file has not changed since the load and
-that every line it needs still starts with its word, and parses those
-lines together with one ``_parse_block`` call.  So a bad float or a
-component that is not finite raises when its row is read, and never for a
-row that no run reads.  A ``.gz`` table cannot seek cheaply: it is read in
-the same blocks, decompressed, and every row is parsed, and checked, at
-load, a block at a time, into the same dict.  Nothing allocates room for
-rows not parsed yet.
+reads the lines it needs again, checks that each still starts with its
+word, and parses them together with one ``_parse_block`` call.  So a bad
+float or a component that is not finite raises when its row is read, and
+never for a row that no run reads.  A plain table reopens its file for
+this, and first checks that the file has not changed since the load.  A
+``.gz`` table cannot seek cheaply, so it keeps its decompressed text in
+memory, one copy of it, and reads its lines from there.  Nothing allocates
+room for rows not parsed yet.
 
 ``_parse_block`` parses its lines with one ``np.loadtxt`` call, and again
 line by line only when that call fails or its result is not a finite
@@ -44,6 +45,7 @@ import codecs
 import gzip
 import io
 import os
+from contextlib import closing, nullcontext
 from pathlib import Path
 from typing import Iterator, Mapping, Sequence
 
@@ -70,7 +72,8 @@ class EmbeddingTable:
     row to its float64 vector; a row is absent from it until it is parsed.
     A table that ``load_table`` indexed holds, per row, the byte offset,
     byte size and line number of its line in ``_lines``, and parses its
-    rows from there.  ``EmbeddingTable(dimension, {word: vector})`` copies
+    rows from there: from its file, or from ``_text``, the decompressed
+    text that a ``.gz`` table keeps.  ``EmbeddingTable(dimension, {word: vector})`` copies
     the given vectors, so every row of it is parsed; it keeps their keys as
     given, while ``load_table`` lowercases every word.  ``vectors``
     lowercases every token, so a key with an uppercase letter is never
@@ -93,7 +96,7 @@ class EmbeddingTable:
             if not np.isfinite(vector).all():
                 raise ValueError(f"vector of {word!r} must be finite, got {vector}")
             self._parsed[i] = vector
-        self._path = self._lines = self._signature = None
+        self._path = self._lines = self._signature = self._text = None
 
     def __len__(self) -> int:
         return len(self.rows)
@@ -133,18 +136,19 @@ class EmbeddingTable:
                                                             self.dimension, self._path)))
 
     def _read(self, rows: np.ndarray) -> list[tuple[int, str, str]]:
-        """The lines of ``rows``, read again from the table file, as
-        ``(line_no, word, components text)``.
+        """The lines of ``rows``, read again from the table file, or from
+        the text a ``.gz`` table keeps, as ``(line_no, word, components
+        text)``.
 
-        Raises MalformedLine naming the file and a line when the file has
-        changed since the load, when a line no longer starts with its word,
-        or when the file cannot be read."""
-        path, block = self._path, []
+        Raises MalformedLine naming the file and a line when a plain file
+        has changed since the load, when a line no longer starts with its
+        word, or when the file cannot be read."""
+        path, block, text = self._path, [], self._text
         changed = f"the table changed after it was loaded ({path})"
         line_no = int(self._lines[rows[0], 2])
         try:
-            with open(path, "rb") as fh:
-                if _signature(os.fstat(fh.fileno())) != self._signature:
+            with open(path, "rb") if text is None else nullcontext(text) as fh:
+                if text is None and _signature(os.fstat(fh.fileno())) != self._signature:
                     raise MalformedLine(line_no, changed)
                 for row, (offset, size, line_no) in zip(rows.tolist(),
                                                         self._lines[rows].tolist()):
@@ -167,11 +171,10 @@ def load_table(path) -> EmbeddingTable:
     vector line, a table of dimension 0 and a header whose count is not the
     number of vector lines.  A bad float or a component that is not finite
     raises, naming its line and the file, only when ``vectors`` reads its
-    row (at load for a ``.gz`` table, whose rows all go into ``_parsed``
-    then, block by block).  A plain table comes back with no row parsed and
-    is read again for every row parsed; a file changed or gone since the
-    load raises then.  A ``.gz`` that does not decompress raises
-    CorruptArchive.
+    row.  The table comes back with no row parsed.  A plain table is read
+    again for every row parsed, and a file changed or gone since the load
+    raises then; a ``.gz`` table keeps its decompressed text and is never
+    read again.  A ``.gz`` that does not decompress raises CorruptArchive.
 
     The file, a ``.gz`` one decompressed, is read in byte blocks of whole
     lines, and ``_vector_lines`` indexes each block.  A block of ASCII
@@ -180,22 +183,17 @@ def load_table(path) -> EmbeddingTable:
     other block, a non-ASCII one among them, goes line by line through the
     one rule of the format; so does the header line.  Both ways give the
     same rows, line numbers and errors."""
-    eager = Path(path).suffix == ".gz"
     table = EmbeddingTable(0, {})
     rows = table.rows
     lines = np.empty((0, 3), dtype=np.int64)  # per row: its last line's offset, size, number
     n_lines = 0
-    for dimension, words, offsets, sizes, line_nos, components in _vector_lines(
-            _table_blocks(path, table), path, texts=eager):
-        if not words:
-            continue
-        n_lines += len(words)
-        found = [rows.setdefault(word, len(rows)) for word in words]
-        if eager:  # a word's later line wins
-            block = list(zip(line_nos.tolist(), words, components))
-            table._parsed.update(zip(found, _parse_block(block, dimension, path)))
-        else:
-            found = np.array(found)
+    # closed at once if a line raises, so that the file is not left open
+    with closing(_table_blocks(path, table)) as blocks:
+        for dimension, words, offsets, sizes, line_nos in _vector_lines(blocks, path):
+            if not words:
+                continue
+            n_lines += len(words)
+            found = np.array([rows.setdefault(word, len(rows)) for word in words])
             # a word's last line wins
             last = len(found) - 1 - np.unique(found[::-1], return_index=True)[1]
             if len(rows) > len(lines):
@@ -207,18 +205,21 @@ def load_table(path) -> EmbeddingTable:
         raise DimensionMismatch(f"no vector line in {path}")
     table.dimension, table.duplicates = dimension, n_lines - len(rows)
     table._path = os.path.abspath(path)  # reopened whatever the working directory is then
-    if not eager:
-        lines.resize((len(rows), 3), refcheck=False)
-        table._lines = lines
+    lines.resize((len(rows), 3), refcheck=False)
+    table._lines = lines
     return table
 
 
 def _table_blocks(path, table: EmbeddingTable) -> Iterator[bytes]:
     """The ``_blocks`` of a table file, a ``.gz`` one decompressed; records
-    a plain file's signature on ``table``."""
+    a plain file's signature on ``table``, and appends each block of a
+    ``.gz`` one to ``table._text``, the one copy of its text."""
     if Path(path).suffix == ".gz":
+        table._text = text = io.BytesIO()
         with _archive_errors(path), gzip.open(path, "rb") as fh:
-            yield from _blocks(fh, _BLOCK_BYTES)
+            for data in _blocks(fh, _BLOCK_BYTES):
+                text.write(data)
+                yield data
         return
     with open(path, "rb") as fh:
         table._signature = _signature(os.fstat(fh.fileno()))
@@ -230,11 +231,10 @@ def _signature(stat: os.stat_result) -> tuple[int, ...]:
     return stat.st_dev, stat.st_ino, stat.st_size, stat.st_mtime_ns
 
 
-def _vector_lines(blocks: Iterator[bytes], path, texts: bool = False) -> Iterator[tuple]:
+def _vector_lines(blocks: Iterator[bytes], path) -> Iterator[tuple]:
     """The vector lines of a table file's ``blocks``, one run of lines at a
     time, as ``(dimension, lowercased words, byte offsets, byte sizes, line
-    numbers, components)``: three int64 arrays, and per line the text after
-    its word if ``texts``, else None.
+    numbers)``, the last three int64 arrays.
 
     The rule is ``str.split`` on each line, the line ends being ``\\r\\n``,
     ``\\n`` and ``\\r``.  It raises for a line that is not UTF-8, for a word
@@ -254,19 +254,19 @@ def _vector_lines(blocks: Iterator[bytes], path, texts: bool = False) -> Iterato
             even = None
             if line_no and dimension is not None:
                 stop = len(data)
-                even = _even_lines(data[start:], dimension, texts)
+                even = _even_lines(data[start:], dimension)
             else:
                 stop = data.find(b"\n", start) + 1 or len(data)
             if even is not None:
-                words, starts, stops, components = even
+                words, starts, stops = even
                 yield (dimension, words, offset + starts, stops - starts,
-                       np.arange(line_no + 1, line_no + len(words) + 1), components)
+                       np.arange(line_no + 1, line_no + len(words) + 1))
                 n_lines += len(words)
                 line_no += len(words)
                 offset += stop - start
                 start = stop
                 continue
-            words, offsets, sizes, line_nos, components = [], [], [], [], []
+            words, offsets, sizes, line_nos = [], [], [], []
             for line in _text_lines(data[start:stop]):
                 line_no += 1
                 try:
@@ -295,11 +295,8 @@ def _vector_lines(blocks: Iterator[bytes], path, texts: bool = False) -> Iterato
                 offsets.append(offset - size)
                 sizes.append(size)
                 line_nos.append(line_no)
-                if texts:
-                    components.append(line.split(maxsplit=1)[1])
             yield (dimension, words, np.array(offsets, dtype=np.int64),
-                   np.array(sizes, dtype=np.int64), np.array(line_nos, dtype=np.int64),
-                   components if texts else None)
+                   np.array(sizes, dtype=np.int64), np.array(line_nos, dtype=np.int64))
             start = stop
     if count is not None and n_lines and n_lines != count:
         raise MalformedLine(1, f"header gives {count} words, the file has "
@@ -312,9 +309,9 @@ def _text_lines(data: bytes) -> Iterator[str]:
     return io.StringIO(data.decode("utf-8", "surrogateescape"), newline="")
 
 
-def _even_lines(data: bytes, dimension: int, texts: bool):
+def _even_lines(data: bytes, dimension: int):
     """``data``'s lines indexed from its bytes, as ``(lowercased words, line
-    starts, line stops, components)``, or None unless every line is
+    starts, line stops)``, or None unless every line is
     ``dimension + 1`` ASCII tokens separated by single spaces, with no
     control byte but its ``\\n``.  Such a line's ``str.split()`` is those
     tokens, so the per-line rule would index it alike."""
@@ -336,9 +333,7 @@ def _even_lines(data: bytes, dimension: int, texts: bool):
     starts = np.concatenate(([0], stops[:-1]))
     text = data.decode("ascii")
     words = [text[s:e].lower() for s, e in zip(starts.tolist(), ends[::width].tolist())]
-    components = [text[w + 1:e] for w, e in zip(ends[::width].tolist(),
-                                                 line_ends.tolist())] if texts else None
-    return words, starts, stops, components
+    return words, starts, stops
 
 
 def _parse_block(block: list[tuple[int, str, str]], dimension: int, path) -> np.ndarray:

@@ -42,7 +42,7 @@ import json
 import re
 import zlib
 from array import array
-from contextlib import contextmanager
+from contextlib import closing, contextmanager
 from dataclasses import dataclass, field
 from importlib import resources
 from itertools import chain, compress
@@ -305,19 +305,6 @@ def _check_weight(value, line_no: int):
     raise MalformedLine(line_no, f"weight is not a number: {value!r:.40}")
 
 
-def _open_text(path) -> Iterator[str]:
-    """Lines of a UTF-8 text file, a leading byte-order mark dropped;
-    undecodable bytes become lone surrogates.
-
-    A ``.gz`` file that is not gzip data, is cut short or is corrupt raises
-    CorruptArchive.
-    """
-    opener = gzip.open if Path(path).suffix == ".gz" else open
-    with _archive_errors(path), \
-            opener(path, "rt", encoding="utf-8-sig", errors="surrogateescape") as fh:
-        yield from fh
-
-
 @contextmanager
 def _archive_errors(path):
     """Turns what a ``.gz`` file that is not gzip data, is cut short or is
@@ -333,12 +320,14 @@ def _blocks(fh, size: int) -> Iterator[bytes]:
     bytes is cut after its last ``\\n``, or else after its last ``\\r`` that
     is not its last byte (the end of a ``\\r\\n`` may come in the next read),
     and the rest goes in front of the next block.  The last block may lack a
-    line end."""
+    line end.  A read's bytes up to its cut are copied once, into their
+    block; the rest, less than a line, is copied, so that no view keeps the
+    whole read alive while the next one is joined."""
     pieces = []
     while chunk := fh.read(size):
         cut = chunk.rfind(b"\n") + 1 or chunk.rfind(b"\r", 0, len(chunk) - 1) + 1
         if cut:
-            pieces.append(chunk[:cut])
+            pieces.append(memoryview(chunk)[:cut])
             yield b"".join(pieces)
             pieces = [chunk[cut:]]
         else:
@@ -348,8 +337,8 @@ def _blocks(fh, size: int) -> Iterator[bytes]:
 
 
 def _graph_blocks(path) -> Iterator[bytes]:
-    """The ``_blocks`` of a graph file, a ``.gz`` one decompressed, with a
-    leading byte-order mark dropped."""
+    """The ``_blocks`` of a graph or relation-whitelist file, a ``.gz`` one
+    decompressed, with a leading byte-order mark dropped."""
     opener = gzip.open if Path(path).suffix == ".gz" else open
     with _archive_errors(path), opener(path, "rb") as fh:
         if fh.read(len(codecs.BOM_UTF8)) != codecs.BOM_UTF8:
@@ -518,8 +507,13 @@ def default_relation_whitelist() -> frozenset[str]:
 def load_relation_whitelist(path) -> frozenset[str]:
     """Read a one-relation-per-line whitelist file (# comments allowed).
 
-    A line that is not UTF-8 raises MalformedLine naming it and the file."""
-    return frozenset(_read_relation_lines(_open_text(path), path))
+    A line that is not UTF-8 raises MalformedLine naming it and the file.
+    The file is read as ``load_graph`` reads a graph: in blocks, a ``.gz``
+    one decompressed, a leading byte-order mark dropped, and lines ending at
+    ``\\r\\n``, ``\\n`` or ``\\r``."""
+    with closing(_graph_blocks(path)) as blocks:  # closed at once if a line raises
+        lines = chain.from_iterable(map(_block_lines, blocks))
+        return frozenset(_read_relation_lines(lines, path))
 
 
 def _read_relation_lines(lines: Iterable[str], path) -> Iterator[str]:

@@ -1,3 +1,7 @@
+import builtins
+from contextlib import contextmanager
+from unittest import mock
+
 import numpy as np
 import pytest
 
@@ -9,6 +13,19 @@ FIG_EDGES = [
     ("shadow", "AtLocation", "ground"),
     ("grass", "AtLocation", "ground"),
 ]
+
+
+@contextmanager
+def opened_files():
+    """The list of every file that ``open`` opens in the block, ``gzip.open``'s too."""
+    files, real_open = [], builtins.open
+
+    def spy(*args, **kwargs):
+        files.append(real_open(*args, **kwargs))
+        return files[-1]
+
+    with mock.patch("builtins.open", spy):
+        yield files
 
 
 @pytest.fixture

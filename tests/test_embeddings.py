@@ -15,6 +15,7 @@ from corg import embeddings
 from corg.embeddings import EmbeddingTable, cosine, load_table, split_identifier
 from corg.errors import CorgError, CorruptArchive, DimensionMismatch, MalformedLine
 from corg.scorer import embed_sequence
+from conftest import opened_files
 from oracles import ReferenceTable, reference_load_table, reference_row, reference_vector
 
 
@@ -128,6 +129,18 @@ class TestLoadTable:
             load_table(path)
         assert str(path) in str(err.value)
 
+    @pytest.mark.parametrize("suffix", [".txt", ".txt.gz"])
+    def test_failed_load_closes_its_file(self, tmp_path, suffix):
+        # the error's traceback keeps the loader's frames alive: the file is
+        # closed all the same, not left to the garbage collector
+        data = b"sun 1 0\nsu\xffn 0 1\n"
+        path = tmp_path / ("vec" + suffix)
+        path.write_bytes(gzip.compress(data) if suffix == ".txt.gz" else data)
+        with opened_files() as opened, pytest.raises(MalformedLine) as err:
+            load_table(path)
+        assert err.value.__traceback__ is not None
+        assert len(opened) == 1 and opened[0].closed
+
     @pytest.mark.parametrize("component", ["nan", "inf", "-inf", "1e999"])
     def test_non_finite_component_rejected(self, tmp_path, component):
         # a NaN row would score its words -1 against everything
@@ -227,16 +240,22 @@ def _per_line_bytes(spy) -> bytes:
     return b"".join(call.args[0] for call in spy.call_args_list)
 
 
+def _gzipped(path):
+    """A ``.gz`` copy of the table file at ``path``, beside it."""
+    gz = path.with_name(path.name + ".gz")
+    gz.write_bytes(gzip.compress(path.read_bytes()))
+    return gz
+
+
 def _read_all(table: EmbeddingTable) -> np.ndarray:
     """Every row of the table, read with one ``vectors`` call."""
     return table.vectors(list(table.rows))
 
 
 class TestLoadTableOracle:
-    """The loader loads what the line-by-line reference loads: a plain table
-    makes the reference's checks that read no float at load, and each row
-    it reads has the reference's floats or raises its error; a ``.gz``
-    table makes every check at load."""
+    """The loader loads what the line-by-line reference loads: a table, plain
+    or ``.gz``, makes the reference's checks that read no float at load,
+    and each row it reads has the reference's floats or raises its error."""
 
     @settings(max_examples=400, derandomize=True, database=None, deadline=None)
     @given(_tables(), st.sampled_from([1, 7, 64, embeddings._BLOCK_BYTES]))
@@ -246,11 +265,9 @@ class TestLoadTableOracle:
         data, bad_lines = table_file
         path = tmp_path_factory.mktemp("table") / "vec.txt"
         path.write_bytes(data)
-        gz = path.with_name("vec.txt.gz")
-        gz.write_bytes(gzip.compress(data))
         with mock.patch.object(embeddings, "_BLOCK_BYTES", block_bytes):
             self.check(path, bad_lines)
-            self.check_gz(gz, bad_lines)
+            self.check(_gzipped(path), bad_lines)
 
     def test_blocks_of_full_size(self, tmp_path, monkeypatch):
         # about 20 blocks: duplicates across blocks and "1_0" at a block's
@@ -259,21 +276,17 @@ class TestLoadTableOracle:
         lines = [f"w{i % 1500} {i} {i / 7}" for i in range(3000)]
         lines[1023] = "w5 1_0 2"
         path = tmp_path / "vec.txt"
-        gz = tmp_path / "vec.txt.gz"
         path.write_text("\n".join(lines), "utf-8")
-        gz.write_bytes(gzip.compress(path.read_bytes()))
         self.check(path, 0)
-        self.check_gz(gz, 0)
+        self.check(_gzipped(path), 0)
         lines[2047] = "w 1e999 0"
         path.write_text("\n".join(lines), "utf-8")
-        gz.write_bytes(gzip.compress(path.read_bytes()))
+        gz = _gzipped(path)
         self.check(path, 1)
-        self.check_gz(gz, 1)
-        table = load_table(path)
-        with pytest.raises(MalformedLine, match="line 2048: "):
-            table.vectors(["w"])
-        with pytest.raises(MalformedLine, match="line 2048: "):
-            load_table(gz)
+        self.check(gz, 1)
+        for table in load_table(path), load_table(gz):
+            with pytest.raises(MalformedLine, match="line 2048: "):
+                table.vectors(["w"])
 
     @pytest.mark.parametrize("line", [
         "sun 1 0\r", "sun\x0c1 0", "sun\x1c1 0", "sun\x1f1 0", " sun 1 0", "sun 1 0 ", "",
@@ -285,7 +298,7 @@ class TestLoadTableOracle:
         path = tmp_path / ("vec" + suffix)
         path.write_bytes(gzip.compress(data) if suffix == ".txt.gz" else data)
         with mock.patch.object(embeddings, "_text_lines", wraps=embeddings._text_lines) as spy:
-            (self.check_gz if suffix == ".txt.gz" else self.check)(path, 0)
+            self.check(path, 0)
         assert f"moon 0 1\n{line}\n".encode("utf-8") in _per_line_bytes(spy)
 
     @pytest.mark.parametrize("block_bytes", [64, embeddings._BLOCK_BYTES])
@@ -336,21 +349,9 @@ class TestLoadTableOracle:
                 continue
             assert table.vectors([word])[0].tobytes() == vector.tobytes()
 
-    def check_gz(self, path, bad_lines: int):
-        try:
-            expected = reference_load_table(path)
-        except CorgError as error:
-            self.load_fails_alike(path, bad_lines, error)
-            return
-        table = load_table(path)
-        assert (table.dimension, table.duplicates) == (expected.dimension, expected.duplicates)
-        assert list(table.rows) == list(expected.vectors)
-        assert [row.tobytes() for row in _read_all(table)] == \
-            [vector.tobytes() for vector in expected.vectors.values()]
-
 
 class TestLazyRows:
-    """A plain table parses a row when ``vectors`` first reads it."""
+    """A table, plain or ``.gz``, parses a row when ``vectors`` first reads it."""
 
     @settings(max_examples=300, derandomize=True, database=None, deadline=None)
     @given(_tables(bad=False), st.data())
@@ -364,15 +365,16 @@ class TestLazyRows:
             with pytest.raises(CorgError):
                 load_table(path)
             return
-        table = load_table(path)
         tokens = st.sampled_from(list(expected.vectors)).flatmap(
             lambda w: st.sampled_from([w, w.upper(), w.title()]))
-        for batch in data.draw(st.lists(st.lists(tokens, max_size=6), max_size=5)):
-            rows = table.vectors(batch)
-            assert [row.tobytes() for row in rows] == \
-                [expected.vectors[t.lower()].tobytes() for t in batch]
-        assert [row.tobytes() for row in _read_all(table)] == \
-            [vector.tobytes() for vector in expected.vectors.values()]
+        batches = data.draw(st.lists(st.lists(tokens, max_size=6), max_size=5))
+        for table in load_table(path), load_table(_gzipped(path)):
+            for batch in batches:
+                rows = table.vectors(batch)
+                assert [row.tobytes() for row in rows] == \
+                    [expected.vectors[t.lower()].tobytes() for t in batch]
+            assert [row.tobytes() for row in _read_all(table)] == \
+                [vector.tobytes() for vector in expected.vectors.values()]
 
     def test_bad_float_in_unread_row_loads(self, tmp_path):
         path = tmp_path / "vec.txt"
@@ -403,16 +405,17 @@ class TestLazyRows:
         assert table.vectors(["moon"]).tolist() == [[0.0, 1.0]]
 
     def test_row_parsed_once_and_kept(self, tmp_path):
-        path = tmp_path / "vec.txt"
-        path.write_text("sun 1 0\nmoon 0 1\n", "utf-8")
-        table = load_table(path)
-        with mock.patch.object(embeddings, "_parse_block",
-                               wraps=embeddings._parse_block) as parse:
-            table.vectors(["moon", "sun", "moon"])
-            table.vectors(["sun", "Moon"])
-        assert [len(call.args[0]) for call in parse.call_args_list] == [2]
-        path.unlink()
-        assert table.vectors(["moon", "sun"]).tolist() == [[0.0, 1.0], [1.0, 0.0]]
+        plain = tmp_path / "vec.txt"
+        plain.write_text("sun 1 0\nmoon 0 1\n", "utf-8")
+        for path in plain, _gzipped(plain):
+            table = load_table(path)
+            with mock.patch.object(embeddings, "_parse_block",
+                                   wraps=embeddings._parse_block) as parse:
+                table.vectors(["moon", "sun", "moon"])
+                table.vectors(["sun", "Moon"])
+            assert [len(call.args[0]) for call in parse.call_args_list] == [2]
+            path.unlink()
+            assert table.vectors(["moon", "sun"]).tolist() == [[0.0, 1.0], [1.0, 0.0]]
 
     @pytest.mark.parametrize("change", ["truncated", "rewritten", "same words", "deleted"])
     def test_file_changed_after_load(self, tmp_path, change):
@@ -433,19 +436,41 @@ class TestLazyRows:
             table.vectors(["moon"])
         assert str(path) in str(err.value)
 
-    def test_gzip_parses_every_row_at_load(self, tmp_path):
+    def test_gzip_rows_parse_when_read(self, tmp_path):
+        # a .gz table is never read again: its rows parse from the text it keeps
         path = tmp_path / "vec.txt.gz"
-        path.write_bytes(gzip.compress(b"sun 1 0\nmoon 1 x\n"))
-        with pytest.raises(DimensionMismatch, match="line 2: bad float") as err:
-            load_table(path)
-        assert str(path) in str(err.value)
-        path.write_bytes(gzip.compress(b"sun 1 0\nmoon 0 inf\n"))
-        with pytest.raises(MalformedLine, match="line 2: component that is not finite"):
-            load_table(path)
-        path.write_bytes(gzip.compress(b"sun 1 0\nmoon 0 1\n"))
+        path.write_bytes(gzip.compress(b"sun 1 0\nmoon 1 x\nstar 0 inf\n"))
         table = load_table(path)
         path.unlink()
-        assert table.vectors(["moon", "sun"]).tolist() == [[0.0, 1.0], [1.0, 0.0]]
+        assert len(table) == 3
+        with pytest.raises(DimensionMismatch, match="line 2: bad float") as err:
+            table.vectors(["sun", "moon"])
+        assert str(path) in str(err.value)
+        with pytest.raises(MalformedLine, match="line 3: component that is not finite"):
+            table.vectors(["star"])
+        with pytest.raises(DimensionMismatch, match="line 2: bad float"):
+            table.vectors(["moon"])  # a failed read keeps nothing
+        assert table.vectors(["sun"]).tolist() == [[1.0, 0.0]]
+
+    def test_gzip_keeps_its_text_once(self, tmp_path):
+        # at most the decompressed text, and its growth slack, above what a
+        # plain load of the same table holds
+        n, dim = 5000, 16
+        plain = tmp_path / "vec.txt"
+        plain.write_text("".join(f"w{i} " + " ".join(str((i * j) % 89 / 8) for j in range(dim))
+                                 + "\n" for i in range(n)), "utf-8")
+        held = {}
+        for path in plain, _gzipped(plain):
+            gc.collect()
+            tracemalloc.start()
+            try:
+                table = load_table(path)
+                held[path.suffix] = tracemalloc.get_traced_memory()[0]
+            finally:
+                tracemalloc.stop()
+            assert len(table) == n
+            del table
+        assert held[".gz"] - held[".txt"] <= 1.25 * plain.stat().st_size
 
     def test_parsed_rows_hold_no_slack(self, tmp_path):
         # parsed rows hold no zero-filled room for rows not read yet

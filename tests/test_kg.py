@@ -15,6 +15,7 @@ from corg import (EmbeddingTable, KnowledgeGraph, Pipeline, PipelineConfig,
 from corg import kg
 from corg.errors import CorruptArchive, MalformedLine, NoTriplesLoaded
 from corg.kg import _LineParser, load_relation_whitelist
+from conftest import opened_files
 from oracles import reference_load_graph
 
 
@@ -261,11 +262,33 @@ class TestLoadGraph:
         path.write_bytes("\ufeffCauses\nIsA\n".encode("utf-8"))
         assert load_relation_whitelist(path) == {"causes", "is_a"}
 
+    def test_gzip_whitelist(self, tmp_path):
+        # read as a plain whitelist: mark dropped, every line end, comments
+        path = tmp_path / "rels.txt.gz"
+        data = "\ufeffCauses\r\nIsA\rPartOf\n# HasA\r\n\r\n AtLocation ".encode("utf-8")
+        path.write_bytes(gzip.compress(data))
+        assert load_relation_whitelist(path) == {"causes", "is_a", "part_of", "at_location"}
+        path.write_bytes(gzip.compress(data)[:-6])
+        with pytest.raises(CorruptArchive, match="rels.txt.gz"):
+            load_relation_whitelist(path)
+
+    def test_whitelist_read_in_tiny_blocks(self, tmp_path, monkeypatch):
+        # blocks of 2 bytes cut between the two bytes of "\r\n" and inside names
+        monkeypatch.setattr(kg, "_BLOCK_BYTES", 2)
+        path = tmp_path / "rels.txt"
+        path.write_bytes("\ufeffCauses\r\nIsA\rPartOf\n# HasA\r\n\r\nAtLocation".encode("utf-8"))
+        assert load_relation_whitelist(path) == {"causes", "is_a", "part_of", "at_location"}
+        path.write_bytes(b"causes\r\n\ris_\xffa\n")
+        with pytest.raises(MalformedLine, match=r"line 3: not valid UTF-8 \(.*rels\.txt\)"):
+            load_relation_whitelist(path)
+
     def test_undecodable_whitelist_names_file_and_line(self, tmp_path):
         path = tmp_path / "rels.txt"
         path.write_bytes(b"causes\nis_\xffa\n")
-        with pytest.raises(MalformedLine, match=r"line 2: not valid UTF-8 \(.*rels\.txt\)"):
+        with opened_files() as opened, \
+                pytest.raises(MalformedLine, match=r"line 2: not valid UTF-8 \(.*rels\.txt\)"):
             load_relation_whitelist(path)
+        assert len(opened) == 1 and opened[0].closed  # not left to the garbage collector
 
     def test_empty_whitelist_rejected(self):
         with pytest.raises(ValueError):

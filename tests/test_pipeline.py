@@ -557,6 +557,11 @@ class TestExportTptp:
         assert trace["complete"] is True
 
 
+# gzipped bad table -> its plain text; each must fail as its plain table does
+_GZIPPED_BAD_TABLES = {gzip.compress(plain): plain
+                       for plain in [b"moon 0 1\nsun nan 0\n", b"sun 1 0\nshadow 1 x\n"]}
+
+
 class TestCli:
     def run_cli(self, capsys, *args):
         code = main(list(args))
@@ -632,8 +637,9 @@ class TestCli:
         ("vectors.txt", b"3 2\n"),
         ("vectors.txt", b"sun\nrising\ngrass\n"),
         ("vectors.txt", b"3 2\nsun 1 0\n"),
+        *(("vectors.txt.gz", gz) for gz in _GZIPPED_BAD_TABLES),
     ], ids=["invalid-utf8", "nan", "cut-gzip", "dimension", "bad-float", "header-only",
-            "zero-dimension", "header-count"])
+            "zero-dimension", "header-count", "nan-gz", "bad-float-gz"])
     def test_bad_table_exits_1(self, copa_xml_path, fig_graph_path, tmp_path,
                                capsys, name, data):
         table = tmp_path / name
@@ -644,24 +650,52 @@ class TestCli:
         assert (code, out) == (1, "")
         assert err.startswith("error: ") and err.count("\n") == 1
         assert str(table) in err
+        if data in _GZIPPED_BAD_TABLES:  # fails as the plain table does
+            plain = tmp_path / "vectors.txt"
+            plain.write_bytes(_GZIPPED_BAD_TABLES[data])
+            assert self.run_cli(capsys, "run", "--copa", str(copa_xml_path),
+                                "--kg", str(fig_graph_path), "--embeddings", str(plain)) == \
+                (1, "", err.replace(str(table), str(plain)))
 
     def test_bad_row_of_a_problem_word_fails_that_problem(
             self, copa_xml_path, fig_graph_path, fig_table_path, tmp_path, capsys):
         # "rising" is a word of problem 1 but no symbol of the graph: its
-        # row is first read, and found bad, by the problem's prefilter
+        # row is first read, and found bad, by the problem's prefilter; a
+        # .gz copy of the table fails alike
         table = tmp_path / "vectors.txt"
         table.write_bytes(fig_table_path.read_bytes().replace(b"rising 1.0 0.0",
                                                               b"rising 1.0 x"))
-        report_path = tmp_path / "report.jsonl"
-        code, out, err = self.run_cli(
-            capsys, "run", "--copa", str(copa_xml_path), "--kg", str(fig_graph_path),
-            "--embeddings", str(table), "--report", str(report_path))
-        assert (code, out) == (1, "")
-        assert err.startswith("error: problem 1, stage prefilter: line 2: bad float")
-        assert err.count("\n") == 1 and str(table) in err
-        rows = [json.loads(line) for line in report_path.read_text("utf-8").splitlines()]
-        assert rows[0]["problem_id"] == 1 and rows[0]["error"]["stage"] == "prefilter"
-        assert rows[1]["failed"] == 1
+        gz = tmp_path / "vectors.txt.gz"
+        gz.write_bytes(gzip.compress(table.read_bytes()))
+        failures = []
+        for path in table, gz:
+            report_path = tmp_path / "report.jsonl"
+            code, out, err = self.run_cli(
+                capsys, "run", "--copa", str(copa_xml_path), "--kg", str(fig_graph_path),
+                "--embeddings", str(path), "--report", str(report_path))
+            assert (code, out) == (1, "")
+            assert err.startswith("error: problem 1, stage prefilter: line 2: bad float")
+            assert err.count("\n") == 1 and str(path) in err
+            rows = [json.loads(line) for line in report_path.read_text("utf-8").splitlines()]
+            assert rows[0]["problem_id"] == 1 and rows[0]["error"]["stage"] == "prefilter"
+            assert rows[1]["failed"] == 1
+            failures.append((err.replace(str(path), "TABLE"),
+                             json.dumps(rows[0]).replace(json.dumps(str(path))[1:-1], "TABLE")))
+        assert failures[0] == failures[1]
+
+    def test_gzipped_table_writes_the_same_report(self, copa_xml_path, fig_graph_path,
+                                                  fig_table_path, tmp_path, capsys):
+        gz = tmp_path / "vectors.txt.gz"
+        gz.write_bytes(gzip.compress(fig_table_path.read_bytes()))
+        reports = []
+        for table in fig_table_path, gz:
+            report_path = tmp_path / f"report{len(reports)}.jsonl"
+            code, _, err = self.run_cli(
+                capsys, "run", "--copa", str(copa_xml_path), "--kg", str(fig_graph_path),
+                "--embeddings", str(table), "--report", str(report_path))
+            assert code == 0, err
+            reports.append(report_path.read_bytes())
+        assert reports[0] == reports[1]
 
     def test_bad_arguments_exit_2(self, capsys):
         with pytest.raises(SystemExit) as exc:
