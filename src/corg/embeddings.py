@@ -3,16 +3,17 @@
 File format: optional header line ``<count> <dim>``, then one
 ``word v1 ... v_dim`` entry per line (the layout used by common
 pre-computed embedding releases); a header's count is the number of
-entry lines, duplicates included.  A UTF-8 byte-order mark at the start of
-the file is dropped.  ``.gz`` paths are read transparently.
+entry lines, duplicates included.  The file is opened by ``kg._open``:
+a ``.gz`` path is read transparently, and a UTF-8 byte-order mark at the
+start of the file is dropped.  A row's byte offset counts from the first
+byte after that mark, in a plain table and in a ``.gz`` one alike.
 Every module reads vectors through ``EmbeddingTable.vectors``, the one
 lookup, in bulk, by lowercased token.
 
 ``load_table`` reads a table once, to index it, and parses no float then:
 it checks every line's UTF-8 and component count and the header's word
-count, and keeps, per word, where its last line is.  It reads the file, a
-``.gz`` one decompressed, in byte blocks of whole lines, ``_BLOCK_BYTES`` at
-a time.  A block whose
+count, and keeps, per word, where its last line is.  It reads the file in
+byte blocks of whole lines, ``kg._BLOCK_BYTES`` at a time.  A block whose
 bytes are ASCII, whose only control bytes are its ``\\n`` line ends and
 whose lines are each the word and ``dimension`` components, separated by
 single spaces, is indexed from the positions of those bytes, with a few
@@ -28,10 +29,11 @@ reads the lines it needs again, checks that each still starts with its
 word, and parses them together with one ``_parse_block`` call.  So a bad
 float or a component that is not finite raises when its row is read, and
 never for a row that no run reads.  A plain table reopens its file for
-this, and first checks that the file has not changed since the load.  A
-``.gz`` table cannot seek cheaply, so it keeps its decompressed text in
-memory, one copy of it, and reads its lines from there.  Nothing allocates
-room for rows not parsed yet.
+this, first checks that the file has not changed since the load, and
+reads a row at its offset from where ``_open`` leaves the handle.  A
+``.gz`` table cannot seek cheaply, so it keeps its decompressed text after
+the mark in memory, one copy of it, and reads its lines from there.
+Nothing allocates room for rows not parsed yet.
 
 ``_parse_block`` parses its lines with one ``np.loadtxt`` call, and again
 line by line only when that call fails or its result is not a finite
@@ -41,18 +43,16 @@ spelling ``loadtxt`` does not (``1_0``).
 
 from __future__ import annotations
 
-import codecs
 import gzip
 import io
 import os
 from contextlib import closing, nullcontext
-from pathlib import Path
 from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
 from .errors import DimensionMismatch, MalformedLine
-from .kg import _BLOCK_BYTES, _CAMEL_BOUNDARY, _archive_errors, _blocks
+from .kg import _CAMEL_BOUNDARY, _blocks, _open
 
 
 def split_identifier(token: str) -> list[str]:
@@ -138,7 +138,8 @@ class EmbeddingTable:
     def _read(self, rows: np.ndarray) -> list[tuple[int, str, str]]:
         """The lines of ``rows``, read again from the table file, or from
         the text a ``.gz`` table keeps, as ``(line_no, word, components
-        text)``.
+        text)``; an offset counts from where ``_open`` leaves a plain
+        file, past a byte-order mark, and from the start of the kept text.
 
         Raises MalformedLine naming the file and a line when a plain file
         has changed since the load, when a line no longer starts with its
@@ -147,12 +148,13 @@ class EmbeddingTable:
         changed = f"the table changed after it was loaded ({path})"
         line_no = int(self._lines[rows[0], 2])
         try:
-            with open(path, "rb") if text is None else nullcontext(text) as fh:
+            with _open(path) if text is None else nullcontext(text) as fh:
                 if text is None and _signature(os.fstat(fh.fileno())) != self._signature:
                     raise MalformedLine(line_no, changed)
+                base = 0 if text is not None else fh.tell()
                 for row, (offset, size, line_no) in zip(rows.tolist(),
                                                         self._lines[rows].tolist()):
-                    fh.seek(offset)
+                    fh.seek(base + offset)
                     fields = fh.read(size).decode("utf-8", "surrogateescape").split(maxsplit=1)
                     word = fields[0].lower() if fields else None
                     if len(fields) < 2 or self.rows.get(word) != row:
@@ -175,6 +177,8 @@ def load_table(path) -> EmbeddingTable:
     again for every row parsed, and a file changed or gone since the load
     raises then; a ``.gz`` table keeps its decompressed text and is never
     read again.  A ``.gz`` that does not decompress raises CorruptArchive.
+    A row's byte offset counts from the first byte after a byte-order mark,
+    which the kept text of a ``.gz`` table leaves out.
 
     The file, a ``.gz`` one decompressed, is read in byte blocks of whole
     lines, and ``_vector_lines`` indexes each block.  A block of ASCII
@@ -211,19 +215,21 @@ def load_table(path) -> EmbeddingTable:
 
 
 def _table_blocks(path, table: EmbeddingTable) -> Iterator[bytes]:
-    """The ``_blocks`` of a table file, a ``.gz`` one decompressed; records
-    a plain file's signature on ``table``, and appends each block of a
-    ``.gz`` one to ``table._text``, the one copy of its text."""
-    if Path(path).suffix == ".gz":
+    """The ``_blocks`` of a table file; records a plain file's signature on
+    ``table``, and appends each block of a ``.gz`` one to ``table._text``,
+    the one copy of its text, which is cut to its length at the end."""
+    with _open(path) as fh:
+        if not isinstance(fh, gzip.GzipFile):
+            table._signature = _signature(os.fstat(fh.fileno()))
+            yield from _blocks(fh)
+            return
         table._text = text = io.BytesIO()
-        with _archive_errors(path), gzip.open(path, "rb") as fh:
-            for data in _blocks(fh, _BLOCK_BYTES):
-                text.write(data)
-                yield data
-        return
-    with open(path, "rb") as fh:
-        table._signature = _signature(os.fstat(fh.fileno()))
-        yield from _blocks(fh, _BLOCK_BYTES)
+        for data in _blocks(fh):
+            text.write(data)
+            yield data
+        # getvalue() cuts the unshared buffer to its length in place, and
+        # the new BytesIO shares it: the growth slack goes, and no copy is made
+        table._text = io.BytesIO(text.getvalue())
 
 
 def _signature(stat: os.stat_result) -> tuple[int, ...]:
@@ -248,8 +254,6 @@ def _vector_lines(blocks: Iterator[bytes], path) -> Iterator[tuple]:
     n_lines = line_no = offset = 0
     for data in blocks:
         start = 0
-        if not offset and data.startswith(codecs.BOM_UTF8):  # the file's first bytes
-            start = offset = len(codecs.BOM_UTF8)
         while start < len(data):
             even = None
             if line_no and dimension is not None:

@@ -12,8 +12,12 @@ Two input formats are accepted, detected per line:
   ``#`` comments and blank lines allowed; the weight must parse as a float
   and is not kept either.
 
-A UTF-8 byte-order mark at the start of a file is dropped.  Lines end at
-``\\r\\n``, ``\\n`` or ``\\r``.
+Lines end at ``\\r\\n``, ``\\n`` or ``\\r``.
+
+Every graph, relation-whitelist and vector-table file is opened by
+``_open``, the one place that decides how: a ``.gz`` path is decompressed,
+a UTF-8 byte-order mark at the start of the file is dropped, and what a
+damaged archive raises becomes CorruptArchive.
 
 ``load_graph`` reads the file in byte blocks of whole lines, ``_BLOCK_BYTES``
 at a time, as ``load_table`` reads a vector table.  A block is even when its
@@ -42,12 +46,12 @@ import json
 import re
 import zlib
 from array import array
-from contextlib import closing, contextmanager
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from importlib import resources
 from itertools import chain, compress
 from pathlib import Path
-from typing import Iterable, Iterator
+from typing import BinaryIO, Iterable, Iterator
 
 import numpy as np
 
@@ -306,25 +310,30 @@ def _check_weight(value, line_no: int):
 
 
 @contextmanager
-def _archive_errors(path):
-    """Turns what a ``.gz`` file that is not gzip data, is cut short or is
-    corrupt raises, while read, into CorruptArchive."""
+def _open(path) -> Iterator[BinaryIO]:
+    """The one opener of an input file: a binary handle on ``path``, a
+    ``.gz`` one decompressed, placed after a leading UTF-8 byte-order mark.
+    What a ``.gz`` file that is not gzip data, is cut short or is corrupt
+    raises while the handle is read becomes CorruptArchive."""
     try:
-        yield
+        with (gzip.open if Path(path).suffix == ".gz" else open)(path, "rb") as fh:
+            if fh.read(len(codecs.BOM_UTF8)) != codecs.BOM_UTF8:
+                fh.seek(0)
+            yield fh
     except (gzip.BadGzipFile, EOFError, zlib.error) as e:
         raise CorruptArchive(f"{path}: {e}") from e
 
 
-def _blocks(fh, size: int) -> Iterator[bytes]:
-    """The bytes of ``fh`` in blocks of whole lines: each read of ``size``
-    bytes is cut after its last ``\\n``, or else after its last ``\\r`` that
-    is not its last byte (the end of a ``\\r\\n`` may come in the next read),
-    and the rest goes in front of the next block.  The last block may lack a
-    line end.  A read's bytes up to its cut are copied once, into their
-    block; the rest, less than a line, is copied, so that no view keeps the
-    whole read alive while the next one is joined."""
+def _blocks(fh) -> Iterator[bytes]:
+    """The bytes of ``fh`` in blocks of whole lines: each read of
+    ``_BLOCK_BYTES`` bytes is cut after its last ``\\n``, or else after its
+    last ``\\r`` that is not its last byte (the end of a ``\\r\\n`` may come
+    in the next read), and the rest goes in front of the next block.  The
+    last block may lack a line end.  A read's bytes up to its cut are copied
+    once, into their block; the rest, less than a line, is copied, so that
+    no view keeps the whole read alive while the next one is joined."""
     pieces = []
-    while chunk := fh.read(size):
+    while chunk := fh.read(_BLOCK_BYTES):
         cut = chunk.rfind(b"\n") + 1 or chunk.rfind(b"\r", 0, len(chunk) - 1) + 1
         if cut:
             pieces.append(memoryview(chunk)[:cut])
@@ -334,16 +343,6 @@ def _blocks(fh, size: int) -> Iterator[bytes]:
             pieces.append(chunk)
     if rest := b"".join(pieces):
         yield rest
-
-
-def _graph_blocks(path) -> Iterator[bytes]:
-    """The ``_blocks`` of a graph or relation-whitelist file, a ``.gz`` one
-    decompressed, with a leading byte-order mark dropped."""
-    opener = gzip.open if Path(path).suffix == ".gz" else open
-    with _archive_errors(path), opener(path, "rb") as fh:
-        if fh.read(len(codecs.BOM_UTF8)) != codecs.BOM_UTF8:
-            fh.seek(0)
-        yield from _blocks(fh, _BLOCK_BYTES)
 
 
 def _block_lines(data: bytes) -> Iterator[str]:
@@ -470,28 +469,29 @@ def load_graph(path, relation_filter: RelationFilter | None = None) -> Knowledge
     g = KnowledgeGraph()
     skip, append = g.stats.skip, g._append
     line_no = 0
-    for data in _graph_blocks(path):
-        even = _append_even(g, parser, data)
-        if even is not None:
-            line_no += even
-            continue
-        for line in _block_lines(data):
-            line_no += 1
-            try:
-                if not line.isascii() and not _is_utf8(line):
+    with _open(path) as fh:
+        for data in _blocks(fh):
+            even = _append_even(g, parser, data)
+            if even is not None:
+                line_no += even
+                continue
+            for line in _block_lines(data):
+                line_no += 1
+                try:
+                    if not line.isascii() and not _is_utf8(line):
+                        parsed = "malformed"
+                    elif line.startswith("/a/") and line.count("\t") == 4:
+                        parsed = parser.assertion(line, line_no)
+                    elif (stripped := line.strip()) and not stripped.startswith("#"):
+                        parsed = parser.plain(line, line_no)
+                    else:
+                        continue
+                except MalformedLine:
                     parsed = "malformed"
-                elif line.startswith("/a/") and line.count("\t") == 4:
-                    parsed = parser.assertion(line, line_no)
-                elif (stripped := line.strip()) and not stripped.startswith("#"):
-                    parsed = parser.plain(line, line_no)
+                if isinstance(parsed, str):
+                    skip(parsed)
                 else:
-                    continue
-            except MalformedLine:
-                parsed = "malformed"
-            if isinstance(parsed, str):
-                skip(parsed)
-            else:
-                append(*parsed)
+                    append(*parsed)
     g.stats.kept = len(g)
     if not g:
         raise NoTriplesLoaded(f"no triples loaded from {path}")
@@ -500,8 +500,9 @@ def load_graph(path, relation_filter: RelationFilter | None = None) -> Knowledge
 
 def default_relation_whitelist() -> frozenset[str]:
     """Relation ids from the whitelist file shipped with the package."""
-    text = resources.files("corg.data").joinpath("relations_default.txt").read_text("utf-8")
-    return frozenset(_read_relation_lines(text.splitlines(), "relations_default.txt"))
+    shipped = resources.files("corg.data").joinpath("relations_default.txt")
+    with resources.as_file(shipped) as path:
+        return load_relation_whitelist(path)
 
 
 def load_relation_whitelist(path) -> frozenset[str]:
@@ -511,15 +512,13 @@ def load_relation_whitelist(path) -> frozenset[str]:
     The file is read as ``load_graph`` reads a graph: in blocks, a ``.gz``
     one decompressed, a leading byte-order mark dropped, and lines ending at
     ``\\r\\n``, ``\\n`` or ``\\r``."""
-    with closing(_graph_blocks(path)) as blocks:  # closed at once if a line raises
-        lines = chain.from_iterable(map(_block_lines, blocks))
-        return frozenset(_read_relation_lines(lines, path))
-
-
-def _read_relation_lines(lines: Iterable[str], path) -> Iterator[str]:
-    for line_no, line in enumerate(lines, start=1):
-        if not line.isascii() and not _is_utf8(line):
-            raise MalformedLine(line_no, f"not valid UTF-8 ({path})")
-        entry = line.strip()
-        if entry and not entry.startswith("#"):
-            yield normalize_relation(entry)[0]
+    relations = set()
+    with _open(path) as fh:
+        lines = chain.from_iterable(map(_block_lines, _blocks(fh)))
+        for line_no, line in enumerate(lines, start=1):
+            if not line.isascii() and not _is_utf8(line):
+                raise MalformedLine(line_no, f"not valid UTF-8 ({path})")
+            entry = line.strip()
+            if entry and not entry.startswith("#"):
+                relations.add(normalize_relation(entry)[0])
+    return frozenset(relations)

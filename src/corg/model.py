@@ -114,16 +114,6 @@ class PartialModel:
         return len(self.predicates)
 
 
-def _validate(clauses: list[Clause]):
-    for c in clauses:
-        if c.chainable:
-            continue
-        if not c.is_horn():
-            raise NonHornClause(f"clause from {c.origin!r} has {len(c.positives)} head literals")
-        raise NonRangeRestrictedClause(
-            f"clause from {c.origin!r} has head variables outside the body")
-
-
 class _Terms:
     """The ground terms of one saturation, interned: per id, the key
     (name, argument ids or None for a constant), the depth, and the Term
@@ -306,7 +296,31 @@ def saturate(facts: list[Atom], clauses: list[Clause],
     Identical inputs and config produce an identical trace.
     """
     cfg = cfg or BuilderConfig()
-    _validate(clauses)
+    # one pass: each clause checked and put in the group of its body, and a
+    # new group listed under each (predicate, arity) of its body; bodiless
+    # clauses fire once, in the first round.  Clauses often share one body
+    # tuple (both of a triple axiom do), so it is looked up by id first.
+    groups: dict[tuple[Atom, ...], _Group] = {}
+    group_of_body: dict[int, _Group] = {}
+    groups_of: dict[tuple[str, int], list[_Group]] = {}
+    for position, clause in enumerate(clauses):
+        if not clause.chainable:
+            if not clause.is_horn():
+                raise NonHornClause(f"clause from {clause.origin!r} has "
+                                    f"{len(clause.positives)} head literals")
+            raise NonRangeRestrictedClause(
+                f"clause from {clause.origin!r} has head variables outside the body")
+        if clause.positives:
+            body = clause.negatives
+            group = group_of_body.get(id(body))
+            if group is None:
+                group = groups.get(body)
+                if group is None:
+                    group = groups[body] = _Group(body)
+                    for key in {(a.predicate, len(a.args)) for a in body}:
+                        groups_of.setdefault(key, []).append(group)
+                group_of_body[id(body)] = group
+            group.positions.append(position)
     for f in facts:
         if not is_ground(f):
             raise ValueError(f"input fact is not ground: {format_atom(f)}")
@@ -348,27 +362,6 @@ def saturate(facts: list[Atom], clauses: list[Clause],
             cut.add("depth")
         else:
             admit(f.predicate, ids, None, ())
-
-    # one group per distinct body, and the groups each (predicate, arity)
-    # occurs in; bodiless clauses fire once, in the first round.  Clauses
-    # often share one body tuple (both clauses of a triple axiom do), so a
-    # body is looked up by identity before it is hashed.
-    groups: dict[tuple[Atom, ...], _Group] = {}
-    group_of_body: dict[int, _Group] = {}
-    for position, clause in enumerate(clauses):
-        if clause.positives:
-            body = clause.negatives
-            group = group_of_body.get(id(body))
-            if group is None:
-                group = groups.get(body)
-                if group is None:
-                    group = groups[body] = _Group(body)
-                group_of_body[id(body)] = group
-            group.positions.append(position)
-    groups_of: dict[tuple[str, int], list[_Group]] = {}
-    for group in groups.values():
-        for key in {(a.predicate, len(a.args)) for a in group.atoms}:
-            groups_of.setdefault(key, []).append(group)
 
     delta_start, delta_end = 0, len(predicates)
     rounds = 0

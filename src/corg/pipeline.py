@@ -168,7 +168,9 @@ def text_to_facts(text: str, mode: str = "bag_of_words",
     fresh per-text constant: "The sun was rising." -> sun(c0), rising(c0).
     ``fol_file`` reads ``<problem_id>_<role>.p`` from fol_dir and clausifies
     its formulas into ground facts: annotated lines when its first tokens,
-    comments aside, are ``fof(`` or ``cnf(``, else one bare formula.
+    comments aside, are ``fof(`` or ``cnf(``, else one bare formula.  The
+    file is read as UTF-8 with a leading byte-order mark dropped, so the
+    position of a byte that is not UTF-8 counts from after the mark.
     """
     if mode == "bag_of_words":
         return [Atom(w, (Constant(TEXT_CONSTANT),)) for w in content_words(text)]
@@ -180,7 +182,7 @@ def text_to_facts(text: str, mode: str = "bag_of_words",
     if not path.exists():
         raise MissingFormula(problem_id, role)
     try:
-        content = path.read_text(encoding="utf-8")
+        content = path.read_text(encoding="utf-8-sig")
     except UnicodeDecodeError as e:
         raise ParseError(f"{path}: not valid UTF-8", e.start) from e
     except OSError as e:  # a directory, no read permission, an I/O error

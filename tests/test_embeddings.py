@@ -3,6 +3,7 @@ import gzip
 import math
 import os
 import re
+import sys
 import tracemalloc
 from unittest import mock
 
@@ -11,7 +12,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from corg import embeddings
+from corg import embeddings, kg
 from corg.embeddings import EmbeddingTable, cosine, load_table, split_identifier
 from corg.errors import CorgError, CorruptArchive, DimensionMismatch, MalformedLine
 from corg.scorer import embed_sequence
@@ -76,9 +77,10 @@ class TestLoadTable:
     @pytest.mark.parametrize("header", ["", "2 2\n"])
     @pytest.mark.parametrize("suffix", [".txt", ".txt.gz"])
     def test_byte_order_mark_dropped(self, tmp_path, header, suffix):
-        # the mark is not part of the first word, or of a header; a plain
+        # the mark is not part of the first word, or of a header; a row's
+        # offset counts from after the mark, past a "\r\n" line, so a plain
         # table's rows are read again from the right bytes
-        data = f"\ufeff{header}sun 1 0\nmoon 0 1\n".encode("utf-8")
+        data = f"\ufeff{header}sun 1 0\r\nmoon 0 1\n".encode("utf-8")
         path = tmp_path / ("vec" + suffix)
         path.write_bytes(gzip.compress(data) if suffix == ".txt.gz" else data)
         table = load_table(path)
@@ -258,21 +260,21 @@ class TestLoadTableOracle:
     and each row it reads has the reference's floats or raises its error."""
 
     @settings(max_examples=400, derandomize=True, database=None, deadline=None)
-    @given(_tables(), st.sampled_from([1, 7, 64, embeddings._BLOCK_BYTES]))
+    @given(_tables(), st.sampled_from([1, 7, 64, kg._BLOCK_BYTES]))
     @example((b"sun 1 0\nmoon 1_0 2\nsun 3 4\nstar nan 1\n", 1), 7)
     @example((b"2 2\nsun 1 0\r\nmoon  0 1", 0), 7)
     def test_same_table_as_reference(self, tmp_path_factory, table_file, block_bytes):
         data, bad_lines = table_file
         path = tmp_path_factory.mktemp("table") / "vec.txt"
         path.write_bytes(data)
-        with mock.patch.object(embeddings, "_BLOCK_BYTES", block_bytes):
+        with mock.patch.object(kg, "_BLOCK_BYTES", block_bytes):
             self.check(path, bad_lines)
             self.check(_gzipped(path), bad_lines)
 
     def test_blocks_of_full_size(self, tmp_path, monkeypatch):
         # about 20 blocks: duplicates across blocks and "1_0" at a block's
         # end; then one non-finite component further on
-        monkeypatch.setattr(embeddings, "_BLOCK_BYTES", 4096)
+        monkeypatch.setattr(kg, "_BLOCK_BYTES", 4096)
         lines = [f"w{i % 1500} {i} {i / 7}" for i in range(3000)]
         lines[1023] = "w5 1_0 2"
         path = tmp_path / "vec.txt"
@@ -301,17 +303,17 @@ class TestLoadTableOracle:
             self.check(path, 0)
         assert f"moon 0 1\n{line}\n".encode("utf-8") in _per_line_bytes(spy)
 
-    @pytest.mark.parametrize("block_bytes", [64, embeddings._BLOCK_BYTES])
+    @pytest.mark.parametrize("block_bytes", [64, kg._BLOCK_BYTES])
     @pytest.mark.parametrize("suffix", [".txt", ".txt.gz"])
     def test_even_blocks_skip_the_per_line_rule(self, tmp_path, monkeypatch, block_bytes,
                                                 suffix):
         # every line but the header is indexed from its block's bytes
-        monkeypatch.setattr(embeddings, "_BLOCK_BYTES", block_bytes)
+        monkeypatch.setattr(kg, "_BLOCK_BYTES", block_bytes)
         dim, n = 40, 8000
         header = f"{n} {dim}\n".encode()
         data = header + "".join(f"W{i} " + " ".join(str((i * j) % 97 - 48) for j in range(dim))
                                 + "\n" for i in range(n)).encode()
-        assert len(data) > 4 * embeddings._BLOCK_BYTES
+        assert len(data) > 4 * kg._BLOCK_BYTES
         path = tmp_path / ("vec" + suffix)
         path.write_bytes(gzip.compress(data) if suffix == ".txt.gz" else data)
         with mock.patch.object(embeddings, "_text_lines", wraps=embeddings._text_lines) as spy:
@@ -453,8 +455,8 @@ class TestLazyRows:
         assert table.vectors(["sun"]).tolist() == [[1.0, 0.0]]
 
     def test_gzip_keeps_its_text_once(self, tmp_path):
-        # at most the decompressed text, and its growth slack, above what a
-        # plain load of the same table holds
+        # at most the decompressed text above what a plain load of the same
+        # table holds
         n, dim = 5000, 16
         plain = tmp_path / "vec.txt"
         plain.write_text("".join(f"w{i} " + " ".join(str((i * j) % 89 / 8) for j in range(dim))
@@ -471,6 +473,17 @@ class TestLazyRows:
             assert len(table) == n
             del table
         assert held[".gz"] - held[".txt"] <= 1.25 * plain.stat().st_size
+
+    def test_gzip_kept_text_holds_no_slack(self, tmp_path):
+        # the kept text is cut to its length once the load has read it
+        n, dim = 40000, 16
+        text = "".join(f"w{i} " + " ".join(str((i * j) % 89 / 8) for j in range(dim)) + "\n"
+                       for i in range(n)).encode()
+        path = tmp_path / "vec.txt.gz"
+        path.write_bytes(gzip.compress(text, compresslevel=1))
+        table = load_table(path)
+        assert table._text.getbuffer() == text
+        assert sys.getsizeof(table._text) - len(text) < 4096
 
     def test_parsed_rows_hold_no_slack(self, tmp_path):
         # parsed rows hold no zero-filled room for rows not read yet

@@ -1,6 +1,7 @@
 import gc
 import gzip
 import random
+from importlib import resources
 from unittest import mock
 
 import numpy as np
@@ -256,6 +257,11 @@ class TestLoadGraph:
         g = load_graph(path)
         assert list(g.concepts) == ["sun", "light", "\ufeffmoon", "dark"]
         assert g.stats.skipped == {}
+
+    def test_shipped_whitelist_read_as_a_given_one(self):
+        shipped = resources.files("corg.data").joinpath("relations_default.txt")
+        with resources.as_file(shipped) as path:
+            assert default_relation_whitelist() == load_relation_whitelist(path)
 
     def test_byte_order_mark_dropped_from_whitelist(self, tmp_path):
         path = tmp_path / "rels.txt"

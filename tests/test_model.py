@@ -89,6 +89,12 @@ class TestSaturate:
         with pytest.raises(NonRangeRestrictedClause):
             saturate([], [bad])
 
+    def test_bad_clause_raises_before_a_non_ground_fact(self):
+        valid = Clause((unary("q", X),), (unary("r", X),), "v")
+        non_horn = Clause((unary("p", X),), (unary("q", X), unary("r", X)), "b")
+        with pytest.raises(NonHornClause):
+            saturate([unary("p", X)], [valid, non_horn])
+
     def test_invalid_clause_raises_on_every_call(self):
         non_horn = Clause((unary("p", X),), (unary("q", X), unary("r", X)), "b")
         unrestricted = Clause((unary("p", X),), (Atom("q", (X, Y)),), "b")

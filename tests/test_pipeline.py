@@ -109,23 +109,26 @@ class TestTextToFacts:
                          Atom("rise", (sk1,))]
 
     def test_fol_file_accepts_fof_lines(self, tmp_path):
-        (tmp_path / "2_premise.p").write_text(
-            "fof(q, hypothesis, ? [A] : (shadow(A) & grass(A))).\n", "utf-8")
-        facts = text_to_facts("x", "fol_file", fol_dir=tmp_path,
-                              problem_id=2, role="premise")
-        assert facts == [Atom("shadow", (Constant("sk_q_0"),)),
-                         Atom("grass", (Constant("sk_q_0"),))]
+        for mark in "", "\ufeff":  # a leading byte-order mark is dropped
+            (tmp_path / "2_premise.p").write_text(
+                f"{mark}fof(q, hypothesis, ? [A] : (shadow(A) & grass(A))).\n", "utf-8")
+            facts = text_to_facts("x", "fol_file", fol_dir=tmp_path,
+                                  problem_id=2, role="premise")
+            assert facts == [Atom("shadow", (Constant("sk_q_0"),)),
+                             Atom("grass", (Constant("sk_q_0"),))]
 
     @pytest.mark.parametrize("text, predicate", [
         ("% parsed from fof(...) output\nexists A (sun(A) & rising(A))", "sun"),
         ("exists A (scofof(A) & rising(A))", "scofof"),
     ])
     def test_fol_file_bare_formula_decided_on_tokens(self, tmp_path, text, predicate):
-        # "fof(" inside a comment or a name does not make the file annotated
-        (tmp_path / "3_a1.p").write_text(text, "utf-8")
-        facts = text_to_facts("x", "fol_file", fol_dir=tmp_path, problem_id=3, role="a1")
-        assert facts == [Atom(predicate, (Constant("sk_q_0"),)),
-                         Atom("rising", (Constant("sk_q_0"),))]
+        # "fof(" inside a comment or a name does not make the file annotated,
+        # nor does a leading byte-order mark break it
+        for mark in "", "\ufeff":
+            (tmp_path / "3_a1.p").write_text(mark + text, "utf-8")
+            facts = text_to_facts("x", "fol_file", fol_dir=tmp_path, problem_id=3, role="a1")
+            assert facts == [Atom(predicate, (Constant("sk_q_0"),)),
+                             Atom("rising", (Constant("sk_q_0"),))]
 
     def test_missing_formula(self, tmp_path):
         with pytest.raises(MissingFormula):
