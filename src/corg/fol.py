@@ -14,8 +14,7 @@ from __future__ import annotations
 
 import itertools
 import re
-from dataclasses import dataclass
-from functools import cached_property
+from dataclasses import dataclass, field
 
 from .errors import NegatedUnsupported, ParseError, UnsupportedFragment
 from .kg import Triple
@@ -23,17 +22,17 @@ from .kg import Triple
 # ------------------------------------------------------------------ terms
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Variable:
     name: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Constant:
     name: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Function:
     name: str
     args: tuple["Term", ...]
@@ -44,46 +43,46 @@ Term = Variable | Constant | Function
 # --------------------------------------------------------------- formulas
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Atom:
     predicate: str
     args: tuple[Term, ...] = ()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Not:
     operand: "Formula"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class And:
     operands: tuple["Formula", ...]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Or:
     operands: tuple["Formula", ...]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Implies:
     left: "Formula"
     right: "Formula"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Iff:
     left: "Formula"
     right: "Formula"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Forall:
     var: str
     body: "Formula"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Exists:
     var: str
     body: "Formula"
@@ -92,17 +91,24 @@ class Exists:
 Formula = Atom | Not | And | Or | Implies | Iff | Forall | Exists
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Clause:
     """Implication-form clause: body (negative literals) and head (positive).
 
     Clauses produced by the triple translators are Horn (at most one head
     literal) and range-restricted (every head variable occurs in the body).
+    ``chainable`` says both, as forward chaining needs; it is computed once,
+    when the clause is made, and takes no part in equality or hashing.
     """
 
     negatives: tuple[Atom, ...]
     positives: tuple[Atom, ...]
     origin: str = ""
+    chainable: bool = field(init=False, compare=False, repr=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "chainable",
+                           self.is_horn() and self.is_range_restricted())
 
     def is_horn(self) -> bool:
         return len(self.positives) <= 1
@@ -115,12 +121,6 @@ class Clause:
             if not _term_variables(a.args) <= body_vars:
                 return False
         return True
-
-    @cached_property
-    def chainable(self) -> bool:
-        """Horn and range-restricted, as forward chaining needs; computed
-        once per clause object."""
-        return self.is_horn() and self.is_range_restricted()
 
 
 def is_ground(a: Atom) -> bool:
@@ -277,7 +277,7 @@ def clausify(f: Formula, axiom_id: str) -> list[Clause]:
     The rule shape of the existential and inverse triple translations,
     ``! [X] : (a(X) => ? [Y] : (b(X,Y) & c(Y)))`` with X and Y distinct,
     is built directly as ``a(X) -> b(X, sk(X))`` and ``a(X) -> c(sk(X))``,
-    sharing the formula's ``a(X)``: the pipeline clausifies every axiom a
+    sharing the formula's ``a(X)``: the pipeline clausifies every live axiom a
     text selects, and nearly all of them have that shape.  Every other
     formula goes through ``_polarity_clauses``, which gives the rule shape
     the same two clauses.
@@ -454,7 +454,7 @@ def to_tptp(f: Formula, name: str, role: str = "axiom") -> str:
 # ----------------------------------------------------------------- parser
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class AnnotatedFormula:
     name: str
     role: str

@@ -61,7 +61,7 @@ _CAMEL_BOUNDARY = re.compile(r"(?<=[a-z0-9])(?=[A-Z])|(?<=[A-Z])(?=[A-Z][a-z])")
 _BLOCK_BYTES = 1 << 18  # bytes read at a time by ``load_graph`` and ``load_table``
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Triple:
     """One knowledge-graph edge: the fields that translation reads."""
 

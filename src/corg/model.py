@@ -51,7 +51,7 @@ class BuilderConfig:
             raise ValueError("all saturation bounds must be positive")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DerivationStep:
     """One admitted atom: where it came from and which steps fed it.
 
@@ -117,7 +117,8 @@ class PartialModel:
 class _Terms:
     """The ground terms of one saturation, interned: per id, the key
     (name, argument ids or None for a constant), the depth, and the Term
-    when it was given as input or has been built (None until then)."""
+    when it was given as input or has been built (None until then).  The
+    key -> id dict ``ids`` is deleted when saturation returns."""
 
     def __init__(self):
         self.ids: dict[tuple[str, tuple[int, ...] | None], int] = {}
@@ -290,8 +291,8 @@ def saturate(facts: list[Atom], clauses: list[Clause],
              cfg: BuilderConfig | None = None) -> PartialModel:
     """Forward-chain facts through Horn clauses up to the configured bounds.
 
-    Clauses must be Horn and range-restricted (checked up front, once per
-    clause object), facts ground.  Headless clauses are accepted and
+    Clauses must be Horn and range-restricted (``Clause.chainable``, read
+    up front), facts ground.  Headless clauses are accepted and
     ignored; clauses with an empty body fire once in the first round.
     Identical inputs and config produce an identical trace.
     """
@@ -406,6 +407,7 @@ def saturate(facts: list[Atom], clauses: list[Clause],
                   tuple([_build(t, group.slots, binding, terms) for t in head.args]),
                   clause.origin, premises)
         delta_end = len(predicates)
+    del terms.ids  # interning is over; the model reads keys, depth and objects
     return PartialModel(terms, predicates, arg_ids, origins, premises_of,
                         tuple(b for b in BOUNDS if b in cut))
 

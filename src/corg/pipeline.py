@@ -8,19 +8,22 @@ on, its inverse one.  An axiom is known by its key ``2 * triple id +
 inverse`` from selection to the result.  Each text (premise, then every
 alternative) then goes through
 
-    facts -> select -> translate + clausify (selected axioms only)
-          -> saturate -> extract symbols
+    facts -> select -> keep the live selected axioms
+          -> translate + clausify (live axioms only) -> saturate
+          -> extract symbols
 
 and the per-alternative symbol sequences are scored against the premise's.
-Only the selected axioms' clauses are kept, cached by key with the least
-recently used evicted first.  A text result holds the keys; an axiom's id
-(``t<n>``, ``t<n>_inv``) and its formula are built again when read.
+A selected axiom is live when its body can hold in the text's model; the
+others can never fire, so they are neither translated nor chained, though
+they stay selected.  Only the live axioms' clauses are kept, cached by key
+with the least recently used evicted first.  A text result holds the
+selected keys; an axiom's id (``t<n>``, ``t<n>_inv``) and its formula are
+built again when read.
 A failure is raised as a StageError that names the problem and the stage;
 ``evaluate`` records it as an error row of the report and goes on.
 Resources (graph, embeddings) are loaded once and shared; problems are
 processed independently, and the serialized report is byte-deterministic
-for identical inputs and configuration (timings stay in memory unless
-explicitly asked for).
+for identical inputs and configuration.
 """
 
 from __future__ import annotations
@@ -28,7 +31,6 @@ from __future__ import annotations
 import json
 import math
 import re
-import time
 import weakref
 import xml.etree.ElementTree as ET
 from contextlib import contextmanager
@@ -236,11 +238,11 @@ class TextResult:
 
     role: str
     facts: list[Atom]
-    n_translated: int  # axioms indexed for selection
+    # axioms indexed for selection; the report keeps the key's old name
+    n_translated: int
     keys: list[int]  # the selected axioms' keys, in index order
     model: PartialModel
     symbols: list[str]
-    seconds: float
     # the pipeline that produced the result, which translates its formulas
     pipeline: Pipeline = field(compare=False, repr=False)
 
@@ -252,8 +254,8 @@ class TextResult:
     def formulas(self) -> list[Formula]:
         return [self.pipeline.formula(key) for key in self.keys]
 
-    def to_json(self, include_timings: bool = False) -> dict:
-        row = {
+    def to_json(self) -> dict:
+        return {
             "role": self.role,
             "n_facts": len(self.facts),
             "n_translated": self.n_translated,
@@ -261,9 +263,6 @@ class TextResult:
             "model_atoms": len(self.model),
             "complete": self.model.complete,
         }
-        if include_timings:
-            row["seconds"] = self.seconds
-        return row
 
 
 @dataclass
@@ -273,7 +272,6 @@ class ProblemResult:
     scores: list[float]
     y: list[float]
     choice: Choice
-    seconds: float
 
     @property
     def correct(self) -> bool | None:
@@ -281,8 +279,8 @@ class ProblemResult:
             return None
         return self.choice.index == self.problem.gold
 
-    def to_json(self, include_timings: bool = False) -> dict:
-        row = {
+    def to_json(self) -> dict:
+        return {
             "problem_id": self.problem.id,
             "question": self.problem.question,
             "chosen": self.choice.index,
@@ -291,11 +289,8 @@ class ProblemResult:
             "likelihoods": self.y,
             "gold": self.problem.gold,
             "correct": self.correct,
-            "texts": [t.to_json(include_timings) for t in self.texts],
+            "texts": [t.to_json() for t in self.texts],
         }
-        if include_timings:
-            row["seconds"] = self.seconds
-        return row
 
 
 @dataclass
@@ -305,7 +300,7 @@ class ProblemFailure:
     problem: CopaProblem
     error: StageError
 
-    def to_json(self, include_timings: bool = False) -> dict:
+    def to_json(self) -> dict:
         return {"problem_id": self.problem.id,
                 "error": {"stage": self.error.stage, "message": str(self.error.cause)}}
 
@@ -343,9 +338,9 @@ class RunReport:
             row["failed"] = len(self.failures)
         return row
 
-    def to_jsonl(self, include_timings: bool = False) -> str:
+    def to_jsonl(self) -> str:
         rows = sorted([*self.results, *self.failures], key=lambda r: r.problem.id)
-        lines = [json.dumps(r.to_json(include_timings), sort_keys=True) for r in rows]
+        lines = [json.dumps(r.to_json(), sort_keys=True) for r in rows]
         lines.append(json.dumps(self.aggregate_json(), sort_keys=True))
         return "\n".join(lines) + "\n"
 
@@ -355,7 +350,7 @@ class RunReport:
 
 # Translated axioms' clause lists kept across problems by axiom key, the
 # least recently used evicted first.  A 100-problem scale-smoke pass
-# translates 6,901 distinct axioms, so it never evicts.
+# translates 4,436 distinct live axioms, so it never evicts.
 TRANSLATION_CACHE_SIZE = 8192
 
 
@@ -395,10 +390,32 @@ class Pipeline:
         """Translate and clausify axiom ``key``."""
         return fol.clausify(self.formula(key), axiom_id(key))
 
-    def _run_text(self, problem: CopaProblem, role: str, text: str,
-                  axiom_keys: np.ndarray, index: AxiomIndex) -> TextResult:
+    def _live(self, facts: list[Atom], rows: np.ndarray, keys: np.ndarray) -> np.ndarray:
+        """Mask of the axioms, given by their symbol-id rows and keys, whose
+        body can hold in a model of ``facts``.
+
+        A rule reading's one body atom is unary, over its row's first
+        symbol, and it has one unary head, over the last symbol, one term
+        level deeper; no other clause has a unary head.  So, taking each
+        unary fact at depth 1, the model's unary predicates are among those
+        reached from the facts' ones in fewer than ``max_term_depth`` rule
+        steps, and an axiom whose body is not reached never fires.  A
+        factual forward axiom has no body and is always live.
+        """
+        ids = self.columns.symbols.ids
+        reached = np.zeros(len(ids), dtype=bool)
+        reached[[ids[f.predicate] for f in facts
+                 if len(f.args) == 1 and f.predicate in ids]] = True
+        bodiless = keys % 2 == 0 if self.config.scheme == "factual" \
+            else np.zeros(len(keys), dtype=bool)
+        body, head = rows[:, 0], rows[:, 2]
+        for _ in range(self.config.builder.max_term_depth - 1):
+            reached[head[reached[body] & ~bodiless]] = True
+        return reached[body] | bodiless
+
+    def _run_text(self, problem: CopaProblem, role: str, text: str, axiom_keys: np.ndarray,
+                  axiom_rows: np.ndarray, index: AxiomIndex) -> TextResult:
         cfg = self.config
-        start = time.perf_counter()
         with _stage(problem.id, "facts"):
             facts = text_to_facts(text, cfg.fact_mode, cfg.fol_dir, problem.id, role)
         goals: set[str] = set()
@@ -411,38 +428,37 @@ class Pipeline:
                 positions = similarity_sine_select(index, goals, cfg.sine)
             else:
                 positions = sine_select(index, goals, cfg.sine)
-        keys = axiom_keys[positions].tolist()
+        keys = axiom_keys[positions]
+        live = keys[self._live(facts, axiom_rows[positions], keys)]
         clauses: list[Clause] = []
         with _stage(problem.id, "translate"):
-            for key in keys:
+            for key in live.tolist():
                 clauses.extend(self._clauses(key))
         with _stage(problem.id, "saturate"):
             model = saturate(facts, clauses, cfg.builder)
         syms = extract_symbols(model)
-        return TextResult(role, facts, len(index), keys, model, syms,
-                          time.perf_counter() - start, self)
+        return TextResult(role, facts, len(index), keys.tolist(), model, syms, self)
 
     def run_problem(self, problem: CopaProblem) -> ProblemResult:
         """Full pipeline for one problem; see the module docstring."""
         cfg = self.config
-        start = time.perf_counter()
         words = content_words(" ".join([problem.premise] + problem.alternatives))
         with _stage(problem.id, "prefilter"):
             kept = self.prefilter.apply_indices(words, cfg.prefilter_theta) \
                 if words else np.empty(0, dtype=np.intp)
         tids = kept[~self.columns.negated[kept]]
-        index = build_index(self.columns.axiom_rows(tids), self.columns.symbols)
+        rows = self.columns.axiom_rows(tids)
+        index = build_index(rows, self.columns.symbols)
         keys = self.columns.axiom_keys(tids)
-        texts = [self._run_text(problem, "premise", problem.premise, keys, index)]
+        texts = [self._run_text(problem, "premise", problem.premise, keys, rows, index)]
         for k, alt in enumerate(problem.alternatives, start=1):
-            texts.append(self._run_text(problem, f"a{k}", alt, keys, index))
+            texts.append(self._run_text(problem, f"a{k}", alt, keys, rows, index))
         with _stage(problem.id, "score"):
             premise_syms = texts[0].symbols
             scores = [score_pair(premise_syms, t.symbols, self.table) for t in texts[1:]]
             y = likelihoods(scores)
             choice = choose(y)
-        return ProblemResult(problem, texts, scores, y, choice,
-                             time.perf_counter() - start)
+        return ProblemResult(problem, texts, scores, y, choice)
 
     def evaluate(self, problems: Sequence[CopaProblem]) -> RunReport:
         """Run every problem independently; results come back in id order.

@@ -13,6 +13,7 @@ from corg.fol import (MAX_NESTING, And, Atom, Clause, Constant, Exists, Forall,
                       format_formula, is_closed, parse_fol, parse_formulas,
                       parse_tptp, symbols, to_tptp, translate_existential,
                       translate_factual, translate_inverse)
+from corg.model import DerivationStep
 from corg.pipeline import axiom_id
 from corg.selection import TripleColumns, build_index
 from oracles import reference_clausify
@@ -121,6 +122,29 @@ class TestTripleSymbols:
     def test_inverse_predicate(self):
         assert self.index_rows([Triple("shadow", "at_location", "light")])[1] \
             == {"light", "inv_atlocation", "shadow"}
+
+
+class TestSlots:
+    def test_no_ast_instance_has_a_dict(self):
+        atom = unary("sun", Function("f", (X, Constant("c"))))
+        instances = [X, Constant("c"), atom.args[0], atom, Not(atom), And((atom, atom)),
+                     Or((atom, atom)), Implies(atom, atom), Iff(atom, atom),
+                     Forall("X", atom), Exists("X", atom),
+                     Clause((atom,), (atom,), "t1"),
+                     fol.AnnotatedFormula("f0", "axiom", atom),
+                     Triple("sun", "causes", "light"),
+                     DerivationStep(atom, None, ())]
+        assert len({type(i) for i in instances}) == len(instances)
+        for instance in instances:
+            assert not hasattr(instance, "__dict__"), type(instance).__name__
+
+    def test_chainable_is_a_field_outside_equality(self):
+        horn = Clause((unary("p", X),), (unary("q", X),), "a")
+        other = Clause((unary("p", X),), (unary("q", X),), "a")
+        assert horn.chainable and horn == other and hash(horn) == hash(other)
+        assert "chainable" not in repr(horn)
+        assert not Clause((), (unary("q", X),), "b").chainable  # not range-restricted
+        assert not Clause((), (unary("q", X), unary("p", X)), "c").chainable  # not Horn
 
 
 class TestClausify:

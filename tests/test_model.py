@@ -449,6 +449,21 @@ class TestExplain:
         assert built == [model]
 
 
+class TestInternDictReleased:
+    def test_returned_model_reads_without_the_intern_dict(self, fig_graph):
+        sun = unary("sun", Constant("c"))
+        model = saturate([sun], fig_clauses(fig_graph))
+        assert not hasattr(model.terms, "ids")
+        light = unary("light", Function("sk_t1_0", (Constant("c"),)))
+        assert model.atoms == [sun, Atom("causes", (Constant("c"), light.args[0])), light]
+        assert [step.premises for step in model.trace] == [(), (0,), (0,)]
+        assert extract_symbols(model) == ["sun", "c", "light"]
+        assert explain(model, light).splitlines() == [
+            "light(sk_t1_0(c))   [clause t1]", "  sun(c)   [input]"]
+        assert [row["atom"] for row in json.loads(trace_json(model))["steps"]] == \
+            ["sun(c)", "causes(c,sk_t1_0(c))", "light(sk_t1_0(c))"]
+
+
 class TestDumps:
     def test_trace_json(self, fig_graph):
         model = saturate([unary("sun", Constant("c"))], fig_clauses(fig_graph))
