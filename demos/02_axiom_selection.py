@@ -21,7 +21,8 @@ graph = KnowledgeGraph.from_tuples([
 # directly: each axiom is one row of symbol ids (subject, predicate, object),
 # and a concept's symbol id is its id in the graph.
 columns = TripleColumns(graph, EmbeddingTable(2, {}))
-index = build_index(columns.axiom_rows(np.arange(len(graph))), columns.symbols)
+rows, _ = columns.axioms(np.arange(len(graph)))  # symbol ids and axiom keys
+index = build_index(rows, columns.symbols)
 axiom_ids = [f"t{i + 1}" for i in range(len(graph))]
 
 print("symbol occurrence counts:")

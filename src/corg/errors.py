@@ -50,12 +50,6 @@ class DimensionMismatch(CorgError):
     """Vector length disagrees with the table dimension."""
 
 
-# --- axiom selection ---
-
-class EmptyGoal(CorgError):
-    """Selection needs at least one goal symbol."""
-
-
 # --- model builder ---
 
 class NonHornClause(CorgError):

@@ -402,34 +402,26 @@ class Pipeline:
         steps, and an axiom whose body is not reached never fires.  A
         factual forward axiom has no body and is always live.
         """
-        ids = self.columns.symbols.ids
-        reached = np.zeros(len(ids), dtype=bool)
-        reached[[ids[f.predicate] for f in facts
-                 if len(f.args) == 1 and f.predicate in ids]] = True
-        bodiless = keys % 2 == 0 if self.config.scheme == "factual" \
-            else np.zeros(len(keys), dtype=bool)
+        reached = self.columns.symbols.mask(f.predicate for f in facts
+                                            if len(f.args) == 1)
+        bodiless = (keys % 2 == 0) & (self.config.scheme == "factual")
         body, head = rows[:, 0], rows[:, 2]
         for _ in range(self.config.builder.max_term_depth - 1):
             reached[head[reached[body] & ~bodiless]] = True
         return reached[body] | bodiless
 
-    def _run_text(self, problem: CopaProblem, role: str, text: str, axiom_keys: np.ndarray,
-                  axiom_rows: np.ndarray, index: AxiomIndex) -> TextResult:
+    def _run_text(self, problem: CopaProblem, role: str, text: str, rows: np.ndarray,
+                  keys: np.ndarray, index: AxiomIndex) -> TextResult:
         cfg = self.config
         with _stage(problem.id, "facts"):
             facts = text_to_facts(text, cfg.fact_mode, cfg.fol_dir, problem.id, role)
-        goals: set[str] = set()
-        for f in facts:
-            goals |= fol.symbols(f)
+        goals = set().union(*map(fol.symbols, facts))
         with _stage(problem.id, "select"):
-            if not goals:
-                positions = np.empty(0, dtype=np.intp)
-            elif cfg.sine.similarity_threshold is not None:
-                positions = similarity_sine_select(index, goals, cfg.sine)
-            else:
-                positions = sine_select(index, goals, cfg.sine)
-        keys = axiom_keys[positions]
-        live = keys[self._live(facts, axiom_rows[positions], keys)]
+            select = similarity_sine_select if cfg.sine.similarity_threshold is not None \
+                else sine_select
+            positions = select(index, goals, cfg.sine)
+        keys = keys[positions]
+        live = keys[self._live(facts, rows[positions], keys)]
         clauses: list[Clause] = []
         with _stage(problem.id, "translate"):
             for key in live.tolist():
@@ -441,18 +433,15 @@ class Pipeline:
 
     def run_problem(self, problem: CopaProblem) -> ProblemResult:
         """Full pipeline for one problem; see the module docstring."""
-        cfg = self.config
         words = content_words(" ".join([problem.premise] + problem.alternatives))
         with _stage(problem.id, "prefilter"):
-            kept = self.prefilter.apply_indices(words, cfg.prefilter_theta) \
-                if words else np.empty(0, dtype=np.intp)
+            kept = self.prefilter.apply_indices(words, self.config.prefilter_theta)
         tids = kept[~self.columns.negated[kept]]
-        rows = self.columns.axiom_rows(tids)
+        rows, keys = self.columns.axioms(tids)
         index = build_index(rows, self.columns.symbols)
-        keys = self.columns.axiom_keys(tids)
-        texts = [self._run_text(problem, "premise", problem.premise, keys, rows, index)]
+        texts = [self._run_text(problem, "premise", problem.premise, rows, keys, index)]
         for k, alt in enumerate(problem.alternatives, start=1):
-            texts.append(self._run_text(problem, f"a{k}", alt, keys, rows, index))
+            texts.append(self._run_text(problem, f"a{k}", alt, rows, keys, index))
         with _stage(problem.id, "score"):
             premise_syms = texts[0].symbols
             scores = [score_pair(premise_syms, t.symbols, self.table) for t in texts[1:]]
@@ -461,20 +450,18 @@ class Pipeline:
         return ProblemResult(problem, texts, scores, y, choice)
 
     def evaluate(self, problems: Sequence[CopaProblem]) -> RunReport:
-        """Run every problem independently; results come back in id order.
+        """Run every problem independently, in id order.
 
         A problem that raises a StageError becomes a failure of the report
         and the run goes on with the next one.
         """
         results: list[ProblemResult] = []
         failures: list[ProblemFailure] = []
-        for p in problems:
+        for p in sorted(problems, key=lambda p: p.id):
             try:
                 results.append(self.run_problem(p))
             except StageError as e:
                 failures.append(ProblemFailure(p, e))
-        results.sort(key=lambda r: r.problem.id)
-        failures.sort(key=lambda f: f.problem.id)
         return RunReport(results, failures)
 
 

@@ -20,7 +20,9 @@ Every vector, a symbol's or a problem word's, is a row of
 ``EmbeddingTable.vectors``.  Per problem an ``AxiomIndex`` is one int32
 matrix of symbol ids, one row per axiom, with ``np.bincount`` occurrence
 counts; selection runs on boolean masks and returns axiom positions, so
-only the axioms a text selects are ever named or translated.
+only the axioms a text selects are ever named, and only the live ones
+among them (``Pipeline._live``) translated.  Empty input is no error:
+no goal symbol selects no axiom, and no problem word keeps no triple.
 """
 
 from __future__ import annotations
@@ -33,7 +35,6 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .embeddings import EmbeddingTable
-from .errors import EmptyGoal
 from .fol import symbols  # noqa: F401  benchmarks/tracing.py wraps this name
 from .fol import INVERSE_PREFIX, relation_predicate
 from .kg import KnowledgeGraph
@@ -112,28 +113,23 @@ class TripleColumns:
         self.negated = np.array(graph.negated, dtype=bool)
         self.symbols = SymbolTable(ids, table)
 
-    def axiom_rows(self, tids: np.ndarray) -> np.ndarray:
-        """Symbol-id rows of the axioms of triples ``tids``, in axiom order.
+    def axioms(self, tids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Symbol-id rows and keys of the axioms of triples ``tids``.
 
-        Each triple gives its forward row (subject, predicate, object) and,
-        when inverses are on, then its inverse row (object, ``inv_``
-        predicate, subject).
+        Each triple gives its forward axiom (subject, predicate, object)
+        and, when inverses are on, then its inverse one (object, ``inv_``
+        predicate, subject).  ``keys[a]`` is the key ``2 * triple id +
+        inverse`` of the axiom whose symbol ids are ``rows[a]``.
         """
-        forward = np.stack([self.subject[tids], self.predicate[tids],
-                            self.object[tids]], axis=1)
+        rows = np.stack([self.subject[tids], self.predicate[tids],
+                         self.object[tids]], axis=1)
+        keys = 2 * np.asarray(tids, dtype=np.int64)
         if self.inverse is None:
-            return forward
+            return rows, keys
         backward = np.stack([self.object[tids], self.inverse[tids],
                              self.subject[tids]], axis=1)
-        return np.stack([forward, backward], axis=1).reshape(-1, 3)
-
-    def axiom_keys(self, tids: np.ndarray) -> np.ndarray:
-        """The key ``2 * triple id + inverse`` of each row of
-        ``axiom_rows(tids)``, in the same order."""
-        forward = 2 * np.asarray(tids, dtype=np.int64)
-        if self.inverse is None:
-            return forward
-        return np.stack([forward, forward + 1], axis=1).reshape(-1)
+        return (np.stack([rows, backward], axis=1).reshape(-1, 3),
+                np.stack([keys, keys + 1], axis=1).reshape(-1))
 
 
 def _intern(ids: dict[str, int], names: list[str]) -> np.ndarray:
@@ -213,11 +209,9 @@ def sine_select(idx: AxiomIndex, goal_symbols: Iterable[str],
     A symbol s triggers axiom A iff s occurs in A and
     occ(s) <= tolerance * min occ over A's symbols.  Symbols of selected
     axioms become reached; iteration stops at max_depth or at the fixpoint.
+    No goal symbol selects no axiom.
     """
-    goals = set(goal_symbols)
-    if not goals:
-        raise EmptyGoal("selection needs at least one goal symbol")
-    return _closure(idx, idx.symbols.mask(goals), cfg or SineConfig())
+    return _closure(idx, idx.symbols.mask(goal_symbols), cfg or SineConfig())
 
 
 def similarity_sine_select(idx: AxiomIndex, goal_symbols: Iterable[str],
@@ -227,21 +221,19 @@ def similarity_sine_select(idx: AxiomIndex, goal_symbols: Iterable[str],
     Every indexed symbol whose cosine to some goal symbol, clipped to
     [-1, 1], reaches ``cfg.similarity_threshold`` joins the seed first.
     The indexed symbols' unit rows are gathered once per index, by the
-    first call that needs them.
+    first call that needs them.  No goal symbol selects no axiom.
     """
     goals = set(goal_symbols)
-    if not goals:
-        raise EmptyGoal("selection needs at least one goal symbol")
     seed = idx.symbols.mask(goals)
-    if cfg.similarity_threshold is not None and idx.indexed.size:
+    if goals and cfg.similarity_threshold is not None and idx.indexed.size:
         seed[idx.indexed[_near(idx.indexed_unit, idx.symbols.table, sorted(goals),
                                cfg.similarity_threshold)]] = True
     return _closure(idx, seed, cfg)
 
 
 def _near(unit: np.ndarray, table: EmbeddingTable, words: Sequence[str], theta: float):
-    """Mask of the rows of ``unit`` whose best cosine with the words' unit
-    vectors, clipped to [-1, 1] as ``cosine`` clips it, reaches ``theta``."""
+    """Mask of the rows of ``unit`` whose best cosine with the unit vectors of
+    one or more words, clipped to [-1, 1] as ``cosine`` clips it, reaches ``theta``."""
     best = (unit @ _unit_rows(table.vectors(words)).T).max(axis=1)
     return np.clip(best, -1.0, 1.0, out=best) >= theta
 
@@ -267,9 +259,10 @@ class Prefilter:
         self.columns = columns
 
     def apply_indices(self, problem_words: Sequence[str], theta: float) -> np.ndarray:
-        """Ids (ascending) of the triples whose object is ``_near`` the words."""
+        """Ids (ascending) of the triples whose object is ``_near`` the
+        words; no word keeps no triple."""
         if not problem_words:
-            raise EmptyGoal("prefilter needs at least one problem word")
+            return np.empty(0, dtype=np.intp)
         cols = self.columns
         near = _near(cols.symbols.unit, cols.symbols.table, problem_words, theta)
         return np.flatnonzero(near[cols.object])

@@ -97,7 +97,7 @@ class TestTripleSymbols:
     def index_rows(triples):
         columns = TripleColumns(KnowledgeGraph(triples), EmbeddingTable(2, {}),
                                 inverse=True)
-        idx = build_index(columns.axiom_rows(np.arange(len(triples))), columns.symbols)
+        idx = build_index(columns.axioms(np.arange(len(triples)))[0], columns.symbols)
         names = list(columns.symbols.ids)
         out = []
         for row in idx.rows.tolist():

@@ -33,6 +33,37 @@ def c0(pred):
     return Atom(pred, (Constant("c0"),))
 
 
+def triple_of(graph, aid):
+    return graph.triple(int(aid[1:].removesuffix("_inv")) - 1)
+
+
+def edge(graph, aid):
+    """(body concept, head concept) of axiom ``aid``: its triple's subject
+    and object, swapped for an inverse axiom."""
+    t = triple_of(graph, aid)
+    return (t.object, t.subject) if aid.endswith("_inv") else (t.subject, t.object)
+
+
+def translation(graph, aid):
+    """The translation of axiom ``aid`` under the existential scheme."""
+    translate = translate_inverse if aid.endswith("_inv") else translate_existential
+    return translate(triple_of(graph, aid))
+
+
+def live_axioms(graph, text, scheme, depth):
+    """The selected axioms of ``text`` that can fire under ``max_term_depth``
+    ``depth``: those whose body concept is within depth - 1 hops of the
+    text's words over the selected rules' edges, and every factual forward
+    axiom, a fact."""
+    bodiless = {aid for aid in text.selected
+                if scheme == "factual" and not aid.endswith("_inv")}
+    reached = reachable_within([edge(graph, aid) for aid in text.selected
+                                if aid not in bodiless],
+                               {f.predicate for f in text.facts}, depth - 1)
+    return [aid for aid in text.selected
+            if aid in bodiless or edge(graph, aid)[0] in reached]
+
+
 def write_formulas(fol_dir, problem_id):
     """Formula files for every text of a copa1-shaped problem."""
     for role, formula in [("premise", "exists A (shadow(A) & grass(A))"),
@@ -225,21 +256,8 @@ class TestRunProblem:
             result = pipe.run_problem(copa1)
             indexed = {t.n_translated for t in result.texts}
             assert indexed == {8 if inverse else 4}  # each triple, with its inverse
-            live = []
-            for text in result.texts:
-                bodiless = [aid for aid in text.selected
-                            if scheme == "factual" and not aid.endswith("_inv")]
-                edges = {}
-                for aid in text.selected:
-                    t = fig_graph.triple(int(aid[1:].removesuffix("_inv")) - 1)
-                    edges[aid] = (t.object, t.subject) if aid.endswith("_inv") \
-                        else (t.subject, t.object)
-                reached = reachable_within(
-                    [edges[aid] for aid in text.selected if aid not in bodiless],
-                    {f.predicate for f in text.facts}, depth - 1)
-                live.append([aid for aid in text.selected
-                             if aid in bodiless or edges[aid][0] in reached])
-                dropped += len(text.selected) - len(live[-1])
+            live = [live_axioms(fig_graph, text, scheme, depth) for text in result.texts]
+            dropped += sum(len(t.selected) for t in result.texts) - sum(map(len, live))
             assert chained == live
             assert sorted(clausified) == sorted({aid for aids in live for aid in aids})
             assert pipe._clauses.cache_info().currsize == len(clausified)
@@ -258,20 +276,26 @@ class TestRunProblem:
         for name in ("translate_existential", "translate_inverse", "translate_factual"):
             monkeypatch.setattr(fol, name, counted("translate", getattr(fol, name)))
         monkeypatch.setattr(fol, "clausify", counted("clausify", fol.clausify))
-        pipe = Pipeline(fig_graph, fig_table,
-                        PipelineConfig(include_inverse=True, prefilter_theta=-1.0))
         problems = [copa1, replace(copa1, id=2), replace(
             copa1, id=3, premise="The grass was cut.",
             alternatives=["The sun was rising.", "My body cast a shadow."])]
-        results = [pipe.run_problem(p) for p in problems]
-        keys = {key for r in results for t in r.texts for key in t.keys}
-        assert len(keys) > 1
-        assert calls == {"translate": len(keys), "clausify": len(keys)}
-        info = pipe._clauses.cache_info()
-        assert info.misses == info.currsize == len(keys)
-        RunReport(results).to_jsonl()
-        assert calls == {"translate": len(keys), "clausify": len(keys)}
-        assert pipe._clauses.cache_info() == info
+        for depth in (1, 3):
+            calls.update(translate=0, clausify=0)
+            pipe = Pipeline(fig_graph, fig_table, PipelineConfig(
+                include_inverse=True, prefilter_theta=-1.0,
+                builder=BuilderConfig(max_term_depth=depth)))
+            results = [pipe.run_problem(p) for p in problems]
+            selected = {aid for r in results for t in r.texts for aid in t.selected}
+            live = {aid for r in results for t in r.texts
+                    for aid in live_axioms(fig_graph, t, "existential", depth)}
+            assert len(live) > 1 and live <= selected
+            assert live < selected or depth != 1  # some selected axioms cannot fire
+            assert calls == {"translate": len(live), "clausify": len(live)}
+            info = pipe._clauses.cache_info()
+            assert info.misses == info.currsize == len(live)
+            RunReport(results).to_jsonl()
+            assert calls == {"translate": len(live), "clausify": len(live)}
+            assert pipe._clauses.cache_info() == info
 
     def test_dropped_pipeline_freed_without_the_collector(self, fig_graph, fig_table,
                                                           copa1):
@@ -297,11 +321,20 @@ class TestRunProblem:
             return clausify(formula, axiom_id)
 
         monkeypatch.setattr(fol, "clausify", recorded)
-        cfg = PipelineConfig(include_inverse=True, prefilter_theta=-1.0)
-        result = Pipeline(fig_graph, fig_table, cfg).run_problem(copa1)
-        assert {aid for t in result.texts for aid in t.selected} == set(clausified)
-        for text in result.texts:
-            assert text.formulas == [clausified[aid] for aid in text.selected]
+        for depth in (1, 3):
+            clausified.clear()
+            cfg = PipelineConfig(include_inverse=True, prefilter_theta=-1.0,
+                                 builder=BuilderConfig(max_term_depth=depth))
+            result = Pipeline(fig_graph, fig_table, cfg).run_problem(copa1)
+            live = [live_axioms(fig_graph, t, "existential", depth) for t in result.texts]
+            assert {aid for aids in live for aid in aids} == set(clausified)
+            if depth == 1:  # some selected axioms cannot fire
+                assert sum(len(t.selected) for t in result.texts) > sum(map(len, live))
+            for text, aids in zip(result.texts, live):
+                # every selected axiom keeps its formula, a live one the one clausified
+                assert text.formulas == [translation(fig_graph, aid) for aid in text.selected]
+                assert [f for aid, f in zip(text.selected, text.formulas) if aid in aids] \
+                    == [clausified[aid] for aid in aids]
 
     def test_unary_inv_concept_is_a_symbol(self, fig_table, copa1):
         # a concept spelled inv_* is a word; the generated inv_ predicates
@@ -320,10 +353,7 @@ class TestRunProblem:
         result = Pipeline(fig_graph, fig_table, cfg).run_problem(copa1)
         for text in result.texts:
             for aid, formula in zip(text.selected, text.formulas, strict=True):
-                triple = fig_graph.triple(int(aid[1:].removesuffix("_inv")) - 1)
-                translate = translate_inverse if aid.endswith("_inv") \
-                    else translate_existential
-                assert formula == translate(triple)
+                assert formula == translation(fig_graph, aid)
 
     def test_prefilter_applies_to_objects(self, fig_table, copa1):
         # 'xyzzy' has no vector, so its cosine to every problem word is 0
@@ -378,11 +408,7 @@ class TestReachabilityOracle:
         problem = CopaProblem(1, texts[0], "cause", texts[1:])
         for text in Pipeline(graph, table, config).run_problem(problem).texts:
             assert not {"atoms", "rounds"} & set(text.model.cut_by)
-            edges = []
-            for aid in text.selected:
-                t = graph.triple(int(aid[1:].removesuffix("_inv")) - 1)
-                edges.append((t.object, t.subject) if aid.endswith("_inv")
-                             else (t.subject, t.object))
+            edges = [edge(graph, aid) for aid in text.selected]
             words = {fact.predicate for fact in text.facts}
             assert {a.predicate for a in text.model.atoms if len(a.args) == 1} == \
                 reachable_within(edges, words, depth - 1)
@@ -575,6 +601,47 @@ class TestEvaluate:
         # the failed problem is labeled and counts as wrong
         assert rows[3] == {"problems": 3, "labeled": 2, "correct": 1,
                            "accuracy": 0.5, "failed": 1}
+
+    def test_problems_run_and_report_in_id_order(self, fig_graph, fig_table, copa1,
+                                                 tmp_path, monkeypatch):
+        for pid in (1, 3, 4, 6):
+            write_formulas(tmp_path, pid)  # none for problems 2 and 5
+        cfg = PipelineConfig(fact_mode="fol_file", fol_dir=tmp_path)
+        problems = [replace(copa1, id=pid) for pid in range(1, 7)]
+        expected = Pipeline(fig_graph, fig_table, cfg).evaluate(problems).to_jsonl()
+        ran = []
+
+        def spied(text, mode, fol_dir, problem_id, role):
+            ran.append(problem_id)
+            return text_to_facts(text, mode, fol_dir, problem_id, role)
+
+        monkeypatch.setattr(pipeline, "text_to_facts", spied)
+        shuffled = [problems[k] for k in (4, 0, 5, 1, 3, 2)]
+        report = Pipeline(fig_graph, fig_table, cfg).evaluate(shuffled)
+        assert list(dict.fromkeys(ran)) == [1, 2, 3, 4, 5, 6]
+        assert [r.problem.id for r in report.results] == [1, 3, 4, 6]
+        assert [f.problem.id for f in report.failures] == [2, 5]
+        assert report.to_jsonl() == expected
+
+    def test_texts_without_content_words_select_nothing(self, fig_graph, fig_table):
+        # every word is a stopword: no facts, no prefiltered triple, no goal
+        problem = CopaProblem(1, "It was.", "cause", ["She did it.", "They were there."],
+                              gold=1)
+        for sine in (SineConfig(), SineConfig(similarity_threshold=-1.0)):
+            pipe = Pipeline(fig_graph, fig_table,
+                            PipelineConfig(prefilter_theta=-1.0, sine=sine))
+            result = pipe.run_problem(problem)
+            report = pipe.evaluate([problem])
+            assert report.failures == [] and len(report.results) == 1
+            for row in (result.to_json(), report.results[0].to_json()):
+                assert row["tie"] is True
+                for text in row["texts"]:
+                    assert (text["n_facts"], text["n_selected"], text["model_atoms"],
+                            text["complete"]) == (0, 0, 0, True)
+        # a text without content words selects nothing from a non-empty index
+        mixed = replace(problem, alternatives=["The sun was rising.", "They were there."])
+        premise = pipe.run_problem(mixed).texts[0]
+        assert premise.n_translated == len(fig_graph) and premise.keys == []
 
     def test_undecodable_formula_file_becomes_error_row(self, fig_graph, fig_table,
                                                          copa1, tmp_path):

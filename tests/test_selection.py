@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from corg import KnowledgeGraph, Triple
 from corg.embeddings import EmbeddingTable, cosine
-from corg.errors import EmptyGoal
 from corg.fol import symbols, translate_existential, translate_inverse
 from corg.pipeline import axiom_id
 from corg.selection import (Prefilter, SineConfig, SymbolTable, TripleColumns,
@@ -37,7 +36,7 @@ def picked(axioms, positions):
 
 def fig_index(fig_graph, table=NO_VECTORS):
     columns = TripleColumns(fig_graph, table)
-    return build_index(columns.axiom_rows(np.arange(len(fig_graph))), columns.symbols)
+    return build_index(columns.axioms(np.arange(len(fig_graph)))[0], columns.symbols)
 
 
 def fig_ids(positions):
@@ -64,7 +63,7 @@ class TestBuildIndex:
         for triple, n in [(Triple("a", "r", "a"), 2), (Triple("causes", "causes", "x"), 2),
                           (Triple("x", "causes", "x"), 2)]:
             columns = TripleColumns(KnowledgeGraph([triple]), NO_VECTORS)
-            idx = build_index(columns.axiom_rows(np.array([0])), columns.symbols)
+            idx = build_index(columns.axioms(np.array([0]))[0], columns.symbols)
             assert (idx.rows >= 0).sum() == n
             assert idx.occ.max() == 1
 
@@ -94,9 +93,9 @@ class TestSineSelect:
         assert len(sine_select(fig_index(fig_graph), {"nonexistent_symbol"},
                                SineConfig())) == 0
 
-    def test_empty_goal_rejected(self, fig_graph):
-        with pytest.raises(EmptyGoal):
-            sine_select(fig_index(fig_graph), set(), SineConfig())
+    def test_empty_goal_selects_nothing(self, fig_graph):
+        got = sine_select(fig_index(fig_graph), set(), SineConfig(tolerance=1e9))
+        assert got.dtype == np.intp and got.tolist() == []
 
     def test_selection_ids_exist(self, fig_graph):
         idx = fig_index(fig_graph)
@@ -202,10 +201,11 @@ class TestSimilaritySine:
             assert picked(axioms, similarity_sine_select(idx, {"sun"}, cfg)) == \
                 ["a1", "a2", "a3"]
 
-    def test_empty_goal_rejected(self):
+    def test_empty_goal_selects_nothing(self):
+        # at threshold -1 any goal would seed every indexed symbol
         idx = index_of(self.axioms(), self.table())
-        with pytest.raises(EmptyGoal):
-            similarity_sine_select(idx, set(), SineConfig())
+        got = similarity_sine_select(idx, set(), SineConfig(similarity_threshold=-1.0))
+        assert got.dtype == np.intp and got.tolist() == []
 
     def test_rows_gathered_once_per_index(self):
         gathers = []
@@ -264,7 +264,8 @@ class TestReferenceAgreement:
 
         columns = TripleColumns(KnowledgeGraph(triples), table, inverse=inverse)
         tids = kept[~columns.negated[kept]]
-        idx = build_index(columns.axiom_rows(tids), columns.symbols)
+        rows, keys = columns.axioms(tids)
+        idx = build_index(rows, columns.symbols)
         select = sine_select if cfg.similarity_threshold is None else similarity_sine_select
 
         axioms = {}
@@ -273,7 +274,7 @@ class TestReferenceAgreement:
             if inverse:
                 axioms[f"t{tid + 1}_inv"] = symbols(translate_inverse(triples[tid]))
         assert len(idx) == len(axioms)
-        assert [axiom_id(key) for key in columns.axiom_keys(tids).tolist()] == list(axioms)
+        assert [axiom_id(key) for key in keys.tolist()] == list(axioms)
         # a second goal set on the same index reuses what the first call cached
         for g in (goals, goals | {"rising"}):
             assert picked(axioms, select(idx, g, cfg)) == \
@@ -286,8 +287,8 @@ class TestAxiomKeys:
     def test_keys_name_the_rows(self, fig_graph, inverse, tids):
         columns = TripleColumns(fig_graph, NO_VECTORS, inverse=inverse)
         tids = np.array(tids, dtype=np.intp)
-        rows, keys = columns.axiom_rows(tids), columns.axiom_keys(tids)
-        assert len(keys) == len(rows) == len(tids) * (2 if inverse else 1)
+        rows, keys = columns.axioms(tids)
+        assert rows.shape == (len(keys), 3) == (len(tids) * (2 if inverse else 1), 3)
         for row, key in zip(rows.tolist(), keys.tolist()):
             tid, backward = divmod(key, 2)
             s, p, o = (columns.subject[tid], columns.predicate[tid],
@@ -359,9 +360,10 @@ class TestTriplePrefilter:
         assert self.kept(triples, ["sun"], 0.1) == []
         assert self.kept(triples, ["sun"], 0.0) == triples
 
-    def test_empty_words_rejected(self):
-        with pytest.raises(EmptyGoal):
-            self.prefilter(self.triples()).apply_indices([], 0.5)
+    def test_empty_words_keep_nothing(self):
+        # at theta -1 any word would keep every triple
+        got = self.prefilter(self.triples()).apply_indices([], -1.0)
+        assert got.dtype == np.intp and got.tolist() == []
 
     def test_matches_per_triple_loop(self):
         # reference: each triple's own object cosine against every word
