@@ -8,9 +8,11 @@ class CorgError(Exception):
 # --- knowledge graph and vector table loading ---
 
 class MalformedLine(CorgError):
-    """A dump or table line that cannot be parsed (wrong field count, bad
-    URI, bad JSON, invalid UTF-8, a vector component that is not finite, a
-    table header whose word count is not the number of vector lines)."""
+    """A vector-table or relation-whitelist line that cannot be read
+    (invalid UTF-8, a vector component that is not finite, a table header
+    whose word count is not the number of vector lines, a table row that
+    cannot be read again after the load).  A malformed graph line is not
+    raised: ``load_graph`` counts it under ``"malformed"``."""
 
     def __init__(self, line_no: int, reason: str):
         super().__init__(f"line {line_no}: {reason}")

@@ -7,10 +7,12 @@ Two input formats are accepted, detected per line:
   with relation URIs like ``/r/Causes`` and concept URIs like ``/c/en/sun``;
   the JSON metadata must decode, and its ``"weight"`` key, if any, must be
   a number: it is checked, not kept.  Only edges between two English
-  concepts are kept.
+  concepts are kept, and a concept or relation whose name normalizes to
+  empty (``/c/en/ ``, ``/r/ ``) makes the line malformed.
 * plain fixture: ``subject <TAB> relation <TAB> object [<TAB> weight]``,
   ``#`` comments and blank lines allowed; the weight must parse as a float
-  and is not kept either.
+  and is not kept either, and an empty concept or relation name makes the
+  line malformed.
 
 Lines end at ``\\r\\n``, ``\\n`` or ``\\r``.
 
@@ -29,7 +31,9 @@ normalized once, each distinct weight is checked once, and the kept rows are
 interned in line order.  Any other block, a dump block among them, goes line
 by line through ``_LineParser``, the one definition of the format; so does an
 even block with a field that would make its line malformed.  Both ways give
-the same graph.
+the same graph.  Each graph line gets one verdict, its triple or the reason
+it is skipped (``malformed`` is one such reason, returned like the others),
+and no line number is kept for it.
 
 Concept identifiers are normalized to lowercase single tokens (multiword
 concepts stay underscore-joined, e.g. ``annoy_your_spouse``); relation names
@@ -197,14 +201,15 @@ class _LineParser:
 
     A line parses to the fields ``(subject, relation, object, negated)`` of
     a kept ``Triple``, or to the reason it is skipped, a ``str``
-    (``"external_url"``, ``"non_concept"``, ``"language"``, ``"relation"``),
-    or raises MalformedLine.  ``allowed`` is the relation filter's set, or
-    None for no filter.  Each relation URI is memoized to its verdict,
-    ``(relation, negated, allowed)`` or ``"external_url"``, and so is each
-    plain relation field (a fixture keeps ``external_url`` edges).  Each
-    concept URI is memoized to ``(name, None)`` for an English concept,
-    else to ``(None, reason)``.  A URI that raises MalformedLine is not
-    memoized, so it raises on every use.
+    (``"malformed"``, ``"external_url"``, ``"non_concept"``, ``"language"``,
+    ``"relation"``); nothing is raised.  One field rule serves both
+    formats: a concept or relation whose name normalizes to empty makes the
+    line malformed.  ``allowed`` is the relation filter's set, or None for
+    no filter.  Each relation URI is memoized to its verdict, ``(relation,
+    negated, allowed)``, ``"external_url"`` or ``"malformed"``, and so is
+    each plain relation field (a fixture keeps ``external_url`` edges).
+    Each concept URI is memoized to ``(name, None)`` for an English
+    concept, else to ``(None, reason)``.
     """
 
     def __init__(self, allowed: frozenset[str] | None = None):
@@ -223,45 +228,46 @@ class _LineParser:
         self._relations[raw] = verdict
         return verdict
 
-    def _relation_uri(self, uri: str, line_no: int) -> tuple[str, bool, bool] | str:
-        if not uri.startswith("/r/") or len(uri) <= 3:
-            raise MalformedLine(line_no, f"bad relation URI {uri!r}")
-        verdict = self._relations.get(uri[3:]) or self._relation(uri[3:])
-        if verdict[0] == "external_url":
+    def _relation_uri(self, uri: str) -> tuple[str, bool, bool] | str:
+        verdict = self.relation(uri[3:]) if uri.startswith("/r/") else None
+        if not verdict or not verdict[0]:
+            verdict = "malformed"
+        elif verdict[0] == "external_url":
             verdict = "external_url"
         self._relation_uris[uri] = verdict
         return verdict
 
-    def _concept(self, uri: str, line_no: int) -> tuple[str | None, str | None]:
+    def _concept(self, uri: str) -> tuple[str | None, str | None]:
         """``/c/en/sun/n`` -> ("sun", None); ``/c/fr/soleil`` -> (None,
-        "language"); a URI outside ``/c/`` -> (None, "non_concept")."""
+        "language"); a URI outside ``/c/`` -> (None, "non_concept"); one
+        with no language or a name that normalizes to empty -> (None,
+        "malformed")."""
+        parts = uri.split("/")
         if not uri.startswith("/c/"):
             verdict = None, "non_concept"
+        elif len(parts) < 4 or not parts[2] or not (name := normalize_concept(parts[3])):
+            verdict = None, "malformed"
         else:
-            parts = uri.split("/")
-            if len(parts) < 4 or not parts[2] or not parts[3]:
-                raise MalformedLine(line_no, f"bad concept URI {uri!r}")
-            verdict = (normalize_concept(parts[3]), None) if parts[2] == "en" \
-                else (None, "language")
+            verdict = (name, None) if parts[2] == "en" else (None, "language")
         self._concepts[uri] = verdict
         return verdict
 
-    def assertion(self, line: str, line_no: int) -> tuple[str, str, str, bool] | str:
-        """A dump line; what skips or breaks it comes first in the order of
-        its fields: the relation URI, the start URI, the end URI, then
+    def assertion(self, line: str) -> tuple[str, str, str, bool] | str:
+        """A dump line; what skips it comes first in the order of its
+        fields: the relation URI, the start URI, the end URI, then
         ``language``, the metadata and last the relation filter."""
         fields = line.rstrip("\n").split("\t")
         if len(fields) != 5:
-            raise MalformedLine(line_no, f"expected 5 fields, got {len(fields)}")
+            return "malformed"
         _, rel_uri, start_uri, end_uri, meta = fields
-        relation = self._relation_uris.get(rel_uri) or self._relation_uri(rel_uri, line_no)
-        if relation == "external_url":
+        relation = self._relation_uris.get(rel_uri) or self._relation_uri(rel_uri)
+        if isinstance(relation, str):
             return relation
-        start, start_skip = self._concepts.get(start_uri) or self._concept(start_uri, line_no)
-        if start_skip == "non_concept":
+        start, start_skip = self._concepts.get(start_uri) or self._concept(start_uri)
+        if start_skip not in (None, "language"):
             return start_skip
-        end, end_skip = self._concepts.get(end_uri) or self._concept(end_uri, line_no)
-        if end_skip == "non_concept":
+        end, end_skip = self._concepts.get(end_uri) or self._concept(end_uri)
+        if end_skip not in (None, "language"):
             return end_skip
         if start_skip or end_skip:
             return "language"
@@ -271,42 +277,34 @@ class _LineParser:
             # ``meta`` has no whitespace at either end
             try:
                 data, stop = _JSON.raw_decode(meta)
-            except (ValueError, RecursionError) as e:
-                raise MalformedLine(line_no, f"bad JSON metadata: {e}") from e
-            if stop != len(meta):
-                raise MalformedLine(line_no, f"bad JSON metadata: extra data at {stop}")
-            if isinstance(data, dict) and "weight" in data:
-                _check_weight(data["weight"], line_no)
+            except (ValueError, RecursionError):
+                return "malformed"
+            # a weight must be a number that a float holds
+            weight = data.get("weight", 0) if isinstance(data, dict) else 0
+            if stop != len(meta) or type(weight) not in (int, float) or not _is_float(weight):
+                return "malformed"
         relation, negated, allowed = relation
         return (start, relation, end, negated) if allowed else "relation"
 
-    def plain(self, line: str, line_no: int) -> tuple[str, str, str, bool] | str:
+    def plain(self, line: str) -> tuple[str, str, str, bool] | str:
         fields = line.rstrip("\n").split("\t")
         if len(fields) not in (3, 4):
-            raise MalformedLine(line_no, f"expected 3 or 4 fields, got {len(fields)}")
+            return "malformed"
         relation, negated, allowed = self.relation(fields[1])
-        if not fields[0].strip() or not relation or not fields[2].strip():
-            raise MalformedLine(line_no, "empty field")
-        if len(fields) == 4:
-            try:
-                float(fields[3])
-            except ValueError as e:
-                raise MalformedLine(line_no, f"bad weight {fields[3]!r}") from e
-        if not allowed:
-            return "relation"
-        return normalize_concept(fields[0]), relation, normalize_concept(fields[2]), negated
+        subject, obj = normalize_concept(fields[0]), normalize_concept(fields[2])
+        if not (subject and relation and obj) or len(fields) == 4 and not _is_float(fields[3]):
+            return "malformed"
+        return (subject, relation, obj, negated) if allowed else "relation"
 
 
-def _check_weight(value, line_no: int):
-    """A JSON ``"weight"`` that is not a number, or an int too large for a
-    float, makes its line malformed."""
-    if isinstance(value, (int, float)) and not isinstance(value, bool):
-        try:
-            float(value)
-            return
-        except OverflowError:
-            pass
-    raise MalformedLine(line_no, f"weight is not a number: {value!r:.40}")
+def _is_float(value) -> bool:
+    """Whether ``float`` takes ``value``: a weight field, as text or as
+    ASCII bytes, or a JSON number (an int too large for a float is not)."""
+    try:
+        float(value)
+        return True
+    except (ValueError, OverflowError):
+        return False
 
 
 @contextmanager
@@ -366,28 +364,27 @@ _EVEN_LINE = {3: np.array([9, 9, 10], dtype=np.uint8),
               4: np.array([9, 9, 9, 10], dtype=np.uint8)}
 
 
-def _append_even(g: KnowledgeGraph, parser: _LineParser, data: bytes) -> int | None:
+def _append_even(g: KnowledgeGraph, parser: _LineParser, data: bytes) -> bool:
     """Append the kept rows of an even block of plain lines to ``g``, count
-    the rows that the relation filter drops, and return the block's line
-    count; or return None, having changed nothing, when ``data`` is not an
-    even block or one of its fields would make its line malformed.
+    the rows that the relation filter drops, and return True; or return
+    False, having changed nothing, when ``data`` is not an even block or one
+    of its fields would make its line malformed.
 
     Each distinct field is checked once, with the per-line rule's own steps:
     a relation field's verdict from ``parser``'s memo, ``normalize_concept``
-    on a concept field (blank is malformed) and ``float`` on a weight.  So
-    the rows, their order and the counts are those of the per-line rule."""
+    on a concept field (empty is malformed) and ``_is_float`` on a weight.
+    So the rows, their order and the counts are those of the per-line rule."""
     first_end = data.find(b"\n")
     width = data.count(b"\t", 0, first_end if first_end >= 0 else len(data)) + 1
     if width not in _EVEN_LINE or not data.isascii() or b"#" in data:
-        return None
+        return False
     ended = data[-1] == 10
     a = np.frombuffer(data, dtype=np.uint8)
     kinds = a[a < 32]
     if not ended:
         kinds = np.append(kinds, 10)
     if len(kinds) % width or not (kinds.reshape(-1, width) == _EVEN_LINE[width]).all():
-        return None
-    n_lines = len(kinds) // width
+        return False
     # split as bytes, and only the distinct fields decoded: a small object
     # per field, and no copy of the block as text
     fields = data.replace(b"\n", b"\t").split(b"\t")
@@ -396,13 +393,10 @@ def _append_even(g: KnowledgeGraph, parser: _LineParser, data: bytes) -> int | N
     subjects, relations, objects = fields[0::width], fields[1::width], fields[2::width]
     verdicts = {raw: parser.relation(raw.decode()) for raw in set(relations)}
     names = {raw: normalize_concept(raw.decode()) for raw in set(subjects).union(objects)}
-    if not all(relation for relation, _, _ in verdicts.values()) or not all(names.values()):
-        return None
-    try:
-        for weight in set(fields[3::4] if width == 4 else ()):
-            float(weight.decode())
-    except ValueError:
-        return None
+    weights = set(fields[3::4]) if width == 4 else ()
+    if not all(relation for relation, _, _ in verdicts.values()) or not all(names.values()) \
+            or not all(map(_is_float, weights)):
+        return False
     if not all(allowed for _, _, allowed in verdicts.values()):
         keep = [verdicts[raw][2] for raw in relations]
         g.stats.skip("relation", keep.count(False))
@@ -417,7 +411,7 @@ def _append_even(g: KnowledgeGraph, parser: _LineParser, data: bytes) -> int | N
     g.relation += array("i", map(relation_ids.__getitem__, relations))
     g.object += array("i", map(concept_ids.__getitem__, objects))
     g.negated += array("b", map(negated.__getitem__, relations))
-    return n_lines
+    return True
 
 
 def _intern(ids: dict[str, int], names: list[str], fields: dict[bytes, str],
@@ -436,13 +430,15 @@ def _intern(ids: dict[str, int], names: list[str], fields: dict[bytes, str],
 def load_graph(path, relation_filter: RelationFilter | None = None) -> KnowledgeGraph:
     """Load a dump or fixture file into a KnowledgeGraph.
 
-    Malformed lines, invalid UTF-8 among them, are counted, never fatal.
-    Bad JSON metadata, a ``"weight"`` that is not a number (nor an int
-    that overflows a float) and a plain fourth field that is not a float
-    make a line malformed.  The relation filter comes after every check,
-    so a line it would drop still counts as malformed.  A byte-order mark
-    at the start of the file is dropped, so it is not part of the first
-    name.
+    Malformed lines, invalid UTF-8 among them, are counted under
+    ``"malformed"`` like any other skip reason, never fatal, and no line
+    number is kept.  Bad JSON metadata, a ``"weight"`` that is not a number
+    (nor an int that overflows a float), a plain fourth field that is not a
+    float, and a concept or relation, in a dump or a plain line, whose name
+    normalizes to empty make a line malformed.  The relation filter comes
+    after every check, so a line it would drop still counts as malformed.
+    A byte-order mark at the start of the file is dropped, so it is not
+    part of the first name.
     Raises NoTriplesLoaded when nothing survives the filter (wrong filter
     or wrong file), CorruptArchive for a ``.gz`` file that does not
     decompress, and OSError for unreadable paths.  Load statistics end up
@@ -456,11 +452,11 @@ def load_graph(path, relation_filter: RelationFilter | None = None) -> Knowledge
     rows are interned in line order.  Any other block, and an even one with
     a field that makes its line malformed, goes line by line to one
     ``_LineParser``, which holds the relation filter; each line comes back
-    as a kept line's fields or as a skip reason, and this loop only
-    dispatches and counts.  The parser memoizes the verdict on each
-    relation URI and concept URI for the length of the load (a dump
-    repeats them, as a concept takes part in many edges), and decodes the
-    metadata with one ``JSONDecoder.raw_decode`` call.  Either way a kept
+    as a kept line's fields or as a skip reason, ``"malformed"`` among
+    them, and this loop only dispatches and counts.  The parser memoizes
+    the verdict on each relation URI and concept URI for the length of the
+    load (a dump repeats them, as a concept takes part in many edges), and
+    decodes the metadata with one ``JSONDecoder.raw_decode`` call.  Either way a kept
     line's fields are interned straight into the graph's id columns, so
     concept ids follow the order of the first kept line, subject before
     object; no ``Triple`` is built.
@@ -468,26 +464,19 @@ def load_graph(path, relation_filter: RelationFilter | None = None) -> Knowledge
     parser = _LineParser((relation_filter or RelationFilter()).allowed)
     g = KnowledgeGraph()
     skip, append = g.stats.skip, g._append
-    line_no = 0
     with _open(path) as fh:
         for data in _blocks(fh):
-            even = _append_even(g, parser, data)
-            if even is not None:
-                line_no += even
+            if _append_even(g, parser, data):
                 continue
             for line in _block_lines(data):
-                line_no += 1
-                try:
-                    if not line.isascii() and not _is_utf8(line):
-                        parsed = "malformed"
-                    elif line.startswith("/a/") and line.count("\t") == 4:
-                        parsed = parser.assertion(line, line_no)
-                    elif (stripped := line.strip()) and not stripped.startswith("#"):
-                        parsed = parser.plain(line, line_no)
-                    else:
-                        continue
-                except MalformedLine:
+                if not line.isascii() and not _is_utf8(line):
                     parsed = "malformed"
+                elif line.startswith("/a/") and line.count("\t") == 4:
+                    parsed = parser.assertion(line)
+                elif (stripped := line.strip()) and not stripped.startswith("#"):
+                    parsed = parser.plain(line)
+                else:
+                    continue
                 if isinstance(parsed, str):
                     skip(parsed)
                 else:

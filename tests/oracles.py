@@ -633,7 +633,8 @@ def _reference_concept(uri: str, line_no: int):
     if not uri.startswith("/c/"):
         return "non_concept"
     parts = uri.split("/")
-    if len(parts) < 4 or not parts[2] or not parts[3]:
+    # a name that normalizes to empty is malformed, as in a plain line
+    if len(parts) < 4 or not parts[2] or not normalize_concept(parts[3]):
         raise MalformedLine(line_no, f"bad concept URI {uri!r}")
     return parts[2], normalize_concept(parts[3])
 
@@ -646,6 +647,8 @@ def _reference_assertion(line: str, line_no: int):
     if not rel_uri.startswith("/r/") or len(rel_uri) <= 3:
         raise MalformedLine(line_no, f"bad relation URI {rel_uri!r}")
     relation, negated = normalize_relation(rel_uri[3:])
+    if not relation:
+        raise MalformedLine(line_no, f"empty relation name {rel_uri!r}")
     if relation == "external_url":
         return "external_url"
     start = _reference_concept(start_uri, line_no)

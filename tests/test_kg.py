@@ -1,5 +1,6 @@
 import gc
 import gzip
+import json
 import random
 from importlib import resources
 from unittest import mock
@@ -9,10 +10,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from corg import (EmbeddingTable, KnowledgeGraph, Pipeline, PipelineConfig,
-                  RelationFilter, Triple, TripleColumns,
-                  default_relation_whitelist, load_graph, normalize_relation,
-                  relation_predicate)
+from corg import (CopaProblem, EmbeddingTable, KnowledgeGraph, Pipeline, PipelineConfig,
+                  RelationFilter, SineConfig, Triple, TripleColumns,
+                  default_relation_whitelist, export_tptp, load_graph,
+                  normalize_relation, parse_tptp, relation_predicate)
 from corg import kg
 from corg.errors import CorruptArchive, MalformedLine, NoTriplesLoaded
 from corg.kg import _LineParser, load_relation_whitelist
@@ -20,16 +21,18 @@ from conftest import opened_files
 from oracles import reference_load_graph
 
 
-def parse_assertion_line(line: str, line_no: int = 0) -> Triple | str:
+def parse_assertion_line(line: str) -> Triple | str:
     """One dump line through a fresh ``_LineParser``, as a Triple or the
     reason it is skipped."""
-    parsed = _LineParser().assertion(line, line_no)
+    parsed = _LineParser().assertion(line)
     return parsed if isinstance(parsed, str) else Triple(*parsed)
 
 
-def parse_plain_line(line: str, line_no: int = 0) -> Triple:
-    """One fixture line through a fresh ``_LineParser``, as a Triple."""
-    return Triple(*_LineParser().plain(line, line_no))
+def parse_plain_line(line: str) -> Triple | str:
+    """One fixture line through a fresh ``_LineParser``, as a Triple or the
+    reason it is skipped."""
+    parsed = _LineParser().plain(line)
+    return parsed if isinstance(parsed, str) else Triple(*parsed)
 
 
 def dump_line(rel, start, end, meta="{}"):
@@ -40,58 +43,54 @@ class TestParseAssertionLine:
     def test_concept_edge_with_weight(self):
         # the weight is checked, not kept
         line = dump_line("/r/Causes", "/c/en/sun", "/c/en/light", '{"weight": 2.0}')
-        t = parse_assertion_line(line, 7)
+        t = parse_assertion_line(line)
         assert t == Triple("sun", "causes", "light", False)
 
     def test_external_url_skipped(self):
         line = dump_line("/r/ExternalURL", "/c/en/sun", "http://example.org/sun")
-        assert parse_assertion_line(line, 1) == "external_url"
+        assert parse_assertion_line(line) == "external_url"
 
     def test_not_prefix_sets_negated_flag(self):
         line = dump_line("/r/NotDesires", "/c/en/person", "/c/en/pain")
-        t = parse_assertion_line(line, 1)
+        t = parse_assertion_line(line)
         assert (t.subject, t.relation, t.object, t.negated) == \
             ("person", "desires", "pain", True)
 
     def test_non_concept_endpoint_skipped(self):
         line = dump_line("/r/Causes", "/c/en/sun", "http://example.org")
-        assert parse_assertion_line(line, 1) == "non_concept"
+        assert parse_assertion_line(line) == "non_concept"
 
     def test_language_filter(self):
         line = dump_line("/r/Causes", "/c/de/sonne", "/c/de/licht")
-        assert parse_assertion_line(line, 1) == "language"
+        assert parse_assertion_line(line) == "language"
         line = dump_line("/r/Synonym", "/c/en/sun", "/c/de/sonne")
-        assert parse_assertion_line(line, 1) == "language"
+        assert parse_assertion_line(line) == "language"
 
     def test_sense_suffix_dropped(self):
         line = dump_line("/r/IsA", "/c/en/sun/n", "/c/en/star/n/astronomy")
-        t = parse_assertion_line(line, 1)
+        t = parse_assertion_line(line)
         assert (t.subject, t.object) == ("sun", "star")
 
     def test_wrong_field_count(self):
-        with pytest.raises(MalformedLine):
-            parse_assertion_line("/a/x\t/r/Causes\t/c/en/sun", 3)
+        assert parse_assertion_line("/a/x\t/r/Causes\t/c/en/sun") == "malformed"
 
     def test_bad_metadata_json(self):
         line = dump_line("/r/Causes", "/c/en/sun", "/c/en/light", "{not json")
-        with pytest.raises(MalformedLine):
-            parse_assertion_line(line, 4)
+        assert parse_assertion_line(line) == "malformed"
 
     @pytest.mark.parametrize("weight", ['"heavy"', '"2.0"', "null", "true", "[1]", "{}",
                                         pytest.param("1" + "0" * 400, id="1e400")])
     def test_weight_that_is_not_a_number(self, weight):
         line = dump_line("/r/Causes", "/c/en/sun", "/c/en/light", f'{{"weight": {weight}}}')
-        with pytest.raises(MalformedLine, match="weight is not a number"):
-            parse_assertion_line(line, 5)
+        assert parse_assertion_line(line) == "malformed"
 
     def test_deeply_nested_metadata(self):
         line = dump_line("/r/Causes", "/c/en/sun", "/c/en/light", "[" * 100_000)
-        with pytest.raises(MalformedLine):
-            parse_assertion_line(line, 6)
+        assert parse_assertion_line(line) == "malformed"
 
     def test_multiword_concept(self):
         line = dump_line("/r/HasSubevent", "/c/en/snore", "/c/en/annoy_your_spouse")
-        t = parse_assertion_line(line, 1)
+        t = parse_assertion_line(line)
         assert t == Triple("snore", "has_subevent", "annoy_your_spouse")
 
 
@@ -116,7 +115,7 @@ class TestNormalizeRelation:
 
 class TestPlainLine:
     def test_basic(self):
-        t = parse_plain_line("sun\tCauses\tlight", 2)
+        t = parse_plain_line("sun\tCauses\tlight")
         assert t == Triple("sun", "causes", "light")
 
     def test_weight(self):
@@ -124,12 +123,10 @@ class TestPlainLine:
         assert parse_plain_line("a\tr\tb\t0.5") == Triple("a", "r", "b")
 
     def test_bad_weight(self):
-        with pytest.raises(MalformedLine):
-            parse_plain_line("a\tr\tb\theavy")
+        assert parse_plain_line("a\tr\tb\theavy") == "malformed"
 
     def test_field_count(self):
-        with pytest.raises(MalformedLine):
-            parse_plain_line("a\tr")
+        assert parse_plain_line("a\tr") == "malformed"
 
 
 class TestLoadGraph:
@@ -147,6 +144,40 @@ class TestLoadGraph:
         assert len(g) == 4
         assert g.stats.kept == 4
         assert g.stats.skipped == {"external_url": 1}
+
+    @pytest.mark.parametrize("whitelist", [False, True])
+    def test_empty_names_in_a_dump_are_malformed(self, tmp_path, fig_table, whitelist):
+        # a start, end or relation segment that normalizes to empty makes the
+        # line malformed, as an empty field does in a plain line: never a
+        # concept or relation '', English or not, filtered or not
+        lines = [
+            dump_line("/r/Causes", "/c/en/sun", "/c/en/light"),
+            dump_line("/r/AtLocation", "/c/en/shadow", "/c/en/light"),
+            dump_line("/r/Causes", "/c/en/ ", "/c/en/light"),
+            dump_line("/r/Causes", "/c/en/sun", "/c/en/ "),
+            dump_line("/r/Causes", "/c/fr/ ", "/c/en/light"),
+            dump_line("/r/ ", "/c/en/sun", "/c/en/light"),
+        ]
+        path = tmp_path / "dump.tsv"
+        path.write_text("\n".join(lines) + "\n", "utf-8")
+        flt = RelationFilter(default_relation_whitelist() if whitelist else None)
+        graph = load_graph(path, flt)
+        assert graph.stats.kept == 2
+        assert graph.stats.skipped == {"malformed": 4}
+        assert "" not in graph.concepts and "" not in graph.relations
+        # every axiom of the graph is selected, and every exported file parses
+        cfg = PipelineConfig(include_inverse=True, prefilter_theta=-1.0,
+                             sine=SineConfig(tolerance=1e9))
+        problem = CopaProblem(1, "The sun.", "effect", ["The light.", "The shadow."])
+        result = Pipeline(graph, fig_table, cfg).run_problem(problem)
+        assert {key for t in result.texts for key in t.keys} == {0, 1, 2, 3}
+        written = export_tptp(result, tmp_path / "out")
+        for out in written:
+            text = out.read_text("utf-8")
+            if out.suffix == ".p":
+                parse_tptp(text)
+            else:
+                json.loads(text)
 
     def test_empty_file(self, tmp_path):
         path = tmp_path / "empty.tsv"
@@ -416,16 +447,18 @@ class TestColumns:
 
 
 # Dump lines from small pools, so that URIs and relations repeat and the
-# memo is hit: good URIs next to malformed ones ("/c/en/", "/c//sun"), Not
+# memo is hit: good URIs next to malformed ones ("/c/en/", "/c//sun", and
+# "/c/en/ ", "/c/fr/ " and "/r/ ", whose names normalize to empty), Not
 # relations, relation spellings that normalize alike, bad metadata, and
 # lines the loader counts as malformed or does not count at all.
 _URIS = st.sampled_from(3 * ["/c/en/sun", "/c/en/sun/n", "/c/en/Sun", "/c/en/annoy_your_spouse",
                               "/c/en/light/n/wn/x"]
-                         + ["/c/en/", "/c//sun", "/c/en", "/c/fr/soleil", "/d/x", "/c/en/sun "])
+                         + ["/c/en/", "/c//sun", "/c/en", "/c/fr/soleil", "/d/x", "/c/en/sun ",
+                            "/c/en/ ", "/c/fr/ "])
 _RELATION_URIS = st.sampled_from(2 * ["/r/Causes", "/r/NotDesires", "/r/Desires", "/r/AtLocation",
                                       "/r/NotCapableOf"]
                                  + ["/r/ExternalURL", "/r/dbpedia/genre", "/r/", "/x/Causes",
-                                    "/r/Not"])
+                                    "/r/Not", "/r/ "])
 _METAS = st.sampled_from(['{"weight": 2.0}', '{"weight": "x"}', "", "{", '{"weight": NaN}',
                           '{"dataset": "a"}', '{"weight": 1e999}', '{"weight": -1}',
                           '\ufeff{"weight": 1}', '{"weight": 1} x', "{}{}", "[1]", '"w"',
@@ -496,12 +529,19 @@ class TestLoadGraphOracle:
                         "/a/x\t/r/Causes\t/c/en/sun\t/c/en/\t"]).encode(), False, False, 7)
     # what skips a line first: a French start with an http:// end is
     # non_concept, a bad end URI after a French start is malformed, and a
-    # URI that raises raises again
+    # malformed URI is malformed again from the memo
     @example("\n".join(["/a/x\t/r/Causes\t/c/fr/soleil\thttp://example.org\t{}",
                         "/a/x\t/r/Causes\t/c/fr/soleil\t/c/en/\t{}",
                         "/a/x\t/r/Causes\t/c/fr/soleil\t/c/en/\t{",
                         "/a/x\t/r/Causes\t/c/en/sun\t/c/en/light\t{}"]).encode(),
              False, False, kg._BLOCK_BYTES)
+    # names that normalize to empty, under the whitelist: each line is
+    # malformed, a relation "/r/ " too, which the filter would drop
+    @example("\n".join(["/a/x\t/r/ \t/c/en/sun\t/c/en/light\t{}",
+                        "/a/x\t/r/Causes\t/c/fr/ \t/c/en/light\t{}",
+                        "/a/x\t/r/Causes\t/c/en/sun\t/c/en/ \t{}",
+                        "/a/x\t/r/Causes\t/c/en/sun\t/c/en/light\t{}"]).encode(),
+             True, False, kg._BLOCK_BYTES)
     # one block, even but for a subject that is blank after strip: that line
     # is malformed, and the rest of the block is kept in order
     @example(b"moon\tCauses\tsun\n \tCauses\tlight\nsun\tIsA\tstar\n", False, False,

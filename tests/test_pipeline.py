@@ -2,9 +2,12 @@ import gc
 import gzip
 import itertools
 import json
+import os
+import subprocess
+import sys
 import tempfile
 import weakref
-from dataclasses import replace
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
@@ -513,6 +516,20 @@ class TestLiveAxioms:
         assert [a.predicate for a in premise.model.atoms] == ["apple", "causes", "bread"]
 
 
+# evaluate in a fresh process, whose hash seed is the one its environment
+# sets: the report with inverse axioms, then the one with similarity seeding
+_SEEDED_EVALUATE = """
+import json, sys
+from corg import (CopaProblem, Pipeline, PipelineConfig, SineConfig, load_graph,
+                  load_table)
+graph, table, problems = json.loads(sys.argv[1])
+for cfg in (PipelineConfig(include_inverse=True, prefilter_theta=-1.0),
+            PipelineConfig(prefilter_theta=-1.0, sine=SineConfig(similarity_threshold=0.5))):
+    pipe = Pipeline(load_graph(graph), load_table(table), cfg)
+    sys.stdout.write(pipe.evaluate([CopaProblem(**p) for p in problems]).to_jsonl())
+"""
+
+
 class TestEvaluate:
     def four_problems(self, copa1):
         # the pipeline picks alternative 1; gold labels make 3 of 4 correct
@@ -568,6 +585,26 @@ class TestEvaluate:
         backward = Pipeline(fig_graph, fig_table).evaluate(
             list(reversed(problems))).to_jsonl()
         assert forward == backward
+
+    def test_report_independent_of_hash_seed(self, fig_graph_path, fig_table_path, copa1):
+        # copa1 and two reorderings of it: the alternatives swapped, and the
+        # premise traded with the first alternative
+        problems = [copa1,
+                    replace(copa1, id=2, alternatives=copa1.alternatives[::-1], gold=2),
+                    replace(copa1, id=3, premise=copa1.alternatives[0], question="effect",
+                            alternatives=[copa1.alternatives[1], copa1.premise], gold=2)]
+        arg = json.dumps([str(fig_graph_path), str(fig_table_path),
+                          [asdict(p) for p in problems]])
+        src = str(Path(corg.__file__).resolve().parent.parent)
+        reports = []
+        for seed in ("0", "1", "12345"):
+            path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+            env = {**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": path}
+            proc = subprocess.run([sys.executable, "-c", _SEEDED_EVALUATE, arg], env=env,
+                                  capture_output=True, timeout=120, check=True)
+            reports.append(proc.stdout)
+        assert reports[0] == reports[1] == reports[2]
+        assert reports[0].count(b"\n") == 2 * (len(problems) + 1)
 
     def test_jsonl_shape(self, fig_graph, fig_table, copa1):
         report = Pipeline(fig_graph, fig_table).evaluate([copa1])
