@@ -40,16 +40,20 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--embeddings", required=True, help="word vector table")
     run.add_argument("--relations", help="relation whitelist file (default: shipped list)")
     run.add_argument("--inverse", action="store_true",
-                     help="also translate each edge object-to-subject")
+                     help="also translate each edge object-to-subject; this doubles each "
+                          "concept's occurrence count but not a relation's, so selection "
+                          "can drop axioms that it picks without inverses")
     run.add_argument("--scheme", choices=("factual", "existential"),
-                     default="existential", help="triple translation scheme")
-    run.add_argument("--sine-tolerance", type=float, default=1.5, metavar="R")
-    run.add_argument("--sine-depth", type=_depth, default=3, metavar="N",
+                     default=PipelineConfig.scheme, help="triple translation scheme")
+    run.add_argument("--sine-tolerance", type=float, default=SineConfig.tolerance, metavar="R")
+    run.add_argument("--sine-depth", type=_depth, default=SineConfig.max_depth, metavar="N",
                      help="selection depth (>= 0); 0 iterates to the fixpoint")
-    run.add_argument("--sim-threshold", type=float, default=None, metavar="R",
+    run.add_argument("--sim-threshold", type=float,
+                     default=SineConfig.similarity_threshold, metavar="R",
                      help="enable similarity-widened goal seeding at this threshold "
                           "on cosines clipped to [-1, 1] (-1 seeds every symbol)")
-    run.add_argument("--prefilter-theta", type=float, default=0.4, metavar="R",
+    run.add_argument("--prefilter-theta", type=float,
+                     default=PipelineConfig.prefilter_theta, metavar="R",
                      help="prefilter threshold on cosines clipped to [-1, 1]; -1 keeps all")
     run.add_argument("--fol-dir", help="sidecar formula directory (switches on fol_file mode)")
     run.add_argument("--report", help="write the JSONL report here instead of stdout")

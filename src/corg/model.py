@@ -11,12 +11,13 @@ True only when the fixpoint was reached with nothing suppressed;
 Inside one call, ground terms are interned to ints: a term is its name
 plus the ids of its arguments, so equal terms share one id, and an atom
 of the database is the key ``(predicate, argument ids)``.  Clauses with
-an identical body form a group.  Each round, a group's body is matched
-once, and only when one of its (predicate, arity) pairs gained atoms in
-the previous round; matching binds the body's variables to term ids, and
-every match fans out to the group's heads.  A head's depth is read off
-the depths of the ids it binds, so an over-depth head is dropped before
-any of its terms is interned.
+an identical body form a group; its body is compiled, and its ground
+terms interned, when the group forms.  Each round, a group's body is
+matched once, and only when one of its (predicate, arity) pairs gained
+atoms in the previous round; matching binds the body's variables to term
+ids, and every match fans out to the group's heads.  A head's depth is
+read off the depths of the ids it binds, so an over-depth head is dropped
+before any of its terms is interned.
 
 The model keeps what saturation computed: the term table and one row per
 admitted atom (predicate, argument term ids, clause origin, premises).
@@ -33,7 +34,6 @@ import re
 from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property
-from operator import itemgetter
 
 from .errors import AtomNotInModel, NonHornClause, NonRangeRestrictedClause
 from .fol import (Atom, Clause, Constant, Function, Term, Variable,
@@ -180,25 +180,19 @@ def _compile(t: Term, terms: _Terms, slots: dict[str, int]) -> tuple:
 
 
 class _Group:
-    """The clauses that share one body.  The body is compiled the first
-    time a round can match it; heads stay AST atoms, read through the
-    body's variable slots."""
+    """The clauses that share one body.  The body is compiled when the
+    group forms, which interns its ground terms; heads stay AST atoms,
+    read through the body's variable slots."""
 
-    def __init__(self, atoms: tuple[Atom, ...]):
-        self.atoms = atoms
+    def __init__(self, body: tuple[Atom, ...], terms: _Terms):
         self.positions: list[int] = []  # of the clauses, in the input list
         self.slots: dict[str, int] = {}
         # ((predicate, arity), patterns, all patterns bind fresh slots) per
-        # body atom; None until compiled
-        self.body: tuple[tuple[tuple[str, int], tuple, bool], ...] | None = None
-
-    def compile(self, terms: _Terms):
-        body = []
-        for a in self.atoms:
-            pats = tuple([_compile(t, terms, self.slots) for t in a.args])
-            body.append(((a.predicate, len(pats)), pats,
-                         all(p[0] == _BIND for p in pats)))
-        self.body = tuple(body)
+        # body atom
+        self.body: tuple[tuple[tuple[str, int], tuple, bool], ...] = tuple([
+            ((a.predicate, len(pats)), pats, all(p[0] == _BIND for p in pats))
+            for a in body
+            for pats in [tuple([_compile(t, terms, self.slots) for t in a.args])]])
 
 
 def _depth(t: Term, slots: dict[str, int], binding: tuple[int, ...],
@@ -284,9 +278,6 @@ def _matches(body: tuple, by_key: dict[tuple[str, int], list[int]],
     return out
 
 
-_CANDIDATE_ORDER = itemgetter(0, 1)
-
-
 def saturate(facts: list[Atom], clauses: list[Clause],
              cfg: BuilderConfig | None = None) -> PartialModel:
     """Forward-chain facts through Horn clauses up to the configured bounds.
@@ -294,9 +285,11 @@ def saturate(facts: list[Atom], clauses: list[Clause],
     Clauses must be Horn and range-restricted (``Clause.chainable``, read
     up front), facts ground.  Headless clauses are accepted and
     ignored; clauses with an empty body fire once in the first round.
+    Bodies are compiled as clauses are grouped, before any fact is read.
     Identical inputs and config produce an identical trace.
     """
     cfg = cfg or BuilderConfig()
+    terms = _Terms()
     # one pass: each clause checked and put in the group of its body, and a
     # new group listed under each (predicate, arity) of its body; bodiless
     # clauses fire once, in the first round.  Clauses often share one body
@@ -317,16 +310,12 @@ def saturate(facts: list[Atom], clauses: list[Clause],
             if group is None:
                 group = groups.get(body)
                 if group is None:
-                    group = groups[body] = _Group(body)
+                    group = groups[body] = _Group(body, terms)
                     for key in {(a.predicate, len(a.args)) for a in body}:
                         groups_of.setdefault(key, []).append(group)
                 group_of_body[id(body)] = group
             group.positions.append(position)
-    for f in facts:
-        if not is_ground(f):
-            raise ValueError(f"input fact is not ground: {format_atom(f)}")
 
-    terms = _Terms()
     depth = terms.depth
     max_depth = cfg.max_term_depth
     # the rows of the model, per trace index
@@ -358,6 +347,8 @@ def saturate(facts: list[Atom], clauses: list[Clause],
         fresh.add(pair)
 
     for f in facts:
+        if not is_ground(f):
+            raise ValueError(f"input fact is not ground: {format_atom(f)}")
         ids = tuple(terms.intern(t) for t in f.args)
         if max((depth[i] for i in ids), default=0) > max_depth:
             cut.add("depth")
@@ -371,14 +362,14 @@ def saturate(facts: list[Atom], clauses: list[Clause],
             cut.add("rounds")
             break
         candidates: list[tuple[int, tuple[int, ...], _Group, tuple[int, ...]]] = []
-        # candidates are sorted below, so the order they are found in is free
+        # candidates are sorted below, so the order they are found in is
+        # free; a round finds each (clause position, premises) pair once, so
+        # the sort never compares two groups
         active = {g for key in fresh for g in groups_of.get(key, ())}
         if rounds == 0 and () in groups:
             active.add(groups[()])
         rounds += 1
         for group in active:
-            if group.body is None:
-                group.compile(terms)
             matches = _matches(group.body, by_key, arg_ids, terms, delta_start,
                                delta_end, fresh) if group.body else [((), ())]
             slots = group.slots
@@ -397,7 +388,7 @@ def saturate(facts: list[Atom], clauses: list[Clause],
                         cut.add("depth")
                     else:
                         candidates.append((position, premises, group, binding))
-        candidates.sort(key=_CANDIDATE_ORDER)
+        candidates.sort()
         fresh = set()
         delta_start = len(predicates)
         for position, premises, group, binding in candidates:

@@ -210,6 +210,13 @@ def sine_select(idx: AxiomIndex, goal_symbols: Iterable[str],
     occ(s) <= tolerance * min occ over A's symbols.  Symbols of selected
     axioms become reached; iteration stops at max_depth or at the fixpoint.
     No goal symbol selects no axiom.
+
+    Inverse axioms double a concept's occurrence count (it occurs in the
+    forward and the inverse axiom of each of its triples) but not a
+    relation's (the inverse axioms use ``inv_r``).  So a concept can stop
+    triggering an axiom, and selection with inverses is not a superset of
+    selection without them: COPA problem 1 on the figure graph becomes a
+    tie.
     """
     return _closure(idx, idx.symbols.mask(goal_symbols), cfg or SineConfig())
 

@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 
 import corg
 from corg import EmbeddingTable, KnowledgeGraph, Triple, fol, model, pipeline
-from corg.cli import main
+from corg.cli import _config, build_parser, main
 from corg.errors import (MissingField, MissingFormula, ParseError, StageError,
                          UnreadableFormula, XmlError)
 from corg.fol import (Atom, Constant, clausify, parse_tptp, translate_existential,
@@ -30,6 +30,7 @@ from corg.selection import SineConfig
 from conftest import COPA_XML
 from oracles import (atom_tuple, copa1_expected, reachable_within,
                      reference_saturate)
+from test_acceptance import _write_scale_fixture
 
 
 def c0(pred):
@@ -530,6 +531,50 @@ for cfg in (PipelineConfig(include_inverse=True, prefilter_theta=-1.0),
 """
 
 
+# evaluate a reduced scale fixture in a fresh process, under the BLAS kernel
+# that its environment forces (if any), with a prefilter that keeps some
+# triples and similarity seeding on, so both GEMM gates decide selections
+_KERNEL_EVALUATE = """
+import json, sys
+from corg import (CopaProblem, Pipeline, PipelineConfig, SineConfig, load_graph,
+                  load_table)
+graph, table, problems = json.loads(sys.argv[1])
+cfg = PipelineConfig(prefilter_theta=0.6, sine=SineConfig(similarity_threshold=0.9))
+pipe = Pipeline(load_graph(graph), load_table(table), cfg)
+sys.stdout.write(pipe.evaluate([CopaProblem(**p) for p in problems]).to_jsonl())
+"""
+
+# the OpenBLAS kernels that OPENBLAS_CORETYPE can force, with the CPU flags
+# each needs: a kernel the CPU cannot run may kill the process with SIGILL
+_KERNEL_FLAGS = {"SkylakeX": {"avx512f", "avx512bw", "avx512dq", "avx512vl"},
+                 "Haswell": {"avx2", "fma"}, "Zen": {"avx2", "fma"},
+                 "Sandybridge": {"avx"}}
+
+
+def _cpu_flags() -> set[str]:
+    with open("/proc/cpuinfo", encoding="utf-8") as fh:
+        for line in fh:
+            if line.startswith("flags"):
+                return set(line.split(":", 1)[1].split())
+    return set()
+
+
+def _numpy_links_openblas() -> bool:
+    """Whether an OpenBLAS library is mapped into this process, which has
+    imported numpy (and so numpy's BLAS)."""
+    with open("/proc/self/maps", encoding="utf-8") as fh:
+        return "openblas" in fh.read().lower()
+
+
+def _answers(jsonl: bytes) -> list:
+    """Per problem row: the choice, the tie flag and per text the selection
+    size, model size and completeness; no score."""
+    rows = [json.loads(line) for line in jsonl.splitlines()[:-1]]
+    return [(r["problem_id"], r["chosen"], r["tie"],
+             [(t["n_selected"], t["model_atoms"], t["complete"]) for t in r["texts"]])
+            for r in rows]
+
+
 class TestEvaluate:
     def four_problems(self, copa1):
         # the pipeline picks alternative 1; gold labels make 3 of 4 correct
@@ -605,6 +650,35 @@ class TestEvaluate:
             reports.append(proc.stdout)
         assert reports[0] == reports[1] == reports[2]
         assert reports[0].count(b"\n") == 2 * (len(problems) + 1)
+
+    def test_answers_independent_of_blas_kernel(self, tmp_path):
+        # score bits may move with the kernel, since BLAS sums a dot
+        # product in a kernel-dependent order; the answers must not
+        try:
+            flags, openblas = _cpu_flags(), _numpy_links_openblas()
+        except OSError:
+            pytest.skip("reads /proc/cpuinfo and /proc/self/maps (Linux only)")
+        if not openblas:
+            pytest.skip("numpy's BLAS is not OpenBLAS, so OPENBLAS_CORETYPE forces nothing")
+        kg_path, vec_path, problems = _write_scale_fixture(
+            tmp_path, n_words=5000, n_triples=10_000, n_problems=40, concept_pool=1000)
+        arg = json.dumps([str(kg_path), str(vec_path), [asdict(p) for p in problems]])
+        src = str(Path(corg.__file__).resolve().parent.parent)
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_CORETYPE"}
+        env["PYTHONPATH"] = path
+        reports = {}
+        for kernel in [None] + [k for k, need in _KERNEL_FLAGS.items() if need <= flags]:
+            forced = env if kernel is None else {**env, "OPENBLAS_CORETYPE": kernel}
+            reports[kernel] = subprocess.run(
+                [sys.executable, "-c", _KERNEL_EVALUATE, arg], env=forced,
+                capture_output=True, timeout=120, check=True).stdout
+        answers = _answers(reports[None])
+        assert len(answers) == len(problems)
+        for kernel, report in reports.items():
+            assert _answers(report) == answers, kernel
+        changed = [k for k, report in reports.items() if report != reports[None]]
+        print(f"kernels that changed the report bytes: {changed or 'none'}")
 
     def test_jsonl_shape(self, fig_graph, fig_table, copa1):
         report = Pipeline(fig_graph, fig_table).evaluate([copa1])
@@ -931,6 +1005,11 @@ class TestCli:
             assert code == 0, err
             reports.append(report_path.read_bytes())
         assert reports[0] == reports[1]
+
+    def test_option_defaults_are_the_config_defaults(self):
+        args = build_parser().parse_args(
+            ["run", "--copa", "x", "--kg", "y", "--embeddings", "z"])
+        assert _config(args) == PipelineConfig()
 
     def test_bad_arguments_exit_2(self, capsys):
         with pytest.raises(SystemExit) as exc:
