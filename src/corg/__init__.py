@@ -26,7 +26,7 @@ from .pipeline import (CopaProblem, Pipeline, PipelineConfig, ProblemFailure,
                        ProblemResult, RunReport, TextResult, content_words,
                        export_tptp, parse_copa_xml, text_to_facts)
 from .scorer import Choice, choose, embed_sequence, likelihoods, score_pair
-from .selection import (AxiomIndex, Prefilter, SineConfig, SymbolTable,
+from .selection import (AxiomIndex, Cosines, Prefilter, SineConfig, SymbolTable,
                         TripleColumns, build_index, similarity_sine_select,
                         sine_select)
 
@@ -55,6 +55,6 @@ __all__ = [
     # scoring
     "Choice", "choose", "embed_sequence", "likelihoods", "score_pair",
     # selection
-    "AxiomIndex", "Prefilter", "SineConfig", "SymbolTable", "TripleColumns",
+    "AxiomIndex", "Cosines", "Prefilter", "SineConfig", "SymbolTable", "TripleColumns",
     "build_index", "similarity_sine_select", "sine_select",
 ]

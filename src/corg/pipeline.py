@@ -1,16 +1,20 @@
 """End-to-end COPA runs: parse problems, build facts, chain, extract, score.
 
 The graph's int id columns are copied once into symbol-id columns
-(``TripleColumns``).  Per problem, the triple prefilter keeps the triples
-whose object is near the problem's words, and each kept triple is indexed
-for selection by its symbol ids, as its forward axiom and, with inverses
-on, its inverse one.  An axiom is known by its key ``2 * triple id +
-inverse`` from selection to the result.  Each text (premise, then every
-alternative) then goes through
+(``TripleColumns``).  Per problem, every text's facts (premise, then every
+alternative) are built first.  Then one product of clipped cosines
+(``Cosines``) is made, between every symbol and the problem's words plus,
+with similarity seeding on, every text's goal symbols; the triple
+prefilter reads it to keep the triples whose object is near the problem's
+words, and similarity seeding reads it again per text.  Each kept triple
+is indexed for selection by its symbol ids, as its forward axiom and, with
+inverses on, its inverse one.  An axiom is known by its key ``2 * triple
+id + inverse`` from selection to the result.  So a problem runs
 
-    facts -> select -> keep the live selected axioms
-          -> translate + clausify (live axioms only) -> saturate
-          -> extract symbols
+    facts (every text) -> one product -> prefilter -> index
+          -> per text: select -> keep the live selected axioms
+             -> translate + clausify (live axioms only) -> saturate
+             -> extract symbols
 
 and the per-alternative symbol sequences are scored against the premise's.
 A selected axiom is live when its body can hold in the text's model; the
@@ -51,7 +55,7 @@ from .fol import Atom, Clause, Constant, Formula
 from .kg import KnowledgeGraph
 from .model import BuilderConfig, PartialModel, extract_symbols, saturate, trace_json
 from .scorer import Choice, choose, likelihoods, score_pair
-from .selection import (AxiomIndex, Prefilter, SineConfig, TripleColumns,
+from .selection import (AxiomIndex, Cosines, Prefilter, SineConfig, TripleColumns,
                         build_index, sine_select, similarity_sine_select)
 
 # ---------------------------------------------------------------- problems
@@ -410,16 +414,15 @@ class Pipeline:
             reached[head[reached[body] & ~bodiless]] = True
         return reached[body] | bodiless
 
-    def _run_text(self, problem: CopaProblem, role: str, text: str, rows: np.ndarray,
-                  keys: np.ndarray, index: AxiomIndex) -> TextResult:
+    def _run_text(self, problem: CopaProblem, role: str, facts: list[Atom],
+                  goals: set[str], rows: np.ndarray, keys: np.ndarray,
+                  index: AxiomIndex, cosines: Cosines) -> TextResult:
         cfg = self.config
-        with _stage(problem.id, "facts"):
-            facts = text_to_facts(text, cfg.fact_mode, cfg.fol_dir, problem.id, role)
-        goals = set().union(*map(fol.symbols, facts))
         with _stage(problem.id, "select"):
-            select = similarity_sine_select if cfg.sine.similarity_threshold is not None \
-                else sine_select
-            positions = select(index, goals, cfg.sine)
+            if cfg.sine.similarity_threshold is None:
+                positions = sine_select(index, goals, cfg.sine)
+            else:
+                positions = similarity_sine_select(index, goals, cfg.sine, cosines)
         keys = keys[positions]
         live = keys[self._live(facts, rows[positions], keys)]
         clauses: list[Clause] = []
@@ -433,21 +436,30 @@ class Pipeline:
 
     def run_problem(self, problem: CopaProblem) -> ProblemResult:
         """Full pipeline for one problem; see the module docstring."""
-        words = content_words(" ".join([problem.premise] + problem.alternatives))
+        cfg = self.config
+        texts = [("premise", problem.premise)] + [
+            (f"a{k}", alt) for k, alt in enumerate(problem.alternatives, start=1)]
+        with _stage(problem.id, "facts"):
+            facts = [text_to_facts(text, cfg.fact_mode, cfg.fol_dir, problem.id, role)
+                     for role, text in texts]
+        goals = [set().union(*map(fol.symbols, f)) for f in facts]
+        words = content_words(" ".join(text for _, text in texts))
         with _stage(problem.id, "prefilter"):
-            kept = self.prefilter.apply_indices(words, self.config.prefilter_theta)
+            seeds = sorted(set().union(*goals)) \
+                if cfg.sine.similarity_threshold is not None else []
+            cosines = Cosines(self.columns.symbols, words + seeds)
+            kept = self.prefilter.apply_indices(words, cfg.prefilter_theta, cosines)
         tids = kept[~self.columns.negated[kept]]
         rows, keys = self.columns.axioms(tids)
         index = build_index(rows, self.columns.symbols)
-        texts = [self._run_text(problem, "premise", problem.premise, rows, keys, index)]
-        for k, alt in enumerate(problem.alternatives, start=1):
-            texts.append(self._run_text(problem, f"a{k}", alt, rows, keys, index))
+        results = [self._run_text(problem, role, f, g, rows, keys, index, cosines)
+                   for (role, _), f, g in zip(texts, facts, goals)]
         with _stage(problem.id, "score"):
-            premise_syms = texts[0].symbols
-            scores = [score_pair(premise_syms, t.symbols, self.table) for t in texts[1:]]
+            premise_syms = results[0].symbols
+            scores = [score_pair(premise_syms, t.symbols, self.table) for t in results[1:]]
             y = likelihoods(scores)
             choice = choose(y)
-        return ProblemResult(problem, texts, scores, y, choice)
+        return ProblemResult(problem, results, scores, y, choice)
 
     def evaluate(self, problems: Sequence[CopaProblem]) -> RunReport:
         """Run every problem independently, in id order.

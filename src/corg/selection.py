@@ -14,10 +14,17 @@ Selection reads nothing but each axiom's symbols, and a triple's are known
 without translating it: subject, predicate and object, with the ``inv_``
 predicate in place of the predicate for the inverse reading.  So
 ``TripleColumns`` copies the graph's id columns, with its concept ids as
-symbol ids and the predicates after them, in one ``SymbolTable`` whose
-unit-vector matrix serves both the prefilter and similarity seeding.
-Every vector, a symbol's or a problem word's, is a row of
-``EmbeddingTable.vectors``.  Per problem an ``AxiomIndex`` is one int32
+symbol ids and the predicates after them, in one ``SymbolTable`` of unit
+rows.  Every vector, a symbol's or a problem word's, is a row of
+``EmbeddingTable.vectors``.  Per problem one ``Cosines`` product of the
+symbols' unit rows with the problem's vocabulary serves both the
+prefilter and similarity seeding, and one gate decides each of its
+entries: a symbol is near a word when ``clip(s, -1, 1) >= theta``, s the
+``math.fsum`` of the two unit rows' elementwise products.  The product's
+entry decides alone when it is farther than 2 (d + 2) 2^-53 from theta
+(the bound is derived in ``Cosines``), and an entry within it is summed
+again, so no decision depends on the product's shape, its column order
+or the BLAS kernel.  Per problem an ``AxiomIndex`` is one int32
 matrix of symbol ids, one row per axiom, with ``np.bincount`` occurrence
 counts; selection runs on boolean masks and returns axiom positions, so
 only the axioms a text selects are ever named, and only the live ones
@@ -158,11 +165,6 @@ class AxiomIndex:
         """Ids of the symbols that occur in some axiom, ascending."""
         return np.flatnonzero(self.occ)
 
-    @cached_property
-    def indexed_unit(self) -> np.ndarray:
-        """The unit rows of ``indexed``, gathered on first use."""
-        return self.symbols.unit[self.indexed]
-
 
 _NO_OCC = np.iinfo(np.int64).max  # min_occ of an axiom without symbols
 
@@ -222,27 +224,22 @@ def sine_select(idx: AxiomIndex, goal_symbols: Iterable[str],
 
 
 def similarity_sine_select(idx: AxiomIndex, goal_symbols: Iterable[str],
-                           cfg: SineConfig) -> np.ndarray:
+                           cfg: SineConfig, cosines: Cosines | None = None) -> np.ndarray:
     """sine_select with the seed widened by embedding similarity.
 
-    Every indexed symbol whose cosine to some goal symbol, clipped to
-    [-1, 1], reaches ``cfg.similarity_threshold`` joins the seed first.
-    The indexed symbols' unit rows are gathered once per index, by the
-    first call that needs them.  No goal symbol selects no axiom.
+    Every indexed symbol whose clipped cosine to some goal symbol passes
+    the gate of ``Cosines`` at ``cfg.similarity_threshold`` joins the seed
+    first.  The cosines are read from ``cosines``, a product whose
+    vocabulary holds the goal symbols, else from a product of the goals'
+    own.  No goal symbol selects no axiom.
     """
-    goals = set(goal_symbols)
+    goals = sorted(set(goal_symbols))
     seed = idx.symbols.mask(goals)
     if goals and cfg.similarity_threshold is not None and idx.indexed.size:
-        seed[idx.indexed[_near(idx.indexed_unit, idx.symbols.table, sorted(goals),
-                               cfg.similarity_threshold)]] = True
+        if cosines is None:
+            cosines = Cosines(idx.symbols, goals)
+        seed[idx.indexed[cosines.near(goals, cfg.similarity_threshold, idx.indexed)]] = True
     return _closure(idx, seed, cfg)
-
-
-def _near(unit: np.ndarray, table: EmbeddingTable, words: Sequence[str], theta: float):
-    """Mask of the rows of ``unit`` whose best cosine with the unit vectors of
-    one or more words, clipped to [-1, 1] as ``cosine`` clips it, reaches ``theta``."""
-    best = (unit @ _unit_rows(table.vectors(words)).T).max(axis=1)
-    return np.clip(best, -1.0, 1.0, out=best) >= theta
 
 
 def _unit_rows(mat: np.ndarray) -> np.ndarray:
@@ -254,22 +251,110 @@ def _unit_rows(mat: np.ndarray) -> np.ndarray:
     return mat
 
 
+class Cosines:
+    """Every symbol's clipped cosine with each word of a vocabulary.
+
+    ``matrix[column[w], s]`` is ``clip(unit[w] . symbols.unit[s], -1, 1)``,
+    from one product of the vocabulary's unit rows with the symbols', made
+    on the first read.  Per problem the pipeline makes one, over the
+    problem's words and, with similarity seeding on, every text's goal
+    symbols: the prefilter reads its word columns, and seeding reads the
+    indexed symbols' rows and a text's goal columns.
+
+    The gate.  Symbol s is near word w at threshold theta when
+    ``clip(fsum(u * v), -1, 1) >= theta``: u and v are the two unit rows as
+    stored, and ``fsum(u * v)`` is ``math.fsum`` of their elementwise
+    products, the correctly rounded sum of the rounded products, which no
+    summation order, column order or BLAS kernel changes.  An entry g of
+    the product decides alone when |g - theta| > B = 2 (d + 2) 2^-53, d
+    the table's dimension; an entry within B of theta is summed again with
+    ``fsum``.
+
+    Why B bounds |g - clip(fsum(u * v))| (Higham, *Accuracy and Stability
+    of Numerical Algorithms*, 2nd ed., section 3.1; u = 2^-53, gamma_d =
+    d u / (1 - d u), A = sum_k |u_k v_k| <= |u| |v|):
+
+    * a d-term dot product summed in any order, with or without fused
+      multiply-adds, is within gamma_d A of the exact one;
+    * each rounded product is within u |u_k v_k| of the exact one, and
+      ``fsum`` rounds their sum once, so ``fsum(u * v)`` is within
+      (2 u + u^2) A of the exact dot product;
+    * a unit row is a row divided by its computed norm, whose relative
+      error is at most gamma_d / 2 + u, and each division rounds once, so
+      |u| <= 1 + (d / 2 + 2) u + O(u^2) and A <= 1 + (d + 4) u + O(u^2)
+      (A = 0 for a zero row);
+    * so the two sums differ by at most (d + 2) u (1 + (d + 4) u) / (1 -
+      d u), which is below B for any d below 2^50, and clipping to [-1, 1]
+      does not widen the gap.
+
+    Products that underflow add at most d 2^-1074 in all, far below B.  So
+    when |g - theta| > B, g and the exact rule fall on the same side of
+    theta.
+    """
+
+    def __init__(self, symbols: SymbolTable, vocabulary: Iterable[str]):
+        self.symbols = symbols
+        self.column = {w: j for j, w in enumerate(dict.fromkeys(vocabulary))}
+
+    @cached_property
+    def unit(self) -> np.ndarray:
+        """The vocabulary's unit rows, in column order."""
+        return _unit_rows(self.symbols.table.vectors(list(self.column)))
+
+    @cached_property
+    def matrix(self) -> np.ndarray:
+        """The (vocabulary, symbols) clipped cosines, from one product."""
+        out = self.unit @ self.symbols.unit.T
+        return np.clip(out, -1.0, 1.0, out=out)
+
+    def near(self, words: Sequence[str], theta: float, rows: np.ndarray) -> np.ndarray:
+        """Mask over the symbol ids ``rows``: set where some word of the
+        vocabulary is near the symbol by the gate.
+
+        A row whose best entry is farther than B from theta is decided by
+        it; in any other row, only the entries within B can pass."""
+        cols = [self.column[w] for w in words]
+        cos = self.matrix[np.ix_(cols, rows)]
+        best = cos.max(axis=0, initial=-np.inf)
+        passed = best >= theta
+        bound = 2 * (self.unit.shape[1] + 2) * 2.0 ** -53
+        for i in np.flatnonzero(np.abs(best - theta) <= bound).tolist():
+            unit = self.symbols.unit[rows[i]]
+            passed[i] = any(max(-1.0, min(1.0, math.fsum(unit * self.unit[j]))) >= theta
+                            for j, g in zip(cols, cos[:, i].tolist())
+                            if abs(g - theta) <= bound)
+        return passed
+
+
 class Prefilter:
     """Reusable triple filter: keep triples whose object is near problem words.
 
-    A triple's object vector is its object's row of the shared unit-vector
-    matrix, so each problem costs one product of that matrix with the
-    problem's word vectors.
+    The triple ids are grouped by object once: ``objects`` are the symbols
+    that are some triple's object, ascending, and ``by_object[start[s]:
+    start[s + 1]]`` the ids of the triples whose object is symbol s.  So a
+    problem reads the cosines of the objects only, and visits only the
+    triples of the objects that pass.
     """
 
     def __init__(self, columns: TripleColumns):
         self.columns = columns
+        self.by_object = np.argsort(columns.object)
+        counts = np.bincount(columns.object, minlength=len(columns.symbols))
+        self.start = np.concatenate([[0], np.cumsum(counts)])
+        self.objects = np.flatnonzero(counts)
 
-    def apply_indices(self, problem_words: Sequence[str], theta: float) -> np.ndarray:
-        """Ids (ascending) of the triples whose object is ``_near`` the
-        words; no word keeps no triple."""
+    def apply_indices(self, problem_words: Sequence[str], theta: float,
+                      cosines: Cosines | None = None) -> np.ndarray:
+        """Ids (ascending) of the triples whose object is near some word by
+        the gate of ``Cosines``, read from ``cosines``, a product whose
+        vocabulary holds the words, else from a product of the words' own;
+        no word keeps no triple."""
         if not problem_words:
             return np.empty(0, dtype=np.intp)
-        cols = self.columns
-        near = _near(cols.symbols.unit, cols.symbols.table, problem_words, theta)
-        return np.flatnonzero(near[cols.object])
+        if cosines is None:
+            cosines = Cosines(self.columns.symbols, problem_words)
+        objects = self.objects[cosines.near(problem_words, theta, self.objects)]
+        start, end = self.start[objects], self.start[objects + 1]
+        size = end - start
+        at = np.repeat(end - np.cumsum(size), size) + np.arange(size.sum())
+        return np.sort(self.by_object[at])

@@ -492,14 +492,30 @@ def reachable_within(edges, start, hops: int) -> set:
     return reached
 
 
+def unit_rows(vectors) -> np.ndarray:
+    """The vectors stacked and each scaled by its norm, the norms taken
+    along the rows of the stack (a zero row stays zero)."""
+    mat = np.stack(vectors).astype(np.float64)
+    norms = np.linalg.norm(mat, axis=1, keepdims=True)
+    norms[norms == 0.0] = 1.0
+    return mat / norms
+
+
+def exactly_near(u, v, theta) -> bool:
+    """The similarity rule on two unit rows: the correctly rounded sum
+    (``math.fsum``) of their elementwise products, clipped to [-1, 1],
+    reaches theta."""
+    return max(-1.0, min(1.0, math.fsum((u * v).tolist()))) >= theta
+
+
 def reference_sine_select(axioms: dict, goals, cfg, table=None) -> list:
     """SInE selection over string-keyed symbol sets; selected ids in axiom order.
 
     ``axioms`` maps axiom id -> symbols; each axiom counts once per symbol.
     A symbol s triggers axiom A iff s occurs in A and occ(s) is at most
     tolerance times the least occ over A's symbols.  With
-    ``cfg.similarity_threshold`` set, every indexed symbol whose cosine to
-    some goal reaches it joins the seed, vectors coming from
+    ``cfg.similarity_threshold`` set, every indexed symbol that is
+    ``exactly_near`` some goal at it joins the seed, vectors coming from
     ``reference_vector(table, name)`` over a ``ReferenceTable``.
     Triggering then runs from the seed to
     ``cfg.max_depth`` rounds or the fixpoint.
@@ -517,15 +533,13 @@ def reference_sine_select(axioms: dict, goals, cfg, table=None) -> list:
     reached = set(goals)
     if cfg.similarity_threshold is not None and occ:
         def unit(names):
-            mat = np.stack([reference_vector(table, n) for n in names])
-            norms = np.linalg.norm(mat, axis=1, keepdims=True)
-            norms[norms == 0.0] = 1.0
-            return mat / norms
+            return unit_rows([reference_vector(table, n) for n in names])
 
         candidates = list(occ)
-        best = (unit(candidates) @ unit(sorted(goals)).T).max(axis=1)
-        reached |= {s for s, sim in zip(candidates, best)
-                    if sim >= cfg.similarity_threshold}
+        goal_rows = unit(sorted(goals))
+        reached |= {s for s, row in zip(candidates, unit(candidates))
+                    if any(exactly_near(row, g, cfg.similarity_threshold)
+                           for g in goal_rows)}
 
     def triggers(s, aid):
         return occ[s] <= cfg.tolerance * min_occ[aid]

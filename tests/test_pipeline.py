@@ -221,6 +221,23 @@ class TestRunProblem:
         assert err.value.stage == "facts"
         assert isinstance(err.value.cause, MissingFormula)
 
+    def test_facts_of_every_text_come_before_the_prefilter(self, fig_graph, fig_table,
+                                                          copa1, tmp_path, monkeypatch):
+        # the last text's formula file is missing: the problem fails at
+        # stage facts before any product or prefilter is made
+        write_formulas(tmp_path, 1)
+        (tmp_path / "1_a2.p").unlink()
+        pipe = Pipeline(fig_graph, fig_table,
+                        PipelineConfig(fact_mode="fol_file", fol_dir=tmp_path))
+        prefiltered = []
+        monkeypatch.setattr(pipe.prefilter, "apply_indices",
+                            lambda *args: prefiltered.append(args))
+        with pytest.raises(StageError) as err:
+            pipe.run_problem(copa1)
+        assert (err.value.stage, str(err.value.cause)) == \
+            ("facts", "no formula file for problem 1, role a2")
+        assert prefiltered == []
+
     def test_deeply_nested_formula_names_facts_stage(self, fig_graph, fig_table,
                                                      copa1, tmp_path):
         write_formulas(tmp_path, 1)
@@ -567,11 +584,13 @@ def _numpy_links_openblas() -> bool:
 
 
 def _answers(jsonl: bytes) -> list:
-    """Per problem row: the choice, the tie flag and per text the selection
-    size, model size and completeness; no score."""
+    """Per problem row: the choice, the tie flag and per text the
+    prefilter's kept axioms, the selection size, model size and
+    completeness; no score."""
     rows = [json.loads(line) for line in jsonl.splitlines()[:-1]]
     return [(r["problem_id"], r["chosen"], r["tie"],
-             [(t["n_selected"], t["model_atoms"], t["complete"]) for t in r["texts"]])
+             [(t["n_translated"], t["n_selected"], t["model_atoms"], t["complete"])
+              for t in r["texts"]])
             for r in rows]
 
 
@@ -653,7 +672,8 @@ class TestEvaluate:
 
     def test_answers_independent_of_blas_kernel(self, tmp_path):
         # score bits may move with the kernel, since BLAS sums a dot
-        # product in a kernel-dependent order; the answers must not
+        # product in a kernel-dependent order; the answers must not, and
+        # the prefilter's and seeding's decisions, exact at theta, cannot
         try:
             flags, openblas = _cpu_flags(), _numpy_links_openblas()
         except OSError:

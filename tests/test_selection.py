@@ -1,5 +1,7 @@
 import itertools
+import math
 import random
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -7,13 +9,13 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from corg import KnowledgeGraph, Triple
-from corg.embeddings import EmbeddingTable, cosine
+from corg.embeddings import EmbeddingTable
 from corg.fol import symbols, translate_existential, translate_inverse
-from corg.pipeline import axiom_id
-from corg.selection import (Prefilter, SineConfig, SymbolTable, TripleColumns,
+from corg.pipeline import Pipeline, PipelineConfig, axiom_id, content_words
+from corg.selection import (Cosines, Prefilter, SineConfig, SymbolTable, TripleColumns,
                             build_index, similarity_sine_select, sine_select)
-from oracles import (ReferenceTable, reachable_closure, reference_sine_select,
-                     reference_vector)
+from oracles import (ReferenceTable, exactly_near, reachable_closure,
+                     reference_sine_select, reference_vector, unit_rows)
 
 NO_VECTORS = EmbeddingTable(2, {})
 
@@ -207,25 +209,29 @@ class TestSimilaritySine:
         got = similarity_sine_select(idx, set(), SineConfig(similarity_threshold=-1.0))
         assert got.dtype == np.intp and got.tolist() == []
 
-    def test_rows_gathered_once_per_index(self):
-        gathers = []
+    def test_one_product_per_problem(self, fig_graph, fig_table, copa1):
+        # the prefilter and every text's similarity seeding read one product
+        # of the symbols' unit rows per problem, over the problem's words
+        # and every text's goal symbols; no text makes a product of its own
+        products = []
 
         class CountedRows(np.ndarray):
-            def __getitem__(self, key):
-                gathers.append(key)
-                return np.asarray(self)[key]
+            def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+                if ufunc is np.matmul:
+                    products.append(inputs[0].shape)
+                return getattr(ufunc, method)(*map(np.asarray, inputs), **kwargs)
 
-        axioms = self.axioms()
-        idx = index_of(axioms, self.table())
-        idx.symbols.unit = idx.symbols.unit.view(CountedRows)
-        cfg = SineConfig(tolerance=1, max_depth=1, similarity_threshold=0.8)
-        for goals, expected in [({"sun"}, ["a1", "a2"]), ({"rain"}, ["a3"]),
-                                ({"sun"}, ["a1", "a2"])]:
-            assert picked(axioms, similarity_sine_select(idx, goals, cfg)) == expected
-        assert len(gathers) == 1
-        assert similarity_sine_select(build_index(idx.rows, idx.symbols), {"rain"},
-                                      cfg).tolist() == [2]
-        assert len(gathers) == 2  # a new index gathers its own rows
+        problems = [copa1, replace(copa1, id=2, premise="The grass was cut.",
+                                   alternatives=["The sun was rising.", "My shadow grew.",
+                                                 "The ground was lit."])]
+        cfg = PipelineConfig(sine=SineConfig(similarity_threshold=0.8))
+        expected = Pipeline(fig_graph, fig_table, cfg).evaluate(problems).to_jsonl()
+        pipe = Pipeline(fig_graph, fig_table, cfg)
+        pipe.columns.symbols.unit = pipe.columns.symbols.unit.view(CountedRows)
+        assert pipe.evaluate(problems).to_jsonl() == expected
+        vocabularies = [set(content_words(" ".join([p.premise] + p.alternatives))) | {"c0"}
+                        for p in problems]
+        assert products == [(len(v), 2) for v in vocabularies]
 
 
 # A small graph whose concept names collide with predicates and inv_
@@ -275,7 +281,7 @@ class TestReferenceAgreement:
                 axioms[f"t{tid + 1}_inv"] = symbols(translate_inverse(triples[tid]))
         assert len(idx) == len(axioms)
         assert [axiom_id(key) for key in keys.tolist()] == list(axioms)
-        # a second goal set on the same index reuses what the first call cached
+        # a second goal set on the same index reuses its cached indexed ids
         for g in (goals, goals | {"rising"}):
             assert picked(axioms, select(idx, g, cfg)) == \
                 reference_sine_select(axioms, g, cfg, ReferenceTable(3, vectors))
@@ -366,7 +372,8 @@ class TestTriplePrefilter:
         assert got.dtype == np.intp and got.tolist() == []
 
     def test_matches_per_triple_loop(self):
-        # reference: each triple's own object cosine against every word
+        # reference: each triple's own object against every word, by the
+        # fsum rule on unit rows
         rng = np.random.default_rng(5)
         words = [f"w{i}" for i in range(3)]
         vectors = {w: rng.normal(size=3) for w in words + [f"o{i}" for i in range(6)]}
@@ -380,11 +387,11 @@ class TestTriplePrefilter:
         triples = [Triple("s", "r", objects[k])
                    for k in rng.integers(len(objects), size=40)]
         for ws, theta in itertools.product((words, words[:1]), (-1.0, -0.2, 0.0, 0.3, 0.9)):
+            word_rows = unit_rows([reference_vector(reference, w) for w in ws])
             expected = [
                 i for i, t in enumerate(triples)
-                if max(cosine(reference_vector(reference, t.object),
-                              reference_vector(reference, w)) for w in ws)
-                >= theta]
+                if any(exactly_near(unit_rows([reference_vector(reference, t.object)])[0],
+                                    row, theta) for row in word_rows)]
             got = self.prefilter(triples, table).apply_indices(ws, theta)
             assert got.tolist() == expected
 
@@ -396,3 +403,81 @@ class TestTriplePrefilter:
         columns = TripleColumns(graph, self.table(), inverse=True)
         assert list(columns.symbols.ids) == ["a", "b", "c", "r", "inv_r"]
         assert list(graph.concepts) == ["a", "b", "c"]
+
+
+class TestGate:
+    """Every near decision follows the fsum rule on the stored unit rows:
+    ``clip(fsum(u * v), -1, 1) >= theta``, whatever product it is read from."""
+
+    WORDS = ["w0", "w1", "w2", "nothing"]  # no row for "nothing": a zero row
+
+    def symbols(self, d, rng):
+        """A graph whose objects are parallel, antiparallel, nearly
+        parallel and unrelated to the words, or have no row."""
+        vectors = {}
+        for k in range(3):
+            v = rng.normal(size=d)
+            vectors[f"w{k}"] = v
+            vectors[f"par{k}"] = v * rng.uniform(0.1, 10)
+            vectors[f"anti{k}"] = -v * rng.uniform(0.1, 10)
+            vectors[f"bent{k}"] = v + rng.normal(size=d) * 1e-9
+            vectors[f"other{k}"] = rng.normal(size=d)
+        objects = [n for n in vectors if not n.startswith("w")] + ["zero"]
+        graph = KnowledgeGraph([Triple("s", "r", o) for o in objects])
+        return TripleColumns(graph, EmbeddingTable(d, vectors))
+
+    @settings(max_examples=200, derandomize=True, database=None)
+    @given(st.integers(1, 40), st.integers(0, 2**32 - 1), st.data())
+    def test_readers_follow_the_fsum_rule(self, d, seed, data):
+        rng = np.random.default_rng(seed)
+        columns = self.symbols(d, rng)
+        symbols = columns.symbols
+        cosines = Cosines(symbols, self.WORDS)
+        exact = np.array([[math.fsum((u * v).tolist()) for v in cosines.unit]
+                          for u in symbols.unit]).clip(-1.0, 1.0)
+        # ties at an entry, the floats either side of one, and +-1
+        entry = float(data.draw(st.sampled_from(exact.ravel().tolist())))
+        theta = data.draw(st.sampled_from([entry, np.nextafter(entry, 2.0),
+                                           np.nextafter(entry, -2.0), -1.0, 1.0]))
+        rule = exact >= theta
+        every = np.arange(len(symbols))
+        for j, w in enumerate(self.WORDS):
+            assert cosines.near([w], theta, every).tolist() == rule[:, j].tolist()
+        # any rows and columns of the product decide as the full one
+        rows = np.array(data.draw(st.lists(st.integers(0, len(symbols) - 1))), dtype=np.intp)
+        ws = data.draw(st.lists(st.sampled_from(self.WORDS), min_size=1, unique=True))
+        cols = [cosines.column[w] for w in ws]
+        assert cosines.near(ws, theta, rows).tolist() == \
+            rule[rows][:, cols].any(axis=1).tolist()
+
+        # the prefilter, from its own product and from a wider one
+        expected = [t for t, o in enumerate(columns.object) if rule[o, cols].any()]
+        prefilter = Prefilter(columns)
+        wider = Cosines(symbols, [*rng.permutation(list(symbols.ids)), *self.WORDS[::-1]])
+        assert prefilter.apply_indices(ws, theta).tolist() == expected
+        assert prefilter.apply_indices(ws, theta, wider).tolist() == expected
+        # seeding: one axiom per symbol, each triggered by its one symbol
+        idx = build_index(np.arange(len(symbols), dtype=np.int32)[:, None], symbols)
+        cfg = SineConfig(tolerance=1e9, max_depth=1, similarity_threshold=theta)
+        seeded = np.flatnonzero(rule[:, cols].any(axis=1)).tolist()
+        assert similarity_sine_select(idx, set(ws), cfg).tolist() == seeded
+        assert similarity_sine_select(idx, set(ws), cfg, wider).tolist() == seeded
+
+    @settings(max_examples=100, derandomize=True, database=None)
+    @given(st.integers(1, 300), st.integers(0, 2**32 - 1))
+    def test_any_product_within_the_bound_decides_alike(self, d, seed):
+        # a product summed in another order or by another kernel is within
+        # (d + 2) 2^-53 of the exact sums (see Cosines): decisions read from
+        # it follow the rule at every threshold, ties included
+        rng = np.random.default_rng(seed)
+        symbols = self.symbols(d, rng).symbols
+        cosines = Cosines(symbols, self.WORDS)
+        exact = np.array([[math.fsum((u * v).tolist()) for v in cosines.unit]
+                          for u in symbols.unit]).clip(-1.0, 1.0)
+        noise = rng.uniform(-1.0, 1.0, exact.shape) * (d + 2) * 2.0 ** -53
+        cosines.__dict__["matrix"] = np.clip(exact + noise, -1.0, 1.0).T
+        every = np.arange(len(symbols))
+        for theta in [*rng.choice(exact.ravel(), 5), -1.0, 1.0, 0.0]:
+            for j, w in enumerate(self.WORDS):
+                assert cosines.near([w], theta, every).tolist() == \
+                    (exact[:, j] >= theta).tolist()
