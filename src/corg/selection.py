@@ -23,7 +23,7 @@ entries: a symbol is near a word when ``clip(s, -1, 1) >= theta``, s the
 ``math.fsum`` of the two unit rows' elementwise products.  The product's
 entry decides alone when it is farther than 2 (d + 2) 2^-53 from theta
 (the bound is derived in ``Cosines``), and an entry within it is summed
-again, so no decision depends on the product's shape, its column order
+again, so no decision depends on the product's shape, the order of its words
 or the BLAS kernel.  Per problem an ``AxiomIndex`` is one int32
 matrix of symbol ids, one row per axiom, with ``np.bincount`` occurrence
 counts; selection runs on boolean masks and returns axiom positions, so
@@ -254,18 +254,19 @@ def _unit_rows(mat: np.ndarray) -> np.ndarray:
 class Cosines:
     """Every symbol's clipped cosine with each word of a vocabulary.
 
-    ``matrix[column[w], s]`` is ``clip(unit[w] . symbols.unit[s], -1, 1)``,
+    ``matrix[position[w], s]`` is ``clip(unit[w] . symbols.unit[s], -1, 1)``,
     from one product of the vocabulary's unit rows with the symbols', made
     on the first read.  Per problem the pipeline makes one, over the
     problem's words and, with similarity seeding on, every text's goal
-    symbols: the prefilter reads its word columns, and seeding reads the
-    indexed symbols' rows and a text's goal columns.
+    symbols: the prefilter reads the entries of the words with the
+    objects, and seeding those of a text's goal symbols with the indexed
+    symbols.
 
     The gate.  Symbol s is near word w at threshold theta when
     ``clip(fsum(u * v), -1, 1) >= theta``: u and v are the two unit rows as
     stored, and ``fsum(u * v)`` is ``math.fsum`` of their elementwise
     products, the correctly rounded sum of the rounded products, which no
-    summation order, column order or BLAS kernel changes.  An entry g of
+    summation order, word order or BLAS kernel changes.  An entry g of
     the product decides alone when |g - theta| > B = 2 (d + 2) 2^-53, d
     the table's dimension; an entry within B of theta is summed again with
     ``fsum``.
@@ -294,12 +295,12 @@ class Cosines:
 
     def __init__(self, symbols: SymbolTable, vocabulary: Iterable[str]):
         self.symbols = symbols
-        self.column = {w: j for j, w in enumerate(dict.fromkeys(vocabulary))}
+        self.position = {w: k for k, w in enumerate(dict.fromkeys(vocabulary))}
 
     @cached_property
     def unit(self) -> np.ndarray:
-        """The vocabulary's unit rows, in column order."""
-        return _unit_rows(self.symbols.table.vectors(list(self.column)))
+        """The vocabulary's unit rows, word w's at ``position[w]``."""
+        return _unit_rows(self.symbols.table.vectors(list(self.position)))
 
     @cached_property
     def matrix(self) -> np.ndarray:
@@ -313,15 +314,15 @@ class Cosines:
 
         A row whose best entry is farther than B from theta is decided by
         it; in any other row, only the entries within B can pass."""
-        cols = [self.column[w] for w in words]
-        cos = self.matrix[np.ix_(cols, rows)]
+        picked = [self.position[w] for w in words]
+        cos = self.matrix[np.ix_(picked, rows)]
         best = cos.max(axis=0, initial=-np.inf)
         passed = best >= theta
         bound = 2 * (self.unit.shape[1] + 2) * 2.0 ** -53
         for i in np.flatnonzero(np.abs(best - theta) <= bound).tolist():
             unit = self.symbols.unit[rows[i]]
             passed[i] = any(max(-1.0, min(1.0, math.fsum(unit * self.unit[j]))) >= theta
-                            for j, g in zip(cols, cos[:, i].tolist())
+                            for j, g in zip(picked, cos[:, i].tolist())
                             if abs(g - theta) <= bound)
         return passed
 

@@ -426,6 +426,13 @@ class TestGate:
         graph = KnowledgeGraph([Triple("s", "r", o) for o in objects])
         return TripleColumns(graph, EmbeddingTable(d, vectors))
 
+    @staticmethod
+    def exact(symbols, cosines):
+        """``clip(fsum(u * v), -1, 1)`` of each symbol's unit row u with each
+        vocabulary unit row v, one row per symbol."""
+        return np.array([[math.fsum((u * v).tolist()) for v in cosines.unit]
+                         for u in symbols.unit]).clip(-1.0, 1.0)
+
     @settings(max_examples=200, derandomize=True, database=None)
     @given(st.integers(1, 40), st.integers(0, 2**32 - 1), st.data())
     def test_readers_follow_the_fsum_rule(self, d, seed, data):
@@ -433,8 +440,7 @@ class TestGate:
         columns = self.symbols(d, rng)
         symbols = columns.symbols
         cosines = Cosines(symbols, self.WORDS)
-        exact = np.array([[math.fsum((u * v).tolist()) for v in cosines.unit]
-                          for u in symbols.unit]).clip(-1.0, 1.0)
+        exact = self.exact(symbols, cosines)
         # ties at an entry, the floats either side of one, and +-1
         entry = float(data.draw(st.sampled_from(exact.ravel().tolist())))
         theta = data.draw(st.sampled_from([entry, np.nextafter(entry, 2.0),
@@ -446,7 +452,7 @@ class TestGate:
         # any rows and columns of the product decide as the full one
         rows = np.array(data.draw(st.lists(st.integers(0, len(symbols) - 1))), dtype=np.intp)
         ws = data.draw(st.lists(st.sampled_from(self.WORDS), min_size=1, unique=True))
-        cols = [cosines.column[w] for w in ws]
+        cols = [cosines.position[w] for w in ws]
         assert cosines.near(ws, theta, rows).tolist() == \
             rule[rows][:, cols].any(axis=1).tolist()
 
@@ -472,8 +478,7 @@ class TestGate:
         rng = np.random.default_rng(seed)
         symbols = self.symbols(d, rng).symbols
         cosines = Cosines(symbols, self.WORDS)
-        exact = np.array([[math.fsum((u * v).tolist()) for v in cosines.unit]
-                          for u in symbols.unit]).clip(-1.0, 1.0)
+        exact = self.exact(symbols, cosines)
         noise = rng.uniform(-1.0, 1.0, exact.shape) * (d + 2) * 2.0 ** -53
         cosines.__dict__["matrix"] = np.clip(exact + noise, -1.0, 1.0).T
         every = np.arange(len(symbols))
