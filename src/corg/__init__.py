@@ -8,7 +8,7 @@ embeddings.  Everything is deterministic.
 
 __version__ = "0.1.0"
 
-from .embeddings import EmbeddingTable, cosine, load_table, split_identifier
+from .embeddings import EmbeddingTable, load_table, split_identifier
 from .errors import CorgError
 from .fol import (AnnotatedFormula, And, Atom, Clause, Constant, Exists,
                   Forall, Formula, Function, Iff, Implies, Not, Or, Term,
@@ -32,7 +32,7 @@ from .selection import (AxiomIndex, Cosines, Prefilter, SineConfig, SymbolTable,
 
 __all__ = [
     # embeddings
-    "EmbeddingTable", "cosine", "load_table", "split_identifier",
+    "EmbeddingTable", "load_table", "split_identifier",
     # errors
     "CorgError",
     # first-order logic

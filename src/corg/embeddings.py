@@ -1,4 +1,4 @@
-"""Word-vector table with cosine similarity.
+"""Word-vector table: words to fixed-size float64 vectors, read lazily.
 
 File format: optional header line ``<count> <dim>``, then one
 ``word v1 ... v_dim`` entry per line (the layout used by common
@@ -379,16 +379,3 @@ def _is_int(s: str) -> bool:
         return True
     except ValueError:
         return False
-
-
-def cosine(u: np.ndarray, v: np.ndarray) -> float:
-    """Cosine similarity in [-1, 1]; 0 whenever either vector has zero norm."""
-    u = np.asarray(u, dtype=np.float64)
-    v = np.asarray(v, dtype=np.float64)
-    if u.shape != v.shape:
-        raise DimensionMismatch(f"cosine of shapes {u.shape} and {v.shape}")
-    nu = np.linalg.norm(u)
-    nv = np.linalg.norm(v)
-    if nu == 0.0 or nv == 0.0:
-        return 0.0
-    return float(min(1.0, max(-1.0, float(np.dot(u, v)) / (nu * nv))))

@@ -16,7 +16,8 @@ id + inverse`` from selection to the result.  So a problem runs
              -> translate + clausify (live axioms only) -> saturate
              -> extract symbols
 
-and the per-alternative symbol sequences are scored against the premise's.
+and then each text's symbols are embedded once, as one mean vector, and
+each alternative's vector is scored against the premise's.
 A selected axiom is live when its body can hold in the text's model; the
 others can never fire, so they are neither translated nor chained, though
 they stay selected.  Only the live axioms' clauses are kept, cached by key
@@ -54,9 +55,10 @@ from .errors import (CorgError, InvalidField, MissingField, MissingFormula,
 from .fol import Atom, Clause, Constant, Formula
 from .kg import KnowledgeGraph
 from .model import BuilderConfig, PartialModel, extract_symbols, saturate, trace_json
-from .scorer import Choice, choose, likelihoods, score_pair
+from .scorer import Choice, choose, embed_sequence, likelihoods, score_pair
 from .selection import (AxiomIndex, Cosines, Prefilter, SineConfig, TripleColumns,
-                        build_index, sine_select, similarity_sine_select)
+                        build_index, similarity_sine_select)
+from .selection import sine_select  # noqa: F401  benchmarks/tracing.py wraps this name
 
 # ---------------------------------------------------------------- problems
 
@@ -419,10 +421,7 @@ class Pipeline:
                   index: AxiomIndex, cosines: Cosines) -> TextResult:
         cfg = self.config
         with _stage(problem.id, "select"):
-            if cfg.sine.similarity_threshold is None:
-                positions = sine_select(index, goals, cfg.sine)
-            else:
-                positions = similarity_sine_select(index, goals, cfg.sine, cosines)
+            positions = similarity_sine_select(index, goals, cfg.sine, cosines)
         keys = keys[positions]
         live = keys[self._live(facts, rows[positions], keys)]
         clauses: list[Clause] = []
@@ -455,8 +454,8 @@ class Pipeline:
         results = [self._run_text(problem, role, f, g, rows, keys, index, cosines)
                    for (role, _), f, g in zip(texts, facts, goals)]
         with _stage(problem.id, "score"):
-            premise_syms = results[0].symbols
-            scores = [score_pair(premise_syms, t.symbols, self.table) for t in results[1:]]
+            premise, *answers = [embed_sequence(t.symbols, self.table) for t in results]
+            scores = [score_pair(premise, answer) for answer in answers]
             y = likelihoods(scores)
             choice = choose(y)
         return ProblemResult(problem, results, scores, y, choice)

@@ -225,11 +225,10 @@ def sine_select(idx: AxiomIndex, goal_symbols: Iterable[str],
 
 def similarity_sine_select(idx: AxiomIndex, goal_symbols: Iterable[str],
                            cfg: SineConfig, cosines: Cosines | None = None) -> np.ndarray:
-    """sine_select with the seed widened by embedding similarity.
-
-    Every indexed symbol whose clipped cosine to some goal symbol passes
-    the gate of ``Cosines`` at ``cfg.similarity_threshold`` joins the seed
-    first.  The cosines are read from ``cosines``, a product whose
+    """sine_select, with the seed widened by embedding similarity only when
+    ``cfg.similarity_threshold`` is set: every indexed symbol whose clipped
+    cosine to some goal symbol passes the gate of ``Cosines`` at it joins
+    the seed first.  The cosines are read from ``cosines``, a product whose
     vocabulary holds the goal symbols, else from a product of the goals'
     own.  No goal symbol selects no axiom.
     """

@@ -13,9 +13,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from corg import embeddings, kg
-from corg.embeddings import EmbeddingTable, cosine, load_table, split_identifier
+from corg.embeddings import EmbeddingTable, load_table, split_identifier
 from corg.errors import CorgError, CorruptArchive, DimensionMismatch, MalformedLine
-from corg.scorer import embed_sequence
+from corg.scorer import embed_sequence, score_pair
 from conftest import opened_files
 from oracles import ReferenceTable, reference_load_table, reference_row, reference_vector
 
@@ -601,38 +601,40 @@ class TestVectorsOracle:
 
 
 class TestCosine:
+    """``scorer.score_pair``, the one cosine, on embeddings given directly."""
+
     def test_self_similarity(self):
         v = np.array([0.3, -1.2, 2.0])
-        assert cosine(v, v) == pytest.approx(1.0, abs=1e-12)
+        assert score_pair(v, v) == pytest.approx(1.0, abs=1e-12)
 
     def test_orthogonal(self):
-        assert cosine(np.array([1.0, 0.0]), np.array([0.0, 1.0])) == 0.0
+        assert score_pair(np.array([1.0, 0.0]), np.array([0.0, 1.0])) == 0.0
 
     def test_hand_value(self):
-        got = cosine(np.array([1.0, 1.0]), np.array([1.0, 0.0]))
+        got = score_pair(np.array([1.0, 1.0]), np.array([1.0, 0.0]))
         assert got == pytest.approx(1 / math.sqrt(2), abs=1e-9)
 
     def test_zero_norm(self):
-        assert cosine(np.zeros(3), np.ones(3)) == 0.0
+        assert score_pair(np.zeros(3), np.ones(3)) == 0.0
 
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatch):
-            cosine(np.ones(2), np.ones(3))
+            score_pair(np.ones(2), np.ones(3))
 
     def test_symmetry(self):
         rng = np.random.default_rng(5)
         for _ in range(50):
             u, v = rng.normal(size=7), rng.normal(size=7)
-            assert abs(cosine(u, v) - cosine(v, u)) <= 1e-12
+            assert abs(score_pair(u, v) - score_pair(v, u)) <= 1e-12
 
     def test_scale_invariance(self):
         rng = np.random.default_rng(6)
         for alpha in (0.001, 0.5, 3.0, 1e6):
             u, v = rng.normal(size=5), rng.normal(size=5)
-            assert cosine(alpha * u, v) == pytest.approx(cosine(u, v), abs=1e-9)
+            assert score_pair(alpha * u, v) == pytest.approx(score_pair(u, v), abs=1e-9)
 
     def test_range(self):
         rng = np.random.default_rng(7)
         for _ in range(100):
             u, v = rng.normal(size=4), rng.normal(size=4)
-            assert -1.0 <= cosine(u, v) <= 1.0
+            assert -1.0 <= score_pair(u, v) <= 1.0

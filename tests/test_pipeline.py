@@ -26,6 +26,7 @@ from corg.model import BuilderConfig
 from corg.pipeline import (CopaProblem, Pipeline, PipelineConfig, RunReport,
                            content_words, export_tptp, parse_copa_xml,
                            text_to_facts)
+from corg.scorer import embed_sequence
 from corg.selection import SineConfig
 from conftest import COPA_XML
 from oracles import (atom_tuple, copa1_expected, reachable_within,
@@ -594,6 +595,14 @@ def _answers(jsonl: bytes) -> list:
             for r in rows]
 
 
+# a third alternative for copa1, which the figure graph's model grows
+THIRD_ALTERNATIVE = "The shadow fell on the ground."
+
+
+def _bits(values) -> list[str]:
+    return [float(v).hex() for v in values]
+
+
 class TestEvaluate:
     def four_problems(self, copa1):
         # the pipeline picks alternative 1; gold labels make 3 of 4 correct
@@ -803,6 +812,58 @@ class TestEvaluate:
         assert (failure.problem.id, failure.error.stage) == (2, "facts")
         assert isinstance(failure.error.cause, UnreadableFormula)
         assert str(tmp_path / "2_a1.p") in str(failure.error)
+
+    def test_each_text_embedded_once(self, fig_graph, fig_table, copa1, monkeypatch):
+        three = replace(copa1, id=2, alternatives=[*copa1.alternatives, THIRD_ALTERNATIVE])
+        calls = []
+
+        def spied(words, table):
+            calls.append(list(words))
+            return embed_sequence(words, table)
+
+        monkeypatch.setattr(pipeline, "embed_sequence", spied)
+        report = Pipeline(fig_graph, fig_table).evaluate([copa1, three])
+        assert calls == [t.symbols for r in report.results for t in r.texts]
+        assert len(calls) == 3 + 4
+
+
+class TestAlternativesPermuted:
+    """Permuting a problem's alternatives permutes its scores, likelihoods
+    and text rows bit for bit, and the choice follows unless it is a tie."""
+
+    @staticmethod
+    def assert_permuted(base, moved, perm):
+        # moved's alternative k + 1 is base's alternative perm[k] + 1
+        assert _bits(moved.scores) == _bits(base.scores[i] for i in perm)
+        assert _bits(moved.y) == _bits(base.y[i] for i in perm)
+        rows = [t.to_json() for t in base.texts]
+        assert [t.to_json() for t in moved.texts] == [rows[0]] + [
+            {**rows[i + 1], "role": f"a{k}"} for k, i in enumerate(perm, start=1)]
+        assert moved.choice.tie == base.choice.tie
+        if not base.choice.tie:
+            assert moved.choice.index == perm.index(base.choice.index - 1) + 1
+
+    def test_three_alternatives_every_permutation(self, fig_graph, fig_table, copa1):
+        alternatives = [*copa1.alternatives, THIRD_ALTERNATIVE]
+        pipe = Pipeline(fig_graph, fig_table)
+        base = pipe.run_problem(replace(copa1, alternatives=alternatives))
+        assert len(set(base.scores)) == 3
+        for perm in itertools.permutations(range(3)):
+            moved = pipe.run_problem(
+                replace(copa1, alternatives=[alternatives[i] for i in perm]))
+            self.assert_permuted(base, moved, perm)
+
+    def test_reduced_scale_fixture_swapped(self, tmp_path):
+        kg_path, vec_path, problems = _write_scale_fixture(
+            tmp_path, n_words=5000, n_triples=10_000, n_problems=40, concept_pool=1000)
+        cfg = PipelineConfig(prefilter_theta=0.6, sine=SineConfig(similarity_threshold=0.9))
+        pipe = Pipeline(corg.load_graph(kg_path), corg.load_table(vec_path), cfg)
+        base = pipe.evaluate(problems)
+        moved = pipe.evaluate([replace(p, alternatives=p.alternatives[::-1])
+                               for p in problems])
+        assert not base.failures and not moved.failures
+        for b, m in zip(base.results, moved.results):
+            self.assert_permuted(b, m, (1, 0))
 
 
 class TestLazyModel:

@@ -3,6 +3,8 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from corg.embeddings import EmbeddingTable
 from corg.errors import BadCardinality
@@ -32,25 +34,30 @@ class TestEmbedSequence:
         assert not embed_sequence(["gibberish", "nonsense"], table).any()
 
 
+def scored(premise_words, answer_words, table):
+    return score_pair(embed_sequence(premise_words, table),
+                      embed_sequence(answer_words, table))
+
+
 class TestScorePair:
     def test_identical_sequences(self, table):
-        assert score_pair(["east", "north"], ["east", "north"], table) == \
+        assert scored(["east", "north"], ["east", "north"], table) == \
             pytest.approx(1.0, abs=1e-9)
 
     def test_orthogonal(self, table):
-        assert score_pair(["east"], ["north"], table) == 0.0
+        assert scored(["east"], ["north"], table) == 0.0
 
     def test_hand_value(self, table):
-        got = score_pair(["northeast"], ["east"], table)
+        got = scored(["northeast"], ["east"], table)
         assert got == pytest.approx(1 / math.sqrt(2), abs=1e-4)
 
     def test_zero_side_scores_zero(self, table):
-        assert score_pair([], ["east"], table) == 0.0
-        assert score_pair(["gibberish"], ["east"], table) == 0.0
+        assert scored([], ["east"], table) == 0.0
+        assert scored(["gibberish"], ["east"], table) == 0.0
 
     def test_symmetry(self, table):
         a, b = ["east", "northeast"], ["north"]
-        assert abs(score_pair(a, b, table) - score_pair(b, a, table)) <= 1e-12
+        assert abs(scored(a, b, table) - scored(b, a, table)) <= 1e-12
 
 
 class TestLikelihoods:
@@ -81,6 +88,15 @@ class TestLikelihoods:
             y = likelihoods(scores)
             assert sum(y) == pytest.approx(1.0, abs=1e-9)
             assert all(0.0 < v < 1.0 for v in y)
+
+    @settings(max_examples=300, derandomize=True, database=None, deadline=None)
+    @given(st.lists(st.floats(-30, 30), min_size=2, max_size=5).flatmap(
+        lambda s: st.tuples(st.just(s), st.permutations(range(len(s))))))
+    def test_permuting_scores_permutes_likelihoods_bit_for_bit(self, drawn):
+        scores, perm = drawn
+        y = likelihoods(scores)
+        moved = likelihoods([scores[i] for i in perm])
+        assert [v.hex() for v in moved] == [y[i].hex() for i in perm]
 
     def test_order_preserving_any_temperature(self):
         rng = random.Random(100)
