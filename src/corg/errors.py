@@ -30,10 +30,6 @@ class NoTriplesLoaded(CorgError):
 
 # --- first-order logic ---
 
-class NegatedUnsupported(CorgError):
-    """Negated triples have no translation; callers skip and count them."""
-
-
 class ParseError(CorgError):
     """Formula text that does not match the supported grammar."""
 

@@ -7,6 +7,8 @@ the ASCII form ``exists A (sun(A) & ...)`` produced by semantic parsers.
 Clause form comes from one walk that reads each connective through its
 polarity (Nonnengart & Weidenbach, "Computing Small Clause Normal Forms",
 2001); the rule shape of the triple translations is built directly.
+Every graph triple has a translation: a negated edge (``NotDesires``) has
+none, and the graph loader skips it.
 Emission is deterministic and re-parseable: ``parse_fol(to_tptp(f)) == f``.
 """
 
@@ -16,7 +18,7 @@ import itertools
 import re
 from dataclasses import dataclass, field
 
-from .errors import NegatedUnsupported, ParseError, UnsupportedFragment
+from .errors import ParseError, UnsupportedFragment
 from .kg import Triple
 
 # ------------------------------------------------------------------ terms
@@ -209,15 +211,8 @@ def relation_predicate(relation: str) -> str:
     return _RELATION_PREDICATES.get(relation, relation)
 
 
-def _check_translatable(t: Triple):
-    if t.negated:
-        raise NegatedUnsupported(
-            f"negated triple ({t.subject}, not_{t.relation}, {t.object}) has no translation")
-
-
 def translate_factual(t: Triple) -> Formula:
     """Triple as a ground fact: relation(subject, object)."""
-    _check_translatable(t)
     return Atom(relation_predicate(t.relation),
                 (Constant(t.subject), Constant(t.object)))
 
@@ -231,7 +226,6 @@ def translate_existential(t: Triple) -> Formula:
 
     (s, p, o) becomes  ! [X] : (s(X) => ? [Y] : (p(X,Y) & o(Y))).
     """
-    _check_translatable(t)
     return Forall("X", Implies(
         Atom(t.subject, (_X,)),
         Exists("Y", And((Atom(relation_predicate(t.relation), (_X, _Y)),
@@ -244,7 +238,6 @@ def translate_inverse(t: Triple) -> Formula:
     (s, p, o) becomes  ! [X] : (o(X) => ? [Y] : (inv_p(X,Y) & s(Y))),
     so chains can follow edges against their stored direction.
     """
-    _check_translatable(t)
     pred = INVERSE_PREFIX + relation_predicate(t.relation)
     return Forall("X", Implies(
         Atom(t.object, (_X,)),

@@ -38,7 +38,8 @@ and no line number is kept for it.
 Concept identifiers are normalized to lowercase single tokens (multiword
 concepts stay underscore-joined, e.g. ``annoy_your_spouse``); relation names
 are normalized to lowercase snake_case (``AtLocation`` -> ``at_location``).
-A leading ``Not`` on a relation becomes a ``negated`` flag on the triple.
+A relation with a leading ``Not`` (``NotDesires``) has no translation, so its
+line is skipped as ``negated``; no triple in a graph is negated.
 """
 
 from __future__ import annotations
@@ -50,6 +51,7 @@ import json
 import re
 import zlib
 from array import array
+from collections import Counter
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from importlib import resources
@@ -72,7 +74,6 @@ class Triple:
     subject: str
     relation: str
     object: str
-    negated: bool = False
 
 
 @dataclass
@@ -111,10 +112,11 @@ class KnowledgeGraph:
     """Append-only triple store held as array columns; a triple's id is its row.
 
     ``add`` interns names to ids (``concepts``, ``relations``) and appends
-    to the ``subject``, ``relation``, ``object`` and ``negated`` columns;
-    ``triple(i)`` and iteration build ``Triple`` values on demand.  There
-    are no adjacency indexes.  Once loaded the graph is treated as
-    immutable and can be shared by readers.
+    to the ``subject``, ``relation`` and ``object`` columns; ``triple(i)``
+    and iteration build ``Triple`` values on demand.  There are no
+    adjacency indexes.  ``stats.kept`` counts the triples given to the
+    constructor.  Once loaded the graph is treated as immutable and can be
+    shared by readers.
     """
 
     def __init__(self, triples: Iterable[Triple] = ()):
@@ -122,25 +124,24 @@ class KnowledgeGraph:
         self.relations: dict[str, int] = {}
         self._concept_names, self._relation_names = [], []
         self.subject, self.relation, self.object = array("i"), array("i"), array("i")
-        self.negated = array("b")
         self.stats = LoadStats()
         for t in triples:
             self.add(t)
+        self.stats.kept = len(self)
 
     def add(self, triple: Triple) -> int:
-        return self._append(triple.subject, triple.relation, triple.object, triple.negated)
+        return self._append(triple.subject, triple.relation, triple.object)
 
-    def _append(self, subject: str, relation: str, obj: str, negated: bool) -> int:
+    def _append(self, subject: str, relation: str, obj: str) -> int:
         self.subject.append(_id_of(self.concepts, self._concept_names, subject))
         self.relation.append(_id_of(self.relations, self._relation_names, relation))
         self.object.append(_id_of(self.concepts, self._concept_names, obj))
-        self.negated.append(negated)
         return len(self.subject) - 1
 
     def triple(self, i: int) -> Triple:
         return Triple(self._concept_names[self.subject[i]],
                       self._relation_names[self.relation[i]],
-                      self._concept_names[self.object[i]], bool(self.negated[i]))
+                      self._concept_names[self.object[i]])
 
     def __iter__(self) -> Iterator[Triple]:
         return map(self.triple, range(len(self)))
@@ -153,13 +154,17 @@ class KnowledgeGraph:
         """Build a graph from (subject, relation, object) tuples.
 
         Names are normalized the same way the loaders normalize them, so
-        ``("sun", "Causes", "light")`` works as a fixture row, and
-        ``("person", "NotDesires", "pain")`` gives a negated triple.
+        ``("sun", "Causes", "light")`` works as a fixture row, and a row
+        such as ``("person", "NotDesires", "pain")`` is counted under
+        ``"negated"`` and not added, by the loaders' relation verdict.
         """
-        g = cls()
+        g, parser = cls(), _LineParser()
         for subject, relation, obj in rows:
-            rel, negated = normalize_relation(relation)
-            g._append(normalize_concept(subject), rel, normalize_concept(obj), negated)
+            relation, skip = parser.relation(relation)
+            if skip:
+                g.stats.skip(skip)
+            else:
+                g._append(normalize_concept(subject), relation, normalize_concept(obj))
         g.stats.kept = len(g)
         return g
 
@@ -199,36 +204,43 @@ _JSON = json.JSONDecoder()
 class _LineParser:
     """The one parser of dump and fixture lines, with per-load memos.
 
-    A line parses to the fields ``(subject, relation, object, negated)`` of
-    a kept ``Triple``, or to the reason it is skipped, a ``str``
-    (``"malformed"``, ``"external_url"``, ``"non_concept"``, ``"language"``,
-    ``"relation"``); nothing is raised.  One field rule serves both
+    A line parses to the fields ``(subject, relation, object)`` of a kept
+    ``Triple``, or to the reason it is skipped, a ``str`` (``"malformed"``,
+    ``"external_url"``, ``"non_concept"``, ``"language"``, ``"relation"``,
+    ``"negated"``); nothing is raised.  One field rule serves both
     formats: a concept or relation whose name normalizes to empty makes the
     line malformed.  ``allowed`` is the relation filter's set, or None for
     no filter.  Each relation URI is memoized to its verdict, ``(relation,
-    negated, allowed)``, ``"external_url"`` or ``"malformed"``, and so is
-    each plain relation field (a fixture keeps ``external_url`` edges).
+    skip)``, ``"external_url"`` or ``"malformed"``, and so is each plain
+    relation field (a fixture keeps ``external_url`` edges).  ``skip`` is
+    ``"relation"`` when the filter drops the relation, else ``"negated"``
+    for a relation with a leading ``Not``, else None; it is the last check
+    of a line, so a negated line of a dropped relation counts as
+    ``"relation"``.
     Each concept URI is memoized to ``(name, None)`` for an English
     concept, else to ``(None, reason)``.
     """
 
     def __init__(self, allowed: frozenset[str] | None = None):
         self._allowed = allowed
-        self._relation_uris: dict[str, tuple[str, bool, bool] | str] = {}
-        self._relations: dict[str, tuple[str, bool, bool]] = {}
+        self._relation_uris: dict[str, tuple[str, str | None] | str] = {}
+        self._relations: dict[str, tuple[str, str | None]] = {}
         self._concepts: dict[str, tuple[str | None, str | None]] = {}
 
-    def relation(self, raw: str) -> tuple[str, bool, bool]:
+    def relation(self, raw: str) -> tuple[str, str | None]:
         """The verdict on a plain relation field, memoized."""
         return self._relations.get(raw) or self._relation(raw)
 
-    def _relation(self, raw: str) -> tuple[str, bool, bool]:
+    def _relation(self, raw: str) -> tuple[str, str | None]:
         relation, negated = normalize_relation(raw)
-        verdict = relation, negated, self._allowed is None or relation in self._allowed
+        if self._allowed is not None and relation not in self._allowed:
+            verdict = relation, "relation"
+        else:
+            verdict = relation, "negated" if negated else None
         self._relations[raw] = verdict
         return verdict
 
-    def _relation_uri(self, uri: str) -> tuple[str, bool, bool] | str:
+    def _relation_uri(self, uri: str) -> tuple[str, str | None] | str:
         verdict = self.relation(uri[3:]) if uri.startswith("/r/") else None
         if not verdict or not verdict[0]:
             verdict = "malformed"
@@ -252,10 +264,10 @@ class _LineParser:
         self._concepts[uri] = verdict
         return verdict
 
-    def assertion(self, line: str) -> tuple[str, str, str, bool] | str:
+    def assertion(self, line: str) -> tuple[str, str, str] | str:
         """A dump line; what skips it comes first in the order of its
         fields: the relation URI, the start URI, the end URI, then
-        ``language``, the metadata and last the relation filter."""
+        ``language``, the metadata and last the relation's ``skip``."""
         fields = line.rstrip("\n").split("\t")
         if len(fields) != 5:
             return "malformed"
@@ -283,18 +295,18 @@ class _LineParser:
             weight = data.get("weight", 0) if isinstance(data, dict) else 0
             if stop != len(meta) or type(weight) not in (int, float) or not _is_float(weight):
                 return "malformed"
-        relation, negated, allowed = relation
-        return (start, relation, end, negated) if allowed else "relation"
+        relation, skip = relation
+        return skip or (start, relation, end)
 
-    def plain(self, line: str) -> tuple[str, str, str, bool] | str:
+    def plain(self, line: str) -> tuple[str, str, str] | str:
         fields = line.rstrip("\n").split("\t")
         if len(fields) not in (3, 4):
             return "malformed"
-        relation, negated, allowed = self.relation(fields[1])
+        relation, skip = self.relation(fields[1])
         subject, obj = normalize_concept(fields[0]), normalize_concept(fields[2])
         if not (subject and relation and obj) or len(fields) == 4 and not _is_float(fields[3]):
             return "malformed"
-        return (subject, relation, obj, negated) if allowed else "relation"
+        return skip or (subject, relation, obj)
 
 
 def _is_float(value) -> bool:
@@ -366,14 +378,15 @@ _EVEN_LINE = {3: np.array([9, 9, 10], dtype=np.uint8),
 
 def _append_even(g: KnowledgeGraph, parser: _LineParser, data: bytes) -> bool:
     """Append the kept rows of an even block of plain lines to ``g``, count
-    the rows that the relation filter drops, and return True; or return
-    False, having changed nothing, when ``data`` is not an even block or one
-    of its fields would make its line malformed.
+    the rows that their relation's verdict skips, under its reason, and
+    return True; or return False, having changed nothing, when ``data`` is
+    not an even block or one of its fields would make its line malformed.
 
     Each distinct field is checked once, with the per-line rule's own steps:
     a relation field's verdict from ``parser``'s memo, ``normalize_concept``
     on a concept field (empty is malformed) and ``_is_float`` on a weight.
-    So the rows, their order and the counts are those of the per-line rule."""
+    So the rows, their order and the counts, reasons in the order of their
+    first row, are those of the per-line rule."""
     first_end = data.find(b"\n")
     width = data.count(b"\t", 0, first_end if first_end >= 0 else len(data)) + 1
     if width not in _EVEN_LINE or not data.isascii() or b"#" in data:
@@ -394,23 +407,24 @@ def _append_even(g: KnowledgeGraph, parser: _LineParser, data: bytes) -> bool:
     verdicts = {raw: parser.relation(raw.decode()) for raw in set(relations)}
     names = {raw: normalize_concept(raw.decode()) for raw in set(subjects).union(objects)}
     weights = set(fields[3::4]) if width == 4 else ()
-    if not all(relation for relation, _, _ in verdicts.values()) or not all(names.values()) \
+    if not all(relation for relation, _ in verdicts.values()) or not all(names.values()) \
             or not all(map(_is_float, weights)):
         return False
-    if not all(allowed for _, _, allowed in verdicts.values()):
-        keep = [verdicts[raw][2] for raw in relations]
-        g.stats.skip("relation", keep.count(False))
+    if any(skip for _, skip in verdicts.values()):
+        skips = [verdicts[raw][1] for raw in relations]
+        for reason, n in Counter(skips).items():
+            if reason:
+                g.stats.skip(reason, n)
+        keep = [not skip for skip in skips]
         subjects, relations, objects = (list(compress(column, keep))
                                         for column in (subjects, relations, objects))
     concept_ids = _intern(g.concepts, g._concept_names, names,
                           chain.from_iterable(zip(subjects, objects)))
     relation_ids = _intern(g.relations, g._relation_names,
-                           {raw: relation for raw, (relation, _, _) in verdicts.items()}, relations)
-    negated = {raw: flag for raw, (_, flag, _) in verdicts.items()}
+                           {raw: relation for raw, (relation, _) in verdicts.items()}, relations)
     g.subject += array("i", map(concept_ids.__getitem__, subjects))
     g.relation += array("i", map(relation_ids.__getitem__, relations))
     g.object += array("i", map(concept_ids.__getitem__, objects))
-    g.negated += array("b", map(negated.__getitem__, relations))
     return True
 
 
@@ -436,7 +450,9 @@ def load_graph(path, relation_filter: RelationFilter | None = None) -> Knowledge
     (nor an int that overflows a float), a plain fourth field that is not a
     float, and a concept or relation, in a dump or a plain line, whose name
     normalizes to empty make a line malformed.  The relation filter comes
-    after every check, so a line it would drop still counts as malformed.
+    after every check, so a line it would drop still counts as malformed;
+    last, a line whose relation has a leading ``Not`` counts as
+    ``"negated"``, so one that the filter drops counts as ``"relation"``.
     A byte-order mark at the start of the file is dropped, so it is not
     part of the first name.
     Raises NoTriplesLoaded when nothing survives the filter (wrong filter

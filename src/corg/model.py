@@ -292,10 +292,8 @@ def saturate(facts: list[Atom], clauses: list[Clause],
     terms = _Terms()
     # one pass: each clause checked and put in the group of its body, and a
     # new group listed under each (predicate, arity) of its body; bodiless
-    # clauses fire once, in the first round.  Clauses often share one body
-    # tuple (both of a triple axiom do), so it is looked up by id first.
+    # clauses fire once, in the first round
     groups: dict[tuple[Atom, ...], _Group] = {}
-    group_of_body: dict[int, _Group] = {}
     groups_of: dict[tuple[str, int], list[_Group]] = {}
     for position, clause in enumerate(clauses):
         if not clause.chainable:
@@ -306,14 +304,11 @@ def saturate(facts: list[Atom], clauses: list[Clause],
                 f"clause from {clause.origin!r} has head variables outside the body")
         if clause.positives:
             body = clause.negatives
-            group = group_of_body.get(id(body))
+            group = groups.get(body)
             if group is None:
-                group = groups.get(body)
-                if group is None:
-                    group = groups[body] = _Group(body, terms)
-                    for key in {(a.predicate, len(a.args)) for a in body}:
-                        groups_of.setdefault(key, []).append(group)
-                group_of_body[id(body)] = group
+                group = groups[body] = _Group(body, terms)
+                for key in {(a.predicate, len(a.args)) for a in body}:
+                    groups_of.setdefault(key, []).append(group)
             group.positions.append(position)
 
     depth = terms.depth

@@ -448,8 +448,7 @@ class Pipeline:
                 if cfg.sine.similarity_threshold is not None else []
             cosines = Cosines(self.columns.symbols, words + seeds)
             kept = self.prefilter.apply_indices(words, cfg.prefilter_theta, cosines)
-        tids = kept[~self.columns.negated[kept]]
-        rows, keys = self.columns.axioms(tids)
+        rows, keys = self.columns.axioms(kept)
         index = build_index(rows, self.columns.symbols)
         results = [self._run_text(problem, role, f, g, rows, keys, index, cosines)
                    for (role, _), f, g in zip(texts, facts, goals)]

@@ -101,7 +101,8 @@ class TripleColumns:
 
     Triple ``i`` has ids ``subject[i]``, ``predicate[i]`` and ``object[i]``,
     plus ``inverse[i]`` for its ``inv_`` predicate when inverses are on
-    (``inverse`` is None otherwise), and ``negated[i]``.  The graph's
+    (``inverse`` is None otherwise).  Every triple has its axioms, as the
+    loader leaves out the negated edges, which have none.  The graph's
     concept ids are its concepts' symbol ids, and predicates and ``inv_``
     predicates not spelled like a concept come after them.  The columns
     are copies: a later ``graph.add`` changes nothing here.
@@ -117,7 +118,6 @@ class TripleColumns:
         self.predicate = _intern(ids, names)[relation]
         self.inverse = _intern(ids, [INVERSE_PREFIX + p for p in names])[relation] \
             if inverse else None
-        self.negated = np.array(graph.negated, dtype=bool)
         self.symbols = SymbolTable(ids, table)
 
     def axioms(self, tids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -682,7 +682,7 @@ def _reference_assertion(line: str, line_no: int):
         if isinstance(data, dict) and "weight" in data \
                 and not _reference_weight_ok(data["weight"]):
             raise MalformedLine(line_no, "weight is not a number")
-    return Triple(start[1], relation, end[1], negated)
+    return Triple(start[1], relation, end[1]), negated
 
 
 def _reference_plain(line: str, line_no: int):
@@ -697,13 +697,15 @@ def _reference_plain(line: str, line_no: int):
             float(fields[3])
         except ValueError as e:
             raise MalformedLine(line_no, f"bad weight {fields[3]!r}") from e
-    return Triple(normalize_concept(fields[0]), relation, normalize_concept(fields[2]),
-                  negated)
+    triple = Triple(normalize_concept(fields[0]), relation, normalize_concept(fields[2]))
+    return triple, negated
 
 
 def reference_load_graph(path, relation_filter=None) -> KnowledgeGraph:
     """``load_graph`` one line at a time: a ``Triple`` per kept line, added
-    with ``KnowledgeGraph.add``."""
+    with ``KnowledgeGraph.add``.  After every check of a line's fields comes
+    the relation filter, and after it the ``Not`` prefix: a line whose
+    relation has one is counted as ``"negated"``."""
     flt = relation_filter or RelationFilter()
     g = KnowledgeGraph()
     for line_no, line in enumerate(_reference_lines(path), start=1):
@@ -724,10 +726,13 @@ def reference_load_graph(path, relation_filter=None) -> KnowledgeGraph:
         if isinstance(parsed, str):
             g.stats.skip(parsed)
             continue
-        if flt.allowed is not None and parsed.relation not in flt.allowed:
+        triple, negated = parsed
+        if flt.allowed is not None and triple.relation not in flt.allowed:
             g.stats.skip("relation")
-            continue
-        g.add(parsed)
+        elif negated:
+            g.stats.skip("negated")
+        else:
+            g.add(triple)
     g.stats.kept = len(g)
     if not g:
         raise NoTriplesLoaded(f"no triples loaded from {path}")

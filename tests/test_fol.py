@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from corg import KnowledgeGraph, Triple, fol
 from corg.embeddings import EmbeddingTable
-from corg.errors import NegatedUnsupported, ParseError, UnsupportedFragment
+from corg.errors import ParseError, UnsupportedFragment
 from corg.fol import (MAX_NESTING, And, Atom, Clause, Constant, Exists, Forall,
                       Function, Iff, Implies, Not, Or, Variable, clausify,
                       format_formula, is_closed, parse_fol, parse_formulas,
@@ -39,10 +39,6 @@ class TestTranslateFactual:
         assert translate_factual(Triple("a", "r", "a")) == \
             Atom("r", (Constant("a"), Constant("a")))
 
-    def test_negated_rejected(self):
-        with pytest.raises(NegatedUnsupported):
-            translate_factual(Triple("person", "desires", "pain", negated=True))
-
 
 class TestTranslateExistential:
     def test_sun_causes_light(self):
@@ -60,10 +56,6 @@ class TestTranslateExistential:
         f = translate_existential(Triple("a", "r", "a"))
         assert to_tptp(f, "t") == \
             "fof(t, axiom, ! [X] : (a(X) => ? [Y] : (r(X,Y) & a(Y))))."
-
-    def test_negated_rejected(self):
-        with pytest.raises(NegatedUnsupported):
-            translate_existential(Triple("person", "desires", "pain", negated=True))
 
 
 class TestTranslateInverse:

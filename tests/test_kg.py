@@ -44,17 +44,20 @@ class TestParseAssertionLine:
         # the weight is checked, not kept
         line = dump_line("/r/Causes", "/c/en/sun", "/c/en/light", '{"weight": 2.0}')
         t = parse_assertion_line(line)
-        assert t == Triple("sun", "causes", "light", False)
+        assert t == Triple("sun", "causes", "light")
 
     def test_external_url_skipped(self):
         line = dump_line("/r/ExternalURL", "/c/en/sun", "http://example.org/sun")
         assert parse_assertion_line(line) == "external_url"
 
-    def test_not_prefix_sets_negated_flag(self):
+    def test_not_prefix_skipped_as_negated(self):
         line = dump_line("/r/NotDesires", "/c/en/person", "/c/en/pain")
-        t = parse_assertion_line(line)
-        assert (t.subject, t.relation, t.object, t.negated) == \
-            ("person", "desires", "pain", True)
+        assert parse_assertion_line(line) == "negated"
+        # the relation filter comes first: a negated edge it drops is "relation"
+        assert _LineParser(frozenset({"causes"})).assertion(line) == "relation"
+        # and every other check before it
+        assert parse_assertion_line(line.replace("{}", "{")) == "malformed"
+        assert parse_assertion_line(line.replace("/c/en/pain", "/c/fr/douleur")) == "language"
 
     def test_non_concept_endpoint_skipped(self):
         line = dump_line("/r/Causes", "/c/en/sun", "http://example.org")
@@ -248,13 +251,17 @@ class TestLoadGraph:
         assert [t.relation for t in g] == ["causes"]
         assert g.stats.skipped["relation"] == 1
 
-    def test_negated_triples_kept_with_flag(self, tmp_path):
-        # the loader keeps them; the pipeline leaves them out of selection
+    def test_negated_lines_skipped(self, tmp_path):
+        # they have no translation, so the graph never holds them
         path = tmp_path / "fix.tsv"
-        path.write_text("person\tNotDesires\tpain\nsun\tCauses\tlight\n", "utf-8")
+        path.write_text("person\tNotDesires\tpain\nsun\tCauses\tlight\n"
+                        "sun\tNotCapableOf\tfly\n", "utf-8")
         g = load_graph(path)
-        assert [t.negated for t in g] == [True, False]
-        assert g.stats.skipped == {}
+        assert list(g) == [Triple("sun", "causes", "light")]
+        assert list(g.concepts) == ["sun", "light"]
+        assert (g.stats.kept, g.stats.skipped) == (1, {"negated": 2})
+        g = load_graph(path, RelationFilter(frozenset({"causes", "desires"})))
+        assert g.stats.skipped == {"negated": 1, "relation": 1}
 
     def test_gzip_transparent(self, tmp_path):
         path = tmp_path / "fix.tsv.gz"
@@ -365,6 +372,14 @@ class TestInvariants:
         assert list(g) == list(fig_graph)
         assert len(g) == fig_graph.stats.kept == 4
 
+    def test_every_constructor_counts_the_kept_triples(self, fig_graph):
+        assert KnowledgeGraph(fig_graph).stats.kept == 4
+        assert KnowledgeGraph().stats.kept == 0
+        g = KnowledgeGraph.from_tuples([("person", "NotDesires", "pain"),
+                                        ("sun", "Causes", "light")])
+        assert list(g) == [Triple("sun", "causes", "light")]
+        assert (g.stats.kept, g.stats.skipped) == (1, {"negated": 1})
+
     def test_filter_monotonicity(self, tmp_path):
         rng = random.Random(11)
         relations = ["causes", "is_a", "part_of", "desires", "at_location"]
@@ -398,8 +413,8 @@ _CONCEPTS = st.sampled_from(["sun", "light", "causes", "at_location", "atlocatio
                              "inv_causes", "inv_atlocation"]) \
     | st.from_regex(r"[a-z][a-z0-9_]{0,6}", fullmatch=True)
 _TRIPLES = st.builds(Triple, _CONCEPTS, st.sampled_from(["causes", "at_location", "is_a"]),
-                     _CONCEPTS, st.booleans())
-_COLUMNS = ("subject", "predicate", "inverse", "object", "negated")
+                     _CONCEPTS)
+_COLUMNS = ("subject", "predicate", "inverse", "object")
 
 
 class TestColumns:
@@ -408,7 +423,7 @@ class TestColumns:
     @settings(max_examples=200, derandomize=True, database=None)
     @given(st.lists(_TRIPLES, max_size=8))
     @example([Triple("causes", "causes", "inv_causes"), Triple("causes", "causes", "causes"),
-              Triple("atlocation", "at_location", "sun", negated=True)])
+              Triple("atlocation", "at_location", "sun")])
     def test_rows_round_trip_and_columns_are_copies(self, triples):
         graph = KnowledgeGraph()
         assert [graph.add(t) for t in triples] == list(range(len(triples)))
@@ -422,7 +437,6 @@ class TestColumns:
             assert [names[c[i]] for c in (columns.subject, columns.predicate,
                                           columns.inverse, columns.object)] == \
                 [t.subject, predicate, "inv_" + predicate, t.object]
-            assert columns.negated[i] == t.negated
 
         pipeline = Pipeline(graph, EmbeddingTable(2, {}), PipelineConfig(include_inverse=True))
         before = {c: getattr(pipeline.columns, c).copy() for c in _COLUMNS}
@@ -503,7 +517,7 @@ def _graph_files(draw):
 
 def _assert_same_graph(graph: KnowledgeGraph, expected: KnowledgeGraph):
     """The same columns, names in the same order, and the same stats."""
-    for column in ("subject", "relation", "object", "negated"):
+    for column in ("subject", "relation", "object"):
         assert getattr(graph, column).tobytes() == getattr(expected, column).tobytes()
     assert list(graph.concepts.items()) == list(expected.concepts.items())
     assert list(graph.relations.items()) == list(expected.relations.items())
@@ -546,6 +560,11 @@ class TestLoadGraphOracle:
     # is malformed, and the rest of the block is kept in order
     @example(b"moon\tCauses\tsun\n \tCauses\tlight\nsun\tIsA\tstar\n", False, False,
              kg._BLOCK_BYTES)
+    # one even block under the whitelist: a dropped relation is counted
+    # before a negated one, and a negated relation the whitelist drops is
+    # counted as dropped
+    @example(b"sun\tExternalURL\tlight\nsun\tNotDesires\tpain\nsun\tNotExternalURL\tx\n",
+             True, False, kg._BLOCK_BYTES)
     # a byte-order mark in front of an even block
     @example("\ufeffSun\tCauses\tlight\nsun\tIsA\tstar\n".encode(), True, False, 64)
     def test_same_graph_as_reference(self, tmp_path_factory, data, whitelist, bom,
@@ -577,7 +596,8 @@ class TestGraphBlocks:
     @pytest.mark.parametrize("width", [3, 4])
     def test_even_plain_file_skips_the_per_line_rule(self, tmp_path, monkeypatch,
                                                        block_bytes, width):
-        # the whitelist drops the ExternalURL and dbpedia/genre rows
+        # the whitelist drops the ExternalURL and dbpedia/genre rows, and the
+        # NotDesires rows are negated
         monkeypatch.setattr(kg, "_BLOCK_BYTES", block_bytes)
         relations = ["Causes", "NotDesires", "ExternalURL", "AtLocation", "dbpedia/genre"]
         lines = [f"C{i % 2003}\t{relations[i % 5]}\tc {i * 7 % 1999}\t{i / 8}"
@@ -590,8 +610,8 @@ class TestGraphBlocks:
         with mock.patch.object(kg, "_block_lines", wraps=kg._block_lines) as spy:
             graph = load_graph(path, flt)
         assert spy.call_count == 0
-        assert graph.stats.kept == 36_000
-        assert graph.stats.skipped == {"relation": 24_000}
+        assert graph.stats.kept == 24_000
+        assert graph.stats.skipped == {"negated": 12_000, "relation": 24_000}
         expected = reference_load_graph(path, flt)
         _assert_same_graph(graph, expected)
         gz = tmp_path / "dump.tsv.gz"
@@ -611,7 +631,7 @@ class TestGraphBlocks:
         with mock.patch.object(kg, "_block_lines", wraps=kg._block_lines) as spy:
             graph = load_graph(path)
         assert _per_line_bytes(spy) == data
-        assert graph.stats.skipped == {"external_url": 2_000}
+        assert graph.stats.skipped == {"negated": 2_000, "external_url": 2_000}
         expected = reference_load_graph(path)
         _assert_same_graph(graph, expected)
         gz = tmp_path / "dump.csv.gz"

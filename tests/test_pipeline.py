@@ -3,6 +3,7 @@ import gzip
 import itertools
 import json
 import os
+import random
 import subprocess
 import sys
 import tempfile
@@ -413,14 +414,12 @@ class TestReachabilityOracle:
     @settings(max_examples=150, derandomize=True, database=None, deadline=None)
     @given(st.lists(st.tuples(st.sampled_from(_CONCEPTS),
                               st.sampled_from(["causes", "at_location", "is_a"]),
-                              st.sampled_from(_CONCEPTS), st.booleans()), max_size=10),
+                              st.sampled_from(_CONCEPTS)), max_size=10),
            st.booleans(), st.integers(1, 4), st.sampled_from([1.0, 1.5, 1e9]),
            st.none() | st.integers(1, 3), st.lists(_TEXT, min_size=3, max_size=3))
     def test_unary_predicates_are_hop_reachable(self, rows, inverse, depth, tolerance,
                                                 sine_depth, texts):
-        graph = KnowledgeGraph()
-        for s, r, o, negated in rows:
-            graph.add(Triple(s, r, o, negated=negated))
+        graph = KnowledgeGraph(Triple(*row) for row in rows)
         rng = np.random.default_rng(len(rows))
         table = EmbeddingTable(4, {w: rng.normal(size=4) for w in _CONCEPTS})
         config = PipelineConfig(
@@ -864,6 +863,89 @@ class TestAlternativesPermuted:
         assert not base.failures and not moved.failures
         for b, m in zip(base.results, moved.results):
             self.assert_permuted(b, m, (1, 0))
+
+
+@pytest.fixture(params=["figure", "scale"])
+def run_inputs(request, tmp_path):
+    """A graph file, a table file, problems and a config with theta > 0:
+    the figure graph with COPA problem 1, or the reduced scale fixture."""
+    if request.param == "figure":
+        return (request.getfixturevalue("fig_graph_path"),
+                request.getfixturevalue("fig_table_path"),
+                [request.getfixturevalue("copa1")], PipelineConfig())
+    kg_path, vec_path, problems = _write_scale_fixture(
+        tmp_path, n_words=5000, n_triples=10_000, n_problems=40, concept_pool=1000)
+    return kg_path, vec_path, problems, PipelineConfig(
+        prefilter_theta=0.6, sine=SineConfig(similarity_threshold=0.9))
+
+
+class TestMetamorphic:
+    """One change to the input files that must leave the report bytes as
+    they are; each changed file is written next to the original."""
+
+    @staticmethod
+    def report(kg_path, vec_path, problems, cfg):
+        graph, table = corg.load_graph(kg_path), corg.load_table(vec_path)
+        return graph, table, Pipeline(graph, table, cfg).evaluate(problems).to_jsonl()
+
+    @staticmethod
+    def insert_lines(kg_path, make_line, seed):
+        """A copy of the graph file with a fifth as many lines again (at
+        least 20), each ``make_line(rng, concepts, relations)`` over the
+        file's own fields, inserted at random places; returns the copy's
+        path and the number inserted."""
+        lines = kg_path.read_text("utf-8").splitlines(keepends=True)
+        rows = [line.rstrip("\n").split("\t") for line in lines]
+        concepts = sorted({row[0] for row in rows} | {row[2] for row in rows})
+        relations = sorted({row[1] for row in rows})
+        rng = random.Random(seed)
+        n = max(20, len(lines) // 5)
+        for _ in range(n):
+            lines.insert(rng.randrange(len(lines) + 1), make_line(rng, concepts, relations))
+        path = kg_path.with_name("changed_" + kg_path.name)
+        path.write_text("".join(lines), "utf-8")
+        return path, n
+
+    def test_negated_lines_inserted(self, run_inputs):
+        kg_path, vec_path, problems, cfg = run_inputs
+        graph, _, expected = self.report(kg_path, vec_path, problems, cfg)
+        changed, n = self.insert_lines(
+            kg_path, lambda rng, concepts, _: "\t".join(
+                [rng.choice(concepts), "NotDesires", rng.choice(concepts)]) + "\n", seed=7)
+        graph2, _, report = self.report(changed, vec_path, problems, cfg)
+        assert report == expected
+        assert graph2.stats.skipped == {**graph.stats.skipped, "negated": n}
+
+    def test_table_rows_permuted_and_an_unused_word_added(self, run_inputs):
+        kg_path, vec_path, problems, cfg = run_inputs
+        _, table, expected = self.report(kg_path, vec_path, problems, cfg)
+        rows = vec_path.read_text("utf-8").splitlines(keepends=True)
+        header = rows[0].split()[0].isdigit()  # a word count and a dimension
+        rows = rows[header:]
+        rng = random.Random(11)
+        rng.shuffle(rows)
+        vector = " ".join(f"{rng.uniform(-1, 1):.6f}" for _ in range(table.dimension))
+        rows.insert(rng.randrange(len(rows) + 1), f"unusedword {vector}\n")
+        if header:
+            rows.insert(0, f"{len(rows)} {table.dimension}\n")
+        changed = vec_path.with_name("changed_" + vec_path.name)
+        changed.write_text("".join(rows), "utf-8")
+        _, table2, report = self.report(kg_path, changed, problems, cfg)
+        assert len(table2) == len(table) + 1
+        assert report == expected
+
+    def test_triples_to_objects_without_a_row_inserted(self, run_inputs):
+        kg_path, vec_path, problems, cfg = run_inputs
+        assert cfg.prefilter_theta > 0
+        graph, table, expected = self.report(kg_path, vec_path, problems, cfg)
+        changed, n = self.insert_lines(
+            kg_path, lambda rng, concepts, relations: "\t".join(
+                [rng.choice(concepts), rng.choice(relations), f"norow{rng.randrange(50)}"])
+            + "\n", seed=13)
+        graph2, _, report = self.report(changed, vec_path, problems, cfg)
+        assert len(graph2) == len(graph) + n
+        assert not table.vectors([f"norow{k}" for k in range(50)]).any()
+        assert report == expected
 
 
 class TestLazyModel:

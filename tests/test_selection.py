@@ -235,14 +235,13 @@ class TestSimilaritySine:
 
 
 # A small graph whose concept names collide with predicates and inv_
-# predicates, with self-loops, negated and unkept triples.
+# predicates, with self-loops and unkept triples.
 _NAMES = ["sun", "light", "shadow", "causes", "inv_causes", "atlocation",
           "inv_atlocation", "is_a", "c0"]
 _WORDS = ["sun", "light", "shadow", "causes", "inv", "is", "a", "rising", "c0"]
 _TRIPLES = st.lists(st.tuples(st.sampled_from(_NAMES),
                               st.sampled_from(["causes", "at_location", "is_a"]),
                               st.sampled_from(_NAMES),
-                              st.booleans(),  # negated
                               st.booleans()),  # kept by the prefilter
                     max_size=10)
 _CONFIGS = st.builds(
@@ -257,19 +256,18 @@ class TestReferenceAgreement:
     @given(_TRIPLES, st.booleans(), st.sets(st.sampled_from(_NAMES + ["rising", "x"]),
                                             min_size=1, max_size=4),
            _CONFIGS, st.sets(st.sampled_from(_WORDS)), st.integers(0, 2**32 - 1))
-    @example([("sun", "causes", "sun", False, True), ("causes", "causes", "light", False, True),
-              ("light", "is_a", "inv_causes", False, True)], True, {"sun"},
+    @example([("sun", "causes", "sun", True), ("causes", "causes", "light", True),
+              ("light", "is_a", "inv_causes", True)], True, {"sun"},
              SineConfig(tolerance=1.0, max_depth=None), set(), 0)
     def test_integer_index_selects_like_reference(self, rows, inverse, goals, cfg,
                                                   words, seed):
         rng = np.random.default_rng(seed)
         vectors = {w: rng.normal(size=3) for w in sorted(words)}
         table = EmbeddingTable(3, vectors)
-        triples = [Triple(s, r, o, negated=neg) for s, r, o, neg, _ in rows]
-        kept = np.array([k for k, row in enumerate(rows) if row[4]], dtype=np.intp)
+        triples = [Triple(s, r, o) for s, r, o, _ in rows]
+        tids = np.array([k for k, row in enumerate(rows) if row[3]], dtype=np.intp)
 
         columns = TripleColumns(KnowledgeGraph(triples), table, inverse=inverse)
-        tids = kept[~columns.negated[kept]]
         rows, keys = columns.axioms(tids)
         idx = build_index(rows, columns.symbols)
         select = sine_select if cfg.similarity_threshold is None else similarity_sine_select
