@@ -11,8 +11,9 @@ class MalformedLine(CorgError):
     """A vector-table or relation-whitelist line that cannot be read
     (invalid UTF-8, a vector component that is not finite, a table header
     whose word count is not the number of vector lines, a table row that
-    cannot be read again after the load).  A malformed graph line is not
-    raised: ``load_graph`` counts it under ``"malformed"``."""
+    cannot be read again after the load, a negated whitelist entry).  A
+    malformed graph line is not raised: ``load_graph`` counts it under
+    ``"malformed"``."""
 
     def __init__(self, line_no: int, reason: str):
         super().__init__(f"line {line_no}: {reason}")

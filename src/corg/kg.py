@@ -513,10 +513,13 @@ def default_relation_whitelist() -> frozenset[str]:
 def load_relation_whitelist(path) -> frozenset[str]:
     """Read a one-relation-per-line whitelist file (# comments allowed).
 
-    A line that is not UTF-8 raises MalformedLine naming it and the file.
-    The file is read as ``load_graph`` reads a graph: in blocks, a ``.gz``
-    one decompressed, a leading byte-order mark dropped, and lines ending at
-    ``\\r\\n``, ``\\n`` or ``\\r``."""
+    A line that is not UTF-8 raises MalformedLine naming it and the file,
+    and so does an entry with a leading ``Not`` (``NotDesires``): the loader
+    keeps no negated edge, so such an entry would admit nothing of its own
+    and must not be read as its positive relation.  The file is read as
+    ``load_graph`` reads a graph: in blocks, a ``.gz`` one decompressed, a
+    leading byte-order mark dropped, and lines ending at ``\\r\\n``,
+    ``\\n`` or ``\\r``."""
     relations = set()
     with _open(path) as fh:
         lines = chain.from_iterable(map(_block_lines, _blocks(fh)))
@@ -525,5 +528,9 @@ def load_relation_whitelist(path) -> frozenset[str]:
                 raise MalformedLine(line_no, f"not valid UTF-8 ({path})")
             entry = line.strip()
             if entry and not entry.startswith("#"):
-                relations.add(normalize_relation(entry)[0])
+                relation, negated = normalize_relation(entry)
+                if negated:
+                    raise MalformedLine(line_no, f"negated relation {entry!r}, which "
+                                                 f"no graph edge keeps ({path})")
+                relations.add(relation)
     return frozenset(relations)

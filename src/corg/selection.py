@@ -14,17 +14,19 @@ Selection reads nothing but each axiom's symbols, and a triple's are known
 without translating it: subject, predicate and object, with the ``inv_``
 predicate in place of the predicate for the inverse reading.  So
 ``TripleColumns`` copies the graph's id columns, with its concept ids as
-symbol ids and the predicates after them, in one ``SymbolTable`` of unit
-rows.  Every vector, a symbol's or a problem word's, is a row of
-``EmbeddingTable.vectors``.  Per problem one ``Cosines`` product of the
-symbols' unit rows with the problem's vocabulary serves both the
-prefilter and similarity seeding, and one gate decides each of its
-entries: a symbol is near a word when ``clip(s, -1, 1) >= theta``, s the
-``math.fsum`` of the two unit rows' elementwise products.  The product's
-entry decides alone when it is farther than 2 (d + 2) 2^-53 from theta
+symbol ids and the predicates after them, in one ``SymbolTable`` that
+holds each symbol's unit row once, in float32.  Every vector, a symbol's
+or a problem word's, is a row of ``EmbeddingTable.vectors``.  Per problem
+one float32 ``Cosines`` product of the symbols' unit rows with the
+problem's vocabulary serves both the prefilter and similarity seeding,
+and one gate decides each of its entries: a symbol is near a word when
+``clip(s, -1, 1) >= theta``, s the ``math.fsum`` of the elementwise
+products of the two float64 unit rows.  The product's entry decides alone
+when it is farther than 2 (d + 2) 2^-24 from theta, compared in float64
 (the bound is derived in ``Cosines``), and an entry within it is summed
-again, so no decision depends on the product's shape, the order of its words
-or the BLAS kernel.  Per problem an ``AxiomIndex`` is one int32
+again from the float64 rows, the symbol's built again from the table, so
+no decision depends on the product's precision or shape, the order of its
+words or the BLAS kernel.  Per problem an ``AxiomIndex`` is one int32
 matrix of symbol ids, one row per axiom, with ``np.bincount`` occurrence
 counts; selection runs on boolean masks and returns axiom positions, so
 only the axioms a text selects are ever named, and only the live ones
@@ -72,19 +74,35 @@ class SineConfig:
                              f"got {self.similarity_threshold}")
 
 
+_BLOCK_ROWS = 1024  # symbols whose float64 rows SymbolTable holds at once
+
+
 class SymbolTable:
     """Symbol names interned to int ids, with one unit vector per id.
 
     Concepts, predicates and ``inv_`` predicates share one namespace, so a
     concept spelled like a predicate is one symbol, as in ``fol.symbols``.
-    ``unit[i]`` is symbol i's row of ``table.vectors``, scaled to unit norm
-    (zero when the table knows neither the symbol nor any of its parts).
+    ``names[i]`` is symbol i's name.  Symbol i's unit row is
+    ``_unit_rows(table.vectors([names[i]]))[0]``, its row of
+    ``table.vectors`` scaled to unit norm in float64 (zero when the table
+    knows neither the symbol nor any of its parts); ``exact(i)`` builds it
+    again.  ``unit[i]`` is that row rounded to float32, the one copy held:
+    ``unit`` is filled ``_BLOCK_ROWS`` symbols at a time, so no float64
+    matrix of every symbol's row is ever made.
     """
 
     def __init__(self, ids: dict[str, int], table: EmbeddingTable):
         self.ids = ids
         self.table = table
-        self.unit = _unit_rows(table.vectors(sorted(ids, key=ids.__getitem__)))
+        self.names = sorted(ids, key=ids.__getitem__)
+        self.unit = np.empty((len(self.names), table.dimension), dtype=np.float32)
+        for start in range(0, len(self.names), _BLOCK_ROWS):
+            block = self.names[start:start + _BLOCK_ROWS]
+            self.unit[start:start + len(block)] = _unit_rows(table.vectors(block))
+
+    def exact(self, i: int) -> np.ndarray:
+        """Symbol i's float64 unit row, the one the gate's rule reads."""
+        return _unit_rows(self.table.vectors([self.names[i]]))[0]
 
     def __len__(self) -> int:
         return len(self.ids)
@@ -106,6 +124,9 @@ class TripleColumns:
     concept ids are its concepts' symbol ids, and predicates and ``inv_``
     predicates not spelled like a concept come after them.  The columns
     are copies: a later ``graph.add`` changes nothing here.
+    ``symbols.ids`` is a copy of ``graph.concepts`` too, with the
+    predicates interned after the concepts: shared, the predicates would
+    become graph concepts, and a later concept could take a predicate's id.
     """
 
     def __init__(self, graph: KnowledgeGraph, table: EmbeddingTable,
@@ -253,42 +274,55 @@ def _unit_rows(mat: np.ndarray) -> np.ndarray:
 class Cosines:
     """Every symbol's clipped cosine with each word of a vocabulary.
 
-    ``matrix[position[w], s]`` is ``clip(unit[w] . symbols.unit[s], -1, 1)``,
-    from one product of the vocabulary's unit rows with the symbols', made
-    on the first read.  Per problem the pipeline makes one, over the
-    problem's words and, with similarity seeding on, every text's goal
-    symbols: the prefilter reads the entries of the words with the
-    objects, and seeding those of a text's goal symbols with the indexed
-    symbols.
+    ``matrix[position[w], s]`` is ``clip(unit[w] . symbols.unit[s], -1, 1)``
+    in float32, from one product of the vocabulary's unit rows, rounded to
+    float32, with the symbols' float32 ones, made on the first read.  Per
+    problem the pipeline makes one, over the problem's words and, with
+    similarity seeding on, every text's goal symbols: the prefilter reads
+    the entries of the words with the objects, and seeding those of a
+    text's goal symbols with the indexed symbols.
 
     The gate.  Symbol s is near word w at threshold theta when
-    ``clip(fsum(u * v), -1, 1) >= theta``: u and v are the two unit rows as
-    stored, and ``fsum(u * v)`` is ``math.fsum`` of their elementwise
-    products, the correctly rounded sum of the rounded products, which no
-    summation order, word order or BLAS kernel changes.  An entry g of
-    the product decides alone when |g - theta| > B = 2 (d + 2) 2^-53, d
-    the table's dimension; an entry within B of theta is summed again with
-    ``fsum``.
+    ``clip(fsum(x * y), -1, 1) >= theta``: x and y are the two float64 unit
+    rows, ``symbols.exact(s)`` and ``unit[position[w]]``, and ``fsum(x *
+    y)`` is ``math.fsum`` of their elementwise products, the correctly
+    rounded sum of the rounded products, which no summation order, word
+    order or BLAS kernel changes.  An entry g of the product decides alone
+    when |g - theta| > B = 2 (d + 2) 2^-24, d the table's dimension; an
+    entry within B of theta is summed again with ``fsum``, from x rebuilt
+    and y.  g is compared with theta in float64, where g is exact.
+    Compared in float32, as NEP 50 compares a Python float with a float32
+    array, theta would itself be rounded, and a finite theta beyond
+    float32's range would overflow with a warning.
 
-    Why B bounds |g - clip(fsum(u * v))| (Higham, *Accuracy and Stability
-    of Numerical Algorithms*, 2nd ed., section 3.1; u = 2^-53, gamma_d =
-    d u / (1 - d u), A = sum_k |u_k v_k| <= |u| |v|):
+    Why B bounds |g - clip(fsum(x * y))| (Higham, *Accuracy and Stability
+    of Numerical Algorithms*, 2nd ed., sections 2.1 and 3.1; u = 2^-53 and
+    e = 2^-24 the unit roundoffs of float64 and float32, gamma_d = d e / (1
+    - d e), A = sum_k |x_k y_k| <= |x| |y|):
 
-    * a d-term dot product summed in any order, with or without fused
-      multiply-adds, is within gamma_d A of the exact one;
-    * each rounded product is within u |u_k v_k| of the exact one, and
-      ``fsum`` rounds their sum once, so ``fsum(u * v)`` is within
-      (2 u + u^2) A of the exact dot product;
-    * a unit row is a row divided by its computed norm, whose relative
-      error is at most gamma_d / 2 + u, and each division rounds once, so
-      |u| <= 1 + (d / 2 + 2) u + O(u^2) and A <= 1 + (d + 4) u + O(u^2)
-      (A = 0 for a zero row);
-    * so the two sums differ by at most (d + 2) u (1 + (d + 4) u) / (1 -
-      d u), which is below B for any d below 2^50, and clipping to [-1, 1]
-      does not widen the gap.
+    * a float64 unit row is a row divided by its computed norm, whose
+      relative error is at most d u / 2 + u + O(u^2), and each division
+      rounds once, so |x| <= 1 + (d / 2 + 2) u + O(u^2) and A <= 1 + (d +
+      4) u + O(u^2) (A = 0 for a zero row);
+    * each rounded product is within u |x_k y_k| of the exact one, and
+      ``fsum`` rounds their sum once, so ``fsum(x * y)`` is within (2 u +
+      u^2) A of the exact dot product x . y;
+    * rounding x and y to float32 moves each component by at most e times
+      itself, or by at most 2^-150 where it falls in float32's subnormal
+      range, so with x' and y' the float32 rows, |x' . y' - x . y| <= (2 e
+      + e^2) A + d 2^-149 (1 + e) and A' = sum_k |x'_k y'_k| <= (1 + e)^2 A
+      + d 2^-149 (1 + e);
+    * a d-term float32 dot product summed in any order, with or without
+      fused multiply-adds, is within gamma_d A' of x' . y', plus at most
+      2^-150 (1 + gamma_d) for each product that underflows (a sum that
+      underflows is exact);
+    * so, while d e <= 1/16 (d up to 2^20; d e must be far below 1 for
+      gamma_d to bound the sum at all), the float32 entry and the fsum
+      differ by at most 1.07 d e + 2.01 e + d 2^-148 + 2^-51 < B, clipping
+      to [-1, 1] does not widen the gap, and B keeps a margin of about d e
+      for the float64 rounding of g - theta.
 
-    Products that underflow add at most d 2^-1074 in all, far below B.  So
-    when |g - theta| > B, g and the exact rule fall on the same side of
+    So when |g - theta| > B, g and the exact rule fall on the same side of
     theta.
     """
 
@@ -298,13 +332,13 @@ class Cosines:
 
     @cached_property
     def unit(self) -> np.ndarray:
-        """The vocabulary's unit rows, word w's at ``position[w]``."""
+        """The vocabulary's float64 unit rows, word w's at ``position[w]``."""
         return _unit_rows(self.symbols.table.vectors(list(self.position)))
 
     @cached_property
     def matrix(self) -> np.ndarray:
-        """The (vocabulary, symbols) clipped cosines, from one product."""
-        out = self.unit @ self.symbols.unit.T
+        """The (vocabulary, symbols) clipped cosines, from one float32 product."""
+        out = self.unit.astype(np.float32) @ self.symbols.unit.T
         return np.clip(out, -1.0, 1.0, out=out)
 
     def near(self, words: Sequence[str], theta: float, rows: np.ndarray) -> np.ndarray:
@@ -315,12 +349,13 @@ class Cosines:
         it; in any other row, only the entries within B can pass."""
         picked = [self.position[w] for w in words]
         cos = self.matrix[np.ix_(picked, rows)]
-        best = cos.max(axis=0, initial=-np.inf)
+        # the best of float32 entries is exact; float64 from here on
+        best = cos.max(axis=0, initial=-np.inf).astype(np.float64)
         passed = best >= theta
-        bound = 2 * (self.unit.shape[1] + 2) * 2.0 ** -53
+        bound = 2 * (self.unit.shape[1] + 2) * 2.0 ** -24
         for i in np.flatnonzero(np.abs(best - theta) <= bound).tolist():
-            unit = self.symbols.unit[rows[i]]
-            passed[i] = any(max(-1.0, min(1.0, math.fsum(unit * self.unit[j]))) >= theta
+            exact = self.symbols.exact(rows[i])
+            passed[i] = any(max(-1.0, min(1.0, math.fsum(exact * self.unit[j]))) >= theta
                             for j, g in zip(picked, cos[:, i].tolist())
                             if abs(g - theta) <= bound)
         return passed

@@ -334,6 +334,25 @@ class TestLoadGraph:
             load_relation_whitelist(path)
         assert len(opened) == 1 and opened[0].closed  # not left to the garbage collector
 
+    def test_negated_whitelist_entry_rejected(self, tmp_path):
+        # no negated edge is ever kept, so a NotDesires entry must not read
+        # as Desires: the file is rejected, naming the line and the file
+        path = tmp_path / "rels.txt"
+        path.write_text("NotDesires\n", "utf-8")
+        with pytest.raises(MalformedLine,
+                           match=r"line 1: negated relation 'NotDesires'.*\(.*rels\.txt\)"):
+            load_relation_whitelist(path)
+
+    def test_negated_entry_in_a_mixed_whitelist_rejected(self, tmp_path):
+        # the positive entries do not save the file; a name that only starts
+        # with "Not" is no negation
+        path = tmp_path / "rels.txt"
+        path.write_text("# wanted\nCauses\nDesires\n NotCapableOf \nIsA\n", "utf-8")
+        with pytest.raises(MalformedLine, match=r"line 4: negated relation 'NotCapableOf'"):
+            load_relation_whitelist(path)
+        path.write_text("Causes\nNotable\nnotdesires\n", "utf-8")
+        assert load_relation_whitelist(path) == {"causes", "notable", "notdesires"}
+
     def test_empty_whitelist_rejected(self):
         with pytest.raises(ValueError):
             RelationFilter(allowed=frozenset())

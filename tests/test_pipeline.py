@@ -7,6 +7,7 @@ import random
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 import weakref
 from dataclasses import asdict, replace
 from pathlib import Path
@@ -1272,6 +1273,16 @@ class TestCli:
             "--embeddings", "v.txt", "--relations", str(relations))
         assert (code, out, err) == (1, "", f"error: line 2: not valid UTF-8 ({relations})\n")
 
+    def test_negated_relations_entry_exits_1(self, tmp_path, capsys):
+        relations = tmp_path / "rels.txt"
+        relations.write_text("Causes\nNotDesires\n", "utf-8")
+        code, out, err = self.run_cli(
+            capsys, "run", "--copa", "c.xml", "--kg", "kg.tsv",
+            "--embeddings", "v.txt", "--relations", str(relations))
+        assert (code, out) == (1, "")
+        assert err == f"error: line 2: negated relation 'NotDesires', " \
+                      f"which no graph edge keeps ({relations})\n"
+
     def test_missing_relations_file_exits_1(self, capsys):
         code, _, err = self.run_cli(
             capsys, "run", "--copa", "c.xml", "--kg", "kg.tsv",
@@ -1319,6 +1330,34 @@ class TestCli:
         err = self.run_two_problems(capsys, tmp_path, fig_graph_path, fig_table_path,
                                     fol_dir)
         assert "2_premise.p" in err
+
+
+class TestPipelineMemory:
+    def test_bytes_per_symbol_at_300_d(self):
+        # Pipeline(graph, table) holds one float32 unit row per symbol, 1,200
+        # bytes at 300-d, and builds it 1,024 float64 rows at a time, so no
+        # float64 matrix of every symbol's row is ever made.  Over 2,000
+        # symbols of a table whose rows are all parsed already, it may keep
+        # 1,400 bytes per symbol, and its construction may peak at 4,200:
+        # the kept bytes plus two float64 blocks of 1,024 x 300 (a block's
+        # rows and their squares, for the norms), 2,458 bytes per symbol
+        # here.  A float64 unit row alone is 2,400 bytes.
+        n, d = 2000, 300
+        rng = np.random.default_rng(12)
+        words = [f"w{i}" for i in range(n)]
+        table = EmbeddingTable(d, {w: rng.normal(size=d) for w in words})
+        graph = KnowledgeGraph([Triple(w, "causes", words[(7 * i + 1) % n])
+                                for i, w in enumerate(words)])
+        gc.collect()
+        tracemalloc.start()
+        try:
+            pipe = Pipeline(graph, table)
+            kept, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(pipe.columns.symbols) == n + 1  # the concepts and "causes"
+        assert kept <= 1400 * n
+        assert peak <= 4200 * n
 
 
 class TestPipelineConfig:

@@ -8,12 +8,13 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from corg import KnowledgeGraph, Triple
-from corg.embeddings import EmbeddingTable
+from corg import KnowledgeGraph, Triple, selection
+from corg.embeddings import EmbeddingTable, load_table
 from corg.fol import symbols, translate_existential, translate_inverse
+from corg.kg import load_graph
 from corg.pipeline import Pipeline, PipelineConfig, axiom_id, content_words
 from corg.selection import (Cosines, Prefilter, SineConfig, SymbolTable, TripleColumns,
-                            build_index, similarity_sine_select, sine_select)
+                            _unit_rows, build_index, similarity_sine_select, sine_select)
 from oracles import (ReferenceTable, exactly_near, reachable_closure,
                      reference_sine_select, reference_vector, unit_rows)
 
@@ -404,8 +405,9 @@ class TestTriplePrefilter:
 
 
 class TestGate:
-    """Every near decision follows the fsum rule on the stored unit rows:
-    ``clip(fsum(u * v), -1, 1) >= theta``, whatever product it is read from."""
+    """Every near decision follows the fsum rule on the float64 unit rows:
+    ``clip(fsum(u * v), -1, 1) >= theta``, whatever product it is read from,
+    though only float32 rows are stored."""
 
     WORDS = ["w0", "w1", "w2", "nothing"]  # no row for "nothing": a zero row
 
@@ -426,10 +428,12 @@ class TestGate:
 
     @staticmethod
     def exact(symbols, cosines):
-        """``clip(fsum(u * v), -1, 1)`` of each symbol's unit row u with each
-        vocabulary unit row v, one row per symbol."""
+        """``clip(fsum(u * v), -1, 1)`` of each symbol's float64 unit row u,
+        built from the table, with each vocabulary unit row v, one row per
+        symbol."""
+        rows = unit_rows(symbols.table.vectors(symbols.names))
         return np.array([[math.fsum((u * v).tolist()) for v in cosines.unit]
-                         for u in symbols.unit]).clip(-1.0, 1.0)
+                         for u in rows]).clip(-1.0, 1.0)
 
     @settings(max_examples=200, derandomize=True, database=None)
     @given(st.integers(1, 40), st.integers(0, 2**32 - 1), st.data())
@@ -470,17 +474,75 @@ class TestGate:
     @settings(max_examples=100, derandomize=True, database=None)
     @given(st.integers(1, 300), st.integers(0, 2**32 - 1))
     def test_any_product_within_the_bound_decides_alike(self, d, seed):
-        # a product summed in another order or by another kernel is within
-        # (d + 2) 2^-53 of the exact sums (see Cosines): decisions read from
-        # it follow the rule at every threshold, ties included
+        # a float32 product of float32 rows, summed in any order by any
+        # kernel, is within about (d + 2) 2^-24 of the exact sums (see
+        # Cosines): decisions read from it follow the rule at every
+        # threshold, ties included
         rng = np.random.default_rng(seed)
         symbols = self.symbols(d, rng).symbols
         cosines = Cosines(symbols, self.WORDS)
         exact = self.exact(symbols, cosines)
-        noise = rng.uniform(-1.0, 1.0, exact.shape) * (d + 2) * 2.0 ** -53
-        cosines.__dict__["matrix"] = np.clip(exact + noise, -1.0, 1.0).T
+        noise = rng.uniform(-1.0, 1.0, exact.shape) * (d + 2) * 2.0 ** -24
+        product = np.clip(exact + noise, -1.0, 1.0).T.astype(np.float32)
+        cosines.__dict__["matrix"] = product
         every = np.arange(len(symbols))
         for theta in [*rng.choice(exact.ravel(), 5), -1.0, 1.0, 0.0]:
             for j, w in enumerate(self.WORDS):
                 assert cosines.near([w], theta, every).tolist() == \
                     (exact[:, j] >= theta).tolist()
+
+    @pytest.mark.parametrize("theta", [1e39, -1e39, 3.5e38, -3.5e38, 2.0 ** -149 / 3])
+    def test_threshold_compared_in_float64(self, theta):
+        # beyond float32's range theta would overflow to +-inf, with a
+        # RuntimeWarning, and below its least subnormal it would round to 0
+        rng = np.random.default_rng(5)
+        columns = self.symbols(5, rng)
+        symbols = columns.symbols
+        cosines = Cosines(symbols, self.WORDS)
+        rule = self.exact(symbols, cosines) >= theta
+        every = np.arange(len(symbols))
+        assert cosines.near(self.WORDS, theta, every).tolist() == rule.any(axis=1).tolist()
+        expected = [t for t, o in enumerate(columns.object) if rule[o].any()]
+        assert Prefilter(columns).apply_indices(self.WORDS, theta, cosines).tolist() == expected
+
+
+class TestUnitRows:
+    """The gate's rule reads a symbol's float64 unit row built alone,
+    ``_unit_rows(table.vectors([name]))[0]``, and ``SymbolTable.unit``
+    holds rows built a block at a time, rounded to float32: a row is the
+    same, bit for bit, alone or among every symbol's."""
+
+    @staticmethod
+    def assert_rows_alike(symbols):
+        batch = _unit_rows(symbols.table.vectors(symbols.names))
+        for i, name in enumerate(symbols.names):
+            assert symbols.exact(i).tobytes() == batch[i].tobytes(), name
+        assert symbols.unit.dtype == np.float32 and symbols.unit.flags.c_contiguous
+        assert symbols.unit.tobytes() == batch.astype(np.float32).tobytes()
+
+    @settings(max_examples=60, derandomize=True, database=None)
+    @given(st.integers(1, 320), st.integers(0, 2**32 - 1), st.integers(1, 5))
+    def test_direct_split_and_zero_rows(self, d, seed, block_rows):
+        rng = np.random.default_rng(seed)
+        words = ["sun", "light", "grass", "ground", "astronomical", "body", "flat"]
+        vectors = {w: rng.normal(size=d) * 10.0 ** rng.uniform(-150, 150) for w in words}
+        vectors["flat"] = np.zeros(d)
+        names = [*words, "Sun", "sun_light", "astronomicalBody", "grassGround_sun",
+                 "flat_sun", "flatFlat", "nothing", "no_thing", "sun_nothing"]
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(selection, "_BLOCK_ROWS", block_rows)  # blocks cut anywhere
+            symbols = SymbolTable({n: i for i, n in enumerate(names)},
+                                  EmbeddingTable(d, vectors))
+        self.assert_rows_alike(symbols)
+        zero = [symbols.ids[n] for n in ("flat", "flatFlat", "nothing", "no_thing")]
+        assert not symbols.unit[zero].any()
+
+    def test_reduced_scale_fixture(self, tmp_path):
+        # more symbols than a block, rows parsed from the table file
+        from test_acceptance import _write_scale_fixture  # which imports this module
+
+        kg_path, vec_path, _ = _write_scale_fixture(
+            tmp_path, n_words=3000, n_triples=4000, n_problems=1, concept_pool=2600)
+        columns = TripleColumns(load_graph(kg_path), load_table(vec_path), inverse=True)
+        assert len(columns.symbols) > 2 * selection._BLOCK_ROWS
+        self.assert_rows_alike(columns.symbols)
